@@ -13,11 +13,9 @@ from .bounds import (
     optimize_unitary_correction,
 )
 from .channel import (
-    CanonicalDecomposition,
     ChoiMatrix,
     KrausChannel,
     LKMap,
-    Superoperator,
     apply,
     canonical,
     compose,

@@ -29,7 +29,7 @@ from .errors import (
     RatioOutOfRange,
     TargetNotUnitary,
 )
-from .polar import channel_polar, is_decoherent
+from .polar import _spectrum_constants, channel_polar, is_decoherent
 
 HOLDS_TOL = 1e-9
 
@@ -127,24 +127,13 @@ class CircuitSpec:
         return len(self.channels)
 
 
-def _wse_decoh_constant(sigma: np.ndarray) -> float:
-    mean_pert = float(np.mean(1.0 - sigma))
-    if mean_pert <= 1e-12:
-        return 0.0
-    return float(np.std(sigma) / mean_pert)
-
-
 def _wse_coh_constant(v: np.ndarray) -> float:
     """WSE coherence constant of a unitary, after fixing tr V in R+."""
     t = np.trace(v)
     if abs(t) <= 1e-9:
         raise PhaseUndefined("tr V ~ 0: coherence constant undefined")
     v = v * (np.conj(t) / abs(t))
-    lam_re = np.linalg.eigvalsh((v + v.conj().T) / 2.0)
-    mean_pert = float(np.mean(1.0 - lam_re))
-    if mean_pert <= 1e-12:
-        return 0.0
-    return float(np.std(lam_re) / mean_pert)
+    return _spectrum_constants(np.linalg.eigvalsh((v + v.conj().T) / 2.0))[1]
 
 
 class _CircuitData:
@@ -157,6 +146,7 @@ class _CircuitData:
         self.canons = [chn.canonical(c) for c in circuit.channels]
         self.targets = circuit.targets
         self.w1 = np.array([c.w1 for c in self.canons])  # Upsilon(A_i*)
+        self.s_star = float(np.sum(1.0 - self.w1))  # S* = sum_i (1 - Upsilon(A_i*))
         self.ups = np.array([metrics.upsilon(c) for c in self.canons])
         self.phis = np.array(
             [metrics.phi(c, t) for c, t in zip(self.canons, self.targets)]
@@ -164,7 +154,8 @@ class _CircuitData:
         self.polars = [channel_polar(c) for c in circuit.channels]
         self.sigmas = [p.singular_values for p in self.polars]
         self.mean_sigma = np.array([float(np.mean(s)) for s in self.sigmas])
-        self.gammas = np.array([_wse_decoh_constant(s) for s in self.sigmas])
+        self.pert = 1.0 - self.mean_sigma  # 1 - sqrt(Phi(D_i*, I))
+        self.gammas = np.array([_spectrum_constants(s)[1] for s in self.sigmas])
         self.composite = chn.compose(circuit.channels)
         u_c = np.eye(d, dtype=np.complex128)
         for t in self.targets:
@@ -200,7 +191,7 @@ def _require_nc(data: _CircuitData, require: bool = True):
         )
 
 
-def _phi_with_prefix(mat: np.ndarray, ch: chn.ChannelLike) -> float:
+def _phi_with_prefix(mat: np.ndarray, ch: chn.KrausChannel) -> float:
     """Phi of the channel prefixed by the matrix map K -> mat K, target I."""
     traces = np.einsum("ij,kji->k", mat, ch.kraus)
     return float(np.sum(np.abs(traces) ** 2) / ch.dim**2)
@@ -254,8 +245,7 @@ def thm2_fid_evo(circuit: CircuitSpec, require_noncatastrophic: bool = True) -> 
     data = _data(circuit)
     _require_nc(data, require_noncatastrophic)
     observed = data.phi_c - data.phi_star_c
-    s_star = float(np.sum(1.0 - data.w1))
-    upper_star = (1.0 - data.phi_star_c) * s_star + 0.5 * s_star**2
+    upper_star = (1.0 - data.phi_star_c) * data.s_star + 0.5 * data.s_star**2
     s2 = float(np.sum(1.0 - data.ups**2))
     upper_full = (
         0.5 * s2**2
@@ -272,7 +262,7 @@ def thm2_fid_evo(circuit: CircuitSpec, require_noncatastrophic: bool = True) -> 
             "phi_composite": data.phi_c,
             "phi_lk_composed": data.phi_star_c,
             "upper_star_form": upper_star,
-            "sum_one_minus_w1": s_star,
+            "sum_one_minus_w1": data.s_star,
             "sum_one_minus_ups2": s2,
             "holds_star_form": float(observed <= upper_star + HOLDS_TOL),
         },
@@ -293,17 +283,6 @@ def _require_decoherent(circuit: CircuitSpec):
             raise NotDecoherent(f"circuit element {i} is not decoherent")
 
 
-def _check_prefix_unitary(v, d: int) -> np.ndarray:
-    if v is None:
-        return np.eye(d, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (d, d):
-        raise TargetNotUnitary(f"unitary must be {d} x {d}")
-    if np.linalg.norm(v.conj().T @ v - np.eye(d)) > 1e-9 * np.sqrt(d):
-        raise TargetNotUnitary("prefix operator is not unitary within tolerance")
-    return v
-
-
 def thm4_decoherent_features(
     circuit: CircuitSpec, v=None
 ) -> tuple[BoundReport, BoundReport]:
@@ -313,11 +292,10 @@ def thm4_decoherent_features(
     data = _data(circuit)
     _require_nc(data)
     d = data.d
-    v = _check_prefix_unitary(v, d)
+    v = metrics._check_target(v, d)
     phi_tot = _phi_with_prefix(v, data.composite)
-    s_star = float(np.sum(1.0 - data.w1))
     phi_vstar = float(abs(np.trace(v @ data.lk_prod.a1)) ** 2 / d**2)
-    quad = 0.5 * s_star**2 + (1.0 - phi_vstar) * s_star
+    quad = 0.5 * data.s_star**2 + (1.0 - phi_vstar) * data.s_star
     mono = make_report(
         "thm4_quasi_monotonicity",
         phi_tot,
@@ -325,8 +303,8 @@ def thm4_decoherent_features(
         float(np.min(data.phis)) + quad,
         terms={
             "min_phi_element": float(np.min(data.phis)),
-            "half_sum_sq": 0.5 * s_star**2,
-            "one_minus_phi_vstar_times_sum": (1.0 - phi_vstar) * s_star,
+            "half_sum_sq": 0.5 * data.s_star**2,
+            "one_minus_phi_vstar_times_sum": (1.0 - phi_vstar) * data.s_star,
         },
         hot_truncated=False,
     )
@@ -369,11 +347,10 @@ def thm5_unitarity_decay(
     gamma = float(np.max(data.gammas)) if gamma_decoh_cap is None else float(gamma_decoh_cap)
     prod_ups = float(np.prod(data.ups))
     observed = abs(data.ups_c - prod_ups)
-    pert = 1.0 - data.mean_sigma  # 1 - sqrt(Phi(D_i*, I))
     t1 = (1.0 - data.ups_star_c) ** 2
     t2 = float(np.sum((1.0 - data.w1) ** 2))
-    t3 = gamma**2 * float(np.sum(pert**2))
-    t4 = 2.0 * gamma**2 * float(np.sum(pert)) ** 2
+    t3 = gamma**2 * float(np.sum(data.pert**2))
+    t4 = 2.0 * gamma**2 * float(np.sum(data.pert)) ** 2
     upper = t1 + t2 + t3 + t4
     d2 = data.d**2
     u_c = (d2 * data.ups_c**2 - 1.0) / (d2 - 1.0)
@@ -416,13 +393,11 @@ def thm6_fidelity_decay(circuit: CircuitSpec) -> BoundReport:
     gamma = float(np.max(data.gammas))
     prod_phi = float(np.prod(data.phis))
     observed = abs(data.phi_c - prod_phi)
-    s_star = float(np.sum(1.0 - data.w1))
-    pert = 1.0 - data.mean_sigma
-    t1 = 0.5 * s_star**2
-    t2 = (1.0 - data.phi_star_c) * s_star
+    t1 = 0.5 * data.s_star**2
+    t2 = (1.0 - data.phi_star_c) * data.s_star
     t3 = float(np.sum((1.0 - data.w1) * (1.0 - data.phis)))
-    t4 = gamma**2 * float(np.prod(data.mean_sigma)) * float(np.sum(pert)) ** 2
-    hot_gamma4 = 0.25 * gamma**4 * float(np.sum(pert)) ** 4
+    t4 = gamma**2 * float(np.prod(data.mean_sigma)) * float(np.sum(data.pert)) ** 2
+    hot_gamma4 = 0.25 * gamma**4 * float(np.sum(data.pert)) ** 4
     upper = t1 + t2 + t3 + t4
     return make_report(
         "thm6",
@@ -444,7 +419,7 @@ def thm6_fidelity_decay(circuit: CircuitSpec) -> BoundReport:
 
 
 def thm7_max_correction(
-    ch: chn.ChannelLike,
+    ch: chn.KrausChannel,
     target=None,
     budget: int = 500,
     seed: int = 0,
@@ -463,12 +438,12 @@ def thm7_max_correction(
     if not metrics.non_catastrophic(ch, u):
         raise NotNonCatastrophic("channel must be non-catastrophic")
     pol = channel_polar(ch)
-    observed = _phi_with_prefix(pol.unitary.conj().T, chn.canonical(ch).as_channel())
+    observed = _phi_with_prefix(pol.unitary.conj().T, chn.canonical(ch))
     ups = metrics.upsilon(ch)
     gap = 1.0 - ups**2
     lower = ups**2 - gap**2
     upper = ups + 1.5 * gap**2
-    gamma = _wse_decoh_constant(pol.singular_values)
+    gamma = _spectrum_constants(pol.singular_values)[1]
     lower_wse = ups - (1.0 + gamma**2) * gap**2
     terms = {
         "upsilon": ups,
@@ -498,7 +473,7 @@ def thm8_equable_composition(
     _require_decoherent(circuit)
     data = _data(circuit)
     d = data.d
-    v = _check_prefix_unitary(v, d)
+    v = metrics._check_target(v, d)
     phi_tot = _phi_with_prefix(v, data.composite)
     ups_tot = metrics.upsilon(data.composite)  # v does not change Upsilon
     if require_noncatastrophic:
@@ -511,20 +486,18 @@ def thm8_equable_composition(
     gamma_c = _wse_coh_constant(v)
     centre = phi_v * float(np.prod(data.phis))
     observed = abs(phi_tot - centre)
-    s_star = float(np.sum(1.0 - data.w1))
-    pert = 1.0 - data.mean_sigma
     phi_vstar = float(abs(np.trace(v @ data.lk_prod.a1)) ** 2 / d**2)
-    t1 = 0.5 * s_star**2
-    t2 = (1.0 - phi_vstar) * s_star
+    t1 = 0.5 * data.s_star**2
+    t2 = (1.0 - phi_vstar) * data.s_star
     t3 = float(np.sum((1.0 - data.w1) * (1.0 - data.phis)))
     t4 = (
         2.0
         * gamma_d
         * gamma_c
         * (1.0 - np.sqrt(phi_v))
-        * float(np.sum(pert))
+        * float(np.sum(data.pert))
     )
-    t5 = gamma_d**2 * float(np.sum(pert)) ** 2
+    t5 = gamma_d**2 * float(np.sum(data.pert)) ** 2
     upper = t1 + t2 + t3 + t4 + t5
     return make_report(
         "thm8",
@@ -565,19 +538,17 @@ def thm9_max_correction_multi(
     observed = _phi_with_prefix(v_c.conj().T, data.composite)
     gamma = float(np.max(data.gammas))
     prod_ups = float(np.prod(data.ups))
-    s_star = float(np.sum(1.0 - data.w1))
-    pert = 1.0 - data.mean_sigma
     sum_w1_sq = float(np.sum((1.0 - data.w1) ** 2))
     up = (
-        0.5 * s_star**2
+        0.5 * data.s_star**2
         + sum_w1_sq
-        + s_star * (1.0 - prod_ups)
-        + 2.0 * gamma**2 * float(np.sum(pert)) ** 2
+        + data.s_star * (1.0 - prod_ups)
+        + 2.0 * gamma**2 * float(np.sum(data.pert)) ** 2
     )
     low = -(
-        gamma**2 * float(np.sum(pert**2))
+        gamma**2 * float(np.sum(data.pert**2))
         + sum_w1_sq
-        + gamma**2 * float(np.prod(data.mean_sigma)) * float(np.sum(pert)) ** 2
+        + gamma**2 * float(np.prod(data.mean_sigma)) * float(np.sum(data.pert)) ** 2
     )
     return make_report(
         "thm9",
@@ -695,7 +666,7 @@ class UnitaryCorrection:
 
 
 def optimize_unitary_correction(
-    ch: chn.ChannelLike,
+    ch: chn.KrausChannel,
     target=None,
     budget: int = 500,
     seed: int = 0,
@@ -714,14 +685,7 @@ def optimize_unitary_correction(
     u = metrics._check_target(target, d)
     pol = channel_polar(ch)
     w0 = u @ pol.unitary.conj().T
-    kraus = ch.kraus if not isinstance(ch, chn.CanonicalDecomposition) else ch.kraus
     uc = u.conj().T
-
-    def objective(w: np.ndarray) -> float:
-        m = uc @ w
-        traces = np.einsum("ij,kji->k", m, kraus)
-        return float(np.sum(np.abs(traces) ** 2) / d**2)
-
     basis = traceless_hermitian_basis(d)
     nb = basis.shape[0]
     rng = np.random.default_rng(seed)
@@ -733,7 +697,7 @@ def optimize_unitary_correction(
 
     x = np.zeros(nb)
     best_x = x
-    best = objective(w0)
+    best = _phi_with_prefix(uc @ w0, ch)
     f_w0 = best
     evals = 1
     step = initial_step
@@ -751,7 +715,7 @@ def optimize_unitary_correction(
                 exhausted = True
                 break
             cand = best_x + sign * step * direction
-            val = objective(w_at(cand))
+            val = _phi_with_prefix(uc @ w_at(cand), ch)
             evals += 1
             if val > best:
                 best = val

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +46,9 @@ class KrausChannel:
     ``kraus`` has shape (k, d, d).  The trace-preserving condition
     sum_i A_i^dag A_i = I is *not* enforced at construction (so that
     deliberately broken inputs can be fed to :func:`validate_cptp`).
-    Instances are treated as immutable; derived decompositions are cached.
+    Instances are treated as immutable; the canonical view returned by
+    :func:`canonical` is cached on the instance, and the canonical
+    quantities below read that view.
     """
 
     dim: int
@@ -66,6 +68,7 @@ class KrausChannel:
             raise ValueError("Kraus operators contain non-finite entries")
         self.kraus = k
         self._canonical = None
+        self._weights = None  # set only on canonical views
         self._polar = None
 
     @classmethod
@@ -76,6 +79,28 @@ class KrausChannel:
     @property
     def n_kraus(self) -> int:
         return self.kraus.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Canonical weights w_i = ||A_i||_2^2 / d, in descending order."""
+        return canonical(self)._weights
+
+    @property
+    def degenerate_leading(self) -> bool:
+        """True when the leading canonical weight is degenerate
+        (w_1 - w_2 < 1e-10)."""
+        w = self.weights
+        return bool(w.size > 1 and w[0] - w[1] < WEIGHT_DEGENERACY_TOL)
+
+    @property
+    def a1(self) -> np.ndarray:
+        """The leading (LK) canonical Kraus operator A_1."""
+        return canonical(self).kraus[0]
+
+    @property
+    def w1(self) -> float:
+        """The leading canonical weight w_1."""
+        return float(self.weights[0])
 
 
 @dataclass(eq=False)
@@ -92,36 +117,6 @@ class ChoiMatrix:
                 f"choi must be {self.dim**2} x {self.dim**2}, got {m.shape}"
             )
         self.matrix = m
-
-
-@dataclass(eq=False)
-class CanonicalDecomposition:
-    """Ordered canonical Kraus decomposition.
-
-    The operators are mutually orthogonal under the Hilbert-Schmidt inner
-    product, sorted by descending weight w_i = ||A_i||_2^2 / d, and carry
-    the deterministic phase convention (largest-magnitude entry real
-    positive; the leading operator prefers tr A_1 real positive).
-    ``degenerate_leading`` flags w_1 - w_2 < 1e-10.
-    """
-
-    dim: int
-    kraus: np.ndarray
-    weights: np.ndarray
-    degenerate_leading: bool
-
-    @property
-    def a1(self) -> np.ndarray:
-        return self.kraus[0]
-
-    @property
-    def w1(self) -> float:
-        return float(self.weights[0])
-
-    def as_channel(self) -> KrausChannel:
-        ch = KrausChannel(dim=self.dim, kraus=self.kraus)
-        ch._canonical = self
-        return ch
 
 
 @dataclass(eq=False)
@@ -155,14 +150,6 @@ class LKMap:
         return self.weight
 
 
-@dataclass(eq=False)
-class Superoperator:
-    """Matrix acting on column-stacked operators: S = sum_i A_i^* (x) A_i."""
-
-    dim: int
-    matrix: np.ndarray
-
-
 @dataclass
 class CptpValidation:
     """Slack report for the CP and TP conditions."""
@@ -173,14 +160,7 @@ class CptpValidation:
     ok: bool
 
 
-ChannelLike = Union[KrausChannel, CanonicalDecomposition]
-
-
-def _kraus_of(ch: ChannelLike) -> np.ndarray:
-    return ch.kraus
-
-
-def validate_cptp(ch: ChannelLike | ChoiMatrix) -> CptpValidation:
+def validate_cptp(ch: KrausChannel | ChoiMatrix) -> CptpValidation:
     """Check complete positivity and trace preservation.
 
     ``cp_slack`` is the most negative Choi eigenvalue (0 if none); a Kraus
@@ -197,7 +177,7 @@ def validate_cptp(ch: ChannelLike | ChoiMatrix) -> CptpValidation:
         t2 = np.einsum("abcb->ac", c)
         tp_slack = float(np.linalg.norm(t2 - np.eye(d)))
     else:
-        k = _kraus_of(ch)
+        k = ch.kraus
         d = ch.dim
         acc = np.einsum("kij,kil->jl", k.conj(), k)
         cp_slack = 0.0
@@ -206,16 +186,31 @@ def validate_cptp(ch: ChannelLike | ChoiMatrix) -> CptpValidation:
     return CptpValidation(dim=d, cp_slack=cp_slack, tp_slack=tp_slack, ok=ok)
 
 
-def to_choi(ch: ChannelLike) -> ChoiMatrix:
+def to_choi(ch: KrausChannel) -> ChoiMatrix:
     """Choi matrix of a channel: sum over Kraus of col(A) col(A)^dag."""
-    k = _kraus_of(ch)
+    k = ch.kraus
     d = ch.dim
     cols = np.transpose(k, (0, 2, 1)).reshape(k.shape[0], d * d)  # rows are col(A_i)
     c = cols.T @ cols.conj()
     return ChoiMatrix(dim=d, matrix=c)
 
 
-def from_choi(choi: ChoiMatrix) -> CanonicalDecomposition:
+def _canonical_view(ops: np.ndarray, weights: np.ndarray) -> KrausChannel:
+    """Channel over operators already in canonical order, with the phase
+    convention applied: the largest-magnitude entry of each operator is
+    real positive, except that the leading one prefers tr A_1 real
+    positive.  The operators are stored C-contiguous, which fixes the
+    summation order of the einsum-based figures of merit."""
+    fixed = np.empty(ops.shape, dtype=np.complex128)
+    for i, op in enumerate(ops):
+        fix = matcore.fix_trace_phase if i == 0 else matcore.fix_entry_phase
+        fixed[i] = fix(op)
+    view = KrausChannel(dim=ops.shape[1], kraus=fixed)
+    view._weights = weights
+    return view
+
+
+def from_choi(choi: ChoiMatrix) -> KrausChannel:
     """Canonical Kraus decomposition from the Choi eigendecomposition.
 
     Eigenvalues below ``1e-12*d`` are dropped as float noise; an eigenvalue
@@ -231,15 +226,8 @@ def from_choi(choi: ChoiMatrix) -> CanonicalDecomposition:
     vecs = eig.vectors[:, keep]
     if vals.size == 0:
         raise NotCP("Choi matrix is numerically zero")
-    ops = np.empty((vals.size, d, d), dtype=np.complex128)
-    for i in range(vals.size):
-        op = np.sqrt(vals[i]) * uncol(vecs[:, i], d)
-        ops[i] = matcore.fix_trace_phase(op) if i == 0 else matcore.fix_entry_phase(op)
-    weights = vals / d
-    degenerate = bool(vals.size > 1 and weights[0] - weights[1] < WEIGHT_DEGENERACY_TOL)
-    return CanonicalDecomposition(
-        dim=d, kraus=ops, weights=weights, degenerate_leading=degenerate
-    )
+    ops = np.stack([np.sqrt(v) * uncol(vecs[:, i], d) for i, v in enumerate(vals)])
+    return _canonical_view(ops, vals / d)
 
 
 def _gram(k: np.ndarray) -> np.ndarray:
@@ -247,16 +235,19 @@ def _gram(k: np.ndarray) -> np.ndarray:
     return flat.conj() @ flat.T
 
 
-def canonical(ch: ChannelLike) -> CanonicalDecomposition:
-    """Ordered canonical Kraus decomposition of a channel.
+def canonical(ch: KrausChannel) -> KrausChannel:
+    """Ordered canonical Kraus decomposition of a channel, as a cached view.
 
-    Equivalent to ``from_choi(to_choi(ch))``.  A family that is already
-    mutually orthogonal (off-diagonal Gram entries below ``1e-12*d``) is
-    sorted and phase-fixed directly, which keeps large analytic
-    constructions (d > 64) away from the Choi eigensolver; other channels
-    above d = 64 are refused.
+    The view's operators are mutually orthogonal under the Hilbert-Schmidt
+    inner product, sorted by descending weight w_i = ||A_i||_2^2 / d and
+    phase-fixed (see :func:`_canonical_view`); ``canonical`` of a view is
+    the view itself.  Equivalent to ``from_choi(to_choi(ch))``.  A family
+    that is already mutually orthogonal (off-diagonal Gram entries below
+    ``1e-12*d``) is sorted and phase-fixed directly, which keeps large
+    analytic constructions (d > 64) away from the Choi eigensolver; other
+    channels above d = 64 are refused.
     """
-    if isinstance(ch, CanonicalDecomposition):
+    if ch._weights is not None:  # ch is a canonical view
         return ch
     cached = ch._canonical
     if cached is not None:
@@ -269,22 +260,8 @@ def canonical(ch: ChannelLike) -> CanonicalDecomposition:
         norms2 = np.diag(g).real
         keep = norms2 > CHOI_DROP_TOL * d
         norms2 = norms2[keep]
-        ops = k[keep]
         order = np.argsort(-norms2, kind="stable")
-        norms2 = norms2[order]
-        ops = np.stack(
-            [
-                matcore.fix_trace_phase(op) if i == 0 else matcore.fix_entry_phase(op)
-                for i, op in enumerate(ops[order])
-            ]
-        )
-        weights = norms2 / d
-        degenerate = bool(
-            weights.size > 1 and weights[0] - weights[1] < WEIGHT_DEGENERACY_TOL
-        )
-        result = CanonicalDecomposition(
-            dim=d, kraus=ops, weights=weights, degenerate_leading=degenerate
-        )
+        result = _canonical_view(k[keep][order], norms2[order] / d)
     else:
         if d > MAX_EIGENSOLVER_DIM:
             raise DimensionMismatch(
@@ -297,7 +274,7 @@ def canonical(ch: ChannelLike) -> CanonicalDecomposition:
     return result
 
 
-def lk(ch: ChannelLike, strict: bool = False) -> LKMap:
+def lk(ch: KrausChannel, strict: bool = False) -> LKMap:
     """Leading-Kraus approximation of a channel.
 
     Warns when the leading weight w_1 <= 1/2 (catastrophic territory, where
@@ -320,29 +297,29 @@ def lk(ch: ChannelLike, strict: bool = False) -> LKMap:
     return LKMap(dim=canon.dim, a1=canon.a1.copy(), weight=canon.w1)
 
 
-def apply(ch: ChannelLike, rho) -> np.ndarray:
+def apply(ch: KrausChannel, rho) -> np.ndarray:
     """Apply the channel: sum_i A_i rho A_i^dag."""
     r = matcore.as_complex_matrix(rho, "rho")
     if r.shape != (ch.dim, ch.dim):
         raise DimensionMismatch(f"rho must be {ch.dim} x {ch.dim}, got {r.shape}")
-    k = _kraus_of(ch)
+    k = ch.kraus
     return np.einsum("kij,jl,kml->im", k, r, k.conj())
 
 
-def compose_pair(first: ChannelLike, second: ChannelLike) -> KrausChannel:
+def compose_pair(first: KrausChannel, second: KrausChannel) -> KrausChannel:
     """Channel applying ``first`` then ``second`` (second o first)."""
     if first.dim != second.dim:
         raise DimensionMismatch("composed channels must share a dimension")
     d = first.dim
-    prod = np.einsum("aij,bjk->abik", _kraus_of(second), _kraus_of(first))
+    prod = np.einsum("aij,bjk->abik", second.kraus, first.kraus)
     prod = prod.reshape(-1, d, d)
     out = KrausChannel(dim=d, kraus=prod)
     if prod.shape[0] > d * d:
-        out = canonical(out).as_channel()
+        out = canonical(out)
     return out
 
 
-def compose(channels: Sequence[ChannelLike]) -> KrausChannel:
+def compose(channels: Sequence[KrausChannel]) -> KrausChannel:
     """Compose channels in circuit order: index 0 is applied first.
 
     Product Kraus families are re-canonicalized whenever their size exceeds
@@ -354,8 +331,6 @@ def compose(channels: Sequence[ChannelLike]) -> KrausChannel:
     if len(dims) != 1:
         raise DimensionMismatch("composed channels must share a dimension")
     acc = channels[0]
-    if isinstance(acc, CanonicalDecomposition):
-        acc = acc.as_channel()
     for ch in channels[1:]:
         acc = compose_pair(acc, ch)
     return acc
@@ -375,14 +350,14 @@ def compose_lk(lks: Sequence[LKMap]) -> LKMap:
     return LKMap(dim=d, a1=acc, weight=float(np.linalg.norm(acc) ** 2 / d))
 
 
-def to_superop(ch: ChannelLike) -> Superoperator:
-    """Column-stacking superoperator sum_i A_i^* (x) A_i."""
-    k = _kraus_of(ch)
+def to_superop(ch: KrausChannel) -> np.ndarray:
+    """Column-stacking superoperator matrix sum_i A_i^* (x) A_i, acting on
+    ``col(rho)``."""
     d = ch.dim
     s = np.zeros((d * d, d * d), dtype=np.complex128)
-    for a in k:
+    for a in ch.kraus:
         s += np.kron(a.conj(), a)
-    return Superoperator(dim=d, matrix=s)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +379,11 @@ def _pairs_to_matrix(pairs, rows: int, cols: int, name: str) -> np.ndarray:
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
 
 
-def channel_to_json(ch: ChannelLike) -> dict:
+def channel_to_json(ch: KrausChannel) -> dict:
     """Serialize a channel to the JSON wire format."""
     return {
         "dim": int(ch.dim),
-        "kraus": [_matrix_to_pairs(a) for a in _kraus_of(ch)],
+        "kraus": [_matrix_to_pairs(a) for a in ch.kraus],
     }
 
 

@@ -6,18 +6,27 @@ output *file* is accompanied by a ``<file>.manifest.json`` sidecar carrying
 the resolved configuration, seed, wall-clock, and interpretation notes
 (the sidecar contains the wall clock and is therefore not byte-stable).
 
-Exit codes: 0 ok, 1 bound violation, 2 parse error, 3 domain error
-(CPTP / non-catastrophic), 64 usage error.
+Exit codes: 0 ok, 1 bound violation, 2 an input file or config that
+cannot be read (including a family parameter out of range), 3 domain
+error (any other ``ChanPolarError``: not CPTP, a composition leaving the
+non-catastrophic regime, a dimension out of range), 64 usage error, 70
+internal error (an unexpected exception: a defect, reported with its
+traceback).  Every command runs through
+:func:`main`, which writes the output and its manifest and is the one
+place that maps exceptions to these codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import sys
 import time
+import traceback
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +38,7 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 def _fmt(x) -> str:
@@ -44,28 +54,84 @@ class _UsageError(Exception):
     pass
 
 
+class _ParseError(Exception):
+    """An input file or config that cannot be read."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+class _Result(NamedTuple):
+    """What a command handler returns to :func:`main`."""
+
+    payload: str
+    config: dict
+    seed: int | None = None
+    notes: tuple = ()
+    code: int = EXIT_OK
 
 
 def _error_json(kind: str, detail: str):
     sys.stderr.write(json.dumps({"error": kind, "detail": detail}) + "\n")
 
 
-def _load_json(path: str):
+@contextlib.contextmanager
+def _reading(path: str):
+    """Re-raise what reading ``path`` raises as :class:`_ParseError`.
+
+    A ``ParamOutOfRange`` from a family spec counts as unreadable input;
+    every other ``ChanPolarError`` passes through as a domain error.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot parse {path}: {exc}") from exc
+        yield
+    except ParamOutOfRange as exc:
+        raise _ParseError(str(exc)) from exc
+    except ChanPolarError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _ParseError(f"cannot parse {path}: {exc}") from exc
+
+
+def _read(path: str, parse=lambda obj: obj):
+    """``parse`` applied to the JSON content of ``path``."""
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
+        return parse(json.load(fh))
 
 
 def _load_channel(path: str) -> chn.KrausChannel:
-    obj = chn.channel_from_json(_load_json(path))
-    if isinstance(obj, chn.ChoiMatrix):
-        return chn.from_choi(obj).as_channel()
-    return obj
+    """A CPTP channel from a Kraus or Choi file."""
+    ch = _read(path, chn.channel_from_json)
+    if isinstance(ch, chn.ChoiMatrix):
+        ch = chn.from_choi(ch)
+    val = chn.validate_cptp(ch)
+    if not val.ok:
+        raise ChanPolarError(
+            f"{path} is not CPTP (cp_slack={val.cp_slack:.3e}, "
+            f"tp_slack={val.tp_slack:.3e})"
+        )
+    return ch
+
+
+def _load_target(path: str | None):
+    return None if path is None else _read(path, chn.unitary_from_json)
+
+
+def _dims(text: str) -> tuple:
+    """argparse type of ``--dims``: comma-separated integers in [2, 64]
+    (random channels above d = 64 would need a refused Choi eigensolve)."""
+    try:
+        dims = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+    if not all(2 <= d <= chn.MAX_EIGENSOLVER_DIM for d in dims):
+        raise argparse.ArgumentTypeError(
+            f"each dimension must lie in [2, {chn.MAX_EIGENSOLVER_DIM}], got {text!r}"
+        )
+    return dims
 
 
 def _write_manifest(out_path: str, command: str, config: dict, seed, notes, t0: float):
@@ -83,16 +149,21 @@ def _write_manifest(out_path: str, command: str, config: dict, seed, notes, t0: 
         fh.write("\n")
 
 
+def _csv(header, rows) -> str:
+    """CSV text of a header row and rows of formatted cells."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _emit(payload: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-
-
-def _matrix_json(m) -> list:
-    return chn._matrix_to_pairs(np.asarray(m))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +174,6 @@ def _matrix_json(m) -> list:
 def _decompose_report(ch: chn.KrausChannel, target, kappa: float, strict: bool) -> dict:
     canon = chn.canonical(ch)
     pol = polar.channel_polar(ch, strict=strict)
-    eq = None
     try:
         eq_rep = polar.equability(ch, kappa)
         eq = {
@@ -124,13 +194,13 @@ def _decompose_report(ch: chn.KrausChannel, target, kappa: float, strict: bool) 
     cls = polar.classify(ch, target, kappa)
     return {
         "dim": ch.dim,
-        "canonical_kraus": [_matrix_json(a) for a in canon.kraus],
+        "canonical_kraus": [chn._matrix_to_pairs(a) for a in canon.kraus],
         "weights": [float(w) for w in canon.weights],
         "degenerate_leading": canon.degenerate_leading,
-        "lk": {"a1": _matrix_json(canon.a1), "weight": canon.w1},
+        "lk": {"a1": chn._matrix_to_pairs(canon.a1), "weight": canon.w1},
         "polar": {
-            "unitary": _matrix_json(pol.unitary),
-            "psd": _matrix_json(pol.psd),
+            "unitary": chn._matrix_to_pairs(pol.unitary),
+            "psd": chn._matrix_to_pairs(pol.psd),
             "phase_fixed": pol.phase_fixed,
             "unique": pol.unique,
             "singular_values": [float(s) for s in pol.singular_values],
@@ -143,102 +213,33 @@ def _decompose_report(ch: chn.KrausChannel, target, kappa: float, strict: bool) 
     }
 
 
-def _cmd_decompose(args) -> int:
-    t0 = time.time()
-    try:
-        ch = _load_channel(args.infile)
-        target = (
-            chn.unitary_from_json(_load_json(args.target)) if args.target else None
-        )
-    except ChanPolarError as exc:  # e.g. NotCP while decomposing a Choi input
-        _error_json("domain", str(exc))
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        _error_json("parse", str(exc))
-        return EXIT_PARSE
-    val = chn.validate_cptp(ch)
-    if not val.ok:
-        _error_json(
-            "domain",
-            f"channel is not CPTP (cp_slack={val.cp_slack:.3e}, "
-            f"tp_slack={val.tp_slack:.3e})",
-        )
-        return EXIT_DOMAIN
-    try:
-        report = _decompose_report(ch, target, args.kappa, args.strict_lk)
-    except ChanPolarError as exc:
-        _error_json("domain", str(exc))
-        return EXIT_DOMAIN
-    payload = json.dumps(report, indent=2) + "\n"
-    _emit(payload, args.out)
-    if args.out:
-        _write_manifest(
-            args.out,
-            "decompose",
-            {"in": args.infile, "target": args.target, "kappa": args.kappa,
-             "strict_lk": args.strict_lk},
-            None,
-            [],
-            t0,
-        )
-    return EXIT_OK
+def _cmd_decompose(args) -> _Result:
+    ch = _load_channel(args.infile)
+    report = _decompose_report(
+        ch, _load_target(args.target), args.kappa, args.strict_lk
+    )
+    return _Result(
+        json.dumps(report, indent=2) + "\n",
+        {"in": args.infile, "target": args.target, "kappa": args.kappa,
+         "strict_lk": args.strict_lk},
+    )
 
 
-def _cmd_metrics(args) -> int:
-    t0 = time.time()
-    try:
-        ch = _load_channel(args.infile)
-        target = (
-            chn.unitary_from_json(_load_json(args.target)) if args.target else None
-        )
-    except ChanPolarError as exc:
-        _error_json("domain", str(exc))
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        _error_json("parse", str(exc))
-        return EXIT_PARSE
-    val = chn.validate_cptp(ch)
-    if not val.ok:
-        _error_json("domain", "channel is not CPTP")
-        return EXIT_DOMAIN
-    try:
-        rep = metrics.report(ch, target)
-    except ChanPolarError as exc:
-        _error_json("domain", str(exc))
-        return EXIT_DOMAIN
-    payload = json.dumps(rep.as_dict(), indent=2) + "\n"
-    _emit(payload, args.out)
-    if args.out:
-        _write_manifest(
-            args.out, "metrics", {"in": args.infile, "target": args.target}, None, [], t0
-        )
-    return EXIT_OK
+def _cmd_metrics(args) -> _Result:
+    rep = metrics.report(_load_channel(args.infile), _load_target(args.target))
+    return _Result(
+        json.dumps(rep.as_dict(), indent=2) + "\n",
+        {"in": args.infile, "target": args.target},
+    )
 
 
-def _cmd_compose(args) -> int:
-    t0 = time.time()
-    try:
-        chans = [_load_channel(p) for p in args.infile]
-    except ChanPolarError as exc:
-        _error_json("domain", str(exc))
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        _error_json("parse", str(exc))
-        return EXIT_PARSE
-    for c in chans:
-        if not chn.validate_cptp(c).ok:
-            _error_json("domain", "an input channel is not CPTP")
-            return EXIT_DOMAIN
-    try:
-        composed = chn.canonical(chn.compose(chans)).as_channel()
-    except ChanPolarError as exc:
-        _error_json("domain", str(exc))
-        return EXIT_DOMAIN
-    payload = json.dumps(chn.channel_to_json(composed), indent=2) + "\n"
-    _emit(payload, args.out)
-    if args.out:
-        _write_manifest(args.out, "compose", {"in": list(args.infile)}, None, [], t0)
-    return EXIT_OK
+def _cmd_compose(args) -> _Result:
+    chans = [_load_channel(p) for p in args.infile]
+    composed = chn.canonical(chn.compose(chans))
+    return _Result(
+        json.dumps(chn.channel_to_json(composed), indent=2) + "\n",
+        {"in": list(args.infile)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,41 +249,27 @@ def _cmd_compose(args) -> int:
 _VERIFY_COLUMNS = ("case_id", "theorem", "observed", "lower", "upper", "slack", "holds")
 
 
-def _cases_csv(cases) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_VERIFY_COLUMNS)
-    for c in cases:
-        writer.writerow(
-            [c.case_id, c.theorem, _fmt(c.observed), _fmt(c.lower), _fmt(c.upper),
-             _fmt(c.slack), _fmt(c.holds)]
-        )
-    return buf.getvalue()
-
-
-def _cmd_verify(args, parser) -> int:
-    t0 = time.time()
+def _cmd_verify(args) -> _Result:
     if args.trials < 1:
-        parser.error("--trials must be >= 1")
+        raise _UsageError("--trials must be >= 1")
     if args.seed < 0:
-        parser.error("--seed must be non-negative")
-    dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
-    cases = suites.run_suite(args.suite, dims=dims, trials=args.trials, seed=args.seed)
-    payload = _cases_csv(cases)
-    _emit(payload, args.out)
-    if args.out:
-        _write_manifest(
-            args.out,
-            "verify",
-            {"suite": args.suite, "dims": dims, "trials": args.trials},
-            args.seed,
-            [],
-            t0,
-        )
+        raise _UsageError("--seed must be non-negative")
+    cases = suites.run_suite(
+        args.suite, dims=args.dims, trials=args.trials, seed=args.seed
+    )
     n_fail = sum(1 for c in cases if not c.holds)
-    summary = f"verify {args.suite}: {len(cases)} cases, {n_fail} violations\n"
-    sys.stderr.write(summary)
-    return EXIT_OK if n_fail == 0 else EXIT_VIOLATION
+    sys.stderr.write(f"verify {args.suite}: {len(cases)} cases, {n_fail} violations\n")
+    rows = (
+        [c.case_id, c.theorem, _fmt(c.observed), _fmt(c.lower), _fmt(c.upper),
+         _fmt(c.slack), _fmt(c.holds)]
+        for c in cases
+    )
+    return _Result(
+        _csv(_VERIFY_COLUMNS, rows),
+        {"suite": args.suite, "dims": args.dims, "trials": args.trials},
+        args.seed,
+        code=EXIT_OK if n_fail == 0 else EXIT_VIOLATION,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +280,10 @@ _SWEEP_COLUMNS = (
     "depth", "phi", "upsilon_envelope", "thm8_centre", "thm8_lower", "thm8_upper",
     "coherent_lower", "non_catastrophic", "contained",
 )
+_PROFILE_COLUMNS = (
+    "row_type", "index", "value", "mean", "sd", "gamma_decoh", "Gamma_decoh",
+    "threshold", "sse_decoh_ok", "wse_decoh_ok",
+)
 
 _FIG3_NOTE = (
     "coherence_mix 'infidelity' is the average infidelity r = 1 - F of the "
@@ -302,87 +293,58 @@ _FIG3_NOTE = (
 )
 
 
-def _cmd_sweep(args, parser) -> int:
-    t0 = time.time()
-    try:
-        cfg = _load_json(args.config)
+def _cmd_sweep(args) -> _Result:
+    cfg = _read(args.config)
+    with _reading(args.config):
         if not isinstance(cfg, dict):
             raise ValueError("sweep config must be a JSON object")
-        mode = cfg.get("mode", "composition")
-        fam = genlib.FamilySpec.from_dict(cfg["family"]) if "family" in cfg else None
-        if fam is None:
+        if "family" not in cfg:
             raise ValueError("sweep config needs a 'family' entry")
-    except (ValueError, KeyError) as exc:
-        _error_json("parse", str(exc))
-        return EXIT_PARSE
-    if args.seed is not None:
-        fam.seed = args.seed
-    out_path = args.out or cfg.get("out")
-    notes = []
-    if fam.family == "coherence_mix":
-        notes.append(_FIG3_NOTE)
-    try:
+        mode = cfg.get("mode", "composition")
+        fam = genlib.FamilySpec.from_dict(cfg["family"])
+        if args.seed is not None:
+            fam.seed = args.seed
+        args.out = args.out or cfg.get("out")
         element = genlib.make_channel(fam)
-    except ParamOutOfRange as exc:
-        _error_json("parse", str(exc))
-        return EXIT_PARSE
-    except ChanPolarError as exc:
-        _error_json("domain", str(exc))
-        return EXIT_DOMAIN
+        if mode == "sigma_profile":
+            kappa = (
+                args.kappa if args.kappa is not None else float(cfg.get("kappa", 0.1))
+            )
+        elif mode == "composition":
+            max_depth = int(cfg.get("max_depth", 1))
+            if max_depth < 1:
+                raise ValueError("max_depth must be >= 1")
+            wanted = cfg.get("metrics")
+            if wanted is not None:
+                unknown = set(wanted) - set(_SWEEP_COLUMNS)
+                if unknown:
+                    raise ValueError(f"unknown metric names: {sorted(unknown)}")
+        else:
+            raise ValueError(f"unknown sweep mode '{mode}'")
+    notes = (_FIG3_NOTE,) if fam.family == "coherence_mix" else ()
     if mode == "sigma_profile":
-        kappa = (
-            args.kappa if args.kappa is not None else float(cfg.get("kappa", 0.1))
-        )
         prof = suites.sigma_profile(element, kappa)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["row_type", "index", "value", "mean", "sd", "gamma_decoh",
-             "Gamma_decoh", "threshold", "sse_decoh_ok", "wse_decoh_ok"]
-        )
-        for i, s in enumerate(prof.sigma):
-            writer.writerow(["sigma", str(i), _fmt(s), "", "", "", "", "", "", ""])
-        writer.writerow(
+        table = [
+            ["sigma", str(i), _fmt(x)] + [""] * 7 for i, x in enumerate(prof.sigma)
+        ]
+        table.append(
             ["summary", "", "", _fmt(prof.mean), _fmt(prof.sd),
              _fmt(prof.gamma_decoh), _fmt(prof.Gamma_decoh), _fmt(prof.threshold),
              _fmt(prof.sse_decoh_ok), _fmt(prof.wse_decoh_ok)]
         )
-        _emit(buf.getvalue(), out_path)
-        if out_path:
-            _write_manifest(out_path, "sweep", cfg, fam.seed, notes, t0)
-        return EXIT_OK
-    if mode != "composition":
-        _error_json("parse", f"unknown sweep mode '{mode}'")
-        return EXIT_PARSE
-    try:
-        max_depth = int(cfg.get("max_depth", 1))
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        wanted = cfg.get("metrics")
-        if wanted is not None:
-            unknown = set(wanted) - set(_SWEEP_COLUMNS)
-            if unknown:
-                raise ValueError(f"unknown metric names: {sorted(unknown)}")
-    except (TypeError, ValueError) as exc:
-        _error_json("parse", str(exc))
-        return EXIT_PARSE
+        return _Result(_csv(_PROFILE_COLUMNS, table), cfg, fam.seed, notes)
     rows = suites.composition_sweep(element, max_depth)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SWEEP_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [str(r.depth), _fmt(r.phi), _fmt(r.upsilon_envelope), _fmt(r.thm8_centre),
-             _fmt(r.thm8_lower), _fmt(r.thm8_upper), _fmt(r.coherent_lower),
-             _fmt(r.non_catastrophic), _fmt(r.contained)]
-        )
-    _emit(buf.getvalue(), out_path)
-    if out_path:
-        _write_manifest(out_path, "sweep", cfg, fam.seed, notes, t0)
+    table = (
+        [str(r.depth), _fmt(r.phi), _fmt(r.upsilon_envelope), _fmt(r.thm8_centre),
+         _fmt(r.thm8_lower), _fmt(r.thm8_upper), _fmt(r.coherent_lower),
+         _fmt(r.non_catastrophic), _fmt(r.contained)]
+        for r in rows
+    )
+    code = EXIT_OK
     if any(not r.non_catastrophic for r in rows):
         _error_json("domain", "composition left the non-catastrophic regime mid-sweep")
-        return EXIT_DOMAIN
-    return EXIT_OK
+        code = EXIT_DOMAIN
+    return _Result(_csv(_SWEEP_COLUMNS, table), cfg, fam.seed, notes, code)
 
 
 # ---------------------------------------------------------------------------
@@ -396,59 +358,70 @@ def _build_parser() -> _Parser:
 
     p_dec = sub.add_parser("decompose", help="canonical Kraus / LK / polar report")
     p_dec.add_argument("--in", dest="infile", required=True, metavar="PATH")
-    p_dec.add_argument("--out", default=None, metavar="PATH")
     p_dec.add_argument("--target", default=None, metavar="PATH")
     p_dec.add_argument("--kappa", type=float, default=0.1)
     p_dec.add_argument("--strict-lk", action="store_true", dest="strict_lk")
 
     p_met = sub.add_parser("metrics", help="figures-of-merit report")
     p_met.add_argument("--in", dest="infile", required=True, metavar="PATH")
-    p_met.add_argument("--out", default=None, metavar="PATH")
     p_met.add_argument("--target", default=None, metavar="PATH")
 
     p_comp = sub.add_parser("compose", help="compose channel files in order")
     p_comp.add_argument(
         "--in", dest="infile", required=True, action="append", metavar="PATH"
     )
-    p_comp.add_argument("--out", default=None, metavar="PATH")
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", choices=suites.SUITES, default="all")
     p_ver.add_argument(
-        "--dim", "--dims", dest="dims", default=None,
-        help="comma-separated dimensions",
+        "--dim", "--dims", dest="dims", type=_dims, default=None,
+        help=f"comma-separated dimensions in [2, {chn.MAX_EIGENSOLVER_DIM}]",
     )
     p_ver.add_argument("--trials", type=int, default=100)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--out", default=None, metavar="PATH")
 
     p_sw = sub.add_parser("sweep", help="composition / profile sweep from a config")
     p_sw.add_argument("--config", required=True, metavar="PATH")
-    p_sw.add_argument("--out", default=None, metavar="PATH")
     p_sw.add_argument("--seed", type=int, default=None, help="override config seed")
     p_sw.add_argument("--kappa", type=float, default=None, help="override config kappa")
+    for p in sub.choices.values():  # main writes every command's output
+        p.add_argument("--out", default=None, metavar="PATH")
     return parser
 
 
+_COMMANDS = {
+    "decompose": _cmd_decompose,
+    "metrics": _cmd_metrics,
+    "compose": _cmd_compose,
+    "verify": _cmd_verify,
+    "sweep": _cmd_sweep,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command: write its output (and the manifest sidecar when the
+    output is a file) and map any exception to its exit code."""
+    t0 = time.time()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        if args.command == "compose":
-            return _cmd_compose(args)
-        if args.command == "verify":
-            return _cmd_verify(args, parser)
-        if args.command == "sweep":
-            return _cmd_sweep(args, parser)
-        parser.error(f"unknown command {args.command}")
+        args = _build_parser().parse_args(argv)
+        res = _COMMANDS[args.command](args)
+        _emit(res.payload, args.out)
+        if args.out:
+            _write_manifest(args.out, args.command, res.config, res.seed, res.notes, t0)
+        return res.code
     except _UsageError as exc:
         _error_json("usage", str(exc))
         return EXIT_USAGE
-    return EXIT_OK
+    except _ParseError as exc:
+        _error_json("parse", str(exc))
+        return EXIT_PARSE
+    except ChanPolarError as exc:
+        _error_json("domain", str(exc))
+        return EXIT_DOMAIN
+    except Exception as exc:  # a defect: keep the traceback, exit distinctly
+        traceback.print_exc()
+        _error_json("internal", f"{type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

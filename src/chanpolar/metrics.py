@@ -9,13 +9,13 @@ just the canonical one) gives the same value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import channel as chn
-from .errors import TargetNotUnitary, ZeroOperator
+from .errors import DimensionMismatch, TargetNotUnitary, ZeroOperator
 
 UNITARY_TOL = 1e-9
 NC_THRESHOLD = 0.5
@@ -39,7 +39,7 @@ class MFidelity(NamedTuple):
     real: float
 
 
-def m_fidelity(ch: chn.ChannelLike, target, m) -> MFidelity:
+def m_fidelity(ch: chn.KrausChannel, target, m) -> MFidelity:
     """Overlap <A(M), U(M)> / ||M||^2 for a single probe operator M."""
     mm = np.asarray(m, dtype=np.complex128)
     norm2 = float(np.linalg.norm(mm) ** 2)
@@ -52,7 +52,7 @@ def m_fidelity(ch: chn.ChannelLike, target, m) -> MFidelity:
     return MFidelity(value=val, real=val.real)
 
 
-def phi(ch: chn.ChannelLike, target=None) -> float:
+def phi(ch: chn.KrausChannel, target=None) -> float:
     """Average process fidelity Phi = sum_i |tr(U^dag A_i)|^2 / d^2."""
     u = _check_target(target, ch.dim)
     traces = np.einsum("kij,ij->k", ch.kraus, u.conj())  # tr(U^dag A_k)
@@ -69,7 +69,7 @@ def infidelity(phi_value: float, d: int) -> float:
     return 1.0 - avg_fidelity(phi_value, d)
 
 
-def upsilon(ch: chn.ChannelLike) -> float:
+def upsilon(ch: chn.KrausChannel) -> float:
     """Upsilon = sqrt(sum_ij |tr(A_i^dag A_j)|^2) / d = ||Gram||_F / d.
 
     Over the canonical decomposition this reduces to sqrt(sum_i w_i^2).
@@ -81,11 +81,13 @@ def upsilon(ch: chn.ChannelLike) -> float:
 
 
 def unitarity(upsilon_value: float, d: int) -> float:
-    """Unitarity u = (d^2 Upsilon^2 - 1) / (d^2 - 1)."""
+    """Unitarity u = (d^2 Upsilon^2 - 1) / (d^2 - 1); undefined at d = 1."""
+    if d < 2:
+        raise DimensionMismatch("unitarity needs d >= 2 (d^2 - 1 = 0 at d = 1)")
     return (d * d * upsilon_value**2 - 1.0) / (d * d - 1.0)
 
 
-def non_catastrophic(ch: chn.ChannelLike, target=None) -> bool:
+def non_catastrophic(ch: chn.KrausChannel, target=None) -> bool:
     """Phi(A, U) > 1/2 and Upsilon^2(A) > 1/2."""
     return bool(
         phi(ch, target) > NC_THRESHOLD and upsilon(ch) ** 2 > NC_THRESHOLD
@@ -114,20 +116,10 @@ class MetricsReport:
     lk_upsilon: float
 
     def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "phi": self.phi,
-            "avg_fidelity": self.avg_fidelity,
-            "infidelity": self.infidelity,
-            "upsilon": self.upsilon,
-            "unitarity": self.unitarity,
-            "non_catastrophic": self.non_catastrophic,
-            "lk_phi": self.lk_phi,
-            "lk_upsilon": self.lk_upsilon,
-        }
+        return asdict(self)
 
 
-def report(ch: chn.ChannelLike, target=None) -> MetricsReport:
+def report(ch: chn.KrausChannel, target=None) -> MetricsReport:
     """Compute a full :class:`MetricsReport` (canonicalizes the channel)."""
     canon = chn.canonical(ch)
     d = canon.dim
@@ -148,7 +140,7 @@ def report(ch: chn.ChannelLike, target=None) -> MetricsReport:
     )
 
 
-def lk_gap_bounds(ch: chn.ChannelLike, target=None):
+def lk_gap_bounds(ch: chn.KrausChannel, target=None):
     """Evaluate the two LK gap sandwiches.
 
     Returns a pair of bound reports: the Upsilon sandwich
@@ -203,8 +195,14 @@ class McEstimate:
 
 
 def _haar_states(d: int, n: int, seed: int) -> np.ndarray:
-    """n Haar-random pure states as rows; sample i consumes the i-th
-    2d-block of a counter-based Philox stream keyed by the seed."""
+    """n Haar-random pure states as rows.
+
+    Row i is built from normals 2d*i to 2d*i + 2d - 1 of a Philox stream
+    keyed by the seed, drawn in order, so it depends only on (seed, d, i).
+    It does not sit at a fixed counter offset: the ziggurat sampler uses a
+    variable number of random words per normal (400,000 normals advance
+    the counter by 102,205 four-word blocks, not 100,000).
+    """
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal((n, 2 * d))
     psi = z[:, :d] + 1j * z[:, d:]
@@ -212,7 +210,7 @@ def _haar_states(d: int, n: int, seed: int) -> np.ndarray:
 
 
 def haar_fidelity_mc(
-    ch: chn.ChannelLike, target=None, n_samples: int = 100000, seed: int = 0
+    ch: chn.KrausChannel, target=None, n_samples: int = 100000, seed: int = 0
 ) -> McEstimate:
     """Monte Carlo average gate fidelity over Haar-random pure states.
 
@@ -235,7 +233,7 @@ def haar_fidelity_mc(
 
 
 def haar_unitarity_mc(
-    ch: chn.ChannelLike, n_samples: int = 100000, seed: int = 0
+    ch: chn.KrausChannel, n_samples: int = 100000, seed: int = 0
 ) -> McEstimate:
     """Monte Carlo unitarity over Haar-random pure states.
 
@@ -261,16 +259,3 @@ def haar_unitarity_mc(
     stderr = float(ratios.std(ddof=1) / np.sqrt(n_samples))
     return McEstimate(estimate=est, stderr=stderr, n_samples=n_samples, seed=seed)
 
-
-def phi_basis_average(ch: chn.ChannelLike, target=None) -> float:
-    """Phi computed by averaging M-fidelities over the elementary-matrix
-    operator basis; equals :func:`phi` and is kept as a cross-check route."""
-    d = ch.dim
-    u = _check_target(target, d)
-    total = 0.0
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[i, j] = 1.0
-            total += m_fidelity(ch, u, e).real
-    return total / d**2

@@ -11,7 +11,7 @@ and a composed classification label.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,19 +47,19 @@ class ChannelPolar:
     unique: bool
 
 
-def channel_polar(ch: chn.ChannelLike, strict: bool = False) -> ChannelPolar:
+def channel_polar(ch: chn.KrausChannel, strict: bool = False) -> ChannelPolar:
     """Factor a channel into its unitary and decoherent parts.
 
-    Warns when Upsilon^2 <= 1/2 (the leading Kraus operator may not be
-    unique there); raises :class:`DegenerateLeading` in strict mode when
-    the leading weight is degenerate.
+    The factors are cached on the canonical view, so a channel and its
+    view share one result.  Warns when Upsilon^2 <= 1/2 (the leading Kraus
+    operator may not be unique there); raises :class:`DegenerateLeading`
+    in strict mode when the leading weight is degenerate.
     """
     canon = chn.canonical(ch)
     if canon.degenerate_leading and strict:
         raise DegenerateLeading("leading Kraus weight is degenerate")
-    cached = getattr(ch, "_polar", None)
-    if cached is not None:
-        return cached
+    if canon._polar is not None:
+        return canon._polar
     if metrics.upsilon(canon) ** 2 <= 0.5:
         warnings.warn(
             "channel is catastrophic (Upsilon^2 <= 1/2); polar factors may "
@@ -87,15 +87,14 @@ def channel_polar(ch: chn.ChannelLike, strict: bool = False) -> ChannelPolar:
         singular_values=pol.singular_values,
         unique=rank_ok and not canon.degenerate_leading,
     )
-    if not isinstance(ch, chn.CanonicalDecomposition):
-        ch._polar = result
+    canon._polar = result
     return result
 
 
-def is_decoherent(ch: chn.ChannelLike, tol: float = DECOHERENT_TOL) -> bool:
+def is_decoherent(ch: chn.KrausChannel, tol: float = DECOHERENT_TOL) -> bool:
     """True iff the leading Kraus operator is positive semi-definite
     (Hermitian within tol, smallest eigenvalue >= -tol)."""
-    a1 = chn.canonical(ch).a1
+    a1 = ch.a1
     if np.linalg.norm(a1 - a1.conj().T) > tol:
         return False
     return bool(np.linalg.eigvalsh((a1 + a1.conj().T) / 2.0)[0] >= -tol)
@@ -127,8 +126,14 @@ class EquabilityReport:
     coh_threshold: float
 
 
-def _spectrum_constants(values: np.ndarray, kappa: float):
-    """(Gamma, gamma, threshold, big_ok, small_ok) for one spectrum."""
+def _spectrum_constants(values: np.ndarray, kappa: float = DEFAULT_KAPPA):
+    """(Gamma, gamma, threshold, big_ok, small_ok) for one spectrum.
+
+    Gamma (worst perturbation) and gamma (sd) are relative to the mean
+    perturbation; each passes when it stays below ``threshold``.
+    ``np.mean``/``np.std`` can differ in the last bit on a reversed array,
+    so every caller keeps the order in which it obtains its spectrum.
+    """
     mean_pert = float(np.mean(1.0 - values))
     if mean_pert <= _ZERO_PERTURBATION:
         return 0.0, 0.0, float("inf"), True, True
@@ -138,7 +143,7 @@ def _spectrum_constants(values: np.ndarray, kappa: float):
     return big, small, threshold, bool(big < threshold), bool(small < threshold)
 
 
-def equability(ch: chn.ChannelLike, kappa: float = DEFAULT_KAPPA) -> EquabilityReport:
+def equability(ch: chn.KrausChannel, kappa: float = DEFAULT_KAPPA) -> EquabilityReport:
     """Compute SSE/WSE decoherence and coherence constants.
 
     Raises :class:`PhaseUndefined` when |tr V| is too small to fix the
@@ -192,19 +197,10 @@ class InfidelitySplit:
     residual: float
 
     def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "r": self.r,
-            "r_coh": self.r_coh,
-            "r_decoh": self.r_decoh,
-            "r_decoh_from_u": self.r_decoh_from_u,
-            "coherence_level": self.coherence_level,
-            "coherence_level_approx": self.coherence_level_approx,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
-def infidelity_split(ch: chn.ChannelLike, target=None) -> InfidelitySplit:
+def infidelity_split(ch: chn.KrausChannel, target=None) -> InfidelitySplit:
     """Split the infidelity into coherent and decoherent parts."""
     canon = chn.canonical(ch)
     d = canon.dim
@@ -235,7 +231,7 @@ def infidelity_split(ch: chn.ChannelLike, target=None) -> InfidelitySplit:
     )
 
 
-def is_decoherence_limited(ch: chn.ChannelLike, target=None, c: float = 1.0) -> bool:
+def is_decoherence_limited(ch: chn.KrausChannel, target=None, c: float = 1.0) -> bool:
     """True iff the Upsilon-Phi gap is second order in the infidelity.
 
     Implemented as Upsilon - Phi <= c * (1 - Phi)^2, i.e. the gap is
@@ -263,21 +259,11 @@ class Classification:
     decoherence_limited: bool
 
     def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "decoherent": self.decoherent,
-            "coherent": self.coherent,
-            "sse_ok": self.sse_ok,
-            "wse_ok": self.wse_ok,
-            "extremal_dephaser": self.extremal_dephaser,
-            "extremal_unitary": self.extremal_unitary,
-            "coherence_level": self.coherence_level,
-            "decoherence_limited": self.decoherence_limited,
-        }
+        return asdict(self)
 
 
 def classify(
-    ch: chn.ChannelLike, target=None, kappa: float = DEFAULT_KAPPA
+    ch: chn.KrausChannel, target=None, kappa: float = DEFAULT_KAPPA
 ) -> Classification:
     """Deterministic label composed from the decoherence predicate, the
     equability constants, and the coherence level.
@@ -286,21 +272,14 @@ def classify(
     strict-sense equability component (so moderately noisy channels can be
     flagged at small kappa even when their spectra are homogeneous).
     """
-    pol = channel_polar(ch)
     decoh = is_decoherent(ch)
     split = infidelity_split(ch, target)
     try:
         eq = equability(ch, kappa)
-        sigma = eq.sigma
-        lam = eq.lambda_re
-        m_sig = float(np.mean(1.0 - sigma))
-        m_lam = float(np.mean(1.0 - lam))
-        ext_deph = bool(
-            m_sig > _ZERO_PERTURBATION and eq.Gamma_decoh >= eq.decoh_threshold
-        )
-        ext_unit = bool(
-            m_lam > _ZERO_PERTURBATION and eq.Gamma_coh >= eq.coh_threshold
-        )
+        # an unperturbed spectrum has an infinite threshold, so it is never
+        # flagged
+        ext_deph = bool(eq.Gamma_decoh >= eq.decoh_threshold)
+        ext_unit = bool(eq.Gamma_coh >= eq.coh_threshold)
         sse_ok, wse_ok = eq.sse_ok, eq.wse_ok
     except PhaseUndefined:
         ext_deph = False

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bounds, channel as chn, genlib, matcore, metrics
 from .errors import PhaseUndefined
-from .polar import channel_polar
+from .polar import _spectrum_constants, channel_polar
 
 REGIME_CAP = 0.1  # sweeps restrict to m^2 r_decoh^2 <= this
 
@@ -359,13 +359,12 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
     pol = channel_polar(element)
     phi_e = metrics.phi(element)
     ups_e = metrics.upsilon(element)
-    canon = chn.canonical(element)
-    w1 = canon.w1
+    w1 = element.w1
     sigma = pol.singular_values
     mean_sigma = float(np.mean(sigma))
-    gamma_d = bounds._wse_decoh_constant(sigma)
+    gamma_d = _spectrum_constants(sigma)[1]
     phi_d = metrics.phi(pol.decoherent_left)
-    s_el = chn.to_superop(element).matrix
+    s_el = chn.to_superop(element)
     v = pol.unitary
     psd = pol.psd
 
@@ -434,22 +433,16 @@ class SigmaProfile:
 
 def sigma_profile(element: chn.KrausChannel, kappa: float = 0.1) -> SigmaProfile:
     """Summarize the LK singular-value spectrum of a channel."""
-    pol = channel_polar(element)
-    sigma = np.sort(pol.singular_values)[::-1]
-    mean_pert = float(np.mean(1.0 - sigma))
-    if mean_pert <= 1e-12:
-        return SigmaProfile(sigma, float(np.mean(sigma)), 0.0, 0.0, 0.0,
-                            float("inf"), True, True)
-    gam = float(np.std(sigma) / mean_pert)
-    big = float((1.0 - np.min(sigma)) / mean_pert)
-    thr = kappa / np.sqrt(mean_pert)
+    sigma = np.sort(channel_polar(element).singular_values)[::-1]
+    big, gam, thr, sse_ok, wse_ok = _spectrum_constants(sigma, kappa)
     return SigmaProfile(
         sigma=sigma,
         mean=float(np.mean(sigma)),
-        sd=float(np.std(sigma)),
+        # an unperturbed spectrum reports sd 0, like its constants
+        sd=float(np.std(sigma)) if gam else 0.0,
         gamma_decoh=gam,
         Gamma_decoh=big,
         threshold=thr,
-        sse_decoh_ok=bool(big < thr),
-        wse_decoh_ok=bool(gam < thr),
+        sse_decoh_ok=sse_ok,
+        wse_decoh_ok=wse_ok,
     )

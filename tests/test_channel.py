@@ -132,6 +132,51 @@ class TestCanonical:
         assert np.allclose(canon.kraus, via_choi.kraus, atol=1e-8)
 
 
+class TestCanonicalView:
+    """The canonical form is a cached KrausChannel view of the channel."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_unitary_remix_invariance(self, d):
+        for seed in range(5):
+            ch = genlib.random_cptp(d, 3, seed=seed)
+            rng = np.random.default_rng([seed, d])
+            g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            u = np.linalg.qr(g)[0]
+            mixed = chn.KrausChannel(dim=d, kraus=np.einsum("ab,bij->aij", u, ch.kraus))
+            a, b = chn.canonical(ch), chn.canonical(mixed)
+            assert np.max(np.abs(a.kraus - b.kraus)) <= 1e-12
+            assert np.max(np.abs(a.weights - b.weights)) <= 1e-12
+            assert a.degenerate_leading == b.degenerate_leading
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_choi_kraus_round_trip(self, d):
+        for seed in range(5):
+            ch = genlib.random_cptp(d, 3, seed=seed)
+            canon = chn.canonical(ch)
+            back = chn.from_choi(chn.to_choi(canon))
+            assert isinstance(back, chn.KrausChannel)
+            assert np.max(np.abs(back.kraus - canon.kraus)) <= 1e-12
+            assert np.max(np.abs(back.weights - canon.weights)) <= 1e-12
+            choi = chn.to_choi(ch).matrix
+            assert np.max(np.abs(chn.to_choi(back).matrix - choi)) <= 1e-12
+
+    def test_canonical_of_view_is_view(self):
+        for ch in (genlib.random_cptp(3, 3, seed=4), genlib.amplitude_damping(2, 0.2)):
+            canon = chn.canonical(ch)
+            assert chn.canonical(canon) is canon
+            assert chn.canonical(ch) is canon
+        view = chn.from_choi(chn.to_choi(genlib.depolarizing(2, 0.8)))
+        assert chn.canonical(view) is view
+
+    def test_channel_reads_its_view(self):
+        ch = genlib.random_cptp(2, 3, seed=7)
+        canon = chn.canonical(ch)
+        assert np.array_equal(ch.a1, canon.kraus[0])
+        assert ch.w1 == canon.w1 == float(canon.weights[0])
+        assert np.array_equal(ch.weights, canon.weights)
+        assert ch.degenerate_leading is canon.degenerate_leading is False
+
+
 class TestLk:
     def test_unitary_channel(self):
         u = genlib.random_unitary(2, seed=3)
@@ -250,17 +295,18 @@ class TestApply:
 class TestSuperoperator:
     def test_identity(self):
         s = chn.to_superop(genlib.identity_channel(2))
-        assert np.allclose(s.matrix, np.eye(4), atol=1e-12)
+        assert isinstance(s, np.ndarray)
+        assert np.allclose(s, np.eye(4), atol=1e-12)
 
     def test_unitary(self):
         u = genlib.random_unitary(2, seed=6)
         s = chn.to_superop(chn.KrausChannel(dim=2, kraus=u[np.newaxis]))
-        assert np.allclose(s.matrix, np.kron(u.conj(), u), atol=1e-12)
+        assert np.allclose(s, np.kron(u.conj(), u), atol=1e-12)
 
     def test_action_matches_apply(self):
         rng = np.random.default_rng(31)
         ch = genlib.random_cptp(2, 3, seed=9)
-        s = chn.to_superop(ch).matrix
+        s = chn.to_superop(ch)
         for _ in range(20):
             rho = random_state(2, rng)
             lhs = chn.uncol(s @ chn.col(rho), 2)

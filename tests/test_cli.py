@@ -253,3 +253,51 @@ class TestStrictLk:
         assert main(["decompose", "--in", p, "--strict-lk"]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "domain"
+
+
+class TestErrorPaths:
+    """Every failure ends in a typed exit code and one JSON line on stderr,
+    never in a traceback or in exit 1 (the bound-violation code)."""
+
+    def _err(self, capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return json.loads(err.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("command", ["metrics", "decompose"])
+    def test_d1_channel_exit_3(self, tmp_path, capsys, command):
+        p = write_channel(tmp_path / "d1.json", chn.KrausChannel(dim=1, kraus=[[[1.0]]]))
+        assert main([command, "--in", p]) == 3
+        assert self._err(capsys)["error"] == "domain"
+
+    def test_verify_dims_not_integers_exit_64(self, capsys):
+        assert main(["verify", "--dims", "abc"]) == 64
+        assert self._err(capsys)["error"] == "usage"
+
+    @pytest.mark.parametrize("dims", ["1", "2,65"])
+    def test_verify_dims_out_of_range_exit_64(self, capsys, dims):
+        assert main(["verify", "--dims", dims, "--trials", "1"]) == 64
+        assert self._err(capsys)["error"] == "usage"
+
+    def test_sweep_nonorthogonal_d65_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(
+            {"family": {"family": "random_cptp", "dim": 65, "params": {"kraus_rank": 2}}}
+        ))
+        assert main(["sweep", "--config", str(p)]) == 3
+        assert self._err(capsys)["error"] == "domain"
+
+    def test_missing_input_file_exit_2(self, tmp_path, capsys):
+        assert main(["metrics", "--in", str(tmp_path / "absent.json")]) == 2
+        assert self._err(capsys)["error"] == "parse"
+
+    def test_unexpected_exception_exit_70(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("chanpolar.suites.run_suite", broken)
+        assert main(["verify", "--trials", "1"]) == 70
+        err = capsys.readouterr().err
+        assert json.loads(err.strip().splitlines()[-1]) == {
+            "error": "internal", "detail": "RuntimeError: boom"
+        }

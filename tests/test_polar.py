@@ -79,6 +79,14 @@ class TestChannelPolar:
             assert ups**2 - (1 - ups**2) ** 2 - 1e-9 <= phi_d
             assert phi_d <= ups + 1.5 * (1 - ups**2) ** 2 + 1e-9
 
+    def test_cached_on_canonical_view(self):
+        for ch in (genlib.random_cptp(3, 3, seed=19, strength=0.2), genlib.spiral(0.3)):
+            pol = polar.channel_polar(ch)
+            assert polar.channel_polar(chn.canonical(ch)) is pol
+            assert polar.channel_polar(ch) is pol
+        view = chn.canonical(genlib.amplitude_damping(2, 0.19))
+        assert polar.channel_polar(view) is polar.channel_polar(view)
+
     def test_lk_psd_of_left_factor(self):
         ch = genlib.random_cptp(3, 3, seed=19, strength=0.2)
         pol = polar.channel_polar(ch)
