@@ -9,6 +9,7 @@ carries the wall clock) and its exit code with the files in
 """
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -46,6 +47,16 @@ CASES = {
         0),
     "sweep-composition-spiral-d3.csv": (
         ["sweep", "--config", "{inputs}/sweep-composition-spiral-d3.json"], 0),
+    # deeper than one block of the sweep's stacked eigvalsh (256 depths)
+    "sweep-composition-rotation-d2-depth600.csv": (
+        ["sweep", "--config", "{inputs}/sweep-composition-rotation-d2-depth600.json"],
+        3),
+    "sweep-composition-psd_lk_decoherent-d5-depth700.csv": (
+        ["sweep", "--config",
+         "{inputs}/sweep-composition-psd_lk_decoherent-d5-depth700.json"], 0),
+    "sweep-composition-coherence_mix-d2-depth777.csv": (
+        ["sweep", "--config",
+         "{inputs}/sweep-composition-coherence_mix-d2-depth777.json"], 3),
     "sweep-sigma_profile-extremal_dephaser-d16.csv": (
         ["sweep", "--config", "{inputs}/sweep-sigma_profile-extremal_dephaser-d16.json"],
         0),
@@ -75,6 +86,25 @@ def _inputs() -> dict:
             "mode": "composition",
             "family": {"family": "spiral", "dim": 3, "params": {"alpha": 0.1}},
             "max_depth": 150,
+        },
+        # V^m is traceless at m = 3 (mod 6): the gamma_coh = 0 path
+        "sweep-composition-rotation-d2-depth600.json": {
+            "mode": "composition",
+            "family": {"family": "rotation", "dim": 2,
+                       "params": {"theta": math.pi / 6}},
+            "max_depth": 600,
+        },
+        "sweep-composition-psd_lk_decoherent-d5-depth700.json": {
+            "mode": "composition",
+            "family": {"family": "psd_lk_decoherent", "dim": 5,
+                       "params": {"strength": 0.02}, "seed": 3},
+            "max_depth": 700,
+        },
+        "sweep-composition-coherence_mix-d2-depth777.json": {
+            "mode": "composition",
+            "family": {"family": "coherence_mix", "dim": 2,
+                       "params": {"infidelity": 1e-4, "level": 0.5}},
+            "max_depth": 777,
         },
         "sweep-sigma_profile-extremal_dephaser-d16.json": {
             "mode": "sigma_profile",
