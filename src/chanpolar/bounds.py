@@ -127,13 +127,26 @@ class CircuitSpec:
         return len(self.channels)
 
 
-def _wse_coh_constant(v: np.ndarray) -> float:
-    """WSE coherence constant of a unitary, after fixing tr V in R+."""
-    t = np.trace(v)
-    if abs(t) <= 1e-9:
+def _wse_coh_constant(v: np.ndarray):
+    """WSE coherence constant of a unitary, after fixing tr V in R+.
+
+    ``v`` may carry leading stack axes (..., d, d); the constants then come
+    back with those axes, equal item by item to single calls.  Where
+    |tr V| <= 1e-9 the phase is undefined: a single matrix raises
+    :class:`PhaseUndefined`, a stack reports 0 there.
+    """
+    t = np.trace(v, axis1=-2, axis2=-1)
+    # np.hypot rounds like abs() of a complex scalar; np.abs of an array
+    # may differ in the last bit
+    r = np.hypot(t.real, t.imag)
+    undefined = r <= 1e-9
+    if v.ndim == 2 and undefined:
         raise PhaseUndefined("tr V ~ 0: coherence constant undefined")
-    v = v * (np.conj(t) / abs(t))
-    return _spectrum_constants(np.linalg.eigvalsh((v + v.conj().T) / 2.0))[1]
+    herm = v * (np.conj(t) / np.where(undefined, 1.0, r))[..., None, None]
+    herm += np.swapaxes(herm, -1, -2).conj()
+    herm /= 2.0
+    gamma = _spectrum_constants(np.linalg.eigvalsh(herm))[1]
+    return gamma if v.ndim == 2 else np.where(undefined, 0.0, gamma)
 
 
 class _CircuitData:

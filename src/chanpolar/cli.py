@@ -304,6 +304,8 @@ def _cmd_sweep(args) -> _Result:
         fam = genlib.FamilySpec.from_dict(cfg["family"])
         if args.seed is not None:
             fam.seed = args.seed
+        if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
+            raise ValueError("sweep config 'out' must be a non-empty path string")
         args.out = args.out or cfg.get("out")
         element = genlib.make_channel(fam)
         if mode == "sigma_profile":
@@ -316,6 +318,10 @@ def _cmd_sweep(args) -> _Result:
                 raise ValueError("max_depth must be >= 1")
             wanted = cfg.get("metrics")
             if wanted is not None:
+                if not isinstance(wanted, list) or not all(
+                    isinstance(name, str) for name in wanted
+                ):
+                    raise ValueError("sweep config 'metrics' must be a list of names")
                 unknown = set(wanted) - set(_SWEEP_COLUMNS)
                 if unknown:
                     raise ValueError(f"unknown metric names: {sorted(unknown)}")
@@ -340,11 +346,16 @@ def _cmd_sweep(args) -> _Result:
          _fmt(r.non_catastrophic), _fmt(r.contained)]
         for r in rows
     )
+    columns = _SWEEP_COLUMNS
+    if wanted is not None:  # depth, then the named columns in table order
+        keep = [i for i, c in enumerate(columns) if c == "depth" or c in wanted]
+        columns = [columns[i] for i in keep]
+        table = ([cells[i] for i in keep] for cells in table)
     code = EXIT_OK
     if any(not r.non_catastrophic for r in rows):
         _error_json("domain", "composition left the non-catastrophic regime mid-sweep")
         code = EXIT_DOMAIN
-    return _Result(_csv(_SWEEP_COLUMNS, table), cfg, fam.seed, notes, code)
+    return _Result(_csv(columns, table), cfg, fam.seed, notes, code)
 
 
 # ---------------------------------------------------------------------------

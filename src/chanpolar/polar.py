@@ -127,20 +127,25 @@ class EquabilityReport:
 
 
 def _spectrum_constants(values: np.ndarray, kappa: float = DEFAULT_KAPPA):
-    """(Gamma, gamma, threshold, big_ok, small_ok) for one spectrum.
+    """(Gamma, gamma, threshold, big_ok, small_ok) of a spectrum.
 
     Gamma (worst perturbation) and gamma (sd) are relative to the mean
-    perturbation; each passes when it stays below ``threshold``.
+    perturbation; each passes when it stays below ``threshold``.  An
+    unperturbed spectrum gives (0, 0, inf, True, True).  The spectrum runs
+    along the last axis: a 1-D spectrum gives Python scalars, leading stack
+    axes give arrays of that shape, equal item by item to single calls.
     ``np.mean``/``np.std`` can differ in the last bit on a reversed array,
     so every caller keeps the order in which it obtains its spectrum.
     """
-    mean_pert = float(np.mean(1.0 - values))
-    if mean_pert <= _ZERO_PERTURBATION:
-        return 0.0, 0.0, float("inf"), True, True
-    big = float((1.0 - np.min(values)) / mean_pert)
-    small = float(np.std(values) / mean_pert)
-    threshold = kappa / np.sqrt(mean_pert)
-    return big, small, threshold, bool(big < threshold), bool(small < threshold)
+    values = np.asarray(values)
+    mean_pert = np.mean(1.0 - values, axis=-1)
+    zero = mean_pert <= _ZERO_PERTURBATION
+    mean_pert = np.where(zero, 1.0, mean_pert)
+    big = np.where(zero, 0.0, (1.0 - np.min(values, axis=-1)) / mean_pert)
+    small = np.where(zero, 0.0, np.std(values, axis=-1) / mean_pert)
+    threshold = np.where(zero, np.inf, kappa / np.sqrt(mean_pert))
+    out = (big, small, threshold, big < threshold, small < threshold)
+    return tuple(x.item() for x in out) if values.ndim == 1 else out
 
 
 def equability(ch: chn.KrausChannel, kappa: float = DEFAULT_KAPPA) -> EquabilityReport:

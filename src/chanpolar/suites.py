@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, channel as chn, genlib, matcore, metrics
-from .errors import PhaseUndefined
 from .polar import _spectrum_constants, channel_polar
 
 REGIME_CAP = 0.1  # sweeps restrict to m^2 r_decoh^2 <= this
+_SWEEP_BLOCK = 256  # depths per stacked eigvalsh in composition_sweep
 
 
 @dataclass
@@ -354,6 +354,12 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
     Phi(V^m, I) prod Phi(D, I) (element polar factors V, D), and the
     coherent-envelope lower bound.  Rows past the non-catastrophic horizon
     are still emitted and flagged.
+
+    Each depth costs a fixed number of numpy calls on d x d and
+    d^2 x d^2 matrices, one of them the O(m) coherent-envelope sum over
+    prefix views of two arrays built once.  The WSE coherence constants of
+    V^m come from one stacked eigvalsh per block of 256 depths, so the
+    working memory is O(256 d^2 + d^4) besides the rows.
     """
     d = element.dim
     pol = channel_polar(element)
@@ -373,47 +379,53 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
     p_m = np.eye(d, dtype=np.complex128)
     rows = []
     ratio = min(phi_e / ups_e, 1.0) if ups_e > 0 else 1.0
-    for m in range(1, max_depth + 1):
-        s_m = s_el @ s_m
-        v_m = v @ v_m
-        p_m = (v_m.conj().T @ psd @ v_m) @ p_m
-        phi_m = float(np.trace(s_m).real) / d**2
-        ups_m = float(np.linalg.norm(s_m)) / d
-        phi_vm = float(abs(np.trace(v_m)) ** 2 / d**2)
-        centre = phi_vm * phi_d**m
-        try:
-            gamma_c = bounds._wse_coh_constant(v_m)
-        except PhaseUndefined:
-            gamma_c = 0.0
-        s_star = m * (1.0 - w1)
-        pert_sum = m * (1.0 - mean_sigma)
-        phi_vstar = float(abs(np.trace(v_m @ p_m)) ** 2 / d**2)
-        band = (
-            0.5 * s_star**2
-            + (1.0 - phi_vstar) * s_star
-            + m * (1.0 - w1) * (1.0 - phi_d)
-            + 2.0 * gamma_d * gamma_c * (1.0 - np.sqrt(phi_vm)) * pert_sum
-            + gamma_d**2 * pert_sum**2
-        )
-        if ratio > 0.5:
-            env = bounds.coherent_envelope([ratio] * m, d, upsilons=[ups_e] * m)
-            coh_lower = env.lower
-        else:
-            coh_lower = 0.0
-        nc = bool(phi_m > 0.5 and ups_m**2 > 0.5)
-        rows.append(
-            SweepRow(
-                depth=m,
-                phi=phi_m,
-                upsilon_envelope=ups_e**m,
-                thm8_centre=centre,
-                thm8_lower=centre - band,
-                thm8_upper=centre + band,
-                coherent_lower=coh_lower,
-                non_catastrophic=nc,
-                contained=bool(abs(phi_m - centre) <= band + 1e-9),
+    if ratio > 0.5:
+        # the first m entries are the envelope's per-element inputs at depth m
+        ratios = np.full(max_depth, ratio)
+        upsilons = np.full(max_depth, ups_e)
+    # V^m for the depths of one block, overwritten block after block
+    v_buf = np.empty((min(_SWEEP_BLOCK, max_depth), d, d), dtype=np.complex128)
+    for start in range(0, max_depth, _SWEEP_BLOCK):
+        v_pows = v_buf[: min(_SWEEP_BLOCK, max_depth - start)]
+        for v_k in v_pows:
+            v_m = np.matmul(v, v_m, out=v_k)
+        gammas_c = bounds._wse_coh_constant(v_pows).tolist()
+        for m, (v_m, gamma_c) in enumerate(zip(v_pows, gammas_c), start + 1):
+            s_m = s_el @ s_m
+            p_m = (v_m.conj().T @ psd @ v_m) @ p_m
+            phi_m = float(np.trace(s_m).real) / d**2
+            ups_m = float(np.linalg.norm(s_m)) / d
+            phi_vm = float(abs(np.trace(v_m)) ** 2 / d**2)
+            centre = phi_vm * phi_d**m
+            s_star = m * (1.0 - w1)
+            pert_sum = m * (1.0 - mean_sigma)
+            phi_vstar = float(abs(np.trace(v_m @ p_m)) ** 2 / d**2)
+            band = (
+                0.5 * s_star**2
+                + (1.0 - phi_vstar) * s_star
+                + m * (1.0 - w1) * (1.0 - phi_d)
+                + 2.0 * gamma_d * gamma_c * (1.0 - np.sqrt(phi_vm)) * pert_sum
+                + gamma_d**2 * pert_sum**2
             )
-        )
+            if ratio > 0.5:
+                env = bounds.coherent_envelope(ratios[:m], d, upsilons=upsilons[:m])
+                coh_lower = env.lower
+            else:
+                coh_lower = 0.0
+            nc = bool(phi_m > 0.5 and ups_m**2 > 0.5)
+            rows.append(
+                SweepRow(
+                    depth=m,
+                    phi=phi_m,
+                    upsilon_envelope=ups_e**m,
+                    thm8_centre=centre,
+                    thm8_lower=centre - band,
+                    thm8_upper=centre + band,
+                    coherent_lower=coh_lower,
+                    non_catastrophic=nc,
+                    contained=bool(abs(phi_m - centre) <= band + 1e-9),
+                )
+            )
     return rows
 
 

@@ -243,6 +243,57 @@ class TestSweepCmd:
         )
         assert main(["sweep", "--config", str(p)]) == 2
 
+    def test_metrics_key_selects_columns(self, tmp_path):
+        fam = {"family": "coherence_mix", "dim": 2,
+               "params": {"infidelity": 1e-4, "level": 0.5}}
+        full = tmp_path / "full.csv"
+        assert main(["sweep", "--config", self._config(tmp_path, fam, 20),
+                     "--out", str(full)]) == 0
+        p = tmp_path / "pick.json"
+        p.write_text(json.dumps({"family": fam, "max_depth": 20,
+                                 "metrics": ["coherent_lower", "phi"]}))
+        pick = tmp_path / "pick.csv"
+        assert main(["sweep", "--config", str(p), "--out", str(pick)]) == 0
+        with open(pick, newline="") as fh:
+            header = next(csv.reader(fh))
+        # depth first, then the named columns in table order
+        assert header == ["depth", "phi", "coherent_lower"]
+        assert read_csv(pick) == [{k: r[k] for k in header} for r in read_csv(full)]
+
+    @pytest.mark.parametrize("metrics", ["phi", [1], {"phi": 1}])
+    def test_metrics_not_a_list_of_names_exit_2(self, tmp_path, metrics):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "family": {"family": "rotation", "dim": 2, "params": {"theta": 0.1}},
+            "max_depth": 2, "metrics": metrics,
+        }))
+        assert main(["sweep", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("out", [7, "", None, ["rows.csv"]])
+    def test_out_key_not_a_path_exit_2(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "family": {"family": "rotation", "dim": 2, "params": {"theta": 0.1}},
+            "max_depth": 2, "out": out,
+        }))
+        assert main(["sweep", "--config", str(p)]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""  # nothing written, not even to stdout
+        assert json.loads(cap.err)["error"] == "parse"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_out_key_writes_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "family": {"family": "rotation", "dim": 2, "params": {"theta": 0.1}},
+            "max_depth": 2, "out": "rows.csv",
+        }))
+        assert main(["sweep", "--config", str(p)]) == 0
+        assert [r["depth"] for r in read_csv(tmp_path / "rows.csv")] == ["1", "2"]
+        assert (tmp_path / "rows.csv.manifest.json").exists()
+
 
 class TestStrictLk:
     def test_degenerate_leading_strict_exit_3(self, tmp_path, capsys):

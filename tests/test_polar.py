@@ -94,6 +94,57 @@ class TestChannelPolar:
         assert np.linalg.eigvalsh((a1 + a1.conj().T) / 2.0)[0] >= -1e-9
 
 
+class TestPolarInvariance:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_unitary_covariance(self, d):
+        # A -> U A U^dag maps the polar unitary to U V U^dag and keeps the
+        # LK singular values
+        for seed in range(5):
+            ch = genlib.random_cptp(d, 3, seed=seed, strength=0.1)
+            u = genlib.random_unitary(d, seed=seed + 40)
+            conj = chn.KrausChannel(dim=d, kraus=u @ ch.kraus @ u.conj().T)
+            pol, pol_u = polar.channel_polar(ch), polar.channel_polar(conj)
+            assert pol.phase_fixed and pol_u.phase_fixed
+            assert np.max(np.abs(pol_u.unitary - u @ pol.unitary @ u.conj().T)) <= 1e-12
+            assert np.max(
+                np.abs(np.sort(pol_u.singular_values) - np.sort(pol.singular_values))
+            ) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:channel is catastrophic")
+    @pytest.mark.parametrize("route", ["gram", "choi"])
+    def test_degenerate_leading_boundary(self, route):
+        # Kraus operators sqrt(w1) U and sqrt(1 - w1) U Z have w1 - w2 = gap
+        # and LK singular values sqrt(w1); the Choi route sees the same
+        # channel through a remixed (non-orthogonal) Kraus family
+        u = genlib.random_unitary(2, seed=3)
+        z = np.diag([1.0, -1.0]).astype(complex)
+        mix = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        seen = []
+        for gap in (1e-11, 1e-9):
+            w1 = (1.0 + gap) / 2.0
+            ops = np.stack([np.sqrt(w1) * u, np.sqrt(1.0 - w1) * u @ z])
+            if route == "choi":
+                ops = np.einsum("ij,jab->iab", mix, ops)
+            ch = chn.KrausChannel(dim=2, kraus=ops)
+            pol = polar.channel_polar(ch)
+            sigma_err = np.max(np.abs(pol.singular_values - np.sqrt(w1)))
+            seen.append(dict(flag=(ch.degenerate_leading, pol.unique),
+                             phi=metrics.phi(ch), ups=metrics.upsilon(ch),
+                             sigma_err=sigma_err))
+        flagged, clear = seen
+        assert flagged["flag"] == (True, False)
+        assert clear["flag"] == (False, True)
+        # Phi and Upsilon do not depend on the choice of A_1: they move only
+        # by the O(gap) change of the channel itself
+        assert abs(flagged["phi"] - clear["phi"]) <= 1e-8
+        assert abs(flagged["ups"] - clear["ups"]) <= 1e-8
+        # sigma is exact on the Gram route on both sides; from the Choi
+        # eigenvectors it carries an error of order eps / gap, which the
+        # flag marks where it could reach the size of the gap itself
+        assert clear["sigma_err"] <= (1e-12 if route == "gram" else 1e-6)
+        if route == "gram":
+            assert flagged["sigma_err"] <= 1e-12
+
 class TestIsDecoherent:
     def test_named_families(self):
         assert polar.is_decoherent(genlib.depolarizing(2, 0.9))
