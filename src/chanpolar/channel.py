@@ -88,7 +88,14 @@ class KrausChannel:
     @property
     def degenerate_leading(self) -> bool:
         """True when the leading canonical weight is degenerate
-        (w_1 - w_2 < 1e-10)."""
+        (w_1 - w_2 < 1e-10).
+
+        A clear flag does not make A_1 accurate to full precision: on the
+        Choi route (a non-orthogonal Kraus family) A_1 carries an error of
+        about eps / (w_1 - w_2), so at a gap of 1e-10 the LK singular
+        values can be off by about 1e-6.  Orthogonal families take the
+        Gram route and are exact.
+        """
         w = self.weights
         return bool(w.size > 1 and w[0] - w[1] < WEIGHT_DEGENERACY_TOL)
 
@@ -217,11 +224,12 @@ def from_choi(choi: ChoiMatrix) -> KrausChannel:
     below ``-1e-10*d`` raises :class:`NotCP`.
     """
     d = choi.dim
-    eig = matcore.hermitian_eig(choi.matrix)
+    floor = CHOI_DROP_TOL * d
+    eig = matcore.hermitian_eig(choi.matrix, drop_floor=floor)
     vals = eig.values
     if vals[-1] < -CP_EIG_TOL * d:
         raise NotCP(f"Choi eigenvalue {vals[-1]:.3e} below CP floor")
-    keep = vals > CHOI_DROP_TOL * d
+    keep = vals > floor
     vals = vals[keep]
     vecs = eig.vectors[:, keep]
     if vals.size == 0:

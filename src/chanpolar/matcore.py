@@ -74,7 +74,8 @@ class HermitianEig:
     a degenerate block (eigenvalue gap below ``DEGENERACY_TOL``) are ordered
     lexicographically on their entries rounded to 1e-8, which makes the
     output deterministic even when the underlying solver is free to mix
-    them.
+    them; blocks at or below a caller's ``drop_floor`` (see
+    :func:`hermitian_eig`) are the exception.
     """
 
     values: np.ndarray
@@ -91,8 +92,16 @@ def _lex_key(col: np.ndarray):
     return tuple(out)
 
 
-def hermitian_eig(m, rtol: float = HERMITICITY_RTOL) -> HermitianEig:
+def hermitian_eig(
+    m, rtol: float = HERMITICITY_RTOL, drop_floor: float = -np.inf
+) -> HermitianEig:
     """Eigendecompose a Hermitian matrix; descending, deterministic order.
+
+    A caller that discards every eigenvalue at or below ``drop_floor``
+    passes that floor: degenerate blocks lying entirely at or below it are
+    then left in solver order.  A block that straddles the floor is still
+    ordered whole, so the columns above it are the same as without the
+    floor; ``degenerate`` still reports every degenerate block.
 
     Raises
     ------
@@ -131,8 +140,9 @@ def hermitian_eig(m, rtol: float = HERMITICITY_RTOL) -> HermitianEig:
             stop += 1
         if stop - start > 1:
             degenerate = True
-            order = sorted(range(start, stop), key=lambda j: _lex_key(v[:, j]))
-            v[:, start:stop] = v[:, order]
+            if w[start] > drop_floor:
+                order = sorted(range(start, stop), key=lambda j: _lex_key(v[:, j]))
+                v[:, start:stop] = v[:, order]
         start = stop
     return HermitianEig(values=w, vectors=v, degenerate=degenerate)
 

@@ -11,7 +11,8 @@ and a composed classification label.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,18 +34,46 @@ class ChannelPolar:
     A = decoherent_right o V.  ``unitary``/``psd`` expose the matrix-level
     factors of the leading Kraus operator (V phase-fixed to tr V in R+ when
     possible), and ``unique`` records whether A_1 was full rank with a
-    non-degenerate leading weight.
+    non-degenerate leading weight.  ``lambda_re`` holds the eigenvalues of
+    the Hermitian part of V (the real parts of V's eigenvalues), descending.
+
+    The three channels and ``lambda_re`` are built from ``unitary`` and the
+    canonical Kraus operators on first read and cached on the instance, so
+    callers that need only the matrix-level factors never pay for the
+    O(k d^3) channel products.
     """
 
     dim: int
-    coherent: chn.KrausChannel
-    decoherent_left: chn.KrausChannel
-    decoherent_right: chn.KrausChannel
     unitary: np.ndarray
     psd: np.ndarray
     phase_fixed: bool
     singular_values: np.ndarray
     unique: bool
+    _kraus: np.ndarray = field(repr=False)
+
+    @cached_property
+    def coherent(self) -> chn.KrausChannel:
+        return chn.KrausChannel(dim=self.dim, kraus=self.unitary[np.newaxis])
+
+    @cached_property
+    def decoherent_left(self) -> chn.KrausChannel:
+        # a C-contiguous V^dag gives the same sums as the transposed view,
+        # only faster at large d
+        vh = np.ascontiguousarray(self.unitary.conj().T)
+        vk = np.einsum("ij,kjl->kil", vh, self._kraus)
+        return chn.KrausChannel(dim=self.dim, kraus=vk)
+
+    @cached_property
+    def decoherent_right(self) -> chn.KrausChannel:
+        kv = np.einsum("kij,jl->kil", self._kraus, self.unitary.conj().T)
+        return chn.KrausChannel(dim=self.dim, kraus=kv)
+
+    @cached_property
+    def lambda_re(self) -> np.ndarray:
+        # V is unitary hence normal: Re of its eigenvalues are the
+        # eigenvalues of the Hermitian part.
+        v = self.unitary
+        return np.linalg.eigvalsh((v + v.conj().T) / 2.0)[::-1]
 
 
 def channel_polar(ch: chn.KrausChannel, strict: bool = False) -> ChannelPolar:
@@ -54,6 +83,13 @@ def channel_polar(ch: chn.KrausChannel, strict: bool = False) -> ChannelPolar:
     view share one result.  Warns when Upsilon^2 <= 1/2 (the leading Kraus
     operator may not be unique there); raises :class:`DegenerateLeading`
     in strict mode when the leading weight is degenerate.
+
+    Accuracy near the degeneracy threshold: when the canonical form comes
+    from the Choi eigensolver (a non-orthogonal Kraus family), A_1 and so
+    V and the singular values carry an error of about eps / (w_1 - w_2).
+    A gap of 1e-10, the smallest that is not flagged, can put the singular
+    values off by about 1e-6.  The Gram route (an orthogonal family) has
+    no such error.
     """
     canon = chn.canonical(ch)
     if canon.degenerate_leading and strict:
@@ -67,25 +103,18 @@ def channel_polar(ch: chn.KrausChannel, strict: bool = False) -> ChannelPolar:
             stacklevel=2,
         )
     pol = matcore.polar_decompose(canon.a1)
-    v = pol.unitary
-    vk = np.einsum("ij,kjl->kil", v.conj().T, canon.kraus)
-    left = chn.KrausChannel(dim=canon.dim, kraus=vk)
-    kv = np.einsum("kij,jl->kil", canon.kraus, v.conj().T)
-    right = chn.KrausChannel(dim=canon.dim, kraus=kv)
     d = canon.dim
     rank_ok = bool(
         pol.singular_values[-1] > pol.singular_values[0] * d * 1e-12
     )
     result = ChannelPolar(
         dim=d,
-        coherent=chn.KrausChannel(dim=d, kraus=v[np.newaxis]),
-        decoherent_left=left,
-        decoherent_right=right,
-        unitary=v,
+        unitary=pol.unitary,
         psd=pol.psd,
         phase_fixed=pol.phase_fixed,
         singular_values=pol.singular_values,
         unique=rank_ok and not canon.degenerate_leading,
+        _kraus=canon.kraus,
     )
     canon._polar = result
     return result
@@ -160,9 +189,7 @@ def equability(ch: chn.KrausChannel, kappa: float = DEFAULT_KAPPA) -> Equability
             "tr V is numerically zero; the coherence constants are undefined"
         )
     sigma = np.sort(pol.singular_values)[::-1]
-    # V is unitary hence normal: Re of its eigenvalues are the eigenvalues
-    # of the Hermitian part.
-    lam_re = np.linalg.eigvalsh((pol.unitary + pol.unitary.conj().T) / 2.0)[::-1]
+    lam_re = pol.lambda_re
     g_d, s_d, th_d, big_d, small_d = _spectrum_constants(sigma, kappa)
     g_c, s_c, th_c, big_c, small_c = _spectrum_constants(lam_re, kappa)
     return EquabilityReport(

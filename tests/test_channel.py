@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chanpolar import channel as chn
-from chanpolar import genlib, metrics
+from chanpolar import genlib, matcore, metrics
 from chanpolar.errors import DegenerateLeading, DimensionMismatch
 
 I2 = np.eye(2, dtype=complex)
@@ -175,6 +175,52 @@ class TestCanonicalView:
         assert ch.w1 == canon.w1 == float(canon.weights[0])
         assert np.array_equal(ch.weights, canon.weights)
         assert ch.degenerate_leading is canon.degenerate_leading is False
+
+
+def weyl_mixture(d, probs):
+    """Stochastic channel over the first len(probs) Weyl unitaries: an
+    orthogonal family whose Choi eigenvalues are d * probs and zeros."""
+    ops = genlib.weyl_ops(d)
+    return chn.KrausChannel.from_ops([np.sqrt(p) * ops[i] for i, p in enumerate(probs)])
+
+
+class TestFromChoiDropFloor:
+    """from_choi orders only the Choi eigenvectors it keeps."""
+
+    @staticmethod
+    def with_and_without_floor(choi, monkeypatch):
+        cut = chn.from_choi(choi)
+        eig = matcore.hermitian_eig
+        with monkeypatch.context() as mp:
+            mp.setattr(matcore, "hermitian_eig", lambda m, drop_floor: eig(m))
+            full = chn.from_choi(choi)
+        return cut, full
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_same_bytes_for_rank_deficient_channels(self, d, monkeypatch):
+        tiny = 5e-11 / d  # Choi eigenvalue 5e-11: kept, yet within 1e-10 of 0
+        chans = [genlib.random_cptp(d, k, seed=seed) for k in (1, 3) for seed in range(3)]
+        chans.append(weyl_mixture(d, [0.9 - tiny, 0.1, tiny]))
+        for ch in chans:
+            choi = chn.to_choi(ch)
+            cut, full = self.with_and_without_floor(choi, monkeypatch)
+            assert cut.kraus.tobytes() == full.kraus.tobytes()
+            assert cut.weights.tobytes() == full.weights.tobytes()
+        # the last channel's kept block straddles the floor
+        vals = matcore.hermitian_eig(choi.matrix).values
+        n_keep = cut.n_kraus
+        assert n_keep == 3 and cut.weights[-1] == pytest.approx(tiny, rel=1e-3)
+        assert vals[n_keep - 1] - vals[n_keep] < matcore.DEGENERACY_TOL
+
+    def test_dropped_null_block_is_not_ordered(self, monkeypatch):
+        calls = []
+        lex_key = matcore._lex_key
+        monkeypatch.setattr(
+            matcore, "_lex_key", lambda col: calls.append(1) or lex_key(col)
+        )
+        canon = chn.from_choi(chn.to_choi(genlib.random_cptp(8, 3, seed=2)))
+        assert canon.n_kraus == 3
+        assert calls == []
 
 
 class TestLk:

@@ -59,6 +59,34 @@ class TestHermitianEig:
         assert e1.degenerate
         assert e1.vectors.tobytes() == e2.vectors.tobytes()
 
+    @pytest.mark.parametrize("d", [6, 9, 16])
+    def test_drop_floor_keeps_upper_columns(self, d, monkeypatch):
+        # a block wholly at or below the floor keeps solver order; a block
+        # above it, or straddling it (5e-11 chains to the zeros within the
+        # 1e-10 degeneracy gap), is ordered whole
+        rng = np.random.default_rng([17, d])
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u = np.linalg.qr(g)[0]
+        floor = 1e-12 * d
+        calls = []
+        lex_key = matcore._lex_key
+        monkeypatch.setattr(
+            matcore, "_lex_key", lambda col: calls.append(1) or lex_key(col)
+        )
+        for tail, ordered in ((1e-3, 2), (5e-11, d - 1)):
+            vals = np.zeros(d)
+            vals[:4] = [1.0, 0.5, 0.5, tail]
+            m = (u * vals) @ u.conj().T
+            full = matcore.hermitian_eig(m)
+            calls.clear()
+            cut = matcore.hermitian_eig(m, drop_floor=floor)
+            assert len(calls) == ordered
+            assert cut.values.tobytes() == full.values.tobytes()
+            assert cut.degenerate is full.degenerate is True
+            keep = full.values > floor
+            assert keep.sum() == 4
+            assert cut.vectors[:, keep].tobytes() == full.vectors[:, keep].tobytes()
+
     def test_trace_identity_and_conjugation_invariance(self):
         rng = np.random.default_rng(11)
         for d in (2, 3, 5):

@@ -94,6 +94,61 @@ class TestChannelPolar:
         assert np.linalg.eigvalsh((a1 + a1.conj().T) / 2.0)[0] >= -1e-9
 
 
+def eager_factors(ch):
+    """Reference route: the three channel factors as channel_polar once
+    built them on every call, from V and the canonical Kraus operators."""
+    canon = chn.canonical(ch)
+    v = polar.channel_polar(ch).unitary
+    vk = np.einsum("ij,kjl->kil", v.conj().T, canon.kraus)
+    kv = np.einsum("kij,jl->kil", canon.kraus, v.conj().T)
+    return v[np.newaxis], vk, kv
+
+
+def polar_test_channel(route, d, seed):
+    """A channel whose canonical form takes the given route: a rotated
+    stochastic Weyl channel is an orthogonal family (Gram route), a
+    random CPTP draw is not (Choi route)."""
+    if route == "gram":
+        ch = genlib.stochastic_weyl(d, 0.95, seed=seed)
+        u = genlib.random_unitary(d, seed=seed + 100)
+        return chn.KrausChannel(dim=d, kraus=u @ ch.kraus)
+    return genlib.random_cptp(d, 3, seed=seed, strength=0.2)
+
+
+class TestLazyFactors:
+    """The channel factors are built on first read and cached."""
+
+    def test_unread_factors_are_not_built(self):
+        for ch in (genlib.random_cptp(3, 3, seed=5, strength=0.2),
+                   genlib.extremal_dephaser(8), genlib.rotation(2, 0.1)):
+            pol = polar.channel_polar(ch)
+            metrics.report(ch)
+            polar.equability(ch)
+            polar.classify(ch)
+            assert polar.channel_polar(ch) is pol
+            assert "decoherent_right" not in vars(pol)
+            assert "coherent" not in vars(pol)
+
+    def test_factor_read_twice_is_same_object(self):
+        pol = polar.channel_polar(genlib.random_cptp(2, 3, seed=8, strength=0.2))
+        for name in ("coherent", "decoherent_left", "decoherent_right", "lambda_re"):
+            assert getattr(pol, name) is getattr(pol, name)
+
+    @pytest.mark.parametrize("route", ["gram", "choi"])
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_bitwise_equal_to_eager_route(self, route, d):
+        for seed in range(3):
+            ch = polar_test_channel(route, d, seed)
+            g = chn._gram(ch.kraus)
+            off = np.max(np.abs(g - np.diag(np.diag(g))))
+            assert (off <= chn.GRAM_ORTHO_TOL * d) == (route == "gram")
+            pol = polar.channel_polar(ch)
+            coh, left, right = eager_factors(ch)
+            assert pol.coherent.kraus.tobytes() == coh.tobytes()
+            assert pol.decoherent_left.kraus.tobytes() == left.tobytes()
+            assert pol.decoherent_right.kraus.tobytes() == right.tobytes()
+
+
 class TestPolarInvariance:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_unitary_covariance(self, d):
