@@ -306,6 +306,54 @@ class TestStrictLk:
         assert err["error"] == "domain"
 
 
+def choi_of(ch):
+    """Choi matrix sum_i col(A_i) col(A_i)^dag, built here from the Kraus list."""
+    return sum(np.outer(chn.col(a), chn.col(a).conj()) for a in ch.kraus)
+
+
+def write_choi(path, d, m):
+    pairs = [[float(z.real), float(z.imag)] for z in np.asarray(m).flatten()]
+    path.write_text(json.dumps({"dim": d, "choi": pairs}))
+    return str(path)
+
+
+class TestChoiFileErrors:
+    """A bad Choi file exits with a typed code and a fixed message."""
+
+    @staticmethod
+    def _bad(case):
+        good = choi_of(genlib.amplitude_damping(2, 0.2))
+        if case == "nan":
+            good[1, 1] = np.nan
+        elif case == "non_hermitian":
+            good[0, 3] += 0.3
+        elif case == "wrong_size":
+            return np.eye(3)
+        elif case == "zero":
+            return np.zeros((4, 4))
+        elif case == "not_tp":
+            return 2.0 * good
+        return good
+
+    @pytest.mark.parametrize("case, code, detail", [
+        ("nan", 2, "cannot parse {p}: choi contains non-finite entries"),
+        ("non_hermitian", 3, "matrix is not Hermitian within tolerance"),
+        ("wrong_size", 2,
+         "cannot parse {p}: choi must be a flat row-major list of 16 [re, im] pairs"),
+        ("zero", 3, "Choi matrix is numerically zero"),
+        ("not_tp", 3, "{p} is not CPTP (cp_slack=0.000e+00, tp_slack=1.414e+00)"),
+    ])
+    def test_exit_code_and_message(self, tmp_path, capsys, case, code, detail):
+        p = write_choi(tmp_path / f"{case}.json", 2, self._bad(case))
+        assert main(["decompose", "--in", p]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err) == {
+            "error": "parse" if code == 2 else "domain",
+            "detail": detail.format(p=p),
+        }
+
+
 class TestErrorPaths:
     """Every failure ends in a typed exit code and one JSON line on stderr,
     never in a traceback or in exit 1 (the bound-violation code)."""
