@@ -13,13 +13,10 @@ from .bounds import (
     optimize_unitary_correction,
 )
 from .channel import (
-    ChoiMatrix,
     KrausChannel,
-    LKMap,
     apply,
     canonical,
     compose,
-    compose_lk,
     from_choi,
     lk,
     to_choi,

@@ -53,19 +53,6 @@ class BoundReport:
     terms: dict = field(default_factory=dict)
     hot_truncated: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "observed": self.observed,
-            "lower": self.lower,
-            "upper": self.upper,
-            "slack_lower": self.slack_lower,
-            "slack_upper": self.slack_upper,
-            "holds": self.holds,
-            "hot_truncated": self.hot_truncated,
-            "terms": dict(self.terms),
-        }
-
 
 def make_report(
     theorem: str,
@@ -161,14 +148,21 @@ class _CircuitData:
         self.w1 = np.array([c.w1 for c in self.canons])  # Upsilon(A_i*)
         self.s_star = float(np.sum(1.0 - self.w1))  # S* = sum_i (1 - Upsilon(A_i*))
         self.ups = np.array([metrics.upsilon(c) for c in self.canons])
-        self.phis = np.array(
-            [metrics.phi(c, t) for c, t in zip(self.canons, self.targets)]
+        self.phis = np.array(  # the targets were checked by CircuitSpec
+            [metrics._phi(c, t) for c, t in zip(self.canons, self.targets)]
         )
         self.polars = [channel_polar(c) for c in circuit.channels]
         self.sigmas = [p.singular_values for p in self.polars]
         self.mean_sigma = np.array([float(np.mean(s)) for s in self.sigmas])
         self.pert = 1.0 - self.mean_sigma  # 1 - sqrt(Phi(D_i*, I))
         self.gammas = np.array([_spectrum_constants(s)[1] for s in self.sigmas])
+        # scalars that several evaluators share
+        self.pert_sum = float(np.sum(self.pert))
+        self.half_s_star_sq = 0.5 * self.s_star**2
+        self.gamma_max = float(np.max(self.gammas))
+        self.prod_ups = float(np.prod(self.ups))
+        self.sum_w1_sq = float(np.sum((1.0 - self.w1) ** 2))
+        self.sum_cross = float(np.sum((1.0 - self.w1) * (1.0 - self.phis)))
         self.composite = chn.compose(circuit.channels)
         u_c = np.eye(d, dtype=np.complex128)
         for t in self.targets:
@@ -176,12 +170,13 @@ class _CircuitData:
         self.target_c = u_c
         self.phi_c = metrics.phi(self.composite, u_c)
         self.ups_c = metrics.upsilon(self.composite)
-        lk_prod = chn.compose_lk(
-            [chn.LKMap(dim=d, a1=c.a1, weight=c.w1) for c in self.canons]
-        )
-        self.lk_prod = lk_prod
-        self.ups_star_c = lk_prod.weight  # Upsilon(A*_{m:1})
-        self.phi_star_c = lk_prod.phi_to(u_c)  # Phi(A*_{m:1}, U_{m:1})
+        # A*_{m:1}, the composed LK maps, is the one-operator map of a1_c
+        a1_c = np.eye(d, dtype=np.complex128)
+        for c in self.canons:
+            a1_c = c.a1 @ a1_c
+        self.a1_c = a1_c
+        self.ups_star_c = float(np.linalg.norm(a1_c) ** 2 / d)  # Upsilon(A*_{m:1})
+        self.phi_star_c = metrics._overlap(u_c.conj().T @ a1_c)  # Phi(A*, U_{m:1})
 
     def element_nc(self) -> bool:
         return bool(np.all(self.phis > 0.5) and np.all(self.ups**2 > 0.5))
@@ -258,7 +253,7 @@ def thm2_fid_evo(circuit: CircuitSpec, require_noncatastrophic: bool = True) -> 
     data = _data(circuit)
     _require_nc(data, require_noncatastrophic)
     observed = data.phi_c - data.phi_star_c
-    upper_star = (1.0 - data.phi_star_c) * data.s_star + 0.5 * data.s_star**2
+    upper_star = (1.0 - data.phi_star_c) * data.s_star + data.half_s_star_sq
     s2 = float(np.sum(1.0 - data.ups**2))
     upper_full = (
         0.5 * s2**2
@@ -307,8 +302,8 @@ def thm4_decoherent_features(
     d = data.d
     v = metrics._check_target(v, d)
     phi_tot = _phi_with_prefix(v, data.composite)
-    phi_vstar = float(abs(np.trace(v @ data.lk_prod.a1)) ** 2 / d**2)
-    quad = 0.5 * data.s_star**2 + (1.0 - phi_vstar) * data.s_star
+    phi_vstar = metrics._overlap(v @ data.a1_c)
+    quad = data.half_s_star_sq + (1.0 - phi_vstar) * data.s_star
     mono = make_report(
         "thm4_quasi_monotonicity",
         phi_tot,
@@ -316,12 +311,12 @@ def thm4_decoherent_features(
         float(np.min(data.phis)) + quad,
         terms={
             "min_phi_element": float(np.min(data.phis)),
-            "half_sum_sq": 0.5 * data.s_star**2,
+            "half_sum_sq": data.half_s_star_sq,
             "one_minus_phi_vstar_times_sum": (1.0 - phi_vstar) * data.s_star,
         },
         hot_truncated=False,
     )
-    phi_v = float(abs(np.trace(v)) ** 2 / d**2)
+    phi_v = metrics._overlap(v)
     phi_star_els = data.mean_sigma**2  # Phi(D_i*, I)
     sub_upper = (
         (1.0 - phi_v)
@@ -357,13 +352,13 @@ def thm5_unitarity_decay(
     the form the derivation actually controls)."""
     data = _data(circuit)
     _require_nc(data, require_noncatastrophic)
-    gamma = float(np.max(data.gammas)) if gamma_decoh_cap is None else float(gamma_decoh_cap)
-    prod_ups = float(np.prod(data.ups))
+    gamma = data.gamma_max if gamma_decoh_cap is None else float(gamma_decoh_cap)
+    prod_ups = data.prod_ups
     observed = abs(data.ups_c - prod_ups)
     t1 = (1.0 - data.ups_star_c) ** 2
-    t2 = float(np.sum((1.0 - data.w1) ** 2))
+    t2 = data.sum_w1_sq
     t3 = gamma**2 * float(np.sum(data.pert**2))
-    t4 = 2.0 * gamma**2 * float(np.sum(data.pert)) ** 2
+    t4 = 2.0 * gamma**2 * data.pert_sum**2
     upper = t1 + t2 + t3 + t4
     d2 = data.d**2
     u_c = (d2 * data.ups_c**2 - 1.0) / (d2 - 1.0)
@@ -403,14 +398,14 @@ def thm6_fidelity_decay(circuit: CircuitSpec) -> BoundReport:
     _require_decoherent(circuit)
     data = _data(circuit)
     _require_nc(data)
-    gamma = float(np.max(data.gammas))
+    gamma = data.gamma_max
     prod_phi = float(np.prod(data.phis))
     observed = abs(data.phi_c - prod_phi)
-    t1 = 0.5 * data.s_star**2
+    t1 = data.half_s_star_sq
     t2 = (1.0 - data.phi_star_c) * data.s_star
-    t3 = float(np.sum((1.0 - data.w1) * (1.0 - data.phis)))
-    t4 = gamma**2 * float(np.prod(data.mean_sigma)) * float(np.sum(data.pert)) ** 2
-    hot_gamma4 = 0.25 * gamma**4 * float(np.sum(data.pert)) ** 4
+    t3 = data.sum_cross
+    t4 = gamma**2 * float(np.prod(data.mean_sigma)) * data.pert_sum**2
+    hot_gamma4 = 0.25 * gamma**4 * data.pert_sum**4
     upper = t1 + t2 + t3 + t4
     return make_report(
         "thm6",
@@ -494,23 +489,17 @@ def thm8_equable_composition(
             raise NotNonCatastrophic(
                 "elements and the prefixed composition must be non-catastrophic"
             )
-    phi_v = float(abs(np.trace(v)) ** 2 / d**2)
-    gamma_d = float(np.max(data.gammas))
+    phi_v = metrics._overlap(v)
+    gamma_d = data.gamma_max
     gamma_c = _wse_coh_constant(v)
     centre = phi_v * float(np.prod(data.phis))
     observed = abs(phi_tot - centre)
-    phi_vstar = float(abs(np.trace(v @ data.lk_prod.a1)) ** 2 / d**2)
-    t1 = 0.5 * data.s_star**2
+    phi_vstar = metrics._overlap(v @ data.a1_c)
+    t1 = data.half_s_star_sq
     t2 = (1.0 - phi_vstar) * data.s_star
-    t3 = float(np.sum((1.0 - data.w1) * (1.0 - data.phis)))
-    t4 = (
-        2.0
-        * gamma_d
-        * gamma_c
-        * (1.0 - np.sqrt(phi_v))
-        * float(np.sum(data.pert))
-    )
-    t5 = gamma_d**2 * float(np.sum(data.pert)) ** 2
+    t3 = data.sum_cross
+    t4 = 2.0 * gamma_d * gamma_c * (1.0 - np.sqrt(phi_v)) * data.pert_sum
+    t5 = gamma_d**2 * data.pert_sum**2
     upper = t1 + t2 + t3 + t4 + t5
     return make_report(
         "thm8",
@@ -549,19 +538,18 @@ def thm9_max_correction_multi(
     for p in data.polars:
         v_c = p.unitary @ v_c
     observed = _phi_with_prefix(v_c.conj().T, data.composite)
-    gamma = float(np.max(data.gammas))
-    prod_ups = float(np.prod(data.ups))
-    sum_w1_sq = float(np.sum((1.0 - data.w1) ** 2))
+    gamma = data.gamma_max
+    prod_ups = data.prod_ups
     up = (
-        0.5 * data.s_star**2
-        + sum_w1_sq
+        data.half_s_star_sq
+        + data.sum_w1_sq
         + data.s_star * (1.0 - prod_ups)
-        + 2.0 * gamma**2 * float(np.sum(data.pert)) ** 2
+        + 2.0 * gamma**2 * data.pert_sum**2
     )
     low = -(
         gamma**2 * float(np.sum(data.pert**2))
-        + sum_w1_sq
-        + gamma**2 * float(np.prod(data.mean_sigma)) * float(np.sum(data.pert)) ** 2
+        + data.sum_w1_sq
+        + gamma**2 * float(np.prod(data.mean_sigma)) * data.pert_sum**2
     )
     return make_report(
         "thm9",

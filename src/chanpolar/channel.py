@@ -12,6 +12,7 @@ Vectorization convention (used everywhere): column stacking,
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,8 +45,9 @@ class KrausChannel:
     """A channel as a stack of d x d complex Kraus matrices.
 
     ``kraus`` has shape (k, d, d).  The trace-preserving condition
-    sum_i A_i^dag A_i = I is *not* enforced at construction (so that
-    deliberately broken inputs can be fed to :func:`validate_cptp`).
+    sum_i A_i^dag A_i = I is *not* enforced at construction: the LK map
+    of :func:`lk` is not TP, and deliberately broken inputs can be fed to
+    :func:`validate_cptp`.
     Instances are treated as immutable; the canonical view returned by
     :func:`canonical` is cached on the instance, and the canonical
     quantities below read that view.
@@ -110,53 +112,6 @@ class KrausChannel:
         return float(self.weights[0])
 
 
-@dataclass(eq=False)
-class ChoiMatrix:
-    """Choi matrix sum_ij E_ij (x) A(E_ij), a d^2 x d^2 complex matrix."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = matcore.as_complex_matrix(self.matrix, "choi")
-        if m.shape != (self.dim**2, self.dim**2):
-            raise DimensionMismatch(
-                f"choi must be {self.dim**2} x {self.dim**2}, got {m.shape}"
-            )
-        self.matrix = m
-
-
-@dataclass(eq=False)
-class LKMap:
-    """Leading-Kraus approximation: the (generally non-TP) map A_1 . A_1^dag."""
-
-    dim: int
-    a1: np.ndarray
-    weight: float
-
-    def __post_init__(self):
-        self.a1 = matcore.as_complex_matrix(self.a1, "a1")
-        top = float(np.linalg.svd(self.a1, compute_uv=False)[0]) if self.a1.size else 0.0
-        if top > 1.0 + 1e-10:
-            raise ValueError(f"LK operator has spectral radius {top:.3e} > 1")
-        w = float(np.linalg.norm(self.a1) ** 2 / self.dim)
-        if abs(w - self.weight) > 1e-10:
-            raise ValueError("weight inconsistent with ||a1||^2/d")
-
-    def phi_to(self, target: np.ndarray | None = None) -> float:
-        """Process fidelity of the LK map to a unitary target."""
-        if target is None:
-            t = np.trace(self.a1)
-        else:
-            t = np.trace(np.asarray(target).conj().T @ self.a1)
-        return float(abs(t) ** 2 / self.dim**2)
-
-    @property
-    def upsilon(self) -> float:
-        """Upsilon of the LK map equals its weight ||a1||^2/d."""
-        return self.weight
-
-
 @dataclass
 class CptpValidation:
     """Slack report for the CP and TP conditions."""
@@ -167,39 +122,29 @@ class CptpValidation:
     ok: bool
 
 
-def validate_cptp(ch: KrausChannel | ChoiMatrix) -> CptpValidation:
-    """Check complete positivity and trace preservation.
+def validate_cptp(ch: KrausChannel) -> CptpValidation:
+    """Check complete positivity and trace preservation of a Kraus channel.
 
-    ``cp_slack`` is the most negative Choi eigenvalue (0 if none); a Kraus
-    representation is CP by construction, so its slack is exactly 0.
-    ``tp_slack`` is ``||sum A_i^dag A_i - I||_2``.  ``ok`` requires
-    cp_slack >= -1e-10*d and tp_slack <= 1e-9.
+    A Kraus representation is CP by construction, so ``cp_slack`` (the most
+    negative Choi eigenvalue) is exactly 0; a Choi matrix is checked for CP
+    by :func:`from_choi`.  ``tp_slack`` is ``||sum A_i^dag A_i - I||_2``
+    and ``ok`` requires tp_slack <= 1e-9.
     """
-    if isinstance(ch, ChoiMatrix):
-        d = ch.dim
-        vals = np.linalg.eigvalsh((ch.matrix + ch.matrix.conj().T) / 2.0)
-        cp_slack = float(min(vals[0], 0.0))
-        # Tr over the output slot gives (sum A^dag A)^T
-        c = ch.matrix.reshape(d, d, d, d)  # (a, b, c, e) row (a,b) col (c,e)
-        t2 = np.einsum("abcb->ac", c)
-        tp_slack = float(np.linalg.norm(t2 - np.eye(d)))
-    else:
-        k = ch.kraus
-        d = ch.dim
-        acc = np.einsum("kij,kil->jl", k.conj(), k)
-        cp_slack = 0.0
-        tp_slack = float(np.linalg.norm(acc - np.eye(d)))
-    ok = bool(cp_slack >= -CP_EIG_TOL * d and tp_slack <= TP_TOL)
-    return CptpValidation(dim=d, cp_slack=cp_slack, tp_slack=tp_slack, ok=ok)
+    k = ch.kraus
+    acc = np.einsum("kij,kil->jl", k.conj(), k)
+    tp_slack = float(np.linalg.norm(acc - np.eye(ch.dim)))
+    return CptpValidation(
+        dim=ch.dim, cp_slack=0.0, tp_slack=tp_slack, ok=tp_slack <= TP_TOL
+    )
 
 
-def to_choi(ch: KrausChannel) -> ChoiMatrix:
-    """Choi matrix of a channel: sum over Kraus of col(A) col(A)^dag."""
+def to_choi(ch: KrausChannel) -> np.ndarray:
+    """Choi matrix sum_ij E_ij (x) A(E_ij) of a channel, the d^2 x d^2
+    ndarray sum over Kraus of col(A) col(A)^dag."""
     k = ch.kraus
     d = ch.dim
     cols = np.transpose(k, (0, 2, 1)).reshape(k.shape[0], d * d)  # rows are col(A_i)
-    c = cols.T @ cols.conj()
-    return ChoiMatrix(dim=d, matrix=c)
+    return cols.T @ cols.conj()
 
 
 def _canonical_view(ops: np.ndarray, weights: np.ndarray) -> KrausChannel:
@@ -217,15 +162,22 @@ def _canonical_view(ops: np.ndarray, weights: np.ndarray) -> KrausChannel:
     return view
 
 
-def from_choi(choi: ChoiMatrix) -> KrausChannel:
+def from_choi(choi: np.ndarray) -> KrausChannel:
     """Canonical Kraus decomposition from the Choi eigendecomposition.
 
-    Eigenvalues below ``1e-12*d`` are dropped as float noise; an eigenvalue
-    below ``-1e-10*d`` raises :class:`NotCP`.
+    ``choi`` is a finite d^2 x d^2 matrix (as returned by :func:`to_choi`);
+    another shape raises :class:`DimensionMismatch`.  Eigenvalues below
+    ``1e-12*d`` are dropped as float noise; an eigenvalue below
+    ``-1e-10*d`` raises :class:`NotCP`.
     """
-    d = choi.dim
+    m = matcore.as_complex_matrix(choi, "choi")
+    d = math.isqrt(m.shape[0])
+    if d == 0 or m.shape != (d * d, d * d):
+        raise DimensionMismatch(
+            f"choi must be d^2 x d^2 for some d >= 1, got {m.shape}"
+        )
     floor = CHOI_DROP_TOL * d
-    eig = matcore.hermitian_eig(choi.matrix, drop_floor=floor)
+    eig = matcore.hermitian_eig(m, drop_floor=floor)
     vals = eig.values
     if vals[-1] < -CP_EIG_TOL * d:
         raise NotCP(f"Choi eigenvalue {vals[-1]:.3e} below CP floor")
@@ -282,10 +234,14 @@ def canonical(ch: KrausChannel) -> KrausChannel:
     return result
 
 
-def lk(ch: KrausChannel, strict: bool = False) -> LKMap:
-    """Leading-Kraus approximation of a channel.
+def lk(ch: KrausChannel, strict: bool = False) -> KrausChannel:
+    """Leading-Kraus approximation of a channel: the generally non-TP map
+    A_1 . A_1^dag, returned as a one-operator :class:`KrausChannel` that
+    holds a copy of the canonical A_1.
 
-    Warns when the leading weight w_1 <= 1/2 (catastrophic territory, where
+    Its Phi and Upsilon are :func:`metrics.phi` and :func:`metrics.upsilon`
+    (Upsilon equals w_1), and :func:`compose` multiplies LK maps.  Warns
+    when the leading weight w_1 <= 1/2 (catastrophic territory, where
     uniqueness of the LK operator is no longer guaranteed).  With
     ``strict=True`` a degenerate leading weight raises
     :class:`DegenerateLeading`.
@@ -302,7 +258,7 @@ def lk(ch: KrausChannel, strict: bool = False) -> LKMap:
             "catastrophic territory and the LK operator may not be unique",
             stacklevel=2,
         )
-    return LKMap(dim=canon.dim, a1=canon.a1.copy(), weight=canon.w1)
+    return KrausChannel(dim=canon.dim, kraus=canon.a1[np.newaxis].copy())
 
 
 def apply(ch: KrausChannel, rho) -> np.ndarray:
@@ -344,20 +300,6 @@ def compose(channels: Sequence[KrausChannel]) -> KrausChannel:
     return acc
 
 
-def compose_lk(lks: Sequence[LKMap]) -> LKMap:
-    """Compose LK maps in circuit order by multiplying their operators."""
-    if not lks:
-        raise ValueError("need at least one LK map")
-    dims = {m.dim for m in lks}
-    if len(dims) != 1:
-        raise DimensionMismatch("composed LK maps must share a dimension")
-    d = lks[0].dim
-    acc = np.eye(d, dtype=np.complex128)
-    for m in lks:
-        acc = m.a1 @ acc
-    return LKMap(dim=d, a1=acc, weight=float(np.linalg.norm(acc) ** 2 / d))
-
-
 def to_superop(ch: KrausChannel) -> np.ndarray:
     """Column-stacking superoperator matrix sum_i A_i^* (x) A_i, acting on
     ``col(rho)``."""
@@ -395,15 +337,18 @@ def channel_to_json(ch: KrausChannel) -> dict:
     }
 
 
-def choi_to_json(choi: ChoiMatrix) -> dict:
-    return {"dim": int(choi.dim), "choi": _matrix_to_pairs(choi.matrix)}
+def choi_to_json(choi: np.ndarray) -> dict:
+    """Serialize a d^2 x d^2 Choi matrix to the Choi variant of the wire format."""
+    return {"dim": math.isqrt(choi.shape[0]), "choi": _matrix_to_pairs(choi)}
 
 
-def channel_from_json(obj: dict) -> KrausChannel | ChoiMatrix:
+def channel_from_json(obj: dict) -> KrausChannel:
     """Parse the JSON wire format.
 
-    Accepts ``{"dim": d, "kraus": [...]}`` or the Choi variant
-    ``{"dim": d, "choi": [...]}``; raises ``ValueError`` on malformed input.
+    Accepts ``{"dim": d, "kraus": [...]}``, returned as given, or the Choi
+    variant ``{"dim": d, "choi": [...]}``, returned as its canonical view
+    (:func:`from_choi`, which raises :class:`NotCP` for a non-CP matrix).
+    Raises ``ValueError`` on malformed input.
     """
     if not isinstance(obj, dict):
         raise ValueError("channel JSON must be an object")
@@ -419,8 +364,7 @@ def channel_from_json(obj: dict) -> KrausChannel | ChoiMatrix:
         mats = [_pairs_to_matrix(o, d, d, "kraus operator") for o in ops]
         return KrausChannel.from_ops(mats)
     if "choi" in obj:
-        m = _pairs_to_matrix(obj["choi"], d * d, d * d, "choi")
-        return ChoiMatrix(dim=d, matrix=m)
+        return from_choi(_pairs_to_matrix(obj["choi"], d * d, d * d, "choi"))
     raise ValueError("channel JSON needs a 'kraus' or 'choi' field")
 
 

@@ -103,8 +103,6 @@ def _read(path: str, parse=lambda obj: obj):
 def _load_channel(path: str) -> chn.KrausChannel:
     """A CPTP channel from a Kraus or Choi file."""
     ch = _read(path, chn.channel_from_json)
-    if isinstance(ch, chn.ChoiMatrix):
-        ch = chn.from_choi(ch)
     val = chn.validate_cptp(ch)
     if not val.ok:
         raise ChanPolarError(

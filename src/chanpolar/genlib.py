@@ -64,10 +64,6 @@ def random_unitary(d: int, seed) -> np.ndarray:
 # operator bases
 # ---------------------------------------------------------------------------
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
 
 def weyl_ops(d: int) -> list[np.ndarray]:
     """The d^2 Heisenberg-Weyl unitaries X^a Z^b (orthogonal basis)."""
@@ -179,18 +175,23 @@ def rotation(d: int, theta: float) -> chn.KrausChannel:
     return chn.KrausChannel(dim=d, kraus=rotation_matrix(d, theta)[np.newaxis])
 
 
-def random_unitary_error(d: int, strength: float, seed) -> chn.KrausChannel:
-    """exp(-i strength H) with H a seeded GUE draw normalized to unit
-    spectral radius; strength is then the largest rotation angle."""
-    _require(strength >= 0.0, "strength must be non-negative")
+def _gue_rotation(n: int, strength: float, seed) -> np.ndarray:
+    """exp(-i strength H) for an n x n GUE draw H normalized to unit
+    spectral radius (real then imaginary normals of the seeded stream)."""
     rng = _rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (g + g.conj().T) / 2.0
     top = float(np.abs(np.linalg.eigvalsh(h)).max())
     if top > 0:
         h = h / top
-    u = _expi_hermitian(h, -strength)
-    return chn.KrausChannel(dim=d, kraus=u[np.newaxis])
+    return _expi_hermitian(h, -strength)
+
+
+def random_unitary_error(d: int, strength: float, seed) -> chn.KrausChannel:
+    """exp(-i strength H) with H a seeded GUE draw normalized to unit
+    spectral radius; strength is then the largest rotation angle."""
+    _require(strength >= 0.0, "strength must be non-negative")
+    return chn.KrausChannel(dim=d, kraus=_gue_rotation(d, strength, seed)[np.newaxis])
 
 
 def random_cptp(
@@ -211,13 +212,7 @@ def random_cptp(
         iso = u[:, :d]
     else:
         _require(strength >= 0.0, "strength must be non-negative")
-        rng = _rng(seed)
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (g + g.conj().T) / 2.0
-        top = float(np.abs(np.linalg.eigvalsh(h)).max())
-        if top > 0:
-            h = h / top
-        iso = _expi_hermitian(h, -strength)[:, :d]
+        iso = _gue_rotation(n, strength, seed)[:, :d]
     kraus = iso.reshape(kraus_rank, d, d)
     return chn.KrausChannel(dim=d, kraus=kraus.copy())
 

@@ -54,9 +54,19 @@ def m_fidelity(ch: chn.KrausChannel, target, m) -> MFidelity:
 
 def phi(ch: chn.KrausChannel, target=None) -> float:
     """Average process fidelity Phi = sum_i |tr(U^dag A_i)|^2 / d^2."""
-    u = _check_target(target, ch.dim)
+    return _phi(ch, _check_target(target, ch.dim))
+
+
+def _phi(ch: chn.KrausChannel, u: np.ndarray) -> float:
+    """:func:`phi` against a target that :func:`_check_target` returned."""
     traces = np.einsum("kij,ij->k", ch.kraus, u.conj())  # tr(U^dag A_k)
     return float(np.sum(np.abs(traces) ** 2) / ch.dim**2)
+
+
+def _overlap(m: np.ndarray) -> float:
+    """|tr M|^2 / d^2 of a d x d matrix M: Phi of the one-operator map
+    M . M^dag against the identity."""
+    return float(abs(np.trace(m)) ** 2 / m.shape[0] ** 2)
 
 
 def avg_fidelity(phi_value: float, d: int) -> float:
@@ -124,9 +134,9 @@ def report(ch: chn.KrausChannel, target=None) -> MetricsReport:
     canon = chn.canonical(ch)
     d = canon.dim
     u = _check_target(target, d)
-    p = phi(canon, u)
+    p = _phi(canon, u)
     ups = upsilon(canon)
-    lk_phi = float(abs(np.trace(u.conj().T @ canon.a1)) ** 2 / d**2)
+    lk_phi = _overlap(canon.a1 if target is None else u.conj().T @ canon.a1)
     return MetricsReport(
         dim=d,
         phi=p,

@@ -238,9 +238,10 @@ def infidelity_split(ch: chn.KrausChannel, target=None) -> InfidelitySplit:
     d = canon.dim
     u = metrics._check_target(target, d)
     pol = channel_polar(ch)
-    phi_total = metrics.phi(canon, u)
+    phi_total = metrics._phi(canon, u)
     r = metrics.infidelity(phi_total, d)
-    phi_v = float(abs(np.trace(u.conj().T @ pol.unitary)) ** 2 / d**2)
+    v = pol.unitary
+    phi_v = metrics._overlap(v if target is None else u.conj().T @ v)
     r_coh = metrics.infidelity(phi_v, d)
     phi_d = metrics.phi(pol.decoherent_left)
     r_decoh = metrics.infidelity(phi_d, d)

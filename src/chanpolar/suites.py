@@ -395,11 +395,11 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
             p_m = (v_m.conj().T @ psd @ v_m) @ p_m
             phi_m = float(np.trace(s_m).real) / d**2
             ups_m = float(np.linalg.norm(s_m)) / d
-            phi_vm = float(abs(np.trace(v_m)) ** 2 / d**2)
+            phi_vm = metrics._overlap(v_m)
             centre = phi_vm * phi_d**m
             s_star = m * (1.0 - w1)
             pert_sum = m * (1.0 - mean_sigma)
-            phi_vstar = float(abs(np.trace(v_m @ p_m)) ** 2 / d**2)
+            phi_vstar = metrics._overlap(v_m @ p_m)
             band = (
                 0.5 * s_star**2
                 + (1.0 - phi_vstar) * s_star

@@ -70,10 +70,10 @@ def test_criterion_03_stochastic_exact_example():
         lk_prod = lk_el
         for m in range(2, 65):
             composite = chn.compose_pair(composite, el)
-            lk_prod = chn.compose_lk([lk_prod, lk_el])
+            lk_prod = chn.compose([lk_prod, lk_el])
             phi_exact = (1.0 + (1.0 - 2.0 * delta) ** m) / 2.0
             ok = ok and abs(metrics.phi(composite) - phi_exact) <= 1e-12
-            ok = ok and abs(lk_prod.phi_to() - (1.0 - delta) ** m) <= 1e-12
+            ok = ok and abs(metrics.phi(lk_prod) - (1.0 - delta) ** m) <= 1e-12
             if not ok:
                 break
     _verdict(3, ok, "composed Phi = (1+(1-2d)^m)/2 and LK Phi = (1-d)^m to 1e-12")

@@ -5,7 +5,7 @@ import pytest
 
 from chanpolar import channel as chn
 from chanpolar import genlib, matcore, metrics
-from chanpolar.errors import DegenerateLeading, DimensionMismatch
+from chanpolar.errors import DegenerateLeading, DimensionMismatch, NotCP
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -49,21 +49,18 @@ class TestValidateCptp:
         assert not rep.ok
         assert rep.tp_slack == pytest.approx(np.sqrt(2.0))  # ||2I - I||_2 at d=2
 
-    def test_choi_input(self):
-        ch = genlib.amplitude_damping(2, 0.3)
-        rep = chn.validate_cptp(chn.to_choi(ch))
-        assert rep.ok and rep.cp_slack >= -1e-12
-
 
 class TestChoiConversions:
     def test_matches_explicit_construction(self):
         ch = genlib.amplitude_damping(2, 0.19)
-        assert np.allclose(chn.to_choi(ch).matrix, explicit_choi(ch), atol=1e-12)
+        choi = chn.to_choi(ch)
+        assert isinstance(choi, np.ndarray) and choi.shape == (4, 4)
+        assert np.allclose(choi, explicit_choi(ch), atol=1e-12)
 
     def test_unitary_channel_rank_one(self):
         u = genlib.random_unitary(3, seed=4)
         ch = chn.KrausChannel(dim=3, kraus=u[np.newaxis])
-        choi = chn.to_choi(ch).matrix
+        choi = chn.to_choi(ch)
         v = chn.col(u)
         assert np.allclose(choi, np.outer(v, v.conj()), atol=1e-12)
         canon = chn.from_choi(chn.to_choi(ch))
@@ -97,7 +94,19 @@ class TestChoiConversions:
         ch = genlib.random_cptp(3, 4, seed=8)
         choi = chn.to_choi(ch)
         back = chn.to_choi(chn.from_choi(choi))
-        assert np.linalg.norm(back.matrix - choi.matrix) <= 1e-9
+        assert np.linalg.norm(back - choi) <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 9), (0, 0), (4,)])
+    def test_from_choi_wrong_shape_raises(self, shape):
+        err = ValueError if len(shape) == 1 else DimensionMismatch
+        with pytest.raises(err):
+            chn.from_choi(np.zeros(shape))
+
+    def test_from_choi_not_cp_raises(self):
+        with pytest.raises(NotCP, match="below CP floor"):
+            chn.from_choi(np.diag([1.5, 1.0, -0.5, 0.0]))
+        with pytest.raises(NotCP, match="numerically zero"):
+            chn.from_choi(np.zeros((4, 4)))
 
 
 class TestCanonical:
@@ -157,8 +166,8 @@ class TestCanonicalView:
             assert isinstance(back, chn.KrausChannel)
             assert np.max(np.abs(back.kraus - canon.kraus)) <= 1e-12
             assert np.max(np.abs(back.weights - canon.weights)) <= 1e-12
-            choi = chn.to_choi(ch).matrix
-            assert np.max(np.abs(chn.to_choi(back).matrix - choi)) <= 1e-12
+            choi = chn.to_choi(ch)
+            assert np.max(np.abs(chn.to_choi(back) - choi)) <= 1e-12
 
     def test_canonical_of_view_is_view(self):
         for ch in (genlib.random_cptp(3, 3, seed=4), genlib.amplitude_damping(2, 0.2)):
@@ -207,7 +216,7 @@ class TestFromChoiDropFloor:
             assert cut.kraus.tobytes() == full.kraus.tobytes()
             assert cut.weights.tobytes() == full.weights.tobytes()
         # the last channel's kept block straddles the floor
-        vals = matcore.hermitian_eig(choi.matrix).values
+        vals = matcore.hermitian_eig(choi).values
         n_keep = cut.n_kraus
         assert n_keep == 3 and cut.weights[-1] == pytest.approx(tiny, rel=1e-3)
         assert vals[n_keep - 1] - vals[n_keep] < matcore.DEGENERACY_TOL
@@ -227,18 +236,35 @@ class TestLk:
     def test_unitary_channel(self):
         u = genlib.random_unitary(2, seed=3)
         lkm = chn.lk(chn.KrausChannel(dim=2, kraus=u[np.newaxis]))
-        assert lkm.weight == pytest.approx(1.0)
+        assert metrics.upsilon(lkm) == pytest.approx(1.0)
         # phase-fixed copy of u: same channel action
-        assert np.allclose(np.abs(lkm.a1), np.abs(u), atol=1e-9)
+        assert np.allclose(np.abs(lkm.kraus[0]), np.abs(u), atol=1e-9)
 
     def test_extremal_dephaser_d4(self):
         lkm = chn.lk(genlib.extremal_dephaser(4))
-        assert np.allclose(lkm.a1, np.diag([0.0, 1.0, 1.0, 1.0]), atol=1e-12)
-        assert lkm.weight == pytest.approx(0.75)
+        assert np.allclose(lkm.kraus[0], np.diag([0.0, 1.0, 1.0, 1.0]), atol=1e-12)
+        assert metrics.upsilon(lkm) == pytest.approx(0.75)
 
     def test_amplitude_damping(self):
         lkm = chn.lk(genlib.amplitude_damping(2, 0.19))
-        assert np.allclose(lkm.a1, np.diag([1.0, 0.9]), atol=1e-12)
+        assert np.allclose(lkm.kraus[0], np.diag([1.0, 0.9]), atol=1e-12)
+
+    @pytest.mark.parametrize("ch", [
+        genlib.amplitude_damping(2, 0.19),
+        genlib.random_cptp(3, 4, seed=1, strength=0.2),
+        genlib.random_unitary_error(4, 0.3, seed=2),
+        genlib.depolarizing(3, 0.9),
+    ])
+    def test_one_operator_channel_of_a1(self, ch):
+        lkm = chn.lk(ch)
+        assert isinstance(lkm, chn.KrausChannel)
+        assert lkm.n_kraus == 1 and lkm.dim == ch.dim
+        assert np.array_equal(lkm.kraus[0], ch.a1)
+        # a copy: writing to the LK map leaves the canonical view intact
+        assert not np.shares_memory(lkm.kraus, chn.canonical(ch).kraus)
+        assert abs(metrics.upsilon(lkm) - ch.w1) <= 1e-15
+        # einsum over all d^2 entries against a diagonal trace: last bits differ
+        assert abs(metrics.phi(lkm) - metrics.report(ch).lk_phi) <= 1e-15
 
     def test_catastrophic_warns(self):
         ch = chn.KrausChannel.from_ops([I2 / np.sqrt(2.0), X / np.sqrt(2.0)])
@@ -265,8 +291,9 @@ class TestCompose:
         )
         comp = chn.compose([el, el])
         assert metrics.phi(comp) == pytest.approx(0.82, abs=1e-12)
-        lk_comp = chn.compose_lk([chn.lk(el), chn.lk(el)])
-        assert lk_comp.phi_to() == pytest.approx(0.81, abs=1e-12)
+        lk_comp = chn.compose([chn.lk(el), chn.lk(el)])
+        assert lk_comp.n_kraus == 1
+        assert metrics.phi(lk_comp) == pytest.approx(0.81, abs=1e-12)
 
     def test_rotation_additivity(self):
         c = chn.compose([genlib.rotation(2, 0.1), genlib.rotation(2, 0.2)])
@@ -372,9 +399,9 @@ class TestJson:
         ch = genlib.depolarizing(2, 0.8)
         obj = chn.choi_to_json(chn.to_choi(ch))
         back = chn.channel_from_json(obj)
-        assert isinstance(back, chn.ChoiMatrix)
-        canon = chn.from_choi(back)
-        assert canon.w1 == pytest.approx(0.85, abs=1e-12)  # 0.8 + 0.2/4
+        assert isinstance(back, chn.KrausChannel)
+        assert chn.canonical(back) is back  # the canonical view
+        assert back.w1 == pytest.approx(0.85, abs=1e-12)  # 0.8 + 0.2/4
 
     @pytest.mark.parametrize(
         "obj",

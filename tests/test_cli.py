@@ -55,7 +55,7 @@ class TestDecompose:
     def test_non_cp_choi_exit_3(self, tmp_path, capsys):
         bad = np.diag([1.5, 1.0, -0.5, 0.0]).astype(complex)
         p = tmp_path / "badchoi.json"
-        p.write_text(json.dumps(chn.choi_to_json(chn.ChoiMatrix(dim=2, matrix=bad))))
+        p.write_text(json.dumps(chn.choi_to_json(bad)))
         assert main(["decompose", "--in", str(p)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "domain"

@@ -266,6 +266,17 @@ class TestInfidelitySplit:
         assert split.r_decoh_from_u == pytest.approx((2 / 3) * (1 - ups), abs=1e-12)
         assert abs(split.residual) < 1e-4  # O(r^2)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_target_covariance(self, d):
+        # U o A against U splits like A against I
+        ch = genlib.random_cptp(d, 3, seed=d, strength=0.2)
+        u = genlib.random_unitary(d, seed=5)
+        moved = chn.KrausChannel(dim=d, kraus=np.einsum("ij,kjl->kil", u, ch.kraus))
+        split, ref = polar.infidelity_split(moved, u), polar.infidelity_split(ch)
+        assert split.r_coh > 1e-3
+        for name in ("r", "r_coh", "r_decoh", "residual"):
+            assert getattr(split, name) == pytest.approx(getattr(ref, name), abs=1e-12)
+
     def test_depolarizing_level_is_order_r(self):
         split = polar.infidelity_split(genlib.depolarizing(2, 0.9))
         assert split.coherence_level == pytest.approx(0.0, abs=1e-9)
