@@ -104,6 +104,7 @@ class CircuitSpec:
                 raise DimensionMismatch("one target per channel required")
             self.targets = [metrics._check_target(t, d) for t in self.targets]
         self._data = None
+        self._decoherent = False  # set by the first passed decoherence check
 
     @property
     def dim(self) -> int:
@@ -279,6 +280,8 @@ def thm2_fid_evo(circuit: CircuitSpec, require_noncatastrophic: bool = True) -> 
 
 
 def _require_decoherent(circuit: CircuitSpec):
+    if circuit._decoherent:  # a passed check holds for the circuit's lifetime
+        return
     d = circuit.dim
     eye = np.eye(d)
     for i, (c, t) in enumerate(zip(circuit.channels, circuit.targets)):
@@ -289,6 +292,7 @@ def _require_decoherent(circuit: CircuitSpec):
             )
         if not is_decoherent(c):
             raise NotDecoherent(f"circuit element {i} is not decoherent")
+    circuit._decoherent = True
 
 
 def thm4_decoherent_features(
@@ -443,7 +447,7 @@ def thm7_max_correction(
     """
     d = ch.dim
     u = metrics._check_target(target, d)
-    if not metrics.non_catastrophic(ch, u):
+    if not metrics._non_catastrophic(ch, u):
         raise NotNonCatastrophic("channel must be non-catastrophic")
     pol = channel_polar(ch)
     observed = _phi_with_prefix(pol.unitary.conj().T, chn.canonical(ch))
@@ -461,7 +465,7 @@ def thm7_max_correction(
     }
     holds_extra = True
     if optimize:
-        opt = optimize_unitary_correction(ch, target=u, budget=budget, seed=seed)
+        opt = _optimize_correction(ch, u, budget, seed)
         terms["phi_optimized"] = opt.phi_achieved
         terms["optimizer_improvement"] = opt.phi_achieved - observed
         holds_extra = opt.phi_achieved <= upper + HOLDS_TOL
@@ -680,10 +684,22 @@ def optimize_unitary_correction(
     given seed; the best value is non-decreasing in the budget (candidate
     proposals form a budget-independent prefix sequence).
     """
+    u = metrics._check_target(target, ch.dim)
+    return _optimize_correction(ch, u, budget, seed, initial_step)
+
+
+def _optimize_correction(
+    ch: chn.KrausChannel,
+    u: np.ndarray,
+    budget: int,
+    seed: int,
+    initial_step: float = 0.1,
+) -> UnitaryCorrection:
+    """:func:`optimize_unitary_correction` against a target that
+    :func:`metrics._check_target` returned."""
     d = ch.dim
     if d > 8:
         raise ValueError("optimizer is guarded to d <= 8")
-    u = metrics._check_target(target, d)
     pol = channel_polar(ch)
     w0 = u @ pol.unitary.conj().T
     uc = u.conj().T

@@ -23,6 +23,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 import time
 import traceback
@@ -39,6 +40,11 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+
+# a sweep holds every row in memory and its envelope sum is O(depth) per
+# row: depth 2*10^4 takes 7 s at d = 2 on a 2-core Xeon, so 10^5 (about
+# 100 s) keeps one run to minutes where 10^6 would take hours
+MAX_SWEEP_DEPTH = 10**5
 
 
 def _fmt(x) -> str:
@@ -90,7 +96,7 @@ def _reading(path: str):
         raise _ParseError(str(exc)) from exc
     except ChanPolarError:
         raise
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise _ParseError(f"cannot parse {path}: {exc}") from exc
 
 
@@ -114,6 +120,17 @@ def _load_channel(path: str) -> chn.KrausChannel:
 
 def _load_target(path: str | None):
     return None if path is None else _read(path, chn.unitary_from_json)
+
+
+def _finite(text: str) -> float:
+    """argparse type of ``--kappa``: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _dims(text: str) -> tuple:
@@ -305,15 +322,19 @@ def _cmd_sweep(args) -> _Result:
         if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
             raise ValueError("sweep config 'out' must be a non-empty path string")
         args.out = args.out or cfg.get("out")
-        element = genlib.make_channel(fam)
         if mode == "sigma_profile":
-            kappa = (
-                args.kappa if args.kappa is not None else float(cfg.get("kappa", 0.1))
-            )
+            kappa = cfg.get("kappa", 0.1)
+            # type() is int excludes bool; a huge int overflows isfinite
+            if type(kappa) not in (int, float) or not math.isfinite(kappa):
+                raise ValueError("sweep config 'kappa' must be a finite number")
+            kappa = args.kappa if args.kappa is not None else float(kappa)
         elif mode == "composition":
-            max_depth = int(cfg.get("max_depth", 1))
-            if max_depth < 1:
-                raise ValueError("max_depth must be >= 1")
+            max_depth = cfg.get("max_depth", 1)
+            if type(max_depth) is not int or not 1 <= max_depth <= MAX_SWEEP_DEPTH:
+                raise ValueError(
+                    f"sweep config 'max_depth' must be an integer in "
+                    f"[1, {MAX_SWEEP_DEPTH}]"
+                )
             wanted = cfg.get("metrics")
             if wanted is not None:
                 if not isinstance(wanted, list) or not all(
@@ -325,6 +346,7 @@ def _cmd_sweep(args) -> _Result:
                     raise ValueError(f"unknown metric names: {sorted(unknown)}")
         else:
             raise ValueError(f"unknown sweep mode '{mode}'")
+        element = genlib.make_channel(fam)
     notes = (_FIG3_NOTE,) if fam.family == "coherence_mix" else ()
     if mode == "sigma_profile":
         prof = suites.sigma_profile(element, kappa)
@@ -368,7 +390,7 @@ def _build_parser() -> _Parser:
     p_dec = sub.add_parser("decompose", help="canonical Kraus / LK / polar report")
     p_dec.add_argument("--in", dest="infile", required=True, metavar="PATH")
     p_dec.add_argument("--target", default=None, metavar="PATH")
-    p_dec.add_argument("--kappa", type=float, default=0.1)
+    p_dec.add_argument("--kappa", type=_finite, default=0.1)
     p_dec.add_argument("--strict-lk", action="store_true", dest="strict_lk")
 
     p_met = sub.add_parser("metrics", help="figures-of-merit report")
@@ -392,7 +414,7 @@ def _build_parser() -> _Parser:
     p_sw = sub.add_parser("sweep", help="composition / profile sweep from a config")
     p_sw.add_argument("--config", required=True, metavar="PATH")
     p_sw.add_argument("--seed", type=int, default=None, help="override config seed")
-    p_sw.add_argument("--kappa", type=float, default=None, help="override config kappa")
+    p_sw.add_argument("--kappa", type=_finite, default=None, help="override config kappa")
     for p in sub.choices.values():  # main writes every command's output
         p.add_argument("--out", default=None, metavar="PATH")
     return parser

@@ -99,9 +99,13 @@ def unitarity(upsilon_value: float, d: int) -> float:
 
 def non_catastrophic(ch: chn.KrausChannel, target=None) -> bool:
     """Phi(A, U) > 1/2 and Upsilon^2(A) > 1/2."""
-    return bool(
-        phi(ch, target) > NC_THRESHOLD and upsilon(ch) ** 2 > NC_THRESHOLD
-    )
+    return _non_catastrophic(ch, _check_target(target, ch.dim))
+
+
+def _non_catastrophic(ch: chn.KrausChannel, u: np.ndarray) -> bool:
+    """:func:`non_catastrophic` against a target that :func:`_check_target`
+    returned."""
+    return bool(_phi(ch, u) > NC_THRESHOLD and upsilon(ch) ** 2 > NC_THRESHOLD)
 
 
 @dataclass

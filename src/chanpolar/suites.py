@@ -369,7 +369,7 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
     sigma = pol.singular_values
     mean_sigma = float(np.mean(sigma))
     gamma_d = _spectrum_constants(sigma)[1]
-    phi_d = metrics.phi(pol.decoherent_left)
+    phi_d = pol.phi_decoherent
     s_el = chn.to_superop(element)
     v = pol.unitary
     psd = pol.psd

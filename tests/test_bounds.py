@@ -7,6 +7,7 @@ from chanpolar.errors import (
     NotNonCatastrophic,
     NotTraceless,
     RatioOutOfRange,
+    TargetNotUnitary,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -195,6 +196,70 @@ class TestThm7:
         rep = bounds.thm7_max_correction(genlib.rotation(2, 0.1), budget=100, seed=3)
         assert rep.observed == pytest.approx(1.0, abs=1e-12)  # W0 = R(-0.1)
         assert rep.terms["phi_optimized"] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestCheckCounts:
+    """The decoherence check runs once per circuit, the thm7 target check
+    once per call."""
+
+    @staticmethod
+    def counting(monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    def test_one_decoherence_check_per_circuit(self, monkeypatch):
+        calls = self.counting(monkeypatch, bounds, "is_decoherent")
+        circ = bounds.CircuitSpec(
+            [genlib.amplitude_damping(2, 0.1), genlib.dephasing(2, 0.02)] * 2
+        )
+        bounds.thm4_decoherent_features(circ)
+        bounds.thm6_fidelity_decay(circ)
+        bounds.thm8_equable_composition(genlib.rotation_matrix(2, 0.05), circ)
+        bounds.thm6_fidelity_decay(circ)
+        assert [c[0] for c in calls] == circ.channels
+
+    def test_failed_check_repeats_with_first_failing_element(self, monkeypatch):
+        calls = self.counting(monkeypatch, bounds, "is_decoherent")
+        circ = bounds.CircuitSpec(
+            [genlib.dephasing(2, 0.02), genlib.rotation(2, 0.1),
+             genlib.rotation(2, 0.2)]
+        )
+        for evaluate in (
+            bounds.thm4_decoherent_features,
+            bounds.thm6_fidelity_decay,
+            lambda c: bounds.thm8_equable_composition(None, c),
+        ):
+            with pytest.raises(NotDecoherent, match="element 1 is not"):
+                evaluate(circ)
+        assert len(calls) == 3 * 2  # each call stops at element 1
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_thm7_checks_target_once(self, monkeypatch, optimize):
+        calls = self.counting(monkeypatch, metrics, "_check_target")
+        u = genlib.rotation_matrix(2, 0.1)
+        bounds.thm7_max_correction(rot_deph(0.1, 0.01), u, budget=20, optimize=optimize)
+        assert len(calls) == 1 and calls[0][0] is u
+
+    def test_thm7_target_error_comes_first(self):
+        # a bad target is reported before the non-catastrophic check
+        with pytest.raises(TargetNotUnitary):
+            bounds.thm7_max_correction(genlib.rotation(2, 1.2), 2 * I2)
+        with pytest.raises(NotNonCatastrophic):
+            bounds.thm7_max_correction(genlib.rotation(2, 1.2), I2)
+
+    def test_optimizer_result_unchanged_by_thm7_route(self):
+        ch = rot_deph(0.1, 0.01)
+        u = genlib.rotation_matrix(2, 0.1)
+        rep = bounds.thm7_max_correction(ch, u, budget=60, seed=4)
+        opt = bounds.optimize_unitary_correction(ch, target=u, budget=60, seed=4)
+        assert rep.terms["phi_optimized"] == opt.phi_achieved
 
 
 class TestThm8:

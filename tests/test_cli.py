@@ -295,6 +295,66 @@ class TestSweepCmd:
         assert (tmp_path / "rows.csv.manifest.json").exists()
 
 
+class TestSweepConfigTypes:
+    """max_depth is a non-bool int in [1, MAX_SWEEP_DEPTH] and kappa a
+    finite number; anything else exits 2 before a file is written."""
+
+    ROTATION = {"family": "rotation", "dim": 2, "params": {"theta": 0.1}}
+    DEPHASER = {"family": "extremal_dephaser", "dim": 4,
+                "params": {"base_scale": 2.5e-3, "n_outliers": 1,
+                           "outlier_depth": 0.02}, "seed": 9}
+
+    def run(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(text)
+        code = main(["sweep", "--config", "cfg.json", "--out", "rows.csv"])
+        cap = capsys.readouterr()
+        return code, cap, sorted(f.name for f in tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "max_depth", ["1180591620717411303424", "1e308", "true", "2.7", '"5"',
+                      "0", "-3", "100001", "null"],
+        ids=["2**70", "1e308", "true", "2.7", "str5", "0", "-3", "cap+1", "null"],
+    )
+    def test_bad_max_depth_exit_2(self, tmp_path, monkeypatch, capsys, max_depth):
+        family = json.dumps(self.ROTATION)
+        text = f'{{"family": {family}, "max_depth": {max_depth}}}'
+        code, cap, files = self.run(tmp_path, monkeypatch, capsys, text)
+        assert code == 2
+        assert json.loads(cap.err)["error"] == "parse"
+        assert "max_depth" in json.loads(cap.err)["detail"]
+        assert cap.out == "" and files == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "kappa", ["NaN", "Infinity", "-Infinity", '"0.1"', "true", "null", "1" + "0" * 400],
+        ids=["NaN", "inf", "-inf", "str", "true", "null", "huge-int"],
+    )
+    def test_bad_kappa_exit_2(self, tmp_path, monkeypatch, capsys, kappa):
+        family = json.dumps(self.DEPHASER)
+        text = f'{{"mode": "sigma_profile", "family": {family}, "kappa": {kappa}}}'
+        code, cap, files = self.run(tmp_path, monkeypatch, capsys, text)
+        assert code == 2
+        assert json.loads(cap.err)["error"] == "parse"
+        assert cap.out == "" and files == ["cfg.json"]
+
+    def test_int_kappa_reads_as_float(self, tmp_path, monkeypatch, capsys):
+        family = json.dumps(self.DEPHASER)
+        outputs = []
+        for kappa in ("1", "1.0"):
+            text = f'{{"mode": "sigma_profile", "family": {family}, "kappa": {kappa}}}'
+            code, _, _ = self.run(tmp_path, monkeypatch, capsys, text)
+            assert code == 0
+            outputs.append((tmp_path / "rows.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flag", ["nan", "inf", "abc"])
+    def test_non_finite_kappa_flag_exit_64(self, tmp_path, capsys, flag):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"mode": "sigma_profile", "family": self.DEPHASER}))
+        assert main(["sweep", "--config", str(p), "--kappa", flag]) == 64
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+
+
 class TestStrictLk:
     def test_degenerate_leading_strict_exit_3(self, tmp_path, capsys):
         x = np.array([[0, 1], [1, 0]], dtype=complex)

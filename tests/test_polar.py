@@ -115,6 +115,14 @@ def polar_test_channel(route, d, seed):
     return genlib.random_cptp(d, 3, seed=seed, strength=0.2)
 
 
+def assert_route(ch, route):
+    """The canonical form of ch takes the given route: an orthogonal Kraus
+    family (Gram) or a non-orthogonal one (Choi eigensolver)."""
+    g = chn._gram(ch.kraus)
+    off = np.max(np.abs(g - np.diag(np.diag(g))))
+    assert (off <= chn.GRAM_ORTHO_TOL * ch.dim) == (route == "gram")
+
+
 class TestLazyFactors:
     """The channel factors are built on first read and cached."""
 
@@ -124,14 +132,18 @@ class TestLazyFactors:
             pol = polar.channel_polar(ch)
             metrics.report(ch)
             polar.equability(ch)
+            polar.infidelity_split(ch)
             polar.classify(ch)
             assert polar.channel_polar(ch) is pol
+            assert "decoherent_left" not in vars(pol)
             assert "decoherent_right" not in vars(pol)
             assert "coherent" not in vars(pol)
+            assert "phi_decoherent" in vars(pol)
 
     def test_factor_read_twice_is_same_object(self):
         pol = polar.channel_polar(genlib.random_cptp(2, 3, seed=8, strength=0.2))
-        for name in ("coherent", "decoherent_left", "decoherent_right", "lambda_re"):
+        for name in ("coherent", "decoherent_left", "decoherent_right", "lambda_re",
+                     "phi_decoherent"):
             assert getattr(pol, name) is getattr(pol, name)
 
     @pytest.mark.parametrize("route", ["gram", "choi"])
@@ -139,14 +151,57 @@ class TestLazyFactors:
     def test_bitwise_equal_to_eager_route(self, route, d):
         for seed in range(3):
             ch = polar_test_channel(route, d, seed)
-            g = chn._gram(ch.kraus)
-            off = np.max(np.abs(g - np.diag(np.diag(g))))
-            assert (off <= chn.GRAM_ORTHO_TOL * d) == (route == "gram")
+            assert_route(ch, route)
             pol = polar.channel_polar(ch)
             coh, left, right = eager_factors(ch)
             assert pol.coherent.kraus.tobytes() == coh.tobytes()
             assert pol.decoherent_left.kraus.tobytes() == left.tobytes()
             assert pol.decoherent_right.kraus.tobytes() == right.tobytes()
+
+
+class TestPhiDecoherent:
+    """Phi(D, I) from the diagonal of V^dag A_i equals, bit for bit, Phi of
+    the left factor built in full (the reference route)."""
+
+    @staticmethod
+    def assert_bitwise(ch):
+        pol = polar.channel_polar(ch)
+        fast = pol.phi_decoherent
+        assert "decoherent_left" not in vars(pol)
+        assert fast.hex() == metrics.phi(pol.decoherent_left).hex()
+
+    @pytest.mark.parametrize("route", ["gram", "choi"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    def test_small_dims(self, route, d):
+        for seed in range(4):
+            ch = polar_test_channel(route, d, seed)
+            assert_route(ch, route)
+            self.assert_bitwise(ch)
+
+    def test_randomized_extremal_dephaser_d64(self):
+        # k = 65 operators; the second draw is rotated so that V is not I
+        for seed in range(2):
+            ch = genlib.extremal_dephaser(
+                64, base_scale=2.5e-3, n_outliers=2, outlier_depth=0.02, seed=seed
+            )
+            assert ch.kraus.shape[0] == 65
+            if seed:
+                u = genlib.random_unitary(64, seed=seed + 7)
+                ch = chn.KrausChannel(dim=64, kraus=u @ ch.kraus)
+            assert_route(ch, "gram")
+            self.assert_bitwise(ch)
+
+    def test_analytic_dephaser_d256(self):
+        ch = genlib.extremal_dephaser(256)
+        assert_route(ch, "gram")
+        self.assert_bitwise(ch)
+
+    def test_split_reads_phi_decoherent(self):
+        ch = genlib.random_cptp(3, 3, seed=6, strength=0.2)
+        pol = polar.channel_polar(ch)
+        split = polar.infidelity_split(ch)
+        ref = metrics.infidelity(metrics.phi(pol.decoherent_left), 3)
+        assert split.r_decoh.hex() == ref.hex()
 
 
 class TestPolarInvariance:

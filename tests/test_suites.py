@@ -125,6 +125,13 @@ class TestCompositionSweep:
         for max_depth in (1, 255, 256, 257, 600):
             assert suites.composition_sweep(element, max_depth) == ref[:max_depth]
 
+    def test_builds_no_left_factor(self):
+        el = genlib.random_cptp(3, 3, seed=12, strength=0.05)
+        suites.composition_sweep(el, 3)
+        pol = polar.channel_polar(el)
+        assert "phi_decoherent" in vars(pol)
+        assert "decoherent_left" not in vars(pol)
+
     def test_band_matches_standalone_evaluator(self):
         # rebuild the depth-m conjugated circuit explicitly and compare the
         # incremental band against thm8_equable_composition
