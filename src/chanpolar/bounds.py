@@ -7,8 +7,7 @@ only and carry ``hot_truncated=True``; in that regime the drivers restrict
 sweeps to m^2 r_decoh^2 <= 0.1.
 
 WSE-constant convention in multi-channel bounds: the decoherence constant
-is the maximum over the elements (an explicit cap argument, when given,
-overrides it).
+is the maximum over the elements.
 """
 
 from __future__ import annotations
@@ -168,7 +167,6 @@ class _CircuitData:
         u_c = np.eye(d, dtype=np.complex128)
         for t in self.targets:
             u_c = t @ u_c
-        self.target_c = u_c
         self.phi_c = metrics.phi(self.composite, u_c)
         self.ups_c = metrics.upsilon(self.composite)
         # A*_{m:1}, the composed LK maps, is the one-operator map of a1_c
@@ -192,8 +190,8 @@ def _data(circuit: CircuitSpec) -> _CircuitData:
     return circuit._data
 
 
-def _require_nc(data: _CircuitData, require: bool = True):
-    if require and not (data.element_nc() and data.composite_nc()):
+def _require_nc(data: _CircuitData):
+    if not (data.element_nc() and data.composite_nc()):
         raise NotNonCatastrophic(
             "every element and the composition must satisfy Phi > 1/2 and "
             "Upsilon^2 > 1/2"
@@ -211,7 +209,7 @@ def _phi_with_prefix(mat: np.ndarray, ch: chn.KrausChannel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def thm1_uni_evo(circuit: CircuitSpec, require_noncatastrophic: bool = True) -> BoundReport:
+def thm1_uni_evo(circuit: CircuitSpec) -> BoundReport:
     """Upsilon^2 gap between the composition and its per-element LK
     replacement: 0 <= Ups^2(A_{m:1}) - Ups^2(A*_{m:1}) <= (1 - Ups^2(A_{m:1}))^2.
 
@@ -223,7 +221,7 @@ def thm1_uni_evo(circuit: CircuitSpec, require_noncatastrophic: bool = True) -> 
     expression), so it cannot serve as the verdict.
     """
     data = _data(circuit)
-    _require_nc(data, require_noncatastrophic)
+    _require_nc(data)
     observed = data.ups_c**2 - data.ups_star_c**2
     upper_strict = (1.0 - data.ups_star_c) ** 2
     upper = (1.0 - data.ups_c**2) ** 2
@@ -242,7 +240,7 @@ def thm1_uni_evo(circuit: CircuitSpec, require_noncatastrophic: bool = True) -> 
     )
 
 
-def thm2_fid_evo(circuit: CircuitSpec, require_noncatastrophic: bool = True) -> BoundReport:
+def thm2_fid_evo(circuit: CircuitSpec) -> BoundReport:
     """Phi gap between the composition and its LK replacement.
 
     The reported upper bound is the complete star-free form
@@ -252,7 +250,7 @@ def thm2_fid_evo(circuit: CircuitSpec, require_noncatastrophic: bool = True) -> 
     itemized in the terms.
     """
     data = _data(circuit)
-    _require_nc(data, require_noncatastrophic)
+    _require_nc(data)
     observed = data.phi_c - data.phi_star_c
     upper_star = (1.0 - data.phi_star_c) * data.s_star + data.half_s_star_sq
     s2 = float(np.sum(1.0 - data.ups**2))
@@ -346,17 +344,13 @@ def thm4_decoherent_features(
     return mono, sub
 
 
-def thm5_unitarity_decay(
-    circuit: CircuitSpec,
-    gamma_decoh_cap: float | None = None,
-    require_noncatastrophic: bool = True,
-) -> BoundReport:
+def thm5_unitarity_decay(circuit: CircuitSpec) -> BoundReport:
     """Decay law |Upsilon(A_{m:1}) - prod Upsilon(A_i)| with the four-term
     WSE envelope (gamma terms evaluated on E[sigma_i] = sqrt(Phi(D_i*, I)),
     the form the derivation actually controls)."""
     data = _data(circuit)
-    _require_nc(data, require_noncatastrophic)
-    gamma = data.gamma_max if gamma_decoh_cap is None else float(gamma_decoh_cap)
+    _require_nc(data)
+    gamma = data.gamma_max
     prod_ups = data.prod_ups
     observed = abs(data.ups_c - prod_ups)
     t1 = (1.0 - data.ups_star_c) ** 2
@@ -435,7 +429,6 @@ def thm7_max_correction(
     target=None,
     budget: int = 500,
     seed: int = 0,
-    optimize: bool = True,
 ) -> BoundReport:
     """Quasi-maximal unitary correction.
 
@@ -443,7 +436,8 @@ def thm7_max_correction(
     polar decomposition; the interval is
     [Upsilon^2 - (1-Upsilon^2)^2, Upsilon + 3/2 (1-Upsilon^2)^2].  The
     WSE-refined lower bound and the numerically optimized correction are
-    itemized in the terms.
+    itemized in the terms; ``holds`` also requires the optimized value to
+    stay below the upper end.
     """
     d = ch.dim
     u = metrics._check_target(target, d)
@@ -457,28 +451,37 @@ def thm7_max_correction(
     upper = ups + 1.5 * gap**2
     gamma = _spectrum_constants(pol.singular_values)[1]
     lower_wse = ups - (1.0 + gamma**2) * gap**2
+    opt = _optimize_correction(ch, u, budget, seed)
     terms = {
         "upsilon": ups,
         "lower_wse": lower_wse,
         "gamma_decoh": gamma,
         "phi_w0": observed,
+        "phi_optimized": opt.phi_achieved,
+        "optimizer_improvement": opt.phi_achieved - observed,
     }
-    holds_extra = True
-    if optimize:
-        opt = _optimize_correction(ch, u, budget, seed)
-        terms["phi_optimized"] = opt.phi_achieved
-        terms["optimizer_improvement"] = opt.phi_achieved - observed
-        holds_extra = opt.phi_achieved <= upper + HOLDS_TOL
     rep = make_report("thm7", observed, lower, upper, terms=terms, hot_truncated=False)
-    rep.holds = bool(rep.holds and holds_extra)
+    rep.holds = bool(rep.holds and opt.phi_achieved <= upper + HOLDS_TOL)
     return rep
 
 
-def thm8_equable_composition(
-    v,
-    circuit: CircuitSpec,
-    require_noncatastrophic: bool = True,
-) -> BoundReport:
+def _thm8_terms(s_star, phi_vstar, sum_cross, gamma_d, gamma_c, phi_v, pert_sum):
+    """The five summands t1..t5 of the Thm 8 envelope and their sum, added
+    left to right: S*^2/2, (1 - Phi(V A*)) S*, sum_cross,
+    2 gamma_d gamma_c (1 - sqrt Phi(V)) P and gamma_d^2 P^2, where P is the
+    summed per-element perturbation."""
+    terms = (
+        0.5 * s_star**2,
+        (1.0 - phi_vstar) * s_star,
+        sum_cross,
+        2.0 * gamma_d * gamma_c * (1.0 - np.sqrt(phi_v)) * pert_sum,
+        gamma_d**2 * pert_sum**2,
+    )
+    t1, t2, t3, t4, t5 = terms
+    return terms, t1 + t2 + t3 + t4 + t5
+
+
+def thm8_equable_composition(v, circuit: CircuitSpec) -> BoundReport:
     """|Phi(V o D_{m:1}, I) - Phi(V, I) prod Phi(D_i, I)| with the
     five-term WSE envelope.  The band centre Phi(V, I) prod Phi(D_i, I) is
     itemized for sweep overlays."""
@@ -488,23 +491,19 @@ def thm8_equable_composition(
     v = metrics._check_target(v, d)
     phi_tot = _phi_with_prefix(v, data.composite)
     ups_tot = metrics.upsilon(data.composite)  # v does not change Upsilon
-    if require_noncatastrophic:
-        if not data.element_nc() or not (phi_tot > 0.5 and ups_tot**2 > 0.5):
-            raise NotNonCatastrophic(
-                "elements and the prefixed composition must be non-catastrophic"
-            )
+    if not data.element_nc() or not (phi_tot > 0.5 and ups_tot**2 > 0.5):
+        raise NotNonCatastrophic(
+            "elements and the prefixed composition must be non-catastrophic"
+        )
     phi_v = metrics._overlap(v)
     gamma_d = data.gamma_max
     gamma_c = _wse_coh_constant(v)
     centre = phi_v * float(np.prod(data.phis))
     observed = abs(phi_tot - centre)
-    phi_vstar = metrics._overlap(v @ data.a1_c)
-    t1 = data.half_s_star_sq
-    t2 = (1.0 - phi_vstar) * data.s_star
-    t3 = data.sum_cross
-    t4 = 2.0 * gamma_d * gamma_c * (1.0 - np.sqrt(phi_v)) * data.pert_sum
-    t5 = gamma_d**2 * data.pert_sum**2
-    upper = t1 + t2 + t3 + t4 + t5
+    (t1, t2, t3, t4, t5), upper = _thm8_terms(
+        data.s_star, metrics._overlap(v @ data.a1_c), data.sum_cross,
+        gamma_d, gamma_c, phi_v, data.pert_sum,
+    )
     return make_report(
         "thm8",
         observed,
@@ -527,16 +526,14 @@ def thm8_equable_composition(
     )
 
 
-def thm9_max_correction_multi(
-    circuit: CircuitSpec, require_noncatastrophic: bool = True
-) -> BoundReport:
+def thm9_max_correction_multi(circuit: CircuitSpec) -> BoundReport:
     """Quasi-optimal multi-element correction W0 = U_{m:1} o (V_{m:1})^dag.
 
     ``observed`` is Phi(W0 o A_{m:1}, U_{m:1}); the envelope brackets it
     around prod Upsilon(A_i) with the displayed explicit terms.
     """
     data = _data(circuit)
-    _require_nc(data, require_noncatastrophic)
+    _require_nc(data)
     d = data.d
     v_c = np.eye(d, dtype=np.complex128)
     for p in data.polars:
@@ -589,7 +586,6 @@ def coherent_envelope(
     ratios: Sequence[float],
     d: int,
     upsilons: Sequence[float] | None = None,
-    parity: str | None = None,
 ) -> EnvelopeBounds:
     """Best/worst composite Phi from per-element ratios Phi_i / Upsilon_i.
 
@@ -609,11 +605,7 @@ def coherent_envelope(
         raise RatioOutOfRange("each Phi/Upsilon ratio must lie in (1/2, 1]")
     ups_prod = float(np.prod(upsilons)) if upsilons is not None else 1.0
     clipped = bool(np.any(x > 1.0))
-    if parity is None:
-        parity = "even" if d % 2 == 0 else "odd"
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    if parity == "even":
+    if d % 2 == 0:
         args = np.sqrt(np.minimum(x, 1.0))
         total = float(np.sum(np.arccos(args)))
         if total >= np.pi / 2.0:
@@ -666,7 +658,6 @@ class UnitaryCorrection:
     unitary: np.ndarray
     phi_achieved: float
     evaluations: int
-    budget_exhausted: bool
     improvement: float
 
 
@@ -675,25 +666,21 @@ def optimize_unitary_correction(
     target=None,
     budget: int = 500,
     seed: int = 0,
-    initial_step: float = 0.1,
 ) -> UnitaryCorrection:
     """Seeded local ascent of Phi(W o A, U) over W in SU(d).
 
     Parameterizes W = exp(-i sum_a x_a B_a) W0 over the traceless Hermitian
-    basis, seeded at the polar correction W0 = U V^dag.  Deterministic for a
-    given seed; the best value is non-decreasing in the budget (candidate
-    proposals form a budget-independent prefix sequence).
+    basis, seeded at the polar correction W0 = U V^dag, with a first step of
+    0.1.  Deterministic for a given seed; the best value is non-decreasing
+    in the budget (candidate proposals form a budget-independent prefix
+    sequence).
     """
     u = metrics._check_target(target, ch.dim)
-    return _optimize_correction(ch, u, budget, seed, initial_step)
+    return _optimize_correction(ch, u, budget, seed)
 
 
 def _optimize_correction(
-    ch: chn.KrausChannel,
-    u: np.ndarray,
-    budget: int,
-    seed: int,
-    initial_step: float = 0.1,
+    ch: chn.KrausChannel, u: np.ndarray, budget: int, seed: int
 ) -> UnitaryCorrection:
     """:func:`optimize_unitary_correction` against a target that
     :func:`metrics._check_target` returned."""
@@ -717,19 +704,14 @@ def _optimize_correction(
     best = _phi_with_prefix(uc @ w0, ch)
     f_w0 = best
     evals = 1
-    step = initial_step
+    step = 0.1
     fails = 0
-    exhausted = False
-    while step > 1e-9:
-        if evals >= budget:
-            exhausted = True
-            break
+    while step > 1e-9 and evals < budget:
         direction = rng.standard_normal(nb)
         direction /= np.linalg.norm(direction)
         improved = False
         for sign in (1.0, -1.0):
             if evals >= budget:
-                exhausted = True
                 break
             cand = best_x + sign * step * direction
             val = _phi_with_prefix(uc @ w_at(cand), ch)
@@ -751,7 +733,6 @@ def _optimize_correction(
         unitary=w_at(best_x),
         phi_achieved=best,
         evaluations=evals,
-        budget_exhausted=exhausted,
         improvement=best - f_w0,
     )
 
@@ -815,10 +796,10 @@ class LindbladStructure:
     orthogonal: bool
 
 
-def lindblad_structure(spec: LindbladSpec, tol: float = 1e-9) -> LindbladStructure:
+def lindblad_structure(spec: LindbladSpec) -> LindbladStructure:
     """Build the three vectorized generator terms and check their mutual
     orthogonality.  Requires traceless jump operators (canonicalize first
-    otherwise); orthogonality means |<X, Y>| <= tol ||X|| ||Y|| pairwise."""
+    otherwise); orthogonality means |<X, Y>| <= 1e-9 ||X|| ||Y|| pairwise."""
     for i, l in enumerate(spec.lindblad_ops):
         if abs(np.trace(l)) > 1e-9 * max(np.linalg.norm(l), 1.0):
             raise NotTraceless(
@@ -834,7 +815,7 @@ def lindblad_structure(spec: LindbladSpec, tol: float = 1e-9) -> LindbladStructu
         for b in range(a + 1, 3):
             ip = complex(np.trace(mats[a].conj().T @ mats[b]))
             inner[f"{names[a]}.{names[b]}"] = ip
-            bound = tol * np.linalg.norm(mats[a]) * np.linalg.norm(mats[b])
+            bound = 1e-9 * np.linalg.norm(mats[a]) * np.linalg.norm(mats[b])
             if abs(ip) > bound:
                 ok = False
     return LindbladStructure(

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matcore
-from .errors import DegenerateLeading, DimensionMismatch, NotCP
+from .errors import DimensionMismatch, NotCP
 
 CP_EIG_TOL = 1e-10          # per-dim floor below which CP is declared broken
 CHOI_DROP_TOL = 1e-12       # per-dim floor below which eigenvalues are noise
@@ -234,7 +234,7 @@ def canonical(ch: KrausChannel) -> KrausChannel:
     return result
 
 
-def lk(ch: KrausChannel, strict: bool = False) -> KrausChannel:
+def lk(ch: KrausChannel) -> KrausChannel:
     """Leading-Kraus approximation of a channel: the generally non-TP map
     A_1 . A_1^dag, returned as a one-operator :class:`KrausChannel` that
     holds a copy of the canonical A_1.
@@ -242,16 +242,11 @@ def lk(ch: KrausChannel, strict: bool = False) -> KrausChannel:
     Its Phi and Upsilon are :func:`metrics.phi` and :func:`metrics.upsilon`
     (Upsilon equals w_1), and :func:`compose` multiplies LK maps.  Warns
     when the leading weight w_1 <= 1/2 (catastrophic territory, where
-    uniqueness of the LK operator is no longer guaranteed).  With
-    ``strict=True`` a degenerate leading weight raises
-    :class:`DegenerateLeading`.
+    uniqueness of the LK operator is no longer guaranteed).  A degenerate
+    leading weight is reported by ``degenerate_leading``, and
+    ``polar.channel_polar(ch, strict=True)`` refuses it.
     """
     canon = canonical(ch)
-    if canon.degenerate_leading:
-        if strict:
-            raise DegenerateLeading(
-                "leading Kraus weight is degenerate (w1 - w2 < 1e-10)"
-            )
     if canon.w1 <= 0.5:
         warnings.warn(
             f"leading Kraus weight {canon.w1:.4f} <= 1/2: channel is in "
@@ -316,8 +311,9 @@ def to_superop(ch: KrausChannel) -> np.ndarray:
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
-    flat = np.asarray(m).flatten(order="C")
-    return [[float(z.real), float(z.imag)] for z in flat]
+    """Row-major [re, im] pairs of Python floats."""
+    flat = np.asarray(m, dtype=np.complex128).ravel()
+    return np.stack([flat.real, flat.imag], 1).tolist()
 
 
 def _pairs_to_matrix(pairs, rows: int, cols: int, name: str) -> np.ndarray:

@@ -220,7 +220,7 @@ def _decompose_report(ch: chn.KrausChannel, target, kappa: float, strict: bool) 
             "unique": pol.unique,
             "singular_values": [float(s) for s in pol.singular_values],
         },
-        "decoherent": polar.is_decoherent(ch),
+        "decoherent": cls.decoherent,
         "equability": eq,
         "metrics": rep.as_dict(),
         "infidelity_split": split.as_dict(),

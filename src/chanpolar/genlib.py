@@ -349,25 +349,21 @@ class FamilySpec:
     params: dict = field(default_factory=dict)
     seed: int | None = None
 
-    def as_dict(self) -> dict:
-        out = {"family": self.family, "dim": self.dim, "params": dict(self.params)}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
     @classmethod
     def from_dict(cls, obj: dict) -> "FamilySpec":
+        """Parse a spec; ``dim`` must be an integer >= 1 and ``seed``, when
+        present, an integer >= 0 (``ValueError`` otherwise)."""
         if not isinstance(obj, dict) or "family" not in obj or "dim" not in obj:
             raise ValueError("family spec needs 'family' and 'dim' fields")
         fam = obj["family"]
         if fam not in FAMILIES:
             raise ValueError(f"unknown family '{fam}'")
-        return cls(
-            family=fam,
-            dim=int(obj["dim"]),
-            params=dict(obj.get("params", {})),
-            seed=obj.get("seed"),
-        )
+        dim, seed = obj["dim"], obj.get("seed")
+        if type(dim) is not int or dim < 1:  # type() is int excludes bool
+            raise ValueError("family 'dim' must be an integer >= 1")
+        if "seed" in obj and (type(seed) is not int or seed < 0):
+            raise ValueError("family 'seed' must be an integer >= 0")
+        return cls(family=fam, dim=dim, params=dict(obj.get("params", {})), seed=seed)
 
 
 def make_channel(spec: FamilySpec) -> chn.KrausChannel:

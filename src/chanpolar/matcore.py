@@ -54,13 +54,13 @@ def fix_entry_phase(op: np.ndarray) -> np.ndarray:
     return op * (np.conj(val) / abs(val))
 
 
-def fix_trace_phase(op: np.ndarray, tol: float = PHASE_TRACE_TOL) -> np.ndarray:
+def fix_trace_phase(op: np.ndarray) -> np.ndarray:
     """Rotate a global phase so tr(op) is real positive.
 
-    Falls back to :func:`fix_entry_phase` when |tr| <= tol.
+    Falls back to :func:`fix_entry_phase` when |tr| <= ``PHASE_TRACE_TOL``.
     """
     t = np.trace(op)
-    if abs(t) > tol:
+    if abs(t) > PHASE_TRACE_TOL:
         return op * (np.conj(t) / abs(t))
     return fix_entry_phase(op)
 
@@ -80,7 +80,6 @@ class HermitianEig:
 
     values: np.ndarray
     vectors: np.ndarray
-    degenerate: bool
 
 
 def _lex_key(col: np.ndarray):
@@ -92,28 +91,29 @@ def _lex_key(col: np.ndarray):
     return tuple(out)
 
 
-def hermitian_eig(
-    m, rtol: float = HERMITICITY_RTOL, drop_floor: float = -np.inf
-) -> HermitianEig:
+def _require_hermitian(a: np.ndarray, name: str):
+    if np.linalg.norm(a - a.conj().T) > HERMITICITY_RTOL * max(np.linalg.norm(a), 1e-300):
+        raise NotHermitian(f"{name} is not Hermitian within tolerance")
+
+
+def hermitian_eig(m, drop_floor: float = -np.inf) -> HermitianEig:
     """Eigendecompose a Hermitian matrix; descending, deterministic order.
 
     A caller that discards every eigenvalue at or below ``drop_floor``
     passes that floor: degenerate blocks lying entirely at or below it are
     then left in solver order.  A block that straddles the floor is still
     ordered whole, so the columns above it are the same as without the
-    floor; ``degenerate`` still reports every degenerate block.
+    floor.
 
     Raises
     ------
     NotHermitian
-        when ``||M - M^dag||_2 > rtol * ||M||_2``.
+        when ``||M - M^dag||_2 > HERMITICITY_RTOL * ||M||_2``.
     NoConvergence
         when the underlying solver fails to converge.
     """
     a = _require_square(as_complex_matrix(m, "M"), "M")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > rtol * max(scale, 1e-300):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
+    _require_hermitian(a, "matrix")
     h = (a + a.conj().T) / 2.0
     try:
         w, v = np.linalg.eigh(h)
@@ -131,20 +131,17 @@ def hermitian_eig(
     v = v * phases[np.newaxis, :]
 
     # deterministic order inside degenerate blocks
-    degenerate = False
     n = w.size
     start = 0
     while start < n:
         stop = start + 1
         while stop < n and w[stop - 1] - w[stop] < DEGENERACY_TOL:
             stop += 1
-        if stop - start > 1:
-            degenerate = True
-            if w[start] > drop_floor:
-                order = sorted(range(start, stop), key=lambda j: _lex_key(v[:, j]))
-                v[:, start:stop] = v[:, order]
+        if stop - start > 1 and w[start] > drop_floor:
+            order = sorted(range(start, stop), key=lambda j: _lex_key(v[:, j]))
+            v[:, start:stop] = v[:, order]
         start = stop
-    return HermitianEig(values=w, vectors=v, degenerate=degenerate)
+    return HermitianEig(values=w, vectors=v)
 
 
 @dataclass(eq=False)
@@ -234,55 +231,57 @@ def _max_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[-1])
 
 
-def check_trace_inequality(a, b, tol: float = INEQ_TOL) -> InequalityCheck:
-    """tr(AB)/d against rho_B tr(A)/d + rho_A tr(B)/d - rho_A rho_B.
-
-    A and B must be Hermitian; the eigenvalue caps rho are the largest
-    (signed) eigenvalues.  ``holds`` means lhs >= rhs - tol.
-    """
+def _square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The operands of an inequality check as square matrices of one size."""
     a = _require_square(as_complex_matrix(a, "A"), "A")
     b = _require_square(as_complex_matrix(b, "B"), "B")
     if a.shape != b.shape:
         raise ValueError("A and B must share a dimension")
-    for m, name in ((a, "A"), (b, "B")):
-        if np.linalg.norm(m - m.conj().T) > HERMITICITY_RTOL * max(np.linalg.norm(m), 1e-300):
-            raise NotHermitian(f"{name} is not Hermitian within tolerance")
+    return a, b
+
+
+def check_trace_inequality(a, b) -> InequalityCheck:
+    """tr(AB)/d against rho_B tr(A)/d + rho_A tr(B)/d - rho_A rho_B.
+
+    A and B must be Hermitian; the eigenvalue caps rho are the largest
+    (signed) eigenvalues.  ``holds`` means lhs >= rhs - ``INEQ_TOL``.
+    """
+    a, b = _square_pair(a, b)
+    _require_hermitian(a, "A")
+    _require_hermitian(b, "B")
     d = a.shape[0]
     rho_a = _max_eigenvalue(a)
     rho_b = _max_eigenvalue(b)
     lhs = float(np.trace(a @ b).real) / d
     rhs = rho_b * float(np.trace(a).real) / d + rho_a * float(np.trace(b).real) / d - rho_a * rho_b
-    return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs - tol))
+    return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs - INEQ_TOL))
 
 
-def check_vn_inequality(a, b, tol: float = INEQ_TOL) -> InequalityCheck:
+def check_vn_inequality(a, b) -> InequalityCheck:
     """|tr(AB)/d| against min(rho_B tr|A|/d, rho_A tr|B|/d).
 
     The spectral radii rho and the trace norms come from singular values.
-    ``holds`` means lhs <= rhs + tol.
+    ``holds`` means lhs <= rhs + ``INEQ_TOL``.
     """
-    a = _require_square(as_complex_matrix(a, "A"), "A")
-    b = _require_square(as_complex_matrix(b, "B"), "B")
-    if a.shape != b.shape:
-        raise ValueError("A and B must share a dimension")
+    a, b = _square_pair(a, b)
     d = a.shape[0]
     sa = np.linalg.svd(a, compute_uv=False)
     sb = np.linalg.svd(b, compute_uv=False)
     lhs = abs(np.trace(a @ b)) / d
     rhs = min(sb[0] * sa.sum() / d, sa[0] * sb.sum() / d)
-    return InequalityCheck(lhs=float(lhs), rhs=float(rhs), holds=bool(lhs <= rhs + tol))
+    return InequalityCheck(
+        lhs=float(lhs), rhs=float(rhs), holds=bool(lhs <= rhs + INEQ_TOL)
+    )
 
 
-def check_norm_inequality(a, b, tol: float = INEQ_TOL) -> NormInequalityCheck:
+def check_norm_inequality(a, b) -> NormInequalityCheck:
     """||A||^2/d + ||B||^2/d - 1  <=  ||AB||^2/d  <=  min(||A||^2, ||B||^2)/d.
 
     Both operands must be contractions (largest singular value at most
-    1 + 1e-10), else :class:`NotContraction` is raised.
+    1 + 1e-10), else :class:`NotContraction` is raised.  ``holds`` allows
+    ``INEQ_TOL`` on either side.
     """
-    a = _require_square(as_complex_matrix(a, "A"), "A")
-    b = _require_square(as_complex_matrix(b, "B"), "B")
-    if a.shape != b.shape:
-        raise ValueError("A and B must share a dimension")
+    a, b = _square_pair(a, b)
     d = a.shape[0]
     for m, name in ((a, "A"), (b, "B")):
         top = np.linalg.svd(m, compute_uv=False)[0]
@@ -293,5 +292,5 @@ def check_norm_inequality(a, b, tol: float = INEQ_TOL) -> NormInequalityCheck:
     nab = np.linalg.norm(a @ b) ** 2 / d
     lower = na + nb - 1.0
     upper = min(na, nb)
-    holds = bool(lower - tol <= nab <= upper + tol)
+    holds = bool(lower - INEQ_TOL <= nab <= upper + INEQ_TOL)
     return NormInequalityCheck(lower=float(lower), product=float(nab), upper=float(upper), holds=holds)

@@ -84,10 +84,7 @@ def upsilon(ch: chn.KrausChannel) -> float:
 
     Over the canonical decomposition this reduces to sqrt(sum_i w_i^2).
     """
-    k = ch.kraus
-    flat = k.reshape(k.shape[0], -1)
-    g = flat.conj() @ flat.T
-    return float(np.linalg.norm(g) / ch.dim)
+    return float(np.linalg.norm(chn._gram(ch.kraus)) / ch.dim)
 
 
 def unitarity(upsilon_value: float, d: int) -> float:

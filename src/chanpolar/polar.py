@@ -136,13 +136,13 @@ def channel_polar(ch: chn.KrausChannel, strict: bool = False) -> ChannelPolar:
     return result
 
 
-def is_decoherent(ch: chn.KrausChannel, tol: float = DECOHERENT_TOL) -> bool:
+def is_decoherent(ch: chn.KrausChannel) -> bool:
     """True iff the leading Kraus operator is positive semi-definite
-    (Hermitian within tol, smallest eigenvalue >= -tol)."""
+    (Hermitian within ``DECOHERENT_TOL``, smallest eigenvalue >= -tol)."""
     a1 = ch.a1
-    if np.linalg.norm(a1 - a1.conj().T) > tol:
+    if np.linalg.norm(a1 - a1.conj().T) > DECOHERENT_TOL:
         return False
-    return bool(np.linalg.eigvalsh((a1 + a1.conj().T) / 2.0)[0] >= -tol)
+    return bool(np.linalg.eigvalsh((a1 + a1.conj().T) / 2.0)[0] >= -DECOHERENT_TOL)
 
 
 @dataclass
@@ -279,17 +279,17 @@ def infidelity_split(ch: chn.KrausChannel, target=None) -> InfidelitySplit:
     )
 
 
-def is_decoherence_limited(ch: chn.KrausChannel, target=None, c: float = 1.0) -> bool:
+def is_decoherence_limited(ch: chn.KrausChannel, target=None) -> bool:
     """True iff the Upsilon-Phi gap is second order in the infidelity.
 
-    Implemented as Upsilon - Phi <= c * (1 - Phi)^2, i.e. the gap is
+    Implemented as Upsilon - Phi <= (1 - Phi)^2 + 1e-12, i.e. the gap is
     measured against the squared *process* infidelity (1 - Phi differs
     from the average infidelity r only by the factor (d+1)/d, so the
-    predicate is the same up to the constant c).
+    predicate is the same up to that constant).
     """
     p = metrics.phi(ch, target)
     ups = metrics.upsilon(ch)
-    return bool(ups - p <= c * (1.0 - p) ** 2 + 1e-12)
+    return bool(ups - p <= (1.0 - p) ** 2 + 1e-12)
 
 
 @dataclass

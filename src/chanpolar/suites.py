@@ -16,6 +16,7 @@ from . import bounds, channel as chn, genlib, matcore, metrics
 from .polar import _spectrum_constants, channel_polar
 
 REGIME_CAP = 0.1  # sweeps restrict to m^2 r_decoh^2 <= this
+THEOREM_DEPTHS = (2, 4, 8, 16, 32)  # circuit depths of theorem_suite
 _SWEEP_BLOCK = 256  # depths per stacked eigvalsh in composition_sweep
 
 
@@ -185,21 +186,17 @@ def _decoherent_circuit(d: int, m: int, rng: np.random.Generator):
     return bounds.CircuitSpec(channels)
 
 
-def theorem_suite(
-    dims=(2, 3),
-    trials: int = 500,
-    seed: int = 0,
-    depths=(2, 4, 8, 16, 32),
-) -> list[CaseResult]:
+def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[CaseResult]:
     """Thm 1/2/5/9 on general circuits plus Thm 4/6/8 on decoherent ones.
 
-    ``trials`` circuits per dimension, split evenly over the depths;
-    element infidelities stay below 1e-2 and within m^2 r^2 <= 0.1.
+    ``trials`` circuits per dimension, split evenly over
+    ``THEOREM_DEPTHS``; element infidelities stay below 1e-2 and within
+    m^2 r^2 <= 0.1.
     """
     out = []
-    per = max(1, trials // len(depths))
+    per = max(1, trials // len(THEOREM_DEPTHS))
     for d in dims:
-        for m in depths:
+        for m in THEOREM_DEPTHS:
             for t in range(per):
                 rng = np.random.default_rng([seed, d, m, t])
                 tag = f"d{d}/m{m}/t{t}"
@@ -306,10 +303,9 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Cas
 SUITES = ("lemmas", "theorems", "appendix", "all")
 
 
-def run_suite(
-    name: str, dims=None, trials: int = 100, seed: int = 0, budget: int = 200
-) -> list[CaseResult]:
-    """Dispatch a named verification suite."""
+def run_suite(name: str, dims=None, trials: int = 100, seed: int = 0) -> list[CaseResult]:
+    """Dispatch a named verification suite (the Thm 7 optimizer gets a
+    budget of 200 evaluations)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite '{name}'")
     cases = []
@@ -318,7 +314,7 @@ def run_suite(
     if name in ("theorems", "all"):
         thm_dims = tuple(d for d in (dims or (2, 3)) if d <= 8)
         cases += theorem_suite(thm_dims, trials, seed)
-        cases += thm7_suite(thm_dims, max(1, trials // 5), seed, budget=budget)
+        cases += thm7_suite(thm_dims, max(1, trials // 5), seed, budget=200)
         cases += lindblad_suite(tuple(d for d in (dims or (2, 3, 4)) if d <= 8),
                                 max(1, trials // 2), seed)
     if name in ("appendix", "all"):
@@ -399,14 +395,10 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
             centre = phi_vm * phi_d**m
             s_star = m * (1.0 - w1)
             pert_sum = m * (1.0 - mean_sigma)
-            phi_vstar = metrics._overlap(v_m @ p_m)
-            band = (
-                0.5 * s_star**2
-                + (1.0 - phi_vstar) * s_star
-                + m * (1.0 - w1) * (1.0 - phi_d)
-                + 2.0 * gamma_d * gamma_c * (1.0 - np.sqrt(phi_vm)) * pert_sum
-                + gamma_d**2 * pert_sum**2
-            )
+            band = bounds._thm8_terms(
+                s_star, metrics._overlap(v_m @ p_m), s_star * (1.0 - phi_d),
+                gamma_d, gamma_c, phi_vm, pert_sum,
+            )[1]
             if ratio > 0.5:
                 env = bounds.coherent_envelope(ratios[:m], d, upsilons=upsilons[:m])
                 coh_lower = env.lower

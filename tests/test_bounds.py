@@ -240,11 +240,10 @@ class TestCheckCounts:
                 evaluate(circ)
         assert len(calls) == 3 * 2  # each call stops at element 1
 
-    @pytest.mark.parametrize("optimize", [True, False])
-    def test_thm7_checks_target_once(self, monkeypatch, optimize):
+    def test_thm7_checks_target_once(self, monkeypatch):
         calls = self.counting(monkeypatch, metrics, "_check_target")
         u = genlib.rotation_matrix(2, 0.1)
-        bounds.thm7_max_correction(rot_deph(0.1, 0.01), u, budget=20, optimize=optimize)
+        bounds.thm7_max_correction(rot_deph(0.1, 0.01), u, budget=20)
         assert len(calls) == 1 and calls[0][0] is u
 
     def test_thm7_target_error_comes_first(self):

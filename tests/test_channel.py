@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chanpolar import channel as chn
-from chanpolar import genlib, matcore, metrics
+from chanpolar import genlib, matcore, metrics, polar
 from chanpolar.errors import DegenerateLeading, DimensionMismatch, NotCP
 
 I2 = np.eye(2, dtype=complex)
@@ -272,9 +272,14 @@ class TestLk:
             chn.lk(ch)
 
     def test_strict_degenerate_raises(self):
+        # lk reports a degenerate leading weight through the flag; the
+        # strict refusal is channel_polar's
         ch = chn.KrausChannel.from_ops([X / np.sqrt(2.0), Y / np.sqrt(2.0)])
+        assert ch.degenerate_leading
+        with pytest.warns(UserWarning, match="catastrophic"):
+            assert chn.lk(ch).kraus.shape == (1, 2, 2)
         with pytest.raises(DegenerateLeading):
-            chn.lk(ch, strict=True)
+            polar.channel_polar(ch, strict=True)
 
 
 class TestCompose:
@@ -394,6 +399,21 @@ class TestJson:
         back = chn.channel_from_json(json.loads(text))
         assert isinstance(back, chn.KrausChannel)
         assert np.allclose(back.kraus, ch.kraus, atol=0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 16), (1, 1)])
+    def test_pairs_equal_per_entry_route(self, shape):
+        # reference: the per-entry conversion the wire format used to make
+        rng = np.random.default_rng(list(shape))
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m.real[0, 0], m.imag[-1, -1] = -0.0, 0.0
+        m.flat[m.size // 2] = complex(0.0, -0.0)
+        for mat in (m, m.T, m.real):  # m.T and m.real are strided views
+            ref = [[float(z.real), float(z.imag)] for z in np.asarray(mat).flatten()]
+            pairs = chn._matrix_to_pairs(mat)
+            assert pairs == ref
+            assert all(type(x) is float for pair in pairs for x in pair)
+            # == does not see the sign of zero; the JSON text does
+            assert json.dumps(pairs) == json.dumps(ref)
 
     def test_choi_variant(self):
         ch = genlib.depolarizing(2, 0.8)

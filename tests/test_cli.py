@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chanpolar import channel as chn
-from chanpolar import genlib
+from chanpolar import genlib, polar
 from chanpolar.cli import main
 
 
@@ -59,6 +59,21 @@ class TestDecompose:
         assert main(["decompose", "--in", str(p)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "domain"
+
+    def test_one_decoherence_check(self, tmp_path, monkeypatch, capsys):
+        # the "decoherent" field is classify's verdict, not a second check
+        calls = []
+        is_decoherent = polar.is_decoherent
+        monkeypatch.setattr(
+            polar, "is_decoherent", lambda ch: calls.append(ch) or is_decoherent(ch)
+        )
+        for ch, expected in ((genlib.amplitude_damping(2, 0.19), True),
+                             (genlib.rotation(2, 0.3), False)):
+            calls.clear()
+            p = write_channel(tmp_path / "in.json", ch)
+            assert main(["decompose", "--in", p]) == 0
+            assert json.loads(capsys.readouterr().out)["decoherent"] is expected
+            assert len(calls) == 1
 
     def test_output_file_and_manifest(self, tmp_path):
         p = write_channel(tmp_path / "dep.json", genlib.depolarizing(2, 0.9))
@@ -346,6 +361,32 @@ class TestSweepConfigTypes:
             assert code == 0
             outputs.append((tmp_path / "rows.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "dim", ['"2"', "2.9", "2.0", "true", "0", "-1", "null", "[2]"],
+        ids=["str2", "2.9", "2.0", "true", "0", "-1", "null", "list"],
+    )
+    def test_bad_family_dim_exit_2(self, tmp_path, monkeypatch, capsys, dim):
+        family = json.dumps(self.ROTATION).replace('"dim": 2', f'"dim": {dim}')
+        text = f'{{"family": {family}, "max_depth": 3}}'
+        code, cap, files = self.run(tmp_path, monkeypatch, capsys, text)
+        assert code == 2
+        assert json.loads(cap.err)["error"] == "parse"
+        assert "'dim'" in json.loads(cap.err)["detail"]
+        assert cap.out == "" and files == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "seed", ["true", "false", "-1", "1.5", "9.0", '"9"', "null", "[9]"],
+        ids=["true", "false", "-1", "1.5", "9.0", "str9", "null", "list"],
+    )
+    def test_bad_family_seed_exit_2(self, tmp_path, monkeypatch, capsys, seed):
+        family = json.dumps(self.DEPHASER).replace('"seed": 9', f'"seed": {seed}')
+        text = f'{{"mode": "sigma_profile", "family": {family}}}'
+        code, cap, files = self.run(tmp_path, monkeypatch, capsys, text)
+        assert code == 2
+        assert json.loads(cap.err)["error"] == "parse"
+        assert "'seed'" in json.loads(cap.err)["detail"]
+        assert cap.out == "" and files == ["cfg.json"]
 
     @pytest.mark.parametrize("flag", ["nan", "inf", "abc"])
     def test_non_finite_kappa_flag_exit_64(self, tmp_path, capsys, flag):

@@ -1,0 +1,138 @@
+"""Seeded fuzzing of the CLI exit-code contract.
+
+Each case applies one to three JSON-level mutations to a file of
+``tests/golden/inputs`` and runs ``decompose``, ``metrics`` or ``sweep`` on
+it in-process.  Every case must end in exit 0, 1, 2, 3 or 64, never in 70
+(an internal error); on exit 2 or 64 stderr holds exactly one JSON error
+line and no data is written, neither to stdout nor to a file.
+"""
+
+import copy
+import json
+import math
+import random
+from pathlib import Path
+
+from chanpolar.cli import main
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+N_CASES = 400
+# the base sweep configs are cut to this depth, and no replacement value is
+# a large integer: a mutated dim or max_depth must not allocate or run long
+# before its check (large values are tested against the schema in test_cli)
+MAX_DEPTH = 40
+VALUES = (
+    None, True, False, 0, 1, -1, 2, 3, 5, 0.5, -0.0, 2.5, 1e308, -1e308,
+    math.nan, math.inf, "", "x", "2", "rotation", [], {}, [1.0, 0.0], {"dim": 2},
+)
+KEYS = ("dim", "seed", "params", "family", "mode", "max_depth", "kappa",
+        "metrics", "out", "kraus", "choi", "unitary", "junk")
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _set(doc, path, value):
+    if not path:
+        return value
+    _get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _tweak(x, rng):
+    """A nearby number, or now and then a retyped one."""
+    if rng.random() < 0.75:
+        return rng.choice([-x, x * 1.5, x + 1, x - 1, x / 2, 0 * x, x * (1 + 1e-9)])
+    if isinstance(x, int):
+        return rng.choice([float(x), str(x), [x]])
+    return rng.choice([int(x) if math.isfinite(x) else 0, str(x), [x]])
+
+
+def _mutate(doc, rng):
+    """One random mutation of ``doc``; returns (doc, description)."""
+    paths = list(_paths(doc))
+    leaves = [p for p in paths if not isinstance(_get(doc, p), (dict, list))] or paths
+    shallow = [p for p in paths if len(p) <= 2]  # the structural fields
+    path = rng.choice(rng.choice([leaves, leaves, shallow, paths]))
+    node = _get(doc, path)
+    op = rng.choice(["replace", "delete", "duplicate", "tweak", "tweak", "add"])
+    if op == "delete" and path:
+        parent = _get(doc, path[:-1])
+        del parent[path[-1]]
+    elif op == "duplicate" and isinstance(node, list) and node:
+        node.append(copy.deepcopy(rng.choice(node)))
+    elif op == "tweak" and type(node) in (int, float):
+        doc = _set(doc, path, _tweak(node, rng))
+    elif op == "add" and isinstance(node, dict):
+        node[rng.choice(KEYS)] = rng.choice(VALUES)
+    else:
+        op = "replace"
+        doc = _set(doc, path, rng.choice(VALUES))
+    return doc, f"{op} {list(path)}"
+
+
+def _cases():
+    rng = random.Random(0)
+    bases = {p.name: json.loads(p.read_text()) for p in sorted(INPUTS.glob("*.json"))}
+    for doc in bases.values():
+        if "max_depth" in doc:
+            doc["max_depth"] = min(doc["max_depth"], MAX_DEPTH)
+    names = sorted(bases)
+    for i in range(N_CASES):
+        name = rng.choice(names)
+        doc = copy.deepcopy(bases[name])
+        log = []
+        for _ in range(rng.randint(1, 3)):
+            doc, what = _mutate(doc, rng)
+            log.append(what)
+        text = json.dumps(doc)
+        if rng.random() < 0.05:
+            cut = rng.randrange(len(text))
+            text = text[:cut]
+            log.append(f"truncate at {cut}")
+        if name.startswith("sweep"):
+            argv = ["sweep", "--config", "{path}"]
+        elif name.startswith("target"):
+            argv = [rng.choice(["metrics", "decompose"]),
+                    "--in", str(INPUTS / "random_unitary_error-d3.json"),
+                    "--target", "{path}"]
+        else:
+            argv = [rng.choice(["metrics", "decompose"]), "--in", "{path}"]
+            if name.endswith("-d3.json") and rng.random() < 0.3:
+                argv += ["--target", str(INPUTS / "target-d3.json")]
+        if rng.random() < 0.5:
+            argv += ["--out", "data.out"]
+        yield i, name, log, text, argv
+
+
+def test_exit_code_contract(tmp_path, monkeypatch, capsys):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for i, name, log, text, argv in _cases():
+        src = inputs / f"{i}-{name}"
+        src.write_text(text)
+        work = tmp_path / f"run{i}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code = main([str(src) if a == "{path}" else a for a in argv])
+        cap = capsys.readouterr()
+        where = f"case {i}: {name} {log} argv={argv[0]} -> exit {code}\n{text[:300]}"
+        assert code in (0, 1, 2, 3, 64), where + "\n" + cap.err[-2000:]
+        if code in (2, 64):
+            lines = cap.err.splitlines()
+            assert len(lines) == 1, where + "\n" + cap.err
+            assert set(json.loads(lines[0])) == {"error", "detail"}, where
+            assert cap.out == "", where
+            assert list(work.iterdir()) == [], where

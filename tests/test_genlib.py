@@ -199,8 +199,15 @@ class TestCoherenceMix:
 class TestFamilySpec:
     def test_json_round_trip(self):
         spec = genlib.FamilySpec("depolarizing", 2, {"p": 0.9}, seed=3)
-        back = genlib.FamilySpec.from_dict(spec.as_dict())
-        assert back == spec
+        obj = {"family": "depolarizing", "dim": 2, "params": {"p": 0.9}, "seed": 3}
+        assert genlib.FamilySpec.from_dict(obj) == spec
+        del obj["seed"]
+        assert genlib.FamilySpec.from_dict(obj) == genlib.FamilySpec(
+            "depolarizing", 2, {"p": 0.9}
+        )
+        assert genlib.FamilySpec.from_dict({"family": "identity", "dim": 3}) == (
+            genlib.FamilySpec("identity", 3)
+        )
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

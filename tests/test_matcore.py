@@ -56,7 +56,6 @@ class TestHermitianEig:
         m = u @ np.diag([2.0, 1.0, 1.0]) @ u.conj().T
         e1 = matcore.hermitian_eig(m)
         e2 = matcore.hermitian_eig(m.copy())
-        assert e1.degenerate
         assert e1.vectors.tobytes() == e2.vectors.tobytes()
 
     @pytest.mark.parametrize("d", [6, 9, 16])
@@ -82,7 +81,6 @@ class TestHermitianEig:
             cut = matcore.hermitian_eig(m, drop_floor=floor)
             assert len(calls) == ordered
             assert cut.values.tobytes() == full.values.tobytes()
-            assert cut.degenerate is full.degenerate is True
             keep = full.values > floor
             assert keep.sum() == 4
             assert cut.vectors[:, keep].tobytes() == full.vectors[:, keep].tobytes()
