@@ -31,6 +31,7 @@ from .errors import (
 from .polar import _spectrum_constants, channel_polar, is_decoherent
 
 HOLDS_TOL = 1e-9
+OPTIMIZER_MAX_DIM = 8  # the unitary-correction optimizer refuses larger d
 
 
 @dataclass
@@ -119,14 +120,14 @@ def _wse_coh_constant(v: np.ndarray):
 
     ``v`` may carry leading stack axes (..., d, d); the constants then come
     back with those axes, equal item by item to single calls.  Where
-    |tr V| <= 1e-9 the phase is undefined: a single matrix raises
-    :class:`PhaseUndefined`, a stack reports 0 there.
+    |tr V| <= ``matcore.PHASE_TRACE_TOL`` the phase is undefined: a single
+    matrix raises :class:`PhaseUndefined`, a stack reports 0 there.
     """
     t = np.trace(v, axis1=-2, axis2=-1)
     # np.hypot rounds like abs() of a complex scalar; np.abs of an array
     # may differ in the last bit
     r = np.hypot(t.real, t.imag)
-    undefined = r <= 1e-9
+    undefined = r <= matcore.PHASE_TRACE_TOL
     if v.ndim == 2 and undefined:
         raise PhaseUndefined("tr V ~ 0: coherence constant undefined")
     herm = v * (np.conj(t) / np.where(undefined, 1.0, r))[..., None, None]
@@ -134,6 +135,15 @@ def _wse_coh_constant(v: np.ndarray):
     herm /= 2.0
     gamma = _spectrum_constants(np.linalg.eigvalsh(herm))[1]
     return gamma if v.ndim == 2 else np.where(undefined, 0.0, gamma)
+
+
+def _circuit_product(mats, d: int) -> np.ndarray:
+    """M_m ... M_2 M_1 of d x d matrices in circuit order (index 0 first),
+    multiplied onto the identity one at a time."""
+    acc = np.eye(d, dtype=np.complex128)
+    for m in mats:
+        acc = m @ acc
+    return acc
 
 
 class _CircuitData:
@@ -164,24 +174,19 @@ class _CircuitData:
         self.sum_w1_sq = float(np.sum((1.0 - self.w1) ** 2))
         self.sum_cross = float(np.sum((1.0 - self.w1) * (1.0 - self.phis)))
         self.composite = chn.compose(circuit.channels)
-        u_c = np.eye(d, dtype=np.complex128)
-        for t in self.targets:
-            u_c = t @ u_c
+        u_c = _circuit_product(self.targets, d)
         self.phi_c = metrics.phi(self.composite, u_c)
         self.ups_c = metrics.upsilon(self.composite)
         # A*_{m:1}, the composed LK maps, is the one-operator map of a1_c
-        a1_c = np.eye(d, dtype=np.complex128)
-        for c in self.canons:
-            a1_c = c.a1 @ a1_c
-        self.a1_c = a1_c
-        self.ups_star_c = float(np.linalg.norm(a1_c) ** 2 / d)  # Upsilon(A*_{m:1})
-        self.phi_star_c = metrics._overlap(u_c.conj().T @ a1_c)  # Phi(A*, U_{m:1})
+        self.a1_c = _circuit_product([c.a1 for c in self.canons], d)
+        self.ups_star_c = float(np.linalg.norm(self.a1_c) ** 2 / d)  # Upsilon(A*_{m:1})
+        self.phi_star_c = metrics._overlap(u_c.conj().T @ self.a1_c)  # Phi(A*, U_{m:1})
 
     def element_nc(self) -> bool:
-        return bool(np.all(self.phis > 0.5) and np.all(self.ups**2 > 0.5))
+        return bool(np.all(metrics._nc_regime(self.phis, self.ups)))
 
     def composite_nc(self) -> bool:
-        return bool(self.phi_c > 0.5 and self.ups_c**2 > 0.5)
+        return bool(metrics._nc_regime(self.phi_c, self.ups_c))
 
 
 def _data(circuit: CircuitSpec) -> _CircuitData:
@@ -305,41 +310,29 @@ def thm4_decoherent_features(
     v = metrics._check_target(v, d)
     phi_tot = _phi_with_prefix(v, data.composite)
     phi_vstar = metrics._overlap(v @ data.a1_c)
-    quad = data.half_s_star_sq + (1.0 - phi_vstar) * data.s_star
+    terms = {
+        "min_phi_element": float(np.min(data.phis)),
+        "half_sum_sq": data.half_s_star_sq,
+        "one_minus_phi_vstar_times_sum": (1.0 - phi_vstar) * data.s_star,
+    }
+    t1, t2, t3 = terms.values()
     mono = make_report(
-        "thm4_quasi_monotonicity",
-        phi_tot,
-        0.0,
-        float(np.min(data.phis)) + quad,
-        terms={
-            "min_phi_element": float(np.min(data.phis)),
-            "half_sum_sq": data.half_s_star_sq,
-            "one_minus_phi_vstar_times_sum": (1.0 - phi_vstar) * data.s_star,
-        },
-        hot_truncated=False,
+        "thm4_quasi_monotonicity", phi_tot, 0.0, t1 + (t2 + t3),
+        terms=terms, hot_truncated=False,
     )
     phi_v = metrics._overlap(v)
     phi_star_els = data.mean_sigma**2  # Phi(D_i*, I)
-    sub_upper = (
-        (1.0 - phi_v)
-        + float(np.sum(1.0 - data.phis))
-        + (1.0 - phi_v) ** 2
-        + float(np.sum((1.0 - phi_star_els) ** 2))
-        + float(np.sum((1.0 - data.phis) * (1.0 - data.ups**2)))
-    )
+    terms = {
+        "one_minus_phi_v": 1.0 - phi_v,
+        "sum_one_minus_phi": float(np.sum(1.0 - data.phis)),
+        "one_minus_phi_v_sq": (1.0 - phi_v) ** 2,
+        "sum_one_minus_phi_star_sq": float(np.sum((1.0 - phi_star_els) ** 2)),
+        "sum_cross": float(np.sum((1.0 - data.phis) * (1.0 - data.ups**2))),
+    }
+    t1, t2, t3, t4, t5 = terms.values()  # summed left to right
     sub = make_report(
-        "thm4_quasi_subadditivity",
-        1.0 - phi_tot,
-        0.0,
-        sub_upper,
-        terms={
-            "one_minus_phi_v": 1.0 - phi_v,
-            "sum_one_minus_phi": float(np.sum(1.0 - data.phis)),
-            "one_minus_phi_v_sq": (1.0 - phi_v) ** 2,
-            "sum_one_minus_phi_star_sq": float(np.sum((1.0 - phi_star_els) ** 2)),
-            "sum_cross": float(np.sum((1.0 - data.phis) * (1.0 - data.ups**2))),
-        },
-        hot_truncated=False,
+        "thm4_quasi_subadditivity", 1.0 - phi_tot, 0.0, t1 + t2 + t3 + t4 + t5,
+        terms=terms, hot_truncated=False,
     )
     return mono, sub
 
@@ -491,7 +484,8 @@ def thm8_equable_composition(v, circuit: CircuitSpec) -> BoundReport:
     v = metrics._check_target(v, d)
     phi_tot = _phi_with_prefix(v, data.composite)
     ups_tot = metrics.upsilon(data.composite)  # v does not change Upsilon
-    if not data.element_nc() or not (phi_tot > 0.5 and ups_tot**2 > 0.5):
+    nc_tot = bool(metrics._nc_regime(phi_tot, ups_tot))
+    if not data.element_nc() or not nc_tot:
         raise NotNonCatastrophic(
             "elements and the prefixed composition must be non-catastrophic"
         )
@@ -520,7 +514,7 @@ def thm8_equable_composition(v, circuit: CircuitSpec) -> BoundReport:
             "band_centre": centre,
             "phi_total": phi_tot,
             "phi_v": phi_v,
-            "noncatastrophic": float(phi_tot > 0.5 and ups_tot**2 > 0.5),
+            "noncatastrophic": float(nc_tot),
         },
         hot_truncated=True,
     )
@@ -534,10 +528,7 @@ def thm9_max_correction_multi(circuit: CircuitSpec) -> BoundReport:
     """
     data = _data(circuit)
     _require_nc(data)
-    d = data.d
-    v_c = np.eye(d, dtype=np.complex128)
-    for p in data.polars:
-        v_c = p.unitary @ v_c
+    v_c = _circuit_product([p.unitary for p in data.polars], data.d)
     observed = _phi_with_prefix(v_c.conj().T, data.composite)
     gamma = data.gamma_max
     prod_ups = data.prod_ups
@@ -685,8 +676,8 @@ def _optimize_correction(
     """:func:`optimize_unitary_correction` against a target that
     :func:`metrics._check_target` returned."""
     d = ch.dim
-    if d > 8:
-        raise ValueError("optimizer is guarded to d <= 8")
+    if d > OPTIMIZER_MAX_DIM:
+        raise ValueError(f"optimizer is guarded to d <= {OPTIMIZER_MAX_DIM}")
     pol = channel_polar(ch)
     w0 = u @ pol.unitary.conj().T
     uc = u.conj().T
@@ -787,13 +778,15 @@ def lindblad_superop(spec: LindbladSpec) -> np.ndarray:
 
 @dataclass
 class LindbladStructure:
-    """The three generator terms and their pairwise overlaps."""
+    """The three generator terms, their pairwise overlaps and the largest
+    |<X, Y>| / (||X|| ||Y||) over the pairs of non-zero terms (or 0)."""
 
     term_hamiltonian: np.ndarray
     term_anticommutator: np.ndarray
     term_jump: np.ndarray
     inner_products: dict
     orthogonal: bool
+    worst_overlap: float
 
 
 def lindblad_structure(spec: LindbladSpec) -> LindbladStructure:
@@ -809,21 +802,25 @@ def lindblad_structure(spec: LindbladSpec) -> LindbladStructure:
     t1, t2, t3 = _lindblad_terms(spec)
     names = ("hamiltonian", "anticommutator", "jump")
     mats = (t1, t2, t3)
+    norms = [np.linalg.norm(m) for m in mats]
     inner = {}
     ok = True
+    worst = 0.0
     for a in range(3):
         for b in range(a + 1, 3):
             ip = complex(np.trace(mats[a].conj().T @ mats[b]))
             inner[f"{names[a]}.{names[b]}"] = ip
-            bound = 1e-9 * np.linalg.norm(mats[a]) * np.linalg.norm(mats[b])
-            if abs(ip) > bound:
+            if abs(ip) > 1e-9 * norms[a] * norms[b]:
                 ok = False
+            if norms[a] * norms[b] > 0:
+                worst = max(worst, abs(ip) / (norms[a] * norms[b]))
     return LindbladStructure(
         term_hamiltonian=t1,
         term_anticommutator=t2,
         term_jump=t3,
         inner_products=inner,
         orthogonal=ok,
+        worst_overlap=worst,
     )
 
 

@@ -322,6 +322,8 @@ def _pairs_to_matrix(pairs, rows: int, cols: int, name: str) -> np.ndarray:
         raise ValueError(
             f"{name} must be a flat row-major list of {rows * cols} [re, im] pairs"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
 
 

@@ -133,6 +133,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: an integer >= 0 (digits only)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _dims(text: str) -> tuple:
     """argparse type of ``--dims``: comma-separated integers in [2, 64]
     (random channels above d = 64 would need a refused Choi eigensolve)."""
@@ -267,8 +274,6 @@ _VERIFY_COLUMNS = ("case_id", "theorem", "observed", "lower", "upper", "slack", 
 def _cmd_verify(args) -> _Result:
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
-    if args.seed < 0:
-        raise _UsageError("--seed must be non-negative")
     cases = suites.run_suite(
         args.suite, dims=args.dims, trials=args.trials, seed=args.seed
     )
@@ -409,11 +414,11 @@ def _build_parser() -> _Parser:
         help=f"comma-separated dimensions in [2, {chn.MAX_EIGENSOLVER_DIM}]",
     )
     p_ver.add_argument("--trials", type=int, default=100)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
 
     p_sw = sub.add_parser("sweep", help="composition / profile sweep from a config")
     p_sw.add_argument("--config", required=True, metavar="PATH")
-    p_sw.add_argument("--seed", type=int, default=None, help="override config seed")
+    p_sw.add_argument("--seed", type=_seed, default=None, help="override config seed")
     p_sw.add_argument("--kappa", type=_finite, default=None, help="override config kappa")
     for p in sub.choices.values():  # main writes every command's output
         p.add_argument("--out", default=None, metavar="PATH")

@@ -2,8 +2,8 @@
 
 Every generator returns a valid CPTP :class:`~chanpolar.channel.KrausChannel`
 and is reproducible from its seed.  Families are also reachable through the
-JSON-friendly :class:`FamilySpec` / :func:`make_channel` dispatch used by
-the CLI.
+JSON-friendly :class:`FamilySpec` / :func:`make_channel` pair used by the
+CLI, which looks each family up in the one :data:`BUILDERS` table.
 """
 
 from __future__ import annotations
@@ -15,22 +15,6 @@ import numpy as np
 from . import channel as chn
 from . import polar as polar_mod
 from .errors import ParamOutOfRange
-
-FAMILIES = (
-    "identity",
-    "depolarizing",
-    "dephasing",
-    "stochastic_weyl",
-    "amplitude_damping",
-    "rotation",
-    "random_unitary_error",
-    "random_cptp",
-    "psd_lk_decoherent",
-    "extremal_dephaser",
-    "extremal_unitary",
-    "spiral",
-    "coherence_mix",
-)
 
 
 def _require(cond: bool, msg: str):
@@ -336,8 +320,40 @@ def coherence_mix(infidelity: float, level: float, d: int = 2) -> chn.KrausChann
 
 
 # ---------------------------------------------------------------------------
-# FamilySpec dispatch
+# the family registry
 # ---------------------------------------------------------------------------
+
+
+def _spiral(d: int, alpha: float) -> chn.KrausChannel:
+    _require(d == 3, "spiral is a d = 3 construction")
+    return spiral(alpha)
+
+
+# {name: builder(dim, params, seed)}; a missing parameter is a KeyError
+BUILDERS = {
+    "identity": lambda d, p, seed: identity_channel(d),
+    "depolarizing": lambda d, p, seed: depolarizing(d, p["p"]),
+    "dephasing": lambda d, p, seed: dephasing(d, p["q"]),
+    "stochastic_weyl": lambda d, p, seed: stochastic_weyl(d, p["p"], seed),
+    "amplitude_damping": lambda d, p, seed: amplitude_damping(d, p["gamma"]),
+    "rotation": lambda d, p, seed: rotation(d, p["theta"]),
+    "random_unitary_error": lambda d, p, seed: random_unitary_error(
+        d, p["strength"], seed
+    ),
+    "random_cptp": lambda d, p, seed: random_cptp(
+        d, int(p["kraus_rank"]), seed, p.get("strength")
+    ),
+    "psd_lk_decoherent": lambda d, p, seed: psd_lk_decoherent(
+        d, p["strength"], seed, kraus_rank=int(p.get("kraus_rank", 3))
+    ),
+    "extremal_dephaser": lambda d, p, seed: extremal_dephaser(
+        d, p.get("base_scale"), p.get("n_outliers"), p.get("outlier_depth"), seed
+    ),
+    "extremal_unitary": lambda d, p, seed: extremal_unitary(d),
+    "spiral": lambda d, p, seed: _spiral(d, p["alpha"]),
+    "coherence_mix": lambda d, p, seed: coherence_mix(p["infidelity"], p["level"], d),
+}
+FAMILIES = tuple(BUILDERS)
 
 
 @dataclass
@@ -351,66 +367,30 @@ class FamilySpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FamilySpec":
-        """Parse a spec; ``dim`` must be an integer >= 1 and ``seed``, when
-        present, an integer >= 0 (``ValueError`` otherwise)."""
+        """Parse a spec; ``dim`` must be an integer >= 1, ``params``, when
+        present, a JSON object and ``seed``, when present, an integer >= 0
+        (``ValueError`` otherwise)."""
         if not isinstance(obj, dict) or "family" not in obj or "dim" not in obj:
             raise ValueError("family spec needs 'family' and 'dim' fields")
         fam = obj["family"]
         if fam not in FAMILIES:
             raise ValueError(f"unknown family '{fam}'")
-        dim, seed = obj["dim"], obj.get("seed")
+        dim, params, seed = obj["dim"], obj.get("params", {}), obj.get("seed")
         if type(dim) is not int or dim < 1:  # type() is int excludes bool
             raise ValueError("family 'dim' must be an integer >= 1")
+        if not isinstance(params, dict):
+            raise ValueError("family 'params' must be a JSON object")
         if "seed" in obj and (type(seed) is not int or seed < 0):
             raise ValueError("family 'seed' must be an integer >= 0")
-        return cls(family=fam, dim=dim, params=dict(obj.get("params", {})), seed=seed)
+        return cls(family=fam, dim=dim, params=dict(params), seed=seed)
 
 
 def make_channel(spec: FamilySpec) -> chn.KrausChannel:
     """Build the channel described by a :class:`FamilySpec`."""
+    build = BUILDERS[spec.family]
     try:
-        return _dispatch(spec)
+        return build(spec.dim, spec.params, spec.seed)
     except KeyError as exc:
         raise ParamOutOfRange(
             f"family '{spec.family}' is missing parameter {exc}"
         ) from exc
-
-
-def _dispatch(spec: FamilySpec) -> chn.KrausChannel:
-    f, d, p, seed = spec.family, spec.dim, spec.params, spec.seed
-    if f == "identity":
-        return identity_channel(d)
-    if f == "depolarizing":
-        return depolarizing(d, p["p"])
-    if f == "dephasing":
-        return dephasing(d, p["q"])
-    if f == "stochastic_weyl":
-        return stochastic_weyl(d, p["p"], seed)
-    if f == "amplitude_damping":
-        return amplitude_damping(d, p["gamma"])
-    if f == "rotation":
-        return rotation(d, p["theta"])
-    if f == "random_unitary_error":
-        return random_unitary_error(d, p["strength"], seed)
-    if f == "random_cptp":
-        return random_cptp(d, int(p["kraus_rank"]), seed, p.get("strength"))
-    if f == "psd_lk_decoherent":
-        return psd_lk_decoherent(
-            d, p["strength"], seed, kraus_rank=int(p.get("kraus_rank", 3))
-        )
-    if f == "extremal_dephaser":
-        return extremal_dephaser(
-            d,
-            base_scale=p.get("base_scale"),
-            n_outliers=p.get("n_outliers"),
-            outlier_depth=p.get("outlier_depth"),
-            seed=seed,
-        )
-    if f == "extremal_unitary":
-        return extremal_unitary(d)
-    if f == "spiral":
-        _require(d == 3, "spiral is a d = 3 construction")
-        return spiral(p["alpha"])
-    if f == "coherence_mix":
-        return coherence_mix(p["infidelity"], p["level"], d)
-    raise ParamOutOfRange(f"unknown family '{f}'")

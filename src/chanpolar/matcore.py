@@ -2,8 +2,8 @@
 
 Hermitian eigendecompositions with a deterministic ordering convention,
 matrix polar factorization with a closest-to-identity completion for
-rank-deficient inputs, and three trace/norm inequality predicates that the
-channel-analysis layers lean on.
+rank-deficient inputs, and three trace/norm inequality checks that share
+one :class:`InequalityCheck` record.
 
 Norm conventions: ``||.||_2`` written in docstrings means the Schatten
 2-norm (Frobenius); the spectral radius of a general matrix means its
@@ -92,7 +92,16 @@ def _lex_key(col: np.ndarray):
 
 
 def _require_hermitian(a: np.ndarray, name: str):
-    if np.linalg.norm(a - a.conj().T) > HERMITICITY_RTOL * max(np.linalg.norm(a), 1e-300):
+    """``||A - A^dag||_2 > HERMITICITY_RTOL ||A||_2`` raises; near the top of
+    the float range A is first scaled by an (exact) power of two, so that
+    neither norm overflows."""
+    with np.errstate(over="ignore"):
+        size = np.linalg.norm(a)
+    if not size < 2.0**1000:
+        top = max(np.abs(a.real).max(), np.abs(a.imag).max())
+        a = a * 2.0 ** -int(np.frexp(top)[1])
+        size = np.linalg.norm(a)
+    if np.linalg.norm(a - a.conj().T) > HERMITICITY_RTOL * max(size, 1e-300):
         raise NotHermitian(f"{name} is not Hermitian within tolerance")
 
 
@@ -151,8 +160,9 @@ class MatrixPolar:
     ``unitary`` carries the tr V in R+ convention whenever |tr V| exceeds
     ``PHASE_TRACE_TOL`` (then ``phase_fixed`` is True and ``phase`` is the
     unit complex number restoring the raw factor); otherwise ``phase`` is 1.
-    ``psd`` is (A^dag A)^(1/2) and ``singular_values`` are the singular
-    values of A in descending order.
+    ``psd`` is (A^dag A)^(1/2), ``singular_values`` are the singular
+    values of A in descending order and ``rank`` counts those above
+    ``s_1 n 1e-12`` (0 for the zero matrix).
     """
 
     unitary: np.ndarray
@@ -160,6 +170,7 @@ class MatrixPolar:
     phase_fixed: bool
     phase: complex
     singular_values: np.ndarray
+    rank: int
 
 
 def polar_decompose(a) -> MatrixPolar:
@@ -205,24 +216,17 @@ def polar_decompose(a) -> MatrixPolar:
         phase_fixed=fixed,
         phase=phase,
         singular_values=s.copy(),
+        rank=r,
     )
 
 
 @dataclass
 class InequalityCheck:
-    """Two sides of a scalar inequality plus the verdict."""
+    """An observed value, the bounds it must lie between and the verdict;
+    the side a one-sided inequality leaves open is -inf or +inf."""
 
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-@dataclass
-class NormInequalityCheck:
-    """Lower / middle / upper values of the norm sandwich plus verdict."""
-
+    observed: float
     lower: float
-    product: float
     upper: float
     holds: bool
 
@@ -244,7 +248,8 @@ def check_trace_inequality(a, b) -> InequalityCheck:
     """tr(AB)/d against rho_B tr(A)/d + rho_A tr(B)/d - rho_A rho_B.
 
     A and B must be Hermitian; the eigenvalue caps rho are the largest
-    (signed) eigenvalues.  ``holds`` means lhs >= rhs - ``INEQ_TOL``.
+    (signed) eigenvalues.  ``observed`` is tr(AB)/d, ``lower`` the right
+    side and ``upper`` +inf; ``holds`` means observed >= lower - ``INEQ_TOL``.
     """
     a, b = _square_pair(a, b)
     _require_hermitian(a, "A")
@@ -254,14 +259,15 @@ def check_trace_inequality(a, b) -> InequalityCheck:
     rho_b = _max_eigenvalue(b)
     lhs = float(np.trace(a @ b).real) / d
     rhs = rho_b * float(np.trace(a).real) / d + rho_a * float(np.trace(b).real) / d - rho_a * rho_b
-    return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs - INEQ_TOL))
+    return InequalityCheck(lhs, rhs, np.inf, bool(lhs >= rhs - INEQ_TOL))
 
 
 def check_vn_inequality(a, b) -> InequalityCheck:
     """|tr(AB)/d| against min(rho_B tr|A|/d, rho_A tr|B|/d).
 
     The spectral radii rho and the trace norms come from singular values.
-    ``holds`` means lhs <= rhs + ``INEQ_TOL``.
+    ``observed`` is |tr(AB)/d|, ``lower`` -inf and ``upper`` the right side;
+    ``holds`` means observed <= upper + ``INEQ_TOL``.
     """
     a, b = _square_pair(a, b)
     d = a.shape[0]
@@ -269,17 +275,15 @@ def check_vn_inequality(a, b) -> InequalityCheck:
     sb = np.linalg.svd(b, compute_uv=False)
     lhs = abs(np.trace(a @ b)) / d
     rhs = min(sb[0] * sa.sum() / d, sa[0] * sb.sum() / d)
-    return InequalityCheck(
-        lhs=float(lhs), rhs=float(rhs), holds=bool(lhs <= rhs + INEQ_TOL)
-    )
+    return InequalityCheck(float(lhs), -np.inf, float(rhs), bool(lhs <= rhs + INEQ_TOL))
 
 
-def check_norm_inequality(a, b) -> NormInequalityCheck:
+def check_norm_inequality(a, b) -> InequalityCheck:
     """||A||^2/d + ||B||^2/d - 1  <=  ||AB||^2/d  <=  min(||A||^2, ||B||^2)/d.
 
     Both operands must be contractions (largest singular value at most
-    1 + 1e-10), else :class:`NotContraction` is raised.  ``holds`` allows
-    ``INEQ_TOL`` on either side.
+    1 + 1e-10), else :class:`NotContraction` is raised.  ``observed`` is
+    ||AB||^2/d; ``holds`` allows ``INEQ_TOL`` on either side.
     """
     a, b = _square_pair(a, b)
     d = a.shape[0]
@@ -293,4 +297,4 @@ def check_norm_inequality(a, b) -> NormInequalityCheck:
     lower = na + nb - 1.0
     upper = min(na, nb)
     holds = bool(lower - INEQ_TOL <= nab <= upper + INEQ_TOL)
-    return NormInequalityCheck(lower=float(lower), product=float(nab), upper=float(upper), holds=holds)
+    return InequalityCheck(float(nab), float(lower), float(upper), holds)

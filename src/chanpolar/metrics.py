@@ -27,7 +27,8 @@ def _check_target(u, d: int) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (d, d):
         raise TargetNotUnitary(f"target must be {d} x {d}, got {u.shape}")
-    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > UNITARY_TOL * np.sqrt(d):
+    # "not <=" also refuses a NaN deviation (a non-finite target)
+    if not np.linalg.norm(u.conj().T @ u - np.eye(d)) <= UNITARY_TOL * np.sqrt(d):
         raise TargetNotUnitary("target is not unitary within tolerance")
     return u
 
@@ -94,6 +95,11 @@ def unitarity(upsilon_value: float, d: int) -> float:
     return (d * d * upsilon_value**2 - 1.0) / (d * d - 1.0)
 
 
+def _nc_regime(phi_value, upsilon_value):
+    """Phi > 1/2 and Upsilon^2 > 1/2, item by item on arrays."""
+    return (phi_value > NC_THRESHOLD) & (upsilon_value**2 > NC_THRESHOLD)
+
+
 def non_catastrophic(ch: chn.KrausChannel, target=None) -> bool:
     """Phi(A, U) > 1/2 and Upsilon^2(A) > 1/2."""
     return _non_catastrophic(ch, _check_target(target, ch.dim))
@@ -102,7 +108,7 @@ def non_catastrophic(ch: chn.KrausChannel, target=None) -> bool:
 def _non_catastrophic(ch: chn.KrausChannel, u: np.ndarray) -> bool:
     """:func:`non_catastrophic` against a target that :func:`_check_target`
     returned."""
-    return bool(_phi(ch, u) > NC_THRESHOLD and upsilon(ch) ** 2 > NC_THRESHOLD)
+    return bool(_nc_regime(_phi(ch, u), upsilon(ch)))
 
 
 @dataclass
@@ -145,7 +151,7 @@ def report(ch: chn.KrausChannel, target=None) -> MetricsReport:
         infidelity=infidelity(p, d),
         upsilon=ups,
         unitarity=unitarity(ups, d),
-        non_catastrophic=bool(p > NC_THRESHOLD and ups**2 > NC_THRESHOLD),
+        non_catastrophic=bool(_nc_regime(p, ups)),
         lk_phi=lk_phi,
         lk_upsilon=canon.w1,
     )

@@ -112,7 +112,7 @@ def channel_polar(ch: chn.KrausChannel, strict: bool = False) -> ChannelPolar:
         raise DegenerateLeading("leading Kraus weight is degenerate")
     if canon._polar is not None:
         return canon._polar
-    if metrics.upsilon(canon) ** 2 <= 0.5:
+    if metrics.upsilon(canon) ** 2 <= metrics.NC_THRESHOLD:
         warnings.warn(
             "channel is catastrophic (Upsilon^2 <= 1/2); polar factors may "
             "be discontinuous in the input",
@@ -120,16 +120,13 @@ def channel_polar(ch: chn.KrausChannel, strict: bool = False) -> ChannelPolar:
         )
     pol = matcore.polar_decompose(canon.a1)
     d = canon.dim
-    rank_ok = bool(
-        pol.singular_values[-1] > pol.singular_values[0] * d * 1e-12
-    )
     result = ChannelPolar(
         dim=d,
         unitary=pol.unitary,
         psd=pol.psd,
         phase_fixed=pol.phase_fixed,
         singular_values=pol.singular_values,
-        unique=rank_ok and not canon.degenerate_leading,
+        unique=pol.rank == d and not canon.degenerate_leading,
         _kraus=canon.kraus,
     )
     canon._polar = result

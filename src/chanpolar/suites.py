@@ -33,14 +33,16 @@ class CaseResult:
     holds: bool
 
 
-def _case_from_report(case_id: str, rep: bounds.BoundReport) -> CaseResult:
+def _case_from_report(case_id: str, rep, theorem: str | None = None) -> CaseResult:
+    """Case of a ``BoundReport`` or an ``InequalityCheck`` (which needs a
+    ``theorem``); the slack is the distance to the nearer side."""
     return CaseResult(
         case_id=case_id,
-        theorem=rep.theorem,
+        theorem=theorem or rep.theorem,
         observed=rep.observed,
         lower=rep.lower,
         upper=rep.upper,
-        slack=min(rep.slack_lower, rep.slack_upper),
+        slack=min(rep.observed - rep.lower, rep.upper - rep.observed),
         holds=rep.holds,
     )
 
@@ -119,7 +121,6 @@ def lemma_suite(dims=(2, 3, 4, 8), trials: int = 1000, seed: int = 0) -> list[Ca
 def appendix_suite(dims=(2, 3, 5), trials: int = 1000, seed: int = 0) -> list[CaseResult]:
     """Trace, flavored Von Neumann, and norm inequality sweeps."""
     out = []
-    inf = float("inf")
     for d in dims:
         for t in range(trials):
             rng = np.random.default_rng([seed, d, t])
@@ -134,39 +135,24 @@ def appendix_suite(dims=(2, 3, 5), trials: int = 1000, seed: int = 0) -> list[Ca
                 return (u * np.minimum(s, 1.0)) @ vh
 
             tr = matcore.check_trace_inequality(herm(), herm())
-            out.append(
-                CaseResult(
-                    f"trace/d{d}/t{t}", "appendix_trace", tr.lhs, tr.rhs, inf,
-                    tr.lhs - tr.rhs, tr.holds,
-                )
-            )
+            out.append(_case_from_report(f"trace/d{d}/t{t}", tr, "appendix_trace"))
             vn = matcore.check_vn_inequality(contraction(), contraction())
-            out.append(
-                CaseResult(
-                    f"vn/d{d}/t{t}", "appendix_vn", vn.lhs, -inf, vn.rhs,
-                    vn.rhs - vn.lhs, vn.holds,
-                )
-            )
+            out.append(_case_from_report(f"vn/d{d}/t{t}", vn, "appendix_vn"))
             nm = matcore.check_norm_inequality(contraction(), contraction())
-            out.append(
-                CaseResult(
-                    f"norm/d{d}/t{t}", "appendix_norm", nm.product, nm.lower,
-                    nm.upper, min(nm.product - nm.lower, nm.upper - nm.product),
-                    nm.holds,
-                )
-            )
+            out.append(_case_from_report(f"norm/d{d}/t{t}", nm, "appendix_norm"))
     return out
 
 
-def _general_circuit(d: int, m: int, rng: np.random.Generator, with_targets: bool):
+def _circuit(d: int, m: int, rng, with_targets=False, decoherent=False):
+    """Depth-m circuit of near-identity elements with target infidelities
+    log-uniform in [3e-5, min(1e-2, 0.8 sqrt(REGIME_CAP) / m)]; with
+    targets, each element applies its Haar-random target unitary first."""
     r_cap = min(1e-2, np.sqrt(REGIME_CAP) * 0.8 / m)
     channels = []
-    targets = None
-    if with_targets:
-        targets = []
+    targets = [] if with_targets else None
     for _ in range(m):
         r_t = float(10 ** rng.uniform(np.log10(3e-5), np.log10(r_cap)))
-        el = element_for_infidelity(d, r_t, rng)
+        el = element_for_infidelity(d, r_t, rng, decoherent=decoherent)
         if with_targets:
             u = genlib.random_unitary(d, _subseed(rng))
             el = chn.KrausChannel(
@@ -175,15 +161,6 @@ def _general_circuit(d: int, m: int, rng: np.random.Generator, with_targets: boo
             targets.append(u)
         channels.append(el)
     return bounds.CircuitSpec(channels, targets)
-
-
-def _decoherent_circuit(d: int, m: int, rng: np.random.Generator):
-    r_cap = min(1e-2, np.sqrt(REGIME_CAP) * 0.8 / m)
-    channels = []
-    for _ in range(m):
-        r_t = float(10 ** rng.uniform(np.log10(3e-5), np.log10(r_cap)))
-        channels.append(element_for_infidelity(d, r_t, rng, decoherent=True))
-    return bounds.CircuitSpec(channels)
 
 
 def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[CaseResult]:
@@ -200,7 +177,7 @@ def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[CaseRes
             for t in range(per):
                 rng = np.random.default_rng([seed, d, m, t])
                 tag = f"d{d}/m{m}/t{t}"
-                circ = _general_circuit(d, m, rng, with_targets=(t % 2 == 0))
+                circ = _circuit(d, m, rng, with_targets=(t % 2 == 0))
                 out.append(_case_from_report(f"thm1/{tag}", bounds.thm1_uni_evo(circ)))
                 out.append(_case_from_report(f"thm2/{tag}", bounds.thm2_fid_evo(circ)))
                 out.append(
@@ -211,7 +188,7 @@ def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[CaseRes
                         f"thm9/{tag}", bounds.thm9_max_correction_multi(circ)
                     )
                 )
-                dcirc = _decoherent_circuit(d, m, rng)
+                dcirc = _circuit(d, m, rng, decoherent=True)
                 v = genlib.random_unitary_error(
                     d, float(rng.uniform(0.0, 0.15)), _subseed(rng)
                 ).kraus[0]
@@ -267,17 +244,7 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Cas
                 traceless.append(l - np.trace(l) / d * np.eye(d))
             spec = bounds.LindbladSpec(dim=d, hamiltonian=h, lindblad_ops=traceless)
             st = bounds.lindblad_structure(spec)
-            norms = {
-                "hamiltonian": np.linalg.norm(st.term_hamiltonian),
-                "anticommutator": np.linalg.norm(st.term_anticommutator),
-                "jump": np.linalg.norm(st.term_jump),
-            }
-            worst = 0.0
-            for key, ip in st.inner_products.items():
-                a, b = key.split(".")
-                denom = norms[a] * norms[b]
-                if denom > 0:
-                    worst = max(worst, abs(ip) / denom)
+            worst = st.worst_overlap
             out.append(
                 CaseResult(
                     f"lind_orth/d{d}/t{t}", "lindblad_orthogonality", worst, 0.0,
@@ -305,14 +272,17 @@ SUITES = ("lemmas", "theorems", "appendix", "all")
 
 def run_suite(name: str, dims=None, trials: int = 100, seed: int = 0) -> list[CaseResult]:
     """Dispatch a named verification suite (the Thm 7 optimizer gets a
-    budget of 200 evaluations)."""
+    budget of 200 evaluations).  The theorem suites skip dimensions above
+    ``bounds.OPTIMIZER_MAX_DIM``, where the Thm 7 optimizer refuses."""
     if name not in SUITES:
         raise ValueError(f"unknown suite '{name}'")
     cases = []
     if name in ("lemmas", "all"):
         cases += lemma_suite(dims or (2, 3, 4, 8), trials, seed)
     if name in ("theorems", "all"):
-        thm_dims = tuple(d for d in (dims or (2, 3)) if d <= 8)
+        thm_dims = tuple(
+            d for d in (dims or (2, 3)) if d <= bounds.OPTIMIZER_MAX_DIM
+        )
         cases += theorem_suite(thm_dims, trials, seed)
         cases += thm7_suite(thm_dims, max(1, trials // 5), seed, budget=200)
         cases += lindblad_suite(tuple(d for d in (dims or (2, 3, 4)) if d <= 8),
@@ -404,7 +374,7 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
                 coh_lower = env.lower
             else:
                 coh_lower = 0.0
-            nc = bool(phi_m > 0.5 and ups_m**2 > 0.5)
+            nc = bool(metrics._nc_regime(phi_m, ups_m))
             rows.append(
                 SweepRow(
                     depth=m,
@@ -415,7 +385,7 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
                     thm8_upper=centre + band,
                     coherent_lower=coh_lower,
                     non_catastrophic=nc,
-                    contained=bool(abs(phi_m - centre) <= band + 1e-9),
+                    contained=bool(abs(phi_m - centre) <= band + bounds.HOLDS_TOL),
                 )
             )
     return rows

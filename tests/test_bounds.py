@@ -407,6 +407,31 @@ class TestLindblad:
         assert np.allclose(st.term_hamiltonian, 0.0)
         assert st.orthogonal
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_worst_overlap_is_the_ratio_recomputed_from_the_terms(self, d):
+        rng = np.random.default_rng(d)
+        ops = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+               for _ in range(3)]
+        h = (ops[0] + ops[0].conj().T) / 2.0
+        jumps = [l - np.trace(l) / d * np.eye(d) for l in ops[1:]]
+        for lops in (jumps, [np.zeros((d, d))]):
+            st = bounds.lindblad_structure(
+                bounds.LindbladSpec(dim=d, hamiltonian=h, lindblad_ops=lops)
+            )
+            # reference route: term norms and the "a.b" keys of inner_products
+            norms = {
+                "hamiltonian": np.linalg.norm(st.term_hamiltonian),
+                "anticommutator": np.linalg.norm(st.term_anticommutator),
+                "jump": np.linalg.norm(st.term_jump),
+            }
+            worst = 0.0
+            for key, ip in st.inner_products.items():
+                a, b = key.split(".")
+                denom = norms[a] * norms[b]
+                if denom > 0:
+                    worst = max(worst, abs(ip) / denom)
+            assert st.worst_overlap == worst
+
     def test_traceful_rejected(self):
         spec = bounds.LindbladSpec(dim=2, hamiltonian=Z, lindblad_ops=[np.eye(2)])
         with pytest.raises(NotTraceless):

@@ -1,5 +1,7 @@
 import csv
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +390,31 @@ class TestSweepConfigTypes:
         assert "'seed'" in json.loads(cap.err)["detail"]
         assert cap.out == "" and files == ["cfg.json"]
 
+    @pytest.mark.parametrize(
+        "params", ['[["p", 0.9]]', '"p"', "0.9", "null", "true"],
+        ids=["pairs", "str", "number", "null", "true"],
+    )
+    def test_family_params_not_object_exit_2(self, tmp_path, monkeypatch, capsys, params):
+        family = {"family": "depolarizing", "dim": 2, "params": "PARAMS"}
+        text = json.dumps({"family": family}).replace('"PARAMS"', params)
+        code, cap, files = self.run(tmp_path, monkeypatch, capsys, text)
+        assert code == 2
+        assert json.loads(cap.err)["error"] == "parse"
+        assert "'params'" in json.loads(cap.err)["detail"]
+        assert cap.out == "" and files == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_negative_seed_flag_exit_64(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"family": self.ROTATION}))
+        argv = ["sweep", "--config", "cfg.json"] if command == "sweep" else ["verify"]
+        assert main(argv + ["--seed", "-1", "--out", "rows.csv"]) == 64
+        cap = capsys.readouterr()
+        lines = cap.err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+        assert "--seed" in json.loads(lines[0])["detail"]
+        assert cap.out == "" and sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize("flag", ["nan", "inf", "abc"])
     def test_non_finite_kappa_flag_exit_64(self, tmp_path, capsys, flag):
         p = tmp_path / "cfg.json"
@@ -452,6 +479,22 @@ class TestChoiFileErrors:
         assert json.loads(err) == {
             "error": "parse" if code == 2 else "domain",
             "detail": detail.format(p=p),
+        }
+
+    def test_overflowing_norms_still_not_hermitian(self, tmp_path, capsys):
+        """An imaginary part of -1e308 on the last diagonal entry makes both
+        norms of the Hermiticity check overflow; the file is still refused."""
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        doc = json.loads((inputs / "random_cptp-d2-choi.json").read_text())
+        doc["choi"][15][1] = -1e308
+        p = tmp_path / "overflow.json"
+        p.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["decompose", "--in", str(p)]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "domain", "detail": "matrix is not Hermitian within tolerance",
         }
 
 

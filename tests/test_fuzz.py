@@ -4,13 +4,16 @@ Each case applies one to three JSON-level mutations to a file of
 ``tests/golden/inputs`` and runs ``decompose``, ``metrics`` or ``sweep`` on
 it in-process.  Every case must end in exit 0, 1, 2, 3 or 64, never in 70
 (an internal error); on exit 2 or 64 stderr holds exactly one JSON error
-line and no data is written, neither to stdout nor to a file.
+line, no Python warning is raised and no data is written, neither to
+stdout nor to a file.  A JSON output of exit 0 must be strict JSON (no
+NaN or Infinity).
 """
 
 import copy
 import json
 import math
 import random
+import warnings
 from pathlib import Path
 
 from chanpolar.cli import main
@@ -117,6 +120,13 @@ def _cases():
         yield i, name, log, text, argv
 
 
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in the output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_exit_code_contract(tmp_path, monkeypatch, capsys):
     inputs = tmp_path / "in"
     inputs.mkdir()
@@ -126,11 +136,17 @@ def test_exit_code_contract(tmp_path, monkeypatch, capsys):
         work = tmp_path / f"run{i}"
         work.mkdir()
         monkeypatch.chdir(work)
-        code = main([str(src) if a == "{path}" else a for a in argv])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([str(src) if a == "{path}" else a for a in argv])
         cap = capsys.readouterr()
         where = f"case {i}: {name} {log} argv={argv[0]} -> exit {code}\n{text[:300]}"
         assert code in (0, 1, 2, 3, 64), where + "\n" + cap.err[-2000:]
+        if code == 0 and argv[0] != "sweep":
+            out = (work / "data.out").read_text() if "--out" in argv else cap.out
+            _strict_json(out)
         if code in (2, 64):
+            assert [str(w.message) for w in caught] == [], where
             lines = cap.err.splitlines()
             assert len(lines) == 1, where + "\n" + cap.err
             assert set(json.loads(lines[0])) == {"error", "detail"}, where

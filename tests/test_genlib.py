@@ -34,6 +34,11 @@ ALL_SPECS = [
 ]
 
 
+def test_every_registered_family_has_a_cptp_case():
+    assert set(genlib.FAMILIES) == {spec.family for spec in ALL_SPECS}
+    assert genlib.FAMILIES == tuple(genlib.BUILDERS)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.family}-d{s.dim}")
 def test_every_family_is_cptp(spec):
     ch = genlib.make_channel(spec)

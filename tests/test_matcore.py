@@ -50,6 +50,12 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             matcore.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_hermiticity_check_where_the_norms_overflow(self):
+        big = 1e308
+        matcore._require_hermitian(np.array([[big, 1j * big], [-1j * big, big]]), "M")
+        with pytest.raises(NotHermitian):
+            matcore._require_hermitian(np.diag([big, big - 1j * big]), "M")
+
     def test_degenerate_flag_and_determinism(self):
         rng = np.random.default_rng(3)
         u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
@@ -100,6 +106,15 @@ class TestHermitianEig:
 
 
 class TestPolarDecompose:
+    @pytest.mark.parametrize("s", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 1e-11, 0.0],
+                                   [1.0, 1.0, 3e-12], [1.0, 1.0, 4e-12], [1.0, 0.5, 0.2]])
+    def test_rank_is_the_full_rank_test(self, s):
+        rng = np.random.default_rng(11)
+        u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        pol = matcore.polar_decompose(u @ np.diag(s))
+        sv = pol.singular_values
+        assert pol.rank == int(np.sum(sv > sv[0] * 3 * 1e-12))
+        assert (pol.rank == 3) == bool(sv[-1] > sv[0] * 3 * 1e-12)
     def test_identity(self):
         pol = matcore.polar_decompose(np.eye(3))
         assert np.allclose(pol.unitary, np.eye(3), atol=1e-12)
@@ -157,14 +172,14 @@ class TestPolarDecompose:
 class TestTraceInequality:
     def test_pauli_z_pair(self):
         chk = matcore.check_trace_inequality(Z, Z)
-        assert chk.lhs == pytest.approx(1.0)
-        assert chk.rhs == pytest.approx(-1.0)
+        assert chk.observed == pytest.approx(1.0)
+        assert chk.lower == pytest.approx(-1.0)
         assert chk.holds
 
     def test_identity_saturation(self):
         chk = matcore.check_trace_inequality(np.eye(2), np.eye(2))
-        assert chk.lhs == pytest.approx(1.0)
-        assert chk.rhs == pytest.approx(1.0)
+        assert chk.observed == pytest.approx(1.0)
+        assert chk.lower == pytest.approx(1.0)
         assert chk.holds
 
     def test_not_hermitian(self):
@@ -184,14 +199,14 @@ class TestTraceInequality:
 class TestVnInequality:
     def test_identity_equality(self):
         chk = matcore.check_vn_inequality(np.eye(2), np.eye(2))
-        assert chk.lhs == pytest.approx(1.0)
-        assert chk.rhs == pytest.approx(1.0)
+        assert chk.observed == pytest.approx(1.0)
+        assert chk.upper == pytest.approx(1.0)
         assert chk.holds
 
     def test_orthogonal_paulis(self):
         chk = matcore.check_vn_inequality(X, Z)
-        assert chk.lhs == pytest.approx(0.0, abs=1e-12)
-        assert chk.rhs == pytest.approx(1.0)
+        assert chk.observed == pytest.approx(0.0, abs=1e-12)
+        assert chk.upper == pytest.approx(1.0)
         assert chk.holds
 
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -207,13 +222,13 @@ class TestVnInequality:
 class TestNormInequality:
     def test_identity(self):
         chk = matcore.check_norm_inequality(np.eye(2), np.eye(2))
-        assert (chk.lower, chk.product, chk.upper) == pytest.approx((1.0, 1.0, 1.0))
+        assert (chk.lower, chk.observed, chk.upper) == pytest.approx((1.0, 1.0, 1.0))
         assert chk.holds
 
     def test_disjoint_projectors(self):
         chk = matcore.check_norm_inequality(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         assert chk.lower == pytest.approx(0.0)
-        assert chk.product == pytest.approx(0.0, abs=1e-15)
+        assert chk.observed == pytest.approx(0.0, abs=1e-15)
         assert chk.upper == pytest.approx(0.5)
         assert chk.holds
 

@@ -137,6 +137,22 @@ class TestNonCatastrophic:
         assert metrics.phi(ch) == pytest.approx(0.0, abs=1e-12)
         assert not metrics.non_catastrophic(ch)
 
+    def test_helper_matches_the_inline_predicate_at_the_threshold(self):
+        # Phi in {1/2, next float up}; no float squares to 1/2 exactly, so
+        # Upsilon^2 takes the floats just below and just above it
+        above = float(np.nextafter(0.5, 1.0))
+        root = float(np.sqrt(0.5))
+        ups = [float(np.nextafter(root, 0.0)), root]
+        assert ups[0] ** 2 < 0.5 and ups[1] ** 2 == above
+        pairs = [(p, u) for p in (0.5, above) for u in ups]
+        for p, u in pairs:
+            assert metrics._nc_regime(p, u) == (p > 0.5 and u**2 > 0.5)
+        phis = np.array([p for p, _ in pairs])
+        upss = np.array([u for _, u in pairs])
+        inline = [p > 0.5 and u**2 > 0.5 for p, u in pairs]
+        assert metrics._nc_regime(phis, upss).tolist() == inline
+        assert bool(np.all(metrics._nc_regime(phis[-1:], upss[-1:])))
+
 
 class TestLkGapBounds:
     def test_unitary_gaps_zero(self):
