@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from . import bounds, channel, errors, genlib, matcore, metrics, polar, suites
 from .bounds import (
-    BoundReport,
     CircuitSpec,
     LindbladSpec,
     coherent_envelope,
@@ -25,6 +24,7 @@ from .channel import (
 )
 from .genlib import FamilySpec, make_channel, random_unitary
 from .matcore import (
+    BoundReport,
     HermitianEig,
     MatrixPolar,
     check_norm_inequality,

@@ -3,8 +3,10 @@
 Each evaluator returns a :class:`BoundReport` whose ``terms`` dict itemizes
 every summand of the bound expression.  Bounds that the source statements
 abbreviate with higher-order-terms are evaluated with their explicit terms
-only and carry ``hot_truncated=True``; in that regime the drivers restrict
-sweeps to m^2 r_decoh^2 <= 0.1.
+only and carry ``hot_truncated=True``.  Of the drivers, only
+``suites.theorem_suite`` keeps to that regime: its circuits draw element
+infidelities r with m^2 r^2 <= 0.1.  ``suites.composition_sweep`` runs to
+its ``max_depth`` and flags the rows past the non-catastrophic horizon.
 
 WSE-constant convention in multi-channel bounds: the decoherence constant
 is the maximum over the elements.
@@ -12,7 +14,7 @@ is the maximum over the elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,54 +30,10 @@ from .errors import (
     RatioOutOfRange,
     TargetNotUnitary,
 )
+from .matcore import HOLDS_TOL, BoundReport, make_report
 from .polar import _spectrum_constants, channel_polar, is_decoherent
 
-HOLDS_TOL = 1e-9
 OPTIMIZER_MAX_DIM = 8  # the unitary-correction optimizer refuses larger d
-
-
-@dataclass
-class BoundReport:
-    """Observed value against its lower/upper envelope.
-
-    ``holds`` is ``lower - 1e-9 <= observed <= upper + 1e-9``; slack fields
-    are the distances to each side.  ``hot_truncated`` marks bounds whose
-    source expression ends in omitted higher-order terms.
-    """
-
-    theorem: str
-    observed: float
-    lower: float
-    upper: float
-    slack_lower: float
-    slack_upper: float
-    holds: bool
-    terms: dict = field(default_factory=dict)
-    hot_truncated: bool = False
-
-
-def make_report(
-    theorem: str,
-    observed: float,
-    lower: float,
-    upper: float,
-    terms: dict | None = None,
-    hot_truncated: bool = False,
-) -> BoundReport:
-    observed = float(observed)
-    lower = float(lower)
-    upper = float(upper)
-    return BoundReport(
-        theorem=theorem,
-        observed=observed,
-        lower=lower,
-        upper=upper,
-        slack_lower=observed - lower,
-        slack_upper=upper - observed,
-        holds=bool(lower - HOLDS_TOL <= observed <= upper + HOLDS_TOL),
-        terms=terms or {},
-        hot_truncated=hot_truncated,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +199,6 @@ def thm1_uni_evo(circuit: CircuitSpec) -> BoundReport:
             "upper_intermediate_form": upper_strict,
             "holds_intermediate_form": float(observed <= upper_strict + HOLDS_TOL),
         },
-        hot_truncated=False,
     )
 
 
@@ -278,7 +235,6 @@ def thm2_fid_evo(circuit: CircuitSpec) -> BoundReport:
             "sum_one_minus_ups2": s2,
             "holds_star_form": float(observed <= upper_star + HOLDS_TOL),
         },
-        hot_truncated=False,
     )
 
 
@@ -317,8 +273,7 @@ def thm4_decoherent_features(
     }
     t1, t2, t3 = terms.values()
     mono = make_report(
-        "thm4_quasi_monotonicity", phi_tot, 0.0, t1 + (t2 + t3),
-        terms=terms, hot_truncated=False,
+        "thm4_quasi_monotonicity", phi_tot, 0.0, t1 + (t2 + t3), terms=terms
     )
     phi_v = metrics._overlap(v)
     phi_star_els = data.mean_sigma**2  # Phi(D_i*, I)
@@ -332,7 +287,7 @@ def thm4_decoherent_features(
     t1, t2, t3, t4, t5 = terms.values()  # summed left to right
     sub = make_report(
         "thm4_quasi_subadditivity", 1.0 - phi_tot, 0.0, t1 + t2 + t3 + t4 + t5,
-        terms=terms, hot_truncated=False,
+        terms=terms,
     )
     return mono, sub
 
@@ -453,7 +408,7 @@ def thm7_max_correction(
         "phi_optimized": opt.phi_achieved,
         "optimizer_improvement": opt.phi_achieved - observed,
     }
-    rep = make_report("thm7", observed, lower, upper, terms=terms, hot_truncated=False)
+    rep = make_report("thm7", observed, lower, upper, terms=terms)
     rep.holds = bool(rep.holds and opt.phi_achieved <= upper + HOLDS_TOL)
     return rep
 
@@ -591,7 +546,7 @@ def coherent_envelope(
     if x.size == 0:
         raise ValueError("need at least one ratio")
     if d < 2:
-        raise ValueError("d must be >= 2")
+        raise DimensionMismatch("the coherent envelope needs d >= 2")
     if np.any(x <= 0.5) or np.any(x > 1.0 + 1e-9):
         raise RatioOutOfRange("each Phi/Upsilon ratio must lie in (1/2, 1]")
     ups_prod = float(np.prod(upsilons)) if upsilons is not None else 1.0
@@ -677,7 +632,7 @@ def _optimize_correction(
     :func:`metrics._check_target` returned."""
     d = ch.dim
     if d > OPTIMIZER_MAX_DIM:
-        raise ValueError(f"optimizer is guarded to d <= {OPTIMIZER_MAX_DIM}")
+        raise DimensionMismatch(f"optimizer is guarded to d <= {OPTIMIZER_MAX_DIM}")
     pol = channel_polar(ch)
     w0 = u @ pol.unitary.conj().T
     uc = u.conj().T

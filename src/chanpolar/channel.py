@@ -2,9 +2,11 @@
 
 A channel is a list of d x d Kraus matrices (:class:`KrausChannel`).  This
 module converts between that form, the Choi matrix, the column-stacking
-superoperator, and the ordered canonical Kraus decomposition obtained from
-the Choi eigendecomposition; it also provides CPTP validation, the
-leading-Kraus (LK) extraction, composition, and the JSON wire format.
+superoperator, and the ordered canonical Kraus decomposition (a mutually
+orthogonal family is sorted as it is, any other goes through the Choi
+eigendecomposition, see :func:`canonical`); it also provides CPTP
+validation, the leading-Kraus (LK) extraction, composition, and the JSON
+wire format.
 
 Vectorization convention (used everywhere): column stacking,
 ``col(A)[j*d + i] = A[i, j]`` so that ``col(A B C) = C^T (x) A col(B)``.
@@ -128,11 +130,13 @@ def validate_cptp(ch: KrausChannel) -> CptpValidation:
     A Kraus representation is CP by construction, so ``cp_slack`` (the most
     negative Choi eigenvalue) is exactly 0; a Choi matrix is checked for CP
     by :func:`from_choi`.  ``tp_slack`` is ``||sum A_i^dag A_i - I||_2``
-    and ``ok`` requires tp_slack <= 1e-9.
+    and ``ok`` requires tp_slack <= 1e-9; it is +inf only where the norm
+    exceeds the float range.
     """
     k = ch.kraus
     acc = np.einsum("kij,kil->jl", k.conj(), k)
-    tp_slack = float(np.linalg.norm(acc - np.eye(ch.dim)))
+    _, size, e = matcore._tamed(acc - np.eye(ch.dim))
+    tp_slack = size * 2.0 ** (e - 1) * 2.0  # a Python float: overflows to inf
     return CptpValidation(
         dim=ch.dim, cp_slack=0.0, tp_slack=tp_slack, ok=tp_slack <= TP_TOL
     )
@@ -168,7 +172,10 @@ def from_choi(choi: np.ndarray) -> KrausChannel:
     ``choi`` is a finite d^2 x d^2 matrix (as returned by :func:`to_choi`);
     another shape raises :class:`DimensionMismatch`.  Eigenvalues below
     ``1e-12*d`` are dropped as float noise; an eigenvalue below
-    ``-1e-10*d`` raises :class:`NotCP`.
+    ``-1e-10*max(d, lambda_max)`` raises :class:`NotCP` (for a CPTP map
+    lambda_max <= tr C = d).  A spectrum beyond the float range is
+    decomposed as that of C/4^256, with the square roots scaled back and
+    the weights +inf.
     """
     m = matcore.as_complex_matrix(choi, "choi")
     d = math.isqrt(m.shape[0])
@@ -177,17 +184,24 @@ def from_choi(choi: np.ndarray) -> KrausChannel:
             f"choi must be d^2 x d^2 for some d >= 1, got {m.shape}"
         )
     floor = CHOI_DROP_TOL * d
+    root = 1.0  # the square root of the factor C was divided by
     eig = matcore.hermitian_eig(m, drop_floor=floor)
+    if eig.values[0] == np.inf:
+        root = 2.0**256
+        eig = matcore.hermitian_eig(m / root**2, drop_floor=floor / root**2)
     vals = eig.values
-    if vals[-1] < -CP_EIG_TOL * d:
-        raise NotCP(f"Choi eigenvalue {vals[-1]:.3e} below CP floor")
-    keep = vals > floor
+    if vals[-1] < -CP_EIG_TOL * max(d, vals[0]):
+        raise NotCP(f"Choi eigenvalue {float(vals[-1]) * root**2:.3e} below CP floor")
+    keep = vals > floor / root**2
     vals = vals[keep]
     vecs = eig.vectors[:, keep]
     if vals.size == 0:
         raise NotCP("Choi matrix is numerically zero")
-    ops = np.stack([np.sqrt(v) * uncol(vecs[:, i], d) for i, v in enumerate(vals)])
-    return _canonical_view(ops, vals / d)
+    ops = np.stack(
+        [np.sqrt(v) * root * uncol(vecs[:, i], d) for i, v in enumerate(vals)]
+    )
+    with np.errstate(over="ignore"):
+        return _canonical_view(ops, vals / d * root**2)
 
 
 def _gram(k: np.ndarray) -> np.ndarray:

@@ -27,12 +27,14 @@ import math
 import sys
 import time
 import traceback
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, channel as chn, genlib, metrics, polar, suites
 from .errors import ChanPolarError, ParamOutOfRange
+from .matcore import BoundReport
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -48,7 +50,10 @@ MAX_SWEEP_DEPTH = 10**5
 
 
 def _fmt(x) -> str:
-    """Fixed 17-significant-digit decimal rendering for CSV cells."""
+    """CSV cell: a string as is, a number in fixed 17-significant-digit
+    decimal rendering."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -180,6 +185,11 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
+def _records_csv(columns, records) -> str:
+    """CSV text with one row per record, each cell the named field's value."""
+    return _csv(columns, ([_fmt(getattr(r, c)) for c in columns] for r in records))
+
+
 def _emit(payload: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -268,7 +278,10 @@ def _cmd_compose(args) -> _Result:
 # verify
 # ---------------------------------------------------------------------------
 
-_VERIFY_COLUMNS = ("case_id", "theorem", "observed", "lower", "upper", "slack", "holds")
+# every field of the record except the itemized terms and the flag
+_VERIFY_COLUMNS = tuple(
+    f.name for f in fields(BoundReport) if f.name not in ("terms", "hot_truncated")
+)
 
 
 def _cmd_verify(args) -> _Result:
@@ -279,13 +292,8 @@ def _cmd_verify(args) -> _Result:
     )
     n_fail = sum(1 for c in cases if not c.holds)
     sys.stderr.write(f"verify {args.suite}: {len(cases)} cases, {n_fail} violations\n")
-    rows = (
-        [c.case_id, c.theorem, _fmt(c.observed), _fmt(c.lower), _fmt(c.upper),
-         _fmt(c.slack), _fmt(c.holds)]
-        for c in cases
-    )
     return _Result(
-        _csv(_VERIFY_COLUMNS, rows),
+        _records_csv(_VERIFY_COLUMNS, cases),
         {"suite": args.suite, "dims": args.dims, "trials": args.trials},
         args.seed,
         code=EXIT_OK if n_fail == 0 else EXIT_VIOLATION,
@@ -296,10 +304,7 @@ def _cmd_verify(args) -> _Result:
 # sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_COLUMNS = (
-    "depth", "phi", "upsilon_envelope", "thm8_centre", "thm8_lower", "thm8_upper",
-    "coherent_lower", "non_catastrophic", "contained",
-)
+_SWEEP_COLUMNS = tuple(f.name for f in fields(suites.SweepRow))
 _PROFILE_COLUMNS = (
     "row_type", "index", "value", "mean", "sd", "gamma_decoh", "Gamma_decoh",
     "threshold", "sse_decoh_ok", "wse_decoh_ok",
@@ -365,22 +370,14 @@ def _cmd_sweep(args) -> _Result:
         )
         return _Result(_csv(_PROFILE_COLUMNS, table), cfg, fam.seed, notes)
     rows = suites.composition_sweep(element, max_depth)
-    table = (
-        [str(r.depth), _fmt(r.phi), _fmt(r.upsilon_envelope), _fmt(r.thm8_centre),
-         _fmt(r.thm8_lower), _fmt(r.thm8_upper), _fmt(r.coherent_lower),
-         _fmt(r.non_catastrophic), _fmt(r.contained)]
-        for r in rows
-    )
     columns = _SWEEP_COLUMNS
     if wanted is not None:  # depth, then the named columns in table order
-        keep = [i for i, c in enumerate(columns) if c == "depth" or c in wanted]
-        columns = [columns[i] for i in keep]
-        table = ([cells[i] for i in keep] for cells in table)
+        columns = tuple(c for c in columns if c == "depth" or c in wanted)
     code = EXIT_OK
     if any(not r.non_catastrophic for r in rows):
         _error_json("domain", "composition left the non-catastrophic regime mid-sweep")
         code = EXIT_DOMAIN
-    return _Result(_csv(columns, table), cfg, fam.seed, notes, code)
+    return _Result(_records_csv(columns, rows), cfg, fam.seed, notes, code)
 
 
 # ---------------------------------------------------------------------------

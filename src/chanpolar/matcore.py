@@ -2,8 +2,10 @@
 
 Hermitian eigendecompositions with a deterministic ordering convention,
 matrix polar factorization with a closest-to-identity completion for
-rank-deficient inputs, and three trace/norm inequality checks that share
-one :class:`InequalityCheck` record.
+rank-deficient inputs, and :class:`BoundReport`, the one record of every
+verification: an observed value between a lower and an upper envelope.  The
+three trace/norm inequality checks of the appendix return it here; the
+bound evaluators and the suites build it with :func:`make_report`.
 
 Norm conventions: ``||.||_2`` written in docstrings means the Schatten
 2-norm (Frobenius); the spectral radius of a general matrix means its
@@ -12,7 +14,7 @@ largest singular value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .errors import NoConvergence, NotContraction, NotHermitian
 HERMITICITY_RTOL = 1e-8
 DEGENERACY_TOL = 1e-10
 INEQ_TOL = 1e-10
+HOLDS_TOL = 1e-9
 PHASE_TRACE_TOL = 1e-9
 ENTRY_ROUND_DECIMALS = 8
 
@@ -91,16 +94,24 @@ def _lex_key(col: np.ndarray):
     return tuple(out)
 
 
+def _tamed(a: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """``(A 2^-e, ||A 2^-e||_2, e)``: e is 0 while ``||A||_2`` is below
+    2^1000 or A holds a non-finite entry, else the exponent that brings
+    every entry below 1, so that no norm of the scaled matrix overflows
+    (the scaling is exact)."""
+    with np.errstate(over="ignore"):
+        size = float(np.linalg.norm(a))
+    if size < 2.0**1000 or not np.isfinite(a).all():
+        return a, size, 0
+    e = int(np.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1])
+    a = a * 2.0**-e
+    return a, float(np.linalg.norm(a)), e
+
+
 def _require_hermitian(a: np.ndarray, name: str):
     """``||A - A^dag||_2 > HERMITICITY_RTOL ||A||_2`` raises; near the top of
-    the float range A is first scaled by an (exact) power of two, so that
-    neither norm overflows."""
-    with np.errstate(over="ignore"):
-        size = np.linalg.norm(a)
-    if not size < 2.0**1000:
-        top = max(np.abs(a.real).max(), np.abs(a.imag).max())
-        a = a * 2.0 ** -int(np.frexp(top)[1])
-        size = np.linalg.norm(a)
+    the float range both norms are taken of :func:`_tamed` A."""
+    a, size, _ = _tamed(a)
     if np.linalg.norm(a - a.conj().T) > HERMITICITY_RTOL * max(size, 1e-300):
         raise NotHermitian(f"{name} is not Hermitian within tolerance")
 
@@ -123,7 +134,7 @@ def hermitian_eig(m, drop_floor: float = -np.inf) -> HermitianEig:
     """
     a = _require_square(as_complex_matrix(m, "M"), "M")
     _require_hermitian(a, "matrix")
-    h = (a + a.conj().T) / 2.0
+    h = a / 2.0 + a.conj().T / 2.0  # (a + a^dag) / 2 could overflow
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -220,15 +231,52 @@ def polar_decompose(a) -> MatrixPolar:
     )
 
 
-@dataclass
-class InequalityCheck:
-    """An observed value, the bounds it must lie between and the verdict;
-    the side a one-sided inequality leaves open is -inf or +inf."""
+@dataclass(kw_only=True)
+class BoundReport:
+    """An observed value against its lower/upper envelope.
 
+    ``slack`` is min(observed - lower, upper - observed), the distance to
+    the nearer side; an open side is -inf or +inf.  ``holds`` is the
+    verdict, ``lower - HOLDS_TOL <= observed <= upper + HOLDS_TOL`` from
+    :func:`make_report` unless the check says otherwise.  ``terms``
+    itemizes the summands of a bound and ``hot_truncated`` marks bounds
+    whose source expression ends in omitted higher-order terms.  The
+    fields from ``case_id`` to ``holds`` are the columns of a verify row;
+    ``case_id`` is set by the suites.
+    """
+
+    case_id: str = ""
+    theorem: str
     observed: float
     lower: float
     upper: float
+    slack: float
     holds: bool
+    terms: dict = field(default_factory=dict)
+    hot_truncated: bool = False
+
+
+def make_report(
+    theorem: str,
+    observed: float,
+    lower: float,
+    upper: float,
+    terms: dict | None = None,
+    hot_truncated: bool = False,
+) -> BoundReport:
+    observed = float(observed)
+    lower = float(lower)
+    upper = float(upper)
+    return BoundReport(
+        theorem=theorem,
+        observed=observed,
+        lower=lower,
+        upper=upper,
+        slack=min(observed - lower, upper - observed),
+        holds=bool(lower - HOLDS_TOL <= observed <= upper + HOLDS_TOL),
+        terms=terms or {},
+        hot_truncated=hot_truncated,
+    )
 
 
 def _max_eigenvalue(a: np.ndarray) -> float:
@@ -244,12 +292,13 @@ def _square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def check_trace_inequality(a, b) -> InequalityCheck:
+def check_trace_inequality(a, b) -> BoundReport:
     """tr(AB)/d against rho_B tr(A)/d + rho_A tr(B)/d - rho_A rho_B.
 
     A and B must be Hermitian; the eigenvalue caps rho are the largest
-    (signed) eigenvalues.  ``observed`` is tr(AB)/d, ``lower`` the right
-    side and ``upper`` +inf; ``holds`` means observed >= lower - ``INEQ_TOL``.
+    (signed) eigenvalues.  The report's theorem is ``appendix_trace``,
+    ``observed`` is tr(AB)/d, ``lower`` the right side and ``upper`` +inf;
+    ``holds`` means observed >= lower - ``INEQ_TOL``.
     """
     a, b = _square_pair(a, b)
     _require_hermitian(a, "A")
@@ -259,15 +308,18 @@ def check_trace_inequality(a, b) -> InequalityCheck:
     rho_b = _max_eigenvalue(b)
     lhs = float(np.trace(a @ b).real) / d
     rhs = rho_b * float(np.trace(a).real) / d + rho_a * float(np.trace(b).real) / d - rho_a * rho_b
-    return InequalityCheck(lhs, rhs, np.inf, bool(lhs >= rhs - INEQ_TOL))
+    rep = make_report("appendix_trace", lhs, rhs, np.inf)
+    rep.holds = bool(lhs >= rhs - INEQ_TOL)
+    return rep
 
 
-def check_vn_inequality(a, b) -> InequalityCheck:
+def check_vn_inequality(a, b) -> BoundReport:
     """|tr(AB)/d| against min(rho_B tr|A|/d, rho_A tr|B|/d).
 
     The spectral radii rho and the trace norms come from singular values.
-    ``observed`` is |tr(AB)/d|, ``lower`` -inf and ``upper`` the right side;
-    ``holds`` means observed <= upper + ``INEQ_TOL``.
+    The report's theorem is ``appendix_vn``, ``observed`` is |tr(AB)/d|,
+    ``lower`` -inf and ``upper`` the right side; ``holds`` means
+    observed <= upper + ``INEQ_TOL``.
     """
     a, b = _square_pair(a, b)
     d = a.shape[0]
@@ -275,15 +327,18 @@ def check_vn_inequality(a, b) -> InequalityCheck:
     sb = np.linalg.svd(b, compute_uv=False)
     lhs = abs(np.trace(a @ b)) / d
     rhs = min(sb[0] * sa.sum() / d, sa[0] * sb.sum() / d)
-    return InequalityCheck(float(lhs), -np.inf, float(rhs), bool(lhs <= rhs + INEQ_TOL))
+    rep = make_report("appendix_vn", lhs, -np.inf, rhs)
+    rep.holds = bool(lhs <= rhs + INEQ_TOL)
+    return rep
 
 
-def check_norm_inequality(a, b) -> InequalityCheck:
+def check_norm_inequality(a, b) -> BoundReport:
     """||A||^2/d + ||B||^2/d - 1  <=  ||AB||^2/d  <=  min(||A||^2, ||B||^2)/d.
 
     Both operands must be contractions (largest singular value at most
-    1 + 1e-10), else :class:`NotContraction` is raised.  ``observed`` is
-    ||AB||^2/d; ``holds`` allows ``INEQ_TOL`` on either side.
+    1 + 1e-10), else :class:`NotContraction` is raised.  The report's
+    theorem is ``appendix_norm`` and ``observed`` is ||AB||^2/d; ``holds``
+    allows ``INEQ_TOL`` on either side.
     """
     a, b = _square_pair(a, b)
     d = a.shape[0]
@@ -296,5 +351,6 @@ def check_norm_inequality(a, b) -> InequalityCheck:
     nab = np.linalg.norm(a @ b) ** 2 / d
     lower = na + nb - 1.0
     upper = min(na, nb)
-    holds = bool(lower - INEQ_TOL <= nab <= upper + INEQ_TOL)
-    return InequalityCheck(float(nab), float(lower), float(upper), holds)
+    rep = make_report("appendix_norm", nab, lower, upper)
+    rep.holds = bool(lower - INEQ_TOL <= nab <= upper + INEQ_TOL)
+    return rep

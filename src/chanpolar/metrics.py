@@ -16,6 +16,7 @@ import numpy as np
 
 from . import channel as chn
 from .errors import DimensionMismatch, TargetNotUnitary, ZeroOperator
+from .matcore import make_report
 
 UNITARY_TOL = 1e-9
 NC_THRESHOLD = 0.5
@@ -167,8 +168,6 @@ def lk_gap_bounds(ch: chn.KrausChannel, target=None):
     whose upper side requires the channel to be non-catastrophic; when it
     is not, that side is reported as inapplicable (upper = +inf).
     """
-    from .bounds import make_report  # deferred: bounds depends on metrics
-
     rep = report(ch, target)
     ups2 = rep.upsilon**2
     r1 = make_report(
@@ -177,7 +176,6 @@ def lk_gap_bounds(ch: chn.KrausChannel, target=None):
         lower=0.0,
         upper=(1.0 - ups2) ** 2,
         terms={"upsilon2": ups2, "w1": rep.lk_upsilon},
-        hot_truncated=False,
     )
     applicable = rep.non_catastrophic
     upper = (1.0 - ups2) * (1.0 - rep.phi) if applicable else float("inf")
@@ -191,7 +189,6 @@ def lk_gap_bounds(ch: chn.KrausChannel, target=None):
             "lk_phi": rep.lk_phi,
             "applicable": 1.0 if applicable else 0.0,
         },
-        hot_truncated=False,
     )
     return r1, r2
 

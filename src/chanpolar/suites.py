@@ -1,7 +1,8 @@
 """Randomized verification suites and the composition sweep engine.
 
 These drivers generate seeded channel families, evaluate the bound
-reports, and return flat case records suitable for CSV output.  Every
+reports, and return them with their ``case_id`` set, one
+:class:`~chanpolar.matcore.BoundReport` per CSV row.  Every
 trial derives its randomness from (seed, dimension, depth, trial-index),
 so results are independent of evaluation order.
 """
@@ -13,38 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, channel as chn, genlib, matcore, metrics
+from .matcore import BoundReport
 from .polar import _spectrum_constants, channel_polar
 
-REGIME_CAP = 0.1  # sweeps restrict to m^2 r_decoh^2 <= this
+REGIME_CAP = 0.1  # theorem_suite circuits keep m^2 r^2 <= this
 THEOREM_DEPTHS = (2, 4, 8, 16, 32)  # circuit depths of theorem_suite
 _SWEEP_BLOCK = 256  # depths per stacked eigvalsh in composition_sweep
 
 
-@dataclass
-class CaseResult:
-    """One verification case in CSV-friendly form."""
-
-    case_id: str
-    theorem: str
-    observed: float
-    lower: float
-    upper: float
-    slack: float
-    holds: bool
-
-
-def _case_from_report(case_id: str, rep, theorem: str | None = None) -> CaseResult:
-    """Case of a ``BoundReport`` or an ``InequalityCheck`` (which needs a
-    ``theorem``); the slack is the distance to the nearer side."""
-    return CaseResult(
-        case_id=case_id,
-        theorem=theorem or rep.theorem,
-        observed=rep.observed,
-        lower=rep.lower,
-        upper=rep.upper,
-        slack=min(rep.observed - rep.lower, rep.upper - rep.observed),
-        holds=rep.holds,
-    )
+def _case(case_id: str, rep: BoundReport) -> BoundReport:
+    rep.case_id = case_id
+    return rep
 
 
 def _subseed(rng: np.random.Generator) -> int:
@@ -105,7 +85,7 @@ def sample_noncatastrophic(d: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
-def lemma_suite(dims=(2, 3, 4, 8), trials: int = 1000, seed: int = 0) -> list[CaseResult]:
+def lemma_suite(dims=(2, 3, 4, 8), trials: int = 1000, seed: int = 0) -> list[BoundReport]:
     """LK gap sandwiches on random non-catastrophic channels."""
     out = []
     for d in dims:
@@ -113,12 +93,12 @@ def lemma_suite(dims=(2, 3, 4, 8), trials: int = 1000, seed: int = 0) -> list[Ca
             rng = np.random.default_rng([seed, d, t])
             ch, target = sample_noncatastrophic(d, rng)
             r1, r2 = metrics.lk_gap_bounds(ch, target)
-            out.append(_case_from_report(f"lemma1/d{d}/t{t}", r1))
-            out.append(_case_from_report(f"lemma2/d{d}/t{t}", r2))
+            out.append(_case(f"lemma1/d{d}/t{t}", r1))
+            out.append(_case(f"lemma2/d{d}/t{t}", r2))
     return out
 
 
-def appendix_suite(dims=(2, 3, 5), trials: int = 1000, seed: int = 0) -> list[CaseResult]:
+def appendix_suite(dims=(2, 3, 5), trials: int = 1000, seed: int = 0) -> list[BoundReport]:
     """Trace, flavored Von Neumann, and norm inequality sweeps."""
     out = []
     for d in dims:
@@ -135,11 +115,11 @@ def appendix_suite(dims=(2, 3, 5), trials: int = 1000, seed: int = 0) -> list[Ca
                 return (u * np.minimum(s, 1.0)) @ vh
 
             tr = matcore.check_trace_inequality(herm(), herm())
-            out.append(_case_from_report(f"trace/d{d}/t{t}", tr, "appendix_trace"))
+            out.append(_case(f"trace/d{d}/t{t}", tr))
             vn = matcore.check_vn_inequality(contraction(), contraction())
-            out.append(_case_from_report(f"vn/d{d}/t{t}", vn, "appendix_vn"))
+            out.append(_case(f"vn/d{d}/t{t}", vn))
             nm = matcore.check_norm_inequality(contraction(), contraction())
-            out.append(_case_from_report(f"norm/d{d}/t{t}", nm, "appendix_norm"))
+            out.append(_case(f"norm/d{d}/t{t}", nm))
     return out
 
 
@@ -163,7 +143,7 @@ def _circuit(d: int, m: int, rng, with_targets=False, decoherent=False):
     return bounds.CircuitSpec(channels, targets)
 
 
-def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[CaseResult]:
+def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundReport]:
     """Thm 1/2/5/9 on general circuits plus Thm 4/6/8 on decoherent ones.
 
     ``trials`` circuits per dimension, split evenly over
@@ -178,37 +158,27 @@ def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[CaseRes
                 rng = np.random.default_rng([seed, d, m, t])
                 tag = f"d{d}/m{m}/t{t}"
                 circ = _circuit(d, m, rng, with_targets=(t % 2 == 0))
-                out.append(_case_from_report(f"thm1/{tag}", bounds.thm1_uni_evo(circ)))
-                out.append(_case_from_report(f"thm2/{tag}", bounds.thm2_fid_evo(circ)))
-                out.append(
-                    _case_from_report(f"thm5/{tag}", bounds.thm5_unitarity_decay(circ))
-                )
-                out.append(
-                    _case_from_report(
-                        f"thm9/{tag}", bounds.thm9_max_correction_multi(circ)
-                    )
-                )
+                out.append(_case(f"thm1/{tag}", bounds.thm1_uni_evo(circ)))
+                out.append(_case(f"thm2/{tag}", bounds.thm2_fid_evo(circ)))
+                out.append(_case(f"thm5/{tag}", bounds.thm5_unitarity_decay(circ)))
+                out.append(_case(f"thm9/{tag}", bounds.thm9_max_correction_multi(circ)))
                 dcirc = _circuit(d, m, rng, decoherent=True)
                 v = genlib.random_unitary_error(
                     d, float(rng.uniform(0.0, 0.15)), _subseed(rng)
                 ).kraus[0]
                 mono, sub = bounds.thm4_decoherent_features(dcirc, v)
-                out.append(_case_from_report(f"thm4a/{tag}", mono))
-                out.append(_case_from_report(f"thm4b/{tag}", sub))
+                out.append(_case(f"thm4a/{tag}", mono))
+                out.append(_case(f"thm4b/{tag}", sub))
+                out.append(_case(f"thm6/{tag}", bounds.thm6_fidelity_decay(dcirc)))
                 out.append(
-                    _case_from_report(f"thm6/{tag}", bounds.thm6_fidelity_decay(dcirc))
-                )
-                out.append(
-                    _case_from_report(
-                        f"thm8/{tag}", bounds.thm8_equable_composition(v, dcirc)
-                    )
+                    _case(f"thm8/{tag}", bounds.thm8_equable_composition(v, dcirc))
                 )
     return out
 
 
 def thm7_suite(
     dims=(2, 3), trials: int = 500, seed: int = 0, budget: int = 500
-) -> list[CaseResult]:
+) -> list[BoundReport]:
     """Single-channel quasi-maximal correction sweep with the numerical
     optimizer cross-check."""
     out = []
@@ -219,11 +189,11 @@ def thm7_suite(
             rep = bounds.thm7_max_correction(
                 ch, target, budget=budget, seed=_subseed(rng)
             )
-            out.append(_case_from_report(f"thm7/d{d}/t{t}", rep))
+            out.append(_case(f"thm7/d{d}/t{t}", rep))
     return out
 
 
-def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[CaseResult]:
+def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[BoundReport]:
     """Orthogonality of the three generator terms (traceless draws) and
     generator preservation under traceless canonicalization (traceful
     draws)."""
@@ -246,9 +216,10 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Cas
             st = bounds.lindblad_structure(spec)
             worst = st.worst_overlap
             out.append(
-                CaseResult(
-                    f"lind_orth/d{d}/t{t}", "lindblad_orthogonality", worst, 0.0,
-                    1e-9, 1e-9 - worst, st.orthogonal,
+                BoundReport(
+                    case_id=f"lind_orth/d{d}/t{t}", theorem="lindblad_orthogonality",
+                    observed=worst, lower=0.0, upper=1e-9, slack=1e-9 - worst,
+                    holds=st.orthogonal,
                 )
             )
             traceful = [op() for _ in range(n_ops)]
@@ -259,9 +230,10 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Cas
                 np.linalg.norm(before - after) / max(np.linalg.norm(before), 1.0)
             )
             out.append(
-                CaseResult(
-                    f"lind_canon/d{d}/t{t}", "lindblad_canonicalize", err, 0.0,
-                    1e-9, 1e-9 - err, err <= 1e-9,
+                BoundReport(
+                    case_id=f"lind_canon/d{d}/t{t}", theorem="lindblad_canonicalize",
+                    observed=err, lower=0.0, upper=1e-9, slack=1e-9 - err,
+                    holds=err <= 1e-9,
                 )
             )
     return out
@@ -270,7 +242,7 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Cas
 SUITES = ("lemmas", "theorems", "appendix", "all")
 
 
-def run_suite(name: str, dims=None, trials: int = 100, seed: int = 0) -> list[CaseResult]:
+def run_suite(name: str, dims=None, trials: int = 100, seed: int = 0) -> list[BoundReport]:
     """Dispatch a named verification suite (the Thm 7 optimizer gets a
     budget of 200 evaluations).  The theorem suites skip dimensions above
     ``bounds.OPTIMIZER_MAX_DIM``, where the Thm 7 optimizer refuses."""
@@ -385,7 +357,7 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
                     thm8_upper=centre + band,
                     coherent_lower=coh_lower,
                     non_catastrophic=nc,
-                    contained=bool(abs(phi_m - centre) <= band + bounds.HOLDS_TOL),
+                    contained=bool(abs(phi_m - centre) <= band + matcore.HOLDS_TOL),
                 )
             )
     return rows

@@ -296,7 +296,7 @@ class TestThm9:
         rep = bounds.thm9_max_correction_multi(unitary_circuit(2, 4, seed=13))
         assert rep.observed == pytest.approx(1.0, abs=1e-12)
         assert rep.terms["prod_upsilon"] == pytest.approx(1.0, abs=1e-12)
-        assert rep.slack_lower == pytest.approx(0.0, abs=1e-9)
+        assert rep.observed - rep.lower == pytest.approx(0.0, abs=1e-9)
         assert rep.holds
 
     def test_three_rotation_dephasing(self):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -7,13 +8,19 @@ import numpy as np
 import pytest
 
 from chanpolar import channel as chn
-from chanpolar import genlib, polar
+from chanpolar import genlib, polar, suites
 from chanpolar.cli import main
+from chanpolar.matcore import BoundReport
 
 
 def write_channel(path, ch):
     path.write_text(json.dumps(chn.channel_to_json(ch)))
     return str(path)
+
+
+def csv_header(path):
+    with open(path, newline="") as fh:
+        return next(csv.reader(fh))
 
 
 def read_csv(path):
@@ -153,8 +160,10 @@ class TestVerifyCmd:
         from chanpolar import suites as suites_mod
 
         fake = [
-            suites_mod.CaseResult("fake/0", "thm1", 2.0, 0.0, 1.0, -1.0, False),
-            suites_mod.CaseResult("fake/1", "thm1", 0.5, 0.0, 1.0, 0.5, True),
+            BoundReport(case_id="fake/0", theorem="thm1", observed=2.0, lower=0.0,
+                        upper=1.0, slack=-1.0, holds=False),
+            BoundReport(case_id="fake/1", theorem="thm1", observed=0.5, lower=0.0,
+                        upper=1.0, slack=0.5, holds=True),
         ]
         monkeypatch.setattr(suites_mod, "run_suite", lambda *a, **k: fake)
         out = tmp_path / "viol.csv"
@@ -165,6 +174,15 @@ class TestVerifyCmd:
 
     def test_unknown_flag_usage_error(self):
         assert main(["verify", "--nope"]) == 64
+
+    def test_header_is_the_record_column_order(self, tmp_path):
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--suite", "appendix", "--dim", "2", "--trials", "2",
+                     "--out", str(out)]) == 0
+        header = csv_header(out)
+        assert header == ["case_id", "theorem", "observed", "lower", "upper",
+                          "slack", "holds"]
+        assert header == [f.name for f in dataclasses.fields(BoundReport)][:7]
 
 
 class TestSweepCmd:
@@ -271,11 +289,25 @@ class TestSweepCmd:
                                  "metrics": ["coherent_lower", "phi"]}))
         pick = tmp_path / "pick.csv"
         assert main(["sweep", "--config", str(p), "--out", str(pick)]) == 0
-        with open(pick, newline="") as fh:
-            header = next(csv.reader(fh))
+        header = csv_header(pick)
         # depth first, then the named columns in table order
         assert header == ["depth", "phi", "coherent_lower"]
         assert read_csv(pick) == [{k: r[k] for k in header} for r in read_csv(full)]
+
+    def test_header_is_the_sweep_row_fields(self, tmp_path):
+        fam = {"family": "rotation", "dim": 2, "params": {"theta": 0.1}}
+        names = [f.name for f in dataclasses.fields(suites.SweepRow)]
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", self._config(tmp_path, fam, 2),
+                     "--out", str(out)]) == 0
+        assert csv_header(out) == names
+        p = tmp_path / "pick.json"
+        p.write_text(json.dumps({"family": fam, "max_depth": 2,
+                                 "metrics": ["contained", "thm8_lower", "phi"]}))
+        assert main(["sweep", "--config", str(p), "--out", str(out)]) == 0
+        assert csv_header(out) == [
+            n for n in names if n in ("depth", "phi", "thm8_lower", "contained")
+        ]
 
     @pytest.mark.parametrize("metrics", ["phi", [1], {"phi": 1}])
     def test_metrics_not_a_list_of_names_exit_2(self, tmp_path, metrics):
@@ -498,6 +530,30 @@ class TestChoiFileErrors:
         }
 
 
+    @pytest.mark.parametrize("scale, tp", [
+        (1e300, "1.414e+300"), (1e306, "1.414e+306"), (1e308, "1.414e+308"),
+    ])
+    def test_huge_finite_choi_is_not_trace_preserving(self, tmp_path, capsys,
+                                                      scale, tp):
+        """A CPTP Choi file scaled near the top of the float range is refused
+        for trace preservation, without a numpy warning: its Hermitian part,
+        CP floor and tp_slack do not overflow, and at 1e308, where the top
+        eigenvalue does, the spectrum is taken scaled down."""
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        doc = json.loads((inputs / "random_cptp-d2-choi.json").read_text())
+        doc["choi"] = [[re * scale, im * scale] for re, im in doc["choi"]]
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["metrics", "--in", str(p)]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "domain",
+            "detail": f"{p} is not CPTP (cp_slack=0.000e+00, tp_slack={tp})",
+        }
+
+
 class TestErrorPaths:
     """Every failure ends in a typed exit code and one JSON line on stderr,
     never in a traceback or in exit 1 (the bound-violation code)."""
@@ -529,6 +585,30 @@ class TestErrorPaths:
         ))
         assert main(["sweep", "--config", str(p)]) == 3
         assert self._err(capsys)["error"] == "domain"
+
+    @pytest.mark.parametrize("family, params", [
+        ("identity", {}),
+        ("depolarizing", {"p": 0.9}),
+        ("stochastic_weyl", {"p": 0.9}),
+        ("random_unitary_error", {"strength": 0.1}),
+        ("random_cptp", {"kraus_rank": 1}),
+        ("psd_lk_decoherent", {"strength": 0.1, "kraus_rank": 1}),
+    ])
+    def test_d1_sweep_exit_3(self, tmp_path, monkeypatch, capsys, family, params):
+        """A family built at d = 1 reaches the coherent envelope, which
+        needs d >= 2: a domain error with nothing written."""
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "family": {"family": family, "dim": 1, "params": params, "seed": 0},
+            "max_depth": 3,
+        }))
+        assert main(["sweep", "--config", str(p), "--out", "rows.csv"]) == 3
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        lines = cap.err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_missing_input_file_exit_2(self, tmp_path, capsys):
         assert main(["metrics", "--in", str(tmp_path / "absent.json")]) == 2

@@ -1,8 +1,9 @@
 """Seeded fuzzing of the CLI exit-code contract.
 
-Each case applies one to three JSON-level mutations to a file of
-``tests/golden/inputs`` and runs ``decompose``, ``metrics`` or ``sweep`` on
-it in-process.  Every case must end in exit 0, 1, 2, 3 or 64, never in 70
+Each case applies one to three JSON-level mutations to a base file (one of
+``tests/golden/inputs`` or an extra base below) and runs ``decompose``,
+``metrics`` or ``sweep`` on it in-process; after those, every base also
+runs once as it is.  Every case must end in exit 0, 1, 2, 3 or 64, never in 70
 (an internal error); on exit 2 or 64 stderr holds exactly one JSON error
 line, no Python warning is raised and no data is written, neither to
 stdout nor to a file.  A JSON output of exit 0 must be strict JSON (no
@@ -30,6 +31,16 @@ VALUES = (
 )
 KEYS = ("dim", "seed", "params", "family", "mode", "max_depth", "kappa",
         "metrics", "out", "kraus", "choi", "unitary", "junk")
+# bases besides the golden inputs: a sweep of a family that builds at dim 1
+# (no golden sweep does), so that cases reach the sweep's own d >= 2 check;
+# a tweak of its dim gives the valid d = 2 sweep
+EXTRA_BASES = {
+    "sweep-composition-depolarizing-d1.json": {
+        "mode": "composition",
+        "family": {"family": "depolarizing", "dim": 1, "params": {"p": 0.9}},
+        "max_depth": MAX_DEPTH,
+    },
+}
 
 
 def _paths(node, path=()):
@@ -89,6 +100,7 @@ def _mutate(doc, rng):
 def _cases():
     rng = random.Random(0)
     bases = {p.name: json.loads(p.read_text()) for p in sorted(INPUTS.glob("*.json"))}
+    bases.update(copy.deepcopy(EXTRA_BASES))
     for doc in bases.values():
         if "max_depth" in doc:
             doc["max_depth"] = min(doc["max_depth"], MAX_DEPTH)
@@ -105,19 +117,25 @@ def _cases():
             cut = rng.randrange(len(text))
             text = text[:cut]
             log.append(f"truncate at {cut}")
-        if name.startswith("sweep"):
-            argv = ["sweep", "--config", "{path}"]
-        elif name.startswith("target"):
-            argv = [rng.choice(["metrics", "decompose"]),
-                    "--in", str(INPUTS / "random_unitary_error-d3.json"),
-                    "--target", "{path}"]
-        else:
-            argv = [rng.choice(["metrics", "decompose"]), "--in", "{path}"]
-            if name.endswith("-d3.json") and rng.random() < 0.3:
-                argv += ["--target", str(INPUTS / "target-d3.json")]
-        if rng.random() < 0.5:
-            argv += ["--out", "data.out"]
-        yield i, name, log, text, argv
+        yield i, name, log, text, _argv(name, rng)
+    for i, name in enumerate(names, N_CASES):
+        yield i, name, [], json.dumps(bases[name]), _argv(name, rng)
+
+
+def _argv(name, rng):
+    if name.startswith("sweep"):
+        argv = ["sweep", "--config", "{path}"]
+    elif name.startswith("target"):
+        argv = [rng.choice(["metrics", "decompose"]),
+                "--in", str(INPUTS / "random_unitary_error-d3.json"),
+                "--target", "{path}"]
+    else:
+        argv = [rng.choice(["metrics", "decompose"]), "--in", "{path}"]
+        if name.endswith("-d3.json") and rng.random() < 0.3:
+            argv += ["--target", str(INPUTS / "target-d3.json")]
+    if rng.random() < 0.5:
+        argv += ["--out", "data.out"]
+    return argv
 
 
 def _strict_json(text):

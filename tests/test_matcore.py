@@ -244,3 +244,21 @@ class TestNormInequality:
                 random_contraction(d, rng), random_contraction(d, rng)
             )
             assert chk.holds
+
+
+class TestAppendixReports:
+    """The three checks return the one verification record under their
+    theorem names, with the slack to the nearer side."""
+
+    @pytest.mark.parametrize("check, theorem", [
+        (matcore.check_trace_inequality, "appendix_trace"),
+        (matcore.check_vn_inequality, "appendix_vn"),
+        (matcore.check_norm_inequality, "appendix_norm"),
+    ])
+    def test_theorem_name_and_slack(self, check, theorem):
+        rng = np.random.default_rng(400)
+        rep = check(random_hermitian(3, rng, 0.1), random_hermitian(3, rng, 0.1))
+        assert isinstance(rep, matcore.BoundReport)
+        assert rep.theorem == theorem and rep.case_id == ""
+        assert rep.slack == min(rep.observed - rep.lower, rep.upper - rep.observed)
+        assert rep.holds

@@ -181,8 +181,8 @@ class TestLkGapBounds:
             ch, target = suites.sample_noncatastrophic(d, rng)
             r1, r2 = metrics.lk_gap_bounds(ch, target)
             assert r1.holds and r2.holds
-            assert min(r1.slack_lower, r1.slack_upper) >= -1e-10
-            assert min(r2.slack_lower, r2.slack_upper) >= -1e-10
+            assert r1.slack >= -1e-10
+            assert r2.slack >= -1e-10
 
 
 class TestMonteCarlo:

@@ -3,6 +3,7 @@ import pytest
 
 from chanpolar import bounds, channel as chn, genlib, metrics, polar, suites
 from chanpolar.errors import PhaseUndefined
+from chanpolar.matcore import BoundReport
 from chanpolar.polar import _spectrum_constants
 
 # V^m is traceless when 3 divides m and 9 does not (V^3 = diag(1, w, w^2), w^3 = 1)
@@ -98,6 +99,23 @@ class TestSamplers:
         assert [(c.case_id, c.observed) for c in a] == [
             (c.case_id, c.observed) for c in b
         ]
+
+
+class TestRecords:
+    def test_slack_of_every_row(self):
+        """Bound rows carry min(observed - lower, upper - observed); the
+        Lindblad rows keep their explicit 1e-9 - observed."""
+        cases = suites.run_suite("all", dims=(2, 3), trials=5, seed=1)
+        assert {c.theorem for c in cases} >= {
+            "lemma1", "thm7", "thm9", "appendix_vn", "lindblad_orthogonality",
+            "lindblad_canonicalize",
+        }
+        for c in cases:
+            assert isinstance(c, BoundReport) and c.case_id
+            if c.theorem.startswith("lindblad_"):
+                assert c.slack == 1e-9 - c.observed
+            else:
+                assert c.slack == min(c.observed - c.lower, c.upper - c.observed)
 
 
 class TestCompositionSweep:
