@@ -68,10 +68,6 @@ class CircuitSpec:
     def dim(self) -> int:
         return self.channels[0].dim
 
-    @property
-    def depth(self) -> int:
-        return len(self.channels)
-
 
 def _wse_coh_constant(v: np.ndarray):
     """WSE coherence constant of a unitary, after fixing tr V in R+.
@@ -110,7 +106,6 @@ class _CircuitData:
     def __init__(self, circuit: CircuitSpec):
         d = circuit.dim
         self.d = d
-        self.m = circuit.depth
         self.canons = [chn.canonical(c) for c in circuit.channels]
         self.targets = circuit.targets
         self.w1 = np.array([c.w1 for c in self.canons])  # Upsilon(A_i*)
@@ -139,12 +134,8 @@ class _CircuitData:
         self.a1_c = _circuit_product([c.a1 for c in self.canons], d)
         self.ups_star_c = float(np.linalg.norm(self.a1_c) ** 2 / d)  # Upsilon(A*_{m:1})
         self.phi_star_c = metrics._overlap(u_c.conj().T @ self.a1_c)  # Phi(A*, U_{m:1})
-
-    def element_nc(self) -> bool:
-        return bool(np.all(metrics._nc_regime(self.phis, self.ups)))
-
-    def composite_nc(self) -> bool:
-        return bool(metrics._nc_regime(self.phi_c, self.ups_c))
+        self.element_nc = bool(np.all(metrics._nc_regime(self.phis, self.ups)))
+        self.composite_nc = bool(metrics._nc_regime(self.phi_c, self.ups_c))
 
 
 def _data(circuit: CircuitSpec) -> _CircuitData:
@@ -154,17 +145,11 @@ def _data(circuit: CircuitSpec) -> _CircuitData:
 
 
 def _require_nc(data: _CircuitData):
-    if not (data.element_nc() and data.composite_nc()):
+    if not (data.element_nc and data.composite_nc):
         raise NotNonCatastrophic(
             "every element and the composition must satisfy Phi > 1/2 and "
             "Upsilon^2 > 1/2"
         )
-
-
-def _phi_with_prefix(mat: np.ndarray, ch: chn.KrausChannel) -> float:
-    """Phi of the channel prefixed by the matrix map K -> mat K, target I."""
-    traces = np.einsum("ij,kji->k", mat, ch.kraus)
-    return float(np.sum(np.abs(traces) ** 2) / ch.dim**2)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +249,7 @@ def thm4_decoherent_features(
     _require_nc(data)
     d = data.d
     v = metrics._check_target(v, d)
-    phi_tot = _phi_with_prefix(v, data.composite)
+    phi_tot = metrics._phi_with_prefix(v, data.composite.kraus)
     phi_vstar = metrics._overlap(v @ data.a1_c)
     terms = {
         "min_phi_element": float(np.min(data.phis)),
@@ -306,9 +291,8 @@ def thm5_unitarity_decay(circuit: CircuitSpec) -> BoundReport:
     t3 = gamma**2 * float(np.sum(data.pert**2))
     t4 = 2.0 * gamma**2 * data.pert_sum**2
     upper = t1 + t2 + t3 + t4
-    d2 = data.d**2
-    u_c = (d2 * data.ups_c**2 - 1.0) / (d2 - 1.0)
-    u_prod = float(np.prod((d2 * data.ups**2 - 1.0) / (d2 - 1.0)))
+    u_c = metrics.unitarity(data.ups_c, data.d)
+    u_prod = float(np.prod(metrics.unitarity(data.ups, data.d)))
     qm_rhs = float(np.min(data.ups)) + (1.0 - data.ups_c**2) ** 2 / np.sqrt(2.0)
     qs_rhs = float(np.sum((1.0 - data.ups) + (1.0 - data.ups**2) ** 2))
     return make_report(
@@ -392,7 +376,7 @@ def thm7_max_correction(
     if not metrics._non_catastrophic(ch, u):
         raise NotNonCatastrophic("channel must be non-catastrophic")
     pol = channel_polar(ch)
-    observed = _phi_with_prefix(pol.unitary.conj().T, chn.canonical(ch))
+    observed = metrics._phi_with_prefix(pol.unitary.conj().T, chn.canonical(ch).kraus)
     ups = metrics.upsilon(ch)
     gap = 1.0 - ups**2
     lower = ups**2 - gap**2
@@ -437,10 +421,10 @@ def thm8_equable_composition(v, circuit: CircuitSpec) -> BoundReport:
     data = _data(circuit)
     d = data.d
     v = metrics._check_target(v, d)
-    phi_tot = _phi_with_prefix(v, data.composite)
+    phi_tot = metrics._phi_with_prefix(v, data.composite.kraus)
     ups_tot = metrics.upsilon(data.composite)  # v does not change Upsilon
     nc_tot = bool(metrics._nc_regime(phi_tot, ups_tot))
-    if not data.element_nc() or not nc_tot:
+    if not data.element_nc or not nc_tot:
         raise NotNonCatastrophic(
             "elements and the prefixed composition must be non-catastrophic"
         )
@@ -484,7 +468,7 @@ def thm9_max_correction_multi(circuit: CircuitSpec) -> BoundReport:
     data = _data(circuit)
     _require_nc(data)
     v_c = _circuit_product([p.unitary for p in data.polars], data.d)
-    observed = _phi_with_prefix(v_c.conj().T, data.composite)
+    observed = metrics._phi_with_prefix(v_c.conj().T, data.composite.kraus)
     gamma = data.gamma_max
     prod_ups = data.prod_ups
     up = (
@@ -547,7 +531,7 @@ def coherent_envelope(
         raise ValueError("need at least one ratio")
     if d < 2:
         raise DimensionMismatch("the coherent envelope needs d >= 2")
-    if np.any(x <= 0.5) or np.any(x > 1.0 + 1e-9):
+    if not (np.min(x) > 0.5 and np.max(x) <= 1.0 + 1e-9):  # NaN fails too
         raise RatioOutOfRange("each Phi/Upsilon ratio must lie in (1/2, 1]")
     ups_prod = float(np.prod(upsilons)) if upsilons is not None else 1.0
     clipped = bool(np.any(x > 1.0))
@@ -559,10 +543,8 @@ def coherent_envelope(
             clipped = True
         lower = float(np.cos(total) ** 2) * ups_prod
     else:
+        # x > 1/2 and d >= 3 give d sqrt(x) - 1 > 0: no argument below -1
         args = (d * np.sqrt(np.minimum(x, 1.0)) - 1.0) / (d - 1.0)
-        if np.any(args < -1.0):
-            args = np.maximum(args, -1.0)
-            clipped = True
         total = float(np.sum(np.arccos(args)))
         cap = float(np.arccos(-1.0 / (d - 1.0)))
         if total >= cap:
@@ -641,13 +623,11 @@ def _optimize_correction(
     rng = np.random.default_rng(seed)
 
     def w_at(x: np.ndarray) -> np.ndarray:
-        h = np.tensordot(x, basis, axes=(0, 0))
-        vals, vecs = np.linalg.eigh(h)
-        return (vecs * np.exp(-1j * vals)) @ vecs.conj().T @ w0
+        return matcore._expi_hermitian(np.tensordot(x, basis, axes=(0, 0)), -1.0) @ w0
 
     x = np.zeros(nb)
     best_x = x
-    best = _phi_with_prefix(uc @ w0, ch)
+    best = metrics._phi_with_prefix(uc @ w0, ch.kraus)
     f_w0 = best
     evals = 1
     step = 0.1
@@ -660,7 +640,7 @@ def _optimize_correction(
             if evals >= budget:
                 break
             cand = best_x + sign * step * direction
-            val = _phi_with_prefix(uc @ w_at(cand), ch)
+            val = metrics._phi_with_prefix(uc @ w_at(cand), ch.kraus)
             evals += 1
             if val > best:
                 best = val

@@ -279,19 +279,6 @@ def apply(ch: KrausChannel, rho) -> np.ndarray:
     return np.einsum("kij,jl,kml->im", k, r, k.conj())
 
 
-def compose_pair(first: KrausChannel, second: KrausChannel) -> KrausChannel:
-    """Channel applying ``first`` then ``second`` (second o first)."""
-    if first.dim != second.dim:
-        raise DimensionMismatch("composed channels must share a dimension")
-    d = first.dim
-    prod = np.einsum("aij,bjk->abik", second.kraus, first.kraus)
-    prod = prod.reshape(-1, d, d)
-    out = KrausChannel(dim=d, kraus=prod)
-    if prod.shape[0] > d * d:
-        out = canonical(out)
-    return out
-
-
 def compose(channels: Sequence[KrausChannel]) -> KrausChannel:
     """Compose channels in circuit order: index 0 is applied first.
 
@@ -303,9 +290,13 @@ def compose(channels: Sequence[KrausChannel]) -> KrausChannel:
     dims = {c.dim for c in channels}
     if len(dims) != 1:
         raise DimensionMismatch("composed channels must share a dimension")
+    d = channels[0].dim
     acc = channels[0]
     for ch in channels[1:]:
-        acc = compose_pair(acc, ch)
+        prod = np.einsum("aij,bjk->abik", ch.kraus, acc.kraus).reshape(-1, d, d)
+        acc = KrausChannel(dim=d, kraus=prod)
+        if prod.shape[0] > d * d:
+            acc = canonical(acc)
     return acc
 
 
@@ -336,6 +327,9 @@ def _pairs_to_matrix(pairs, rows: int, cols: int, name: str) -> np.ndarray:
         raise ValueError(
             f"{name} must be a flat row-major list of {rows * cols} [re, im] pairs"
         )
+    # the float64 conversion also reads numeric strings and booleans
+    if not all(type(x) in (int, float) for pair in pairs for x in pair):
+        raise ValueError(f"{name} entries must be JSON numbers")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, channel as chn, genlib, metrics, polar, suites
+from . import __version__, bounds, channel as chn, genlib, metrics, polar, suites
 from .errors import ChanPolarError, ParamOutOfRange
 from .matcore import BoundReport
 
@@ -290,6 +290,12 @@ def _cmd_verify(args) -> _Result:
     cases = suites.run_suite(
         args.suite, dims=args.dims, trials=args.trials, seed=args.seed
     )
+    if not cases:
+        raise _UsageError(
+            f"--suite {args.suite} selects no case at --dims "
+            f"{','.join(map(str, args.dims))}: its theorem and Lindblad cases "
+            f"run only at d <= {bounds.OPTIMIZER_MAX_DIM}"
+        )
     n_fail = sum(1 for c in cases if not c.holds)
     sys.stderr.write(f"verify {args.suite}: {len(cases)} cases, {n_fail} violations\n")
     return _Result(

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel as chn
+from . import matcore
 from . import polar as polar_mod
 from .errors import ParamOutOfRange
 
@@ -22,21 +23,11 @@ def _require(cond: bool, msg: str):
         raise ParamOutOfRange(msg)
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def _expi_hermitian(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(1j * scale * H) for Hermitian H, via eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * scale * w)) @ v.conj().T
-
-
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-random unitary: QR of a complex Ginibre matrix with the
     phase-of-diagonal correction."""
     _require(d >= 1, "dimension must be >= 1")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diag(r)
@@ -108,7 +99,7 @@ def stochastic_weyl(d: int, p: float, seed) -> chn.KrausChannel:
     randomly (seeded) over the other Weyl unitaries.  p > 1/2 keeps the
     identity component leading."""
     _require(0.5 < p <= 1.0, "stochastic_weyl p must be in (1/2, 1]")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     ops = weyl_ops(d)
     raw = rng.random(d * d - 1)
     if raw.sum() <= 0:
@@ -162,13 +153,13 @@ def rotation(d: int, theta: float) -> chn.KrausChannel:
 def _gue_rotation(n: int, strength: float, seed) -> np.ndarray:
     """exp(-i strength H) for an n x n GUE draw H normalized to unit
     spectral radius (real then imaginary normals of the seeded stream)."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (g + g.conj().T) / 2.0
     top = float(np.abs(np.linalg.eigvalsh(h)).max())
     if top > 0:
         h = h / top
-    return _expi_hermitian(h, -strength)
+    return matcore._expi_hermitian(h, -strength)
 
 
 def random_unitary_error(d: int, strength: float, seed) -> chn.KrausChannel:
@@ -249,7 +240,7 @@ def extremal_dephaser(
     _require(
         base_scale < outlier_depth <= 0.5, "outlier_depth must be in (base_scale, 0.5]"
     )
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     sigma = 1.0 - np.abs(rng.standard_normal(d)) * base_scale
     pos = rng.choice(d, size=n_outliers, replace=False)
     sigma[pos] = 1.0 - outlier_depth * (1.0 + 0.1 * rng.random(n_outliers))
@@ -341,10 +332,10 @@ BUILDERS = {
         d, p["strength"], seed
     ),
     "random_cptp": lambda d, p, seed: random_cptp(
-        d, int(p["kraus_rank"]), seed, p.get("strength")
+        d, p["kraus_rank"], seed, p.get("strength")
     ),
     "psd_lk_decoherent": lambda d, p, seed: psd_lk_decoherent(
-        d, p["strength"], seed, kraus_rank=int(p.get("kraus_rank", 3))
+        d, p["strength"], seed, kraus_rank=p.get("kraus_rank", 3)
     ),
     "extremal_dephaser": lambda d, p, seed: extremal_dephaser(
         d, p.get("base_scale"), p.get("n_outliers"), p.get("outlier_depth"), seed
@@ -368,7 +359,8 @@ class FamilySpec:
     @classmethod
     def from_dict(cls, obj: dict) -> "FamilySpec":
         """Parse a spec; ``dim`` must be an integer >= 1, ``params``, when
-        present, a JSON object and ``seed``, when present, an integer >= 0
+        present, a JSON object of numbers (integers for ``kraus_rank`` and
+        ``n_outliers``) and ``seed``, when present, an integer >= 0
         (``ValueError`` otherwise)."""
         if not isinstance(obj, dict) or "family" not in obj or "dim" not in obj:
             raise ValueError("family spec needs 'family' and 'dim' fields")
@@ -380,6 +372,10 @@ class FamilySpec:
             raise ValueError("family 'dim' must be an integer >= 1")
         if not isinstance(params, dict):
             raise ValueError("family 'params' must be a JSON object")
+        for key, value in params.items():  # type() also excludes bool
+            kind = "integer" if key in ("kraus_rank", "n_outliers") else "number"
+            if type(value) not in ((int,) if kind == "integer" else (int, float)):
+                raise ValueError(f"family param '{key}' must be a JSON {kind}")
         if "seed" in obj and (type(seed) is not int or seed < 0):
             raise ValueError("family 'seed' must be an integer >= 0")
         return cls(family=fam, dim=dim, params=dict(params), seed=seed)

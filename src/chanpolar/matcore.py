@@ -57,15 +57,25 @@ def fix_entry_phase(op: np.ndarray) -> np.ndarray:
     return op * (np.conj(val) / abs(val))
 
 
+def _trace_phase(op: np.ndarray) -> complex | None:
+    """tr(op) / |tr(op)|, or None when |tr(op)| <= ``PHASE_TRACE_TOL``."""
+    t = np.trace(op)
+    return complex(t / abs(t)) if abs(t) > PHASE_TRACE_TOL else None
+
+
 def fix_trace_phase(op: np.ndarray) -> np.ndarray:
     """Rotate a global phase so tr(op) is real positive.
 
     Falls back to :func:`fix_entry_phase` when |tr| <= ``PHASE_TRACE_TOL``.
     """
-    t = np.trace(op)
-    if abs(t) > PHASE_TRACE_TOL:
-        return op * (np.conj(t) / abs(t))
-    return fix_entry_phase(op)
+    phase = _trace_phase(op)
+    return fix_entry_phase(op) if phase is None else op * np.conj(phase)
+
+
+def _expi_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
+    """exp(1j * scale * H) for Hermitian H, via eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * scale * w)) @ v.conj().T
 
 
 @dataclass(eq=False)
@@ -213,19 +223,14 @@ def polar_decompose(a) -> MatrixPolar:
         v = v + un @ (um @ vmh).conj().T @ wn.conj().T
     psd = (w * s) @ w.conj().T
     psd = (psd + psd.conj().T) / 2.0
-    t = np.trace(v)
-    if abs(t) > PHASE_TRACE_TOL:
-        phase = complex(t / abs(t))
+    phase = _trace_phase(v)
+    if phase is not None:
         v = v * np.conj(phase)
-        fixed = True
-    else:
-        phase = 1.0 + 0.0j
-        fixed = False
     return MatrixPolar(
         unitary=v,
         psd=psd,
-        phase_fixed=fixed,
-        phase=phase,
+        phase_fixed=phase is not None,
+        phase=1.0 + 0.0j if phase is None else phase,
         singular_values=s.copy(),
         rank=r,
     )

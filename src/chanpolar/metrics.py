@@ -65,6 +65,13 @@ def _phi(ch: chn.KrausChannel, u: np.ndarray) -> float:
     return float(np.sum(np.abs(traces) ** 2) / ch.dim**2)
 
 
+def _phi_with_prefix(m: np.ndarray, kraus: np.ndarray) -> float:
+    """sum_k |tr(M A_k)|^2 / d^2, Phi against I of the Kraus family
+    prefixed by M; the sums follow the memory layout of ``m``."""
+    traces = np.einsum("ij,kji->k", m, kraus)
+    return float(np.sum(np.abs(traces) ** 2) / m.shape[0] ** 2)
+
+
 def _overlap(m: np.ndarray) -> float:
     """|tr M|^2 / d^2 of a d x d matrix M: Phi of the one-operator map
     M . M^dag against the identity."""

@@ -38,9 +38,9 @@ class ChannelPolar:
     the Hermitian part of V (the real parts of V's eigenvalues), descending.
 
     ``phi_decoherent`` is Phi(D, I) of the left decoherent factor
-    D = V^dag o A, sum_i |tr(V^dag A_i)|^2 / d^2.  It is summed from the
-    diagonal of V^dag A_i alone (O(k d^2)), in the order that
-    ``metrics.phi(decoherent_left)`` sums the full factor.
+    D = V^dag o A, sum_i |tr(V^dag A_i)|^2 / d^2, taken by
+    ``metrics._phi_with_prefix`` in O(k d^2) without building the factor;
+    it has the bits of ``metrics.phi(decoherent_left)``.
 
     The three channels, ``lambda_re`` and ``phi_decoherent`` are built from
     ``unitary`` and the canonical Kraus operators on first read and cached
@@ -70,14 +70,9 @@ class ChannelPolar:
 
     @cached_property
     def phi_decoherent(self) -> float:
-        # the diagonal entries are the sums over j that the decoherent_left
-        # einsum forms, and the running sum along the diagonal adds in the
-        # order of metrics.phi's einsum against I; a pairwise sum (np.trace,
-        # einsum "ki->k") moves the last bit
+        # a C-contiguous V^dag sums in the order of metrics.phi(decoherent_left)
         vh = np.ascontiguousarray(self.unitary.conj().T)
-        diag = np.einsum("ij,kji->ki", vh, self._kraus)
-        traces = np.cumsum(diag, axis=1)[:, -1]
-        return float(np.sum(np.abs(traces) ** 2) / self.dim**2)
+        return metrics._phi_with_prefix(vh, self._kraus)
 
     @cached_property
     def decoherent_right(self) -> chn.KrausChannel:

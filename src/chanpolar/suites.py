@@ -36,11 +36,6 @@ def _subseed(rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _noise_element(d: int, rng: np.random.Generator, strength: float) -> chn.KrausChannel:
-    rank = int(rng.integers(2, 5))
-    return genlib.random_cptp(d, min(rank, d * d), _subseed(rng), strength=strength)
-
-
 def element_for_infidelity(
     d: int, r_target: float, rng: np.random.Generator, decoherent: bool = False
 ) -> chn.KrausChannel:
@@ -74,7 +69,8 @@ def sample_noncatastrophic(d: int, rng: np.random.Generator):
     """(channel, target) pair: a random unitary target followed by
     near-identity noise, non-catastrophic by construction."""
     strength = float(rng.uniform(0.02, 0.3))
-    noise = _noise_element(d, rng, strength)
+    rank = int(rng.integers(2, 5))
+    noise = genlib.random_cptp(d, min(rank, d * d), _subseed(rng), strength=strength)
     target = genlib.random_unitary(d, _subseed(rng))
     kraus = np.einsum("kij,jl->kil", noise.kraus, target)
     return chn.KrausChannel(dim=d, kraus=kraus), target
@@ -146,9 +142,9 @@ def _circuit(d: int, m: int, rng, with_targets=False, decoherent=False):
 def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundReport]:
     """Thm 1/2/5/9 on general circuits plus Thm 4/6/8 on decoherent ones.
 
-    ``trials`` circuits per dimension, split evenly over
-    ``THEOREM_DEPTHS``; element infidelities stay below 1e-2 and within
-    m^2 r^2 <= 0.1.
+    ``max(1, trials // len(THEOREM_DEPTHS))`` circuits per dimension and
+    depth of ``THEOREM_DEPTHS``; element infidelities stay below 1e-2 and
+    within m^2 r^2 <= 0.1.
     """
     out = []
     per = max(1, trials // len(THEOREM_DEPTHS))
@@ -245,7 +241,9 @@ SUITES = ("lemmas", "theorems", "appendix", "all")
 def run_suite(name: str, dims=None, trials: int = 100, seed: int = 0) -> list[BoundReport]:
     """Dispatch a named verification suite (the Thm 7 optimizer gets a
     budget of 200 evaluations).  The theorem suites skip dimensions above
-    ``bounds.OPTIMIZER_MAX_DIM``, where the Thm 7 optimizer refuses."""
+    ``bounds.OPTIMIZER_MAX_DIM``, where the Thm 7 optimizer refuses, and
+    the Lindblad suite those above 8; so ``"theorems"`` at dimensions above
+    8 selects no case."""
     if name not in SUITES:
         raise ValueError(f"unknown suite '{name}'")
     cases = []

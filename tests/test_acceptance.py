@@ -69,7 +69,7 @@ def test_criterion_03_stochastic_exact_example():
         composite = el
         lk_prod = lk_el
         for m in range(2, 65):
-            composite = chn.compose_pair(composite, el)
+            composite = chn.compose([composite, el])
             lk_prod = chn.compose([lk_prod, lk_el])
             phi_exact = (1.0 + (1.0 - 2.0 * delta) ** m) / 2.0
             ok = ok and abs(metrics.phi(composite) - phi_exact) <= 1e-12

@@ -3,6 +3,7 @@ import pytest
 
 from chanpolar import bounds, channel as chn, genlib, metrics, suites
 from chanpolar.errors import (
+    DimensionMismatch,
     NotDecoherent,
     NotNonCatastrophic,
     NotTraceless,
@@ -290,6 +291,14 @@ class TestThm8:
             rep = bounds.thm8_equable_composition(v.kraus[0], bounds.CircuitSpec(els))
             assert rep.holds
 
+    def test_catastrophic_prefix_refused(self):
+        # Phi(X o D, I) = 0 for the dephasing D: the prefixed composition
+        # is catastrophic although the element is not
+        with pytest.raises(NotNonCatastrophic):
+            bounds.thm8_equable_composition(
+                X, bounds.CircuitSpec([genlib.dephasing(2, 0.01)])
+            )
+
 
 class TestThm9:
     def test_all_unitary(self):
@@ -350,6 +359,11 @@ class TestCoherentEnvelope:
         with pytest.raises(RatioOutOfRange):
             bounds.coherent_envelope([0.4], 2)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nan_ratio_out_of_range(self, d):
+        with pytest.raises(RatioOutOfRange):
+            bounds.coherent_envelope([0.9, np.nan], d)
+
     def test_float_noise_clipped(self):
         env = bounds.coherent_envelope([1.0 + 5e-10], 2)
         assert env.clipped
@@ -390,6 +404,11 @@ class TestOptimizer:
             ch, target = suites.sample_noncatastrophic(2, rng)
             rep = bounds.thm7_max_correction(ch, target, budget=300, seed=t)
             assert rep.terms["optimizer_improvement"] <= rep.upper - rep.lower + 1e-9
+
+    def test_refuses_above_max_dim(self):
+        ch = genlib.identity_channel(bounds.OPTIMIZER_MAX_DIM + 1)
+        with pytest.raises(DimensionMismatch):
+            bounds.optimize_unitary_correction(ch)
 
 
 class TestLindblad:

@@ -47,6 +47,12 @@ class TestDecompose:
         assert np.allclose(a1, np.diag([1.0, 0.9]), atol=1e-9)
         assert rep["decoherent"] is True
 
+    def test_kappa_flag(self, tmp_path, capsys):
+        p = write_channel(tmp_path / "ad.json", genlib.amplitude_damping(2, 0.19))
+        assert main(["decompose", "--in", p, "--kappa", "0.25"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["equability"]["kappa"] == 0.25
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -148,6 +154,24 @@ class TestVerifyCmd:
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "usage"
 
+    def test_no_case_selected_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--suite", "theorems", "--dims", "16",
+                     "--out", "rows.csv"]) == 64
+        cap = capsys.readouterr()
+        lines = cap.err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+        assert "d <= 8" in json.loads(lines[0])["detail"]
+        assert cap.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_all_above_the_theorem_cap_runs_lemmas_and_appendix(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        assert main(["verify", "--suite", "all", "--dims", "16", "--trials", "1",
+                     "--out", str(out)]) == 0
+        theorems = {r["theorem"] for r in read_csv(out)}
+        assert theorems == {"lemma1", "lemma2", "appendix_trace", "appendix_vn",
+                            "appendix_norm"}
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
         args = ["verify", "--suite", "appendix", "--dim", "2", "--trials", "25",
@@ -239,6 +263,28 @@ class TestSweepCmd:
         rows = read_csv(out)
         assert len(rows) == 10  # rows still emitted
         assert any(r["non_catastrophic"] == "0" for r in rows)
+
+    def test_seed_flag_is_the_config_seed(self, tmp_path):
+        fam = {"family": "psd_lk_decoherent", "dim": 2, "params": {"strength": 0.1},
+               "seed": 1}
+        cfg = self._config(tmp_path, fam, 5)
+        out = [tmp_path / f"{name}.csv" for name in ("flag", "config", "seed1")]
+        assert main(["sweep", "--config", cfg, "--seed", "7", "--out", str(out[0])]) == 0
+        assert main(["sweep", "--config", self._config(tmp_path, dict(fam, seed=7), 5),
+                     "--out", str(out[1])]) == 0
+        assert main(["sweep", "--config", self._config(tmp_path, fam, 5),
+                     "--out", str(out[2])]) == 0
+        assert out[0].read_bytes() == out[1].read_bytes()
+        assert out[0].read_bytes() != out[2].read_bytes()
+
+    def test_ratio_at_most_half_gives_no_coherent_bound(self, tmp_path):
+        # Phi / Upsilon = cos^2(1.2) < 1/2 is outside the envelope's domain
+        cfg = self._config(
+            tmp_path, {"family": "rotation", "dim": 2, "params": {"theta": 1.2}}, 3
+        )
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        assert [float(r["coherent_lower"]) for r in read_csv(out)] == [0.0] * 3
 
     def test_sigma_profile_mode(self, tmp_path):
         fam = {
@@ -435,6 +481,32 @@ class TestSweepConfigTypes:
         assert "'params'" in json.loads(cap.err)["detail"]
         assert cap.out == "" and files == ["cfg.json"]
 
+    @pytest.mark.parametrize("family, key, value", [
+        ("random_cptp", "kraus_rank", "2.9"),
+        ("random_cptp", "kraus_rank", "2.0"),
+        ("random_cptp", "kraus_rank", '"2"'),
+        ("random_cptp", "kraus_rank", "true"),
+        ("psd_lk_decoherent", "kraus_rank", "2.0"),
+        ("extremal_dephaser", "n_outliers", "1.0"),
+        ("depolarizing", "p", "true"),
+        ("depolarizing", "p", '"0.9"'),
+        ("depolarizing", "p", "null"),
+        ("depolarizing", "p", "[0.9]"),
+    ], ids=lambda x: str(x))
+    def test_bad_family_param_exit_2(self, tmp_path, monkeypatch, capsys,
+                                     family, key, value):
+        params = {"random_cptp": {"strength": 0.1}, "psd_lk_decoherent": {"strength": 0.1},
+                  "extremal_dephaser": dict(self.DEPHASER["params"]),
+                  "depolarizing": {}}[family]
+        params[key] = "VALUE"
+        fam = {"family": family, "dim": 4, "params": params, "seed": 9}
+        text = json.dumps({"family": fam, "max_depth": 3}).replace('"VALUE"', value)
+        code, cap, files = self.run(tmp_path, monkeypatch, capsys, text)
+        assert code == 2
+        assert json.loads(cap.err)["error"] == "parse"
+        assert f"'{key}'" in json.loads(cap.err)["detail"]
+        assert cap.out == "" and files == ["cfg.json"]
+
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     def test_negative_seed_flag_exit_64(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)
@@ -624,3 +696,40 @@ class TestErrorPaths:
         assert json.loads(err.strip().splitlines()[-1]) == {
             "error": "internal", "detail": "RuntimeError: boom"
         }
+
+
+class TestMatrixFileTypes:
+    """Every entry of a Kraus, Choi or unitary file must be a JSON number;
+    a numeric string or a boolean exits 2 before any computation."""
+
+    @staticmethod
+    def _retyped(obj, key, value):
+        # the first [re, im] pair is [1.0, 0.0] in each file below
+        pairs = obj[key][0] if key == "kraus" else obj[key]
+        assert pairs[0] == [1.0, 0.0]
+        pairs[0] = [value, 0.0]
+        return obj
+
+    @pytest.mark.parametrize("value", ["1.0", True], ids=["str", "bool"])
+    @pytest.mark.parametrize("kind", ["kraus", "choi", "unitary"])
+    def test_non_number_entry_exit_2(self, tmp_path, monkeypatch, capsys, kind, value):
+        monkeypatch.chdir(tmp_path)
+        ad = genlib.amplitude_damping(2, 0.2)
+        good = write_channel(tmp_path / "ad.json", ad)
+        obj = {"kraus": chn.channel_to_json(ad),
+               "choi": chn.choi_to_json(chn.to_choi(ad)),
+               "unitary": chn.unitary_to_json(np.eye(2))}[kind]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(self._retyped(obj, kind, value)))
+        argv = ["metrics", "--in", str(bad), "--out", "out.json"]
+        if kind == "unitary":
+            argv[2:3] = [good, "--target", str(bad)]
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert json.loads(cap.err) == {
+            "error": "parse",
+            "detail": f"cannot parse {bad}: "
+                      f"{'kraus operator' if kind == 'kraus' else kind} entries must be "
+                      "JSON numbers",
+        }
+        assert cap.out == "" and not (tmp_path / "out.json").exists()

@@ -7,7 +7,11 @@ runs once as it is.  Every case must end in exit 0, 1, 2, 3 or 64, never in 70
 (an internal error); on exit 2 or 64 stderr holds exactly one JSON error
 line, no Python warning is raised and no data is written, neither to
 stdout nor to a file.  A JSON output of exit 0 must be strict JSON (no
-NaN or Infinity).
+NaN or Infinity).  A case whose one mutation turns a number of a matrix
+(``kraus``, ``choi``, ``unitary``) or of a family's ``params`` into a
+string or a boolean must exit 2: only JSON numbers are read as numbers.
+Besides the seeded draws, the first such number of every base is turned
+into a numeric string and into ``true``.
 """
 
 import copy
@@ -43,6 +47,14 @@ EXTRA_BASES = {
 }
 
 
+def _read_as_number(path):
+    """Whether a value at ``path`` (None for no path) must be a JSON
+    number: a matrix entry or a family parameter."""
+    return bool(path) and (
+        path[0] in ("kraus", "choi", "unitary") or path[:2] == ("family", "params")
+    )
+
+
 def _paths(node, path=()):
     yield path
     items = node.items() if isinstance(node, dict) else (
@@ -75,26 +87,32 @@ def _tweak(x, rng):
 
 
 def _mutate(doc, rng):
-    """One random mutation of ``doc``; returns (doc, description)."""
+    """One random mutation of ``doc``; returns (doc, description, path),
+    where path locates a number that became a string or a boolean, or is
+    None."""
     paths = list(_paths(doc))
     leaves = [p for p in paths if not isinstance(_get(doc, p), (dict, list))] or paths
     shallow = [p for p in paths if len(p) <= 2]  # the structural fields
     path = rng.choice(rng.choice([leaves, leaves, shallow, paths]))
     node = _get(doc, path)
     op = rng.choice(["replace", "delete", "duplicate", "tweak", "tweak", "add"])
+    new = None
     if op == "delete" and path:
         parent = _get(doc, path[:-1])
         del parent[path[-1]]
     elif op == "duplicate" and isinstance(node, list) and node:
         node.append(copy.deepcopy(rng.choice(node)))
     elif op == "tweak" and type(node) in (int, float):
-        doc = _set(doc, path, _tweak(node, rng))
+        new = _tweak(node, rng)
+        doc = _set(doc, path, new)
     elif op == "add" and isinstance(node, dict):
         node[rng.choice(KEYS)] = rng.choice(VALUES)
     else:
         op = "replace"
-        doc = _set(doc, path, rng.choice(VALUES))
-    return doc, f"{op} {list(path)}"
+        new = rng.choice(VALUES)
+        doc = _set(doc, path, new)
+    retyped = type(node) in (int, float) and isinstance(new, (str, bool))
+    return doc, f"{op} {list(path)}", path if retyped else None
 
 
 def _cases():
@@ -108,18 +126,29 @@ def _cases():
     for i in range(N_CASES):
         name = rng.choice(names)
         doc = copy.deepcopy(bases[name])
-        log = []
+        log, retyped = [], []
         for _ in range(rng.randint(1, 3)):
-            doc, what = _mutate(doc, rng)
+            doc, what, path = _mutate(doc, rng)
             log.append(what)
+            retyped.append(path)
         text = json.dumps(doc)
         if rng.random() < 0.05:
             cut = rng.randrange(len(text))
             text = text[:cut]
             log.append(f"truncate at {cut}")
-        yield i, name, log, text, _argv(name, rng)
+        refuse = len(log) == 1 and _read_as_number(retyped[0])
+        yield i, name, log, text, _argv(name, rng), refuse
     for i, name in enumerate(names, N_CASES):
-        yield i, name, [], json.dumps(bases[name]), _argv(name, rng)
+        yield i, name, [], json.dumps(bases[name]), _argv(name, rng), False
+    i = N_CASES + len(names)
+    for name in names:
+        doc = bases[name]
+        path = next(p for p in _paths(doc)
+                    if _read_as_number(p) and type(_get(doc, p)) in (int, float))
+        for new in (str(_get(doc, path)), True):
+            text = json.dumps(_set(copy.deepcopy(doc), path, new))
+            yield i, name, [f"retype {list(path)}"], text, _argv(name, rng), True
+            i += 1
 
 
 def _argv(name, rng):
@@ -148,7 +177,7 @@ def _strict_json(text):
 def test_exit_code_contract(tmp_path, monkeypatch, capsys):
     inputs = tmp_path / "in"
     inputs.mkdir()
-    for i, name, log, text, argv in _cases():
+    for i, name, log, text, argv, refuse in _cases():
         src = inputs / f"{i}-{name}"
         src.write_text(text)
         work = tmp_path / f"run{i}"
@@ -160,6 +189,7 @@ def test_exit_code_contract(tmp_path, monkeypatch, capsys):
         cap = capsys.readouterr()
         where = f"case {i}: {name} {log} argv={argv[0]} -> exit {code}\n{text[:300]}"
         assert code in (0, 1, 2, 3, 64), where + "\n" + cap.err[-2000:]
+        assert code == 2 or not refuse, where + " (a retyped number was read)"
         if code == 0 and argv[0] != "sweep":
             out = (work / "data.out").read_text() if "--out" in argv else cap.out
             _strict_json(out)

@@ -31,6 +31,9 @@ CASES = {
         ["decompose", "--in", "{inputs}/spiral-d3.json"], 0),
     "decompose-rotation-d2.json": (
         ["decompose", "--in", "{inputs}/rotation-d2.json"], 0),
+    # tr V = 0: the equability error object, classify's undefined phase
+    "decompose-rotation-d2-tracezero.json": (
+        ["decompose", "--in", "{inputs}/rotation-d2-tracezero.json"], 0),
     "decompose-random_cptp-d2-choi.json": (
         ["decompose", "--in", "{inputs}/random_cptp-d2-choi.json"], 0),
     "metrics-random_unitary_error-d3-target.json": (
@@ -71,6 +74,8 @@ def _inputs() -> dict:
         "depolarizing-d2.json": chn.channel_to_json(genlib.depolarizing(2, 0.9)),
         "spiral-d3.json": chn.channel_to_json(genlib.spiral(0.7)),
         "rotation-d2.json": chn.channel_to_json(genlib.rotation(2, 0.1)),
+        "rotation-d2-tracezero.json": chn.channel_to_json(
+            genlib.rotation(2, math.pi / 2)),
         "random_cptp-d2-choi.json": chn.choi_to_json(
             chn.to_choi(genlib.random_cptp(2, 3, seed=5, strength=0.2))),
         "random_unitary_error-d3.json": chn.channel_to_json(
