@@ -34,6 +34,7 @@ from .matcore import HOLDS_TOL, BoundReport, make_report
 from .polar import _spectrum_constants, channel_polar, is_decoherent
 
 OPTIMIZER_MAX_DIM = 8  # the unitary-correction optimizer refuses larger d
+LINDBLAD_MAX_DIM = 8  # the Lindblad verification suite stops at this d
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ Vectorization convention (used everywhere): column stacking,
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -343,46 +344,68 @@ def channel_to_json(ch: KrausChannel) -> dict:
     }
 
 
-def choi_to_json(choi: np.ndarray) -> dict:
-    """Serialize a d^2 x d^2 Choi matrix to the Choi variant of the wire format."""
-    return {"dim": math.isqrt(choi.shape[0]), "choi": _matrix_to_pairs(choi)}
+# {error text: test} of a JSON input value; type() is int excludes bool, and
+# abs() <= the float maximum refuses NaN, +-inf and ints beyond the floats
+KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "an integer >= 0": lambda v: type(v) is int and v >= 0,
+    "an integer >= 1": lambda v: type(v) is int and v >= 1,
+    "a finite JSON number":
+        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    "a non-empty string": lambda v: isinstance(v, str) and v != "",
+    "a non-empty list": lambda v: isinstance(v, list) and v != [],
+    "a JSON object": lambda v: isinstance(v, dict),
+}
+REQUIRED = object()  # the default of a key that must be present
 
 
-def channel_from_json(obj: dict) -> KrausChannel:
-    """Parse the JSON wire format.
-
-    Accepts ``{"dim": d, "kraus": [...]}``, returned as given, or the Choi
-    variant ``{"dim": d, "choi": [...]}``, returned as its canonical view
-    (:func:`from_choi`, which raises :class:`NotCP` for a non-CP matrix).
-    Raises ``ValueError`` on malformed input.
-    """
+def read_fields(obj, table: dict, what: str, kinds=KINDS, unread=()) -> dict:
+    """Each key of ``table``, ``{key: (kind name in kinds, default)}``, mapped
+    to its value in the JSON object ``obj`` or else its default; keys in
+    ``unread`` are allowed.  ``ValueError``, naming the key in quotes, for a
+    non-object, any other key, a missing ``REQUIRED`` key or a wrong kind."""
     if not isinstance(obj, dict):
-        raise ValueError("channel JSON must be an object")
-    if "dim" not in obj:
-        raise ValueError("channel JSON missing 'dim'")
-    d = obj["dim"]
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("'dim' must be a positive integer")
-    if "kraus" in obj:
-        ops = obj["kraus"]
-        if not isinstance(ops, list) or not ops:
-            raise ValueError("'kraus' must be a non-empty list")
-        mats = [_pairs_to_matrix(o, d, d, "kraus operator") for o in ops]
-        return KrausChannel.from_ops(mats)
-    if "choi" in obj:
-        return from_choi(_pairs_to_matrix(obj["choi"], d * d, d * d, "choi"))
-    raise ValueError("channel JSON needs a 'kraus' or 'choi' field")
+        raise ValueError(f"{what} must be a JSON object")
+    for key in obj:
+        if key not in table and key not in unread:
+            raise ValueError(f"{what} has unknown key '{key}'")
+    for key, (kind, default) in table.items():
+        if key not in obj and default is REQUIRED:
+            raise ValueError(f"{what} needs '{key}'")
+        if key in obj and not kinds[kind](obj[key]):
+            raise ValueError(f"{what} '{key}' must be {kind}")
+    return {key: obj.get(key, default) for key, (_, default) in table.items()}
 
 
-def unitary_to_json(u: np.ndarray) -> dict:
-    u = np.asarray(u, dtype=np.complex128)
-    return {"dim": int(u.shape[0]), "unitary": _matrix_to_pairs(u)}
+_CHANNEL_FIELDS = {
+    "dim": ("an integer >= 1", REQUIRED),
+    "kraus": ("a non-empty list", None),
+    "choi": ("a non-empty list", None),
+}
+_UNITARY_FIELDS = {
+    "dim": ("an integer >= 1", REQUIRED),
+    "unitary": ("a non-empty list", REQUIRED),
+}
 
 
-def unitary_from_json(obj: dict) -> np.ndarray:
-    if not isinstance(obj, dict) or "dim" not in obj or "unitary" not in obj:
-        raise ValueError("unitary JSON needs 'dim' and 'unitary' fields")
-    d = obj["dim"]
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("'dim' must be a positive integer")
-    return _pairs_to_matrix(obj["unitary"], d, d, "unitary")
+def channel_from_json(obj) -> KrausChannel:
+    """The channel of a JSON object read against ``_CHANNEL_FIELDS``:
+    ``{"dim": d, "kraus": [...]}`` as given, ``{"dim": d, "choi": [...]}``
+    as its canonical view (:func:`from_choi` raises :class:`NotCP` for a
+    non-CP matrix).  Raises ``ValueError`` on malformed input, including
+    both ``kraus`` and ``choi`` or neither."""
+    d, ops, choi = read_fields(obj, _CHANNEL_FIELDS, "channel JSON").values()
+    if (ops is None) == (choi is None):
+        raise ValueError("channel JSON needs exactly one of 'kraus' and 'choi'")
+    if choi is not None:
+        return from_choi(_pairs_to_matrix(choi, d * d, d * d, "choi"))
+    return KrausChannel.from_ops(
+        [_pairs_to_matrix(o, d, d, "kraus operator") for o in ops]
+    )
+
+
+def unitary_from_json(obj) -> np.ndarray:
+    """The d x d matrix of a JSON object read against ``_UNITARY_FIELDS``,
+    ``{"dim": d, "unitary": [...]}`` (``ValueError`` otherwise)."""
+    d, pairs = read_fields(obj, _UNITARY_FIELDS, "unitary JSON").values()
+    return _pairs_to_matrix(pairs, d, d, "unitary")

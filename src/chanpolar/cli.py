@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, bounds, channel as chn, genlib, metrics, polar, suites
+from . import __version__, channel as chn, genlib, metrics, polar, suites
 from .errors import ChanPolarError, ParamOutOfRange
 from .matcore import BoundReport
 
@@ -94,6 +94,10 @@ def _reading(path: str):
 
     A ``ParamOutOfRange`` from a family spec counts as unreadable input;
     every other ``ChanPolarError`` passes through as a domain error.
+    ``OSError`` is an unreadable file, ``ValueError`` bad JSON or a field
+    its table refuses, ``TypeError`` a matrix entry that is an object and
+    ``OverflowError`` an integer entry beyond the float range or a family
+    ``dim`` beyond the index range.
     """
     try:
         yield
@@ -101,7 +105,7 @@ def _reading(path: str):
         raise _ParseError(str(exc)) from exc
     except ChanPolarError:
         raise
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise _ParseError(f"cannot parse {path}: {exc}") from exc
 
 
@@ -290,11 +294,12 @@ def _cmd_verify(args) -> _Result:
     cases = suites.run_suite(
         args.suite, dims=args.dims, trials=args.trials, seed=args.seed
     )
+    caps = suites.DIM_CAPS.items() if args.suite in ("theorems", "all") else ()
     if not cases:
         raise _UsageError(
             f"--suite {args.suite} selects no case at --dims "
-            f"{','.join(map(str, args.dims))}: its theorem and Lindblad cases "
-            f"run only at d <= {bounds.OPTIMIZER_MAX_DIM}"
+            f"{','.join(map(str, args.dims))}: its "
+            + " and ".join(f"{name} cases run only at d <= {cap}" for name, cap in caps)
         )
     n_fail = sum(1 for c in cases if not c.holds)
     sys.stderr.write(f"verify {args.suite}: {len(cases)} cases, {n_fail} violations\n")
@@ -302,6 +307,8 @@ def _cmd_verify(args) -> _Result:
         _records_csv(_VERIFY_COLUMNS, cases),
         {"suite": args.suite, "dims": args.dims, "trials": args.trials},
         args.seed,
+        notes=tuple(f"the {name} cases skip d = {d}: they run only at d <= {cap}"
+                    for name, cap in caps for d in args.dims or () if d > cap),
         code=EXIT_OK if n_fail == 0 else EXIT_VIOLATION,
     )
 
@@ -324,48 +331,50 @@ _FIG3_NOTE = (
 )
 
 
+# {key: (kind, default)} read in both modes, then the keys of each mode; a
+# key of the other mode is not read, and the manifest notes it
+_SWEEP_FIELDS = {
+    "mode": ("'composition' or 'sigma_profile'", "composition"),
+    "family": ("a JSON object", chn.REQUIRED),
+    "out": ("a non-empty string", None),
+}
+_MODE_FIELDS = {
+    "composition": {"max_depth": (f"an integer in [1, {MAX_SWEEP_DEPTH}]", 1),
+                    "metrics": ("a list of sweep column names", None)},
+    "sigma_profile": {"kappa": ("a finite JSON number", 0.1)},
+}
+_MODE_KEYS = {key for table in _MODE_FIELDS.values() for key in table}
+_SWEEP_KINDS = {
+    **chn.KINDS,
+    "'composition' or 'sigma_profile'":
+        lambda v: isinstance(v, str) and v in _MODE_FIELDS,
+    f"an integer in [1, {MAX_SWEEP_DEPTH}]":
+        lambda v: type(v) is int and 1 <= v <= MAX_SWEEP_DEPTH,
+    "a list of sweep column names":
+        lambda v: isinstance(v, list) and all(c in _SWEEP_COLUMNS for c in v),
+}
+
+
 def _cmd_sweep(args) -> _Result:
     cfg = _read(args.config)
     with _reading(args.config):
-        if not isinstance(cfg, dict):
-            raise ValueError("sweep config must be a JSON object")
-        if "family" not in cfg:
-            raise ValueError("sweep config needs a 'family' entry")
-        mode = cfg.get("mode", "composition")
-        fam = genlib.FamilySpec.from_dict(cfg["family"])
+        mode = chn.read_fields(
+            cfg, _SWEEP_FIELDS, "sweep config", _SWEEP_KINDS, _MODE_KEYS
+        )["mode"]
+        table = {**_SWEEP_FIELDS, **_MODE_FIELDS[mode]}
+        unread = sorted(_MODE_KEYS.intersection(cfg).difference(table))
+        val = chn.read_fields(cfg, table, "sweep config", _SWEEP_KINDS, unread)
+        fam = genlib.FamilySpec.from_dict(val["family"])
         if args.seed is not None:
             fam.seed = args.seed
-        if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
-            raise ValueError("sweep config 'out' must be a non-empty path string")
-        args.out = args.out or cfg.get("out")
-        if mode == "sigma_profile":
-            kappa = cfg.get("kappa", 0.1)
-            # type() is int excludes bool; a huge int overflows isfinite
-            if type(kappa) not in (int, float) or not math.isfinite(kappa):
-                raise ValueError("sweep config 'kappa' must be a finite number")
-            kappa = args.kappa if args.kappa is not None else float(kappa)
-        elif mode == "composition":
-            max_depth = cfg.get("max_depth", 1)
-            if type(max_depth) is not int or not 1 <= max_depth <= MAX_SWEEP_DEPTH:
-                raise ValueError(
-                    f"sweep config 'max_depth' must be an integer in "
-                    f"[1, {MAX_SWEEP_DEPTH}]"
-                )
-            wanted = cfg.get("metrics")
-            if wanted is not None:
-                if not isinstance(wanted, list) or not all(
-                    isinstance(name, str) for name in wanted
-                ):
-                    raise ValueError("sweep config 'metrics' must be a list of names")
-                unknown = set(wanted) - set(_SWEEP_COLUMNS)
-                if unknown:
-                    raise ValueError(f"unknown metric names: {sorted(unknown)}")
-        else:
-            raise ValueError(f"unknown sweep mode '{mode}'")
         element = genlib.make_channel(fam)
+    args.out = args.out or val["out"]
     notes = (_FIG3_NOTE,) if fam.family == "coherence_mix" else ()
+    notes += tuple(f"sweep config '{key}' is not read in {mode} mode" for key in unread)
     if mode == "sigma_profile":
-        prof = suites.sigma_profile(element, kappa)
+        prof = suites.sigma_profile(
+            element, args.kappa if args.kappa is not None else float(val["kappa"])
+        )
         table = [
             ["sigma", str(i), _fmt(x)] + [""] * 7 for i, x in enumerate(prof.sigma)
         ]
@@ -375,10 +384,10 @@ def _cmd_sweep(args) -> _Result:
              _fmt(prof.sse_decoh_ok), _fmt(prof.wse_decoh_ok)]
         )
         return _Result(_csv(_PROFILE_COLUMNS, table), cfg, fam.seed, notes)
-    rows = suites.composition_sweep(element, max_depth)
+    rows = suites.composition_sweep(element, val["max_depth"])
     columns = _SWEEP_COLUMNS
-    if wanted is not None:  # depth, then the named columns in table order
-        columns = tuple(c for c in columns if c == "depth" or c in wanted)
+    if val["metrics"] is not None:  # depth, then the named columns in table order
+        columns = tuple(c for c in columns if c == "depth" or c in val["metrics"])
     code = EXIT_OK
     if any(not r.non_catastrophic for r in rows):
         _error_json("domain", "composition left the non-catastrophic regime mid-sweep")

@@ -8,6 +8,7 @@ CLI, which looks each family up in the one :data:`BUILDERS` table.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,31 +321,33 @@ def _spiral(d: int, alpha: float) -> chn.KrausChannel:
     return spiral(alpha)
 
 
-# {name: builder(dim, params, seed)}; a missing parameter is a KeyError
+# {family name: builder}; a family's params are its builder's parameters
 BUILDERS = {
-    "identity": lambda d, p, seed: identity_channel(d),
-    "depolarizing": lambda d, p, seed: depolarizing(d, p["p"]),
-    "dephasing": lambda d, p, seed: dephasing(d, p["q"]),
-    "stochastic_weyl": lambda d, p, seed: stochastic_weyl(d, p["p"], seed),
-    "amplitude_damping": lambda d, p, seed: amplitude_damping(d, p["gamma"]),
-    "rotation": lambda d, p, seed: rotation(d, p["theta"]),
-    "random_unitary_error": lambda d, p, seed: random_unitary_error(
-        d, p["strength"], seed
-    ),
-    "random_cptp": lambda d, p, seed: random_cptp(
-        d, p["kraus_rank"], seed, p.get("strength")
-    ),
-    "psd_lk_decoherent": lambda d, p, seed: psd_lk_decoherent(
-        d, p["strength"], seed, kraus_rank=p.get("kraus_rank", 3)
-    ),
-    "extremal_dephaser": lambda d, p, seed: extremal_dephaser(
-        d, p.get("base_scale"), p.get("n_outliers"), p.get("outlier_depth"), seed
-    ),
-    "extremal_unitary": lambda d, p, seed: extremal_unitary(d),
-    "spiral": lambda d, p, seed: _spiral(d, p["alpha"]),
-    "coherence_mix": lambda d, p, seed: coherence_mix(p["infidelity"], p["level"], d),
+    "identity": identity_channel,
+    "depolarizing": depolarizing,
+    "dephasing": dephasing,
+    "stochastic_weyl": stochastic_weyl,
+    "amplitude_damping": amplitude_damping,
+    "rotation": rotation,
+    "random_unitary_error": random_unitary_error,
+    "random_cptp": random_cptp,
+    "psd_lk_decoherent": psd_lk_decoherent,
+    "extremal_dephaser": extremal_dephaser,
+    "extremal_unitary": extremal_unitary,
+    "spiral": _spiral,
+    "coherence_mix": coherence_mix,
 }
 FAMILIES = tuple(BUILDERS)
+
+_SPEC_KINDS = {
+    **chn.KINDS, "a family name": lambda v: isinstance(v, str) and v in FAMILIES,
+}
+_SPEC_FIELDS = {
+    "family": ("a family name", chn.REQUIRED),
+    "dim": ("an integer >= 1", chn.REQUIRED),
+    "params": ("a JSON object", {}),
+    "seed": ("an integer >= 0", None),
+}
 
 
 @dataclass
@@ -357,36 +360,33 @@ class FamilySpec:
     seed: int | None = None
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "FamilySpec":
-        """Parse a spec; ``dim`` must be an integer >= 1, ``params``, when
-        present, a JSON object of numbers (integers for ``kraus_rank`` and
-        ``n_outliers``) and ``seed``, when present, an integer >= 0
-        (``ValueError`` otherwise)."""
-        if not isinstance(obj, dict) or "family" not in obj or "dim" not in obj:
-            raise ValueError("family spec needs 'family' and 'dim' fields")
-        fam = obj["family"]
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown family '{fam}'")
-        dim, params, seed = obj["dim"], obj.get("params", {}), obj.get("seed")
-        if type(dim) is not int or dim < 1:  # type() is int excludes bool
-            raise ValueError("family 'dim' must be an integer >= 1")
-        if not isinstance(params, dict):
-            raise ValueError("family 'params' must be a JSON object")
-        for key, value in params.items():  # type() also excludes bool
-            kind = "integer" if key in ("kraus_rank", "n_outliers") else "number"
-            if type(value) not in ((int,) if kind == "integer" else (int, float)):
-                raise ValueError(f"family param '{key}' must be a JSON {kind}")
-        if "seed" in obj and (type(seed) is not int or seed < 0):
-            raise ValueError("family 'seed' must be an integer >= 0")
-        return cls(family=fam, dim=dim, params=dict(params), seed=seed)
+    def from_dict(cls, obj) -> "FamilySpec":
+        """The spec of a JSON object read against ``_SPEC_FIELDS``
+        (``ValueError`` otherwise); :func:`make_channel` reads its params."""
+        fields = chn.read_fields(obj, _SPEC_FIELDS, "family spec", _SPEC_KINDS)
+        return cls(**dict(fields, params=dict(fields["params"])))
+
+
+def _params_table(build) -> dict:
+    """The field table of a builder's parameters but ``d`` and ``seed``: an
+    integer where annotated ``int``, else a finite number; defaulted ones optional."""
+    return {
+        p.name: (
+            "an integer" if p.annotation.startswith("int") else "a finite JSON number",
+            chn.REQUIRED if p.default is p.empty else p.default,
+        )
+        for p in inspect.signature(build).parameters.values()
+        if p.name not in ("d", "seed")
+    }
 
 
 def make_channel(spec: FamilySpec) -> chn.KrausChannel:
-    """Build the channel described by a :class:`FamilySpec`."""
+    """The family's builder called by keyword: ``d=spec.dim``, the params read
+    against its :func:`_params_table` and, if it takes one, ``seed=spec.seed``."""
     build = BUILDERS[spec.family]
-    try:
-        return build(spec.dim, spec.params, spec.seed)
-    except KeyError as exc:
-        raise ParamOutOfRange(
-            f"family '{spec.family}' is missing parameter {exc}"
-        ) from exc
+    kwargs = chn.read_fields(
+        spec.params, _params_table(build), f"family '{spec.family}' params"
+    )
+    if "seed" in inspect.signature(build).parameters:
+        kwargs["seed"] = spec.seed
+    return build(d=spec.dim, **kwargs)

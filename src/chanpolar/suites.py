@@ -236,27 +236,26 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Bou
 
 
 SUITES = ("lemmas", "theorems", "appendix", "all")
+DIM_CAPS = {"theorem": bounds.OPTIMIZER_MAX_DIM, "Lindblad": bounds.LINDBLAD_MAX_DIM}
 
 
 def run_suite(name: str, dims=None, trials: int = 100, seed: int = 0) -> list[BoundReport]:
     """Dispatch a named verification suite (the Thm 7 optimizer gets a
-    budget of 200 evaluations).  The theorem suites skip dimensions above
-    ``bounds.OPTIMIZER_MAX_DIM``, where the Thm 7 optimizer refuses, and
-    the Lindblad suite those above 8; so ``"theorems"`` at dimensions above
-    8 selects no case."""
+    budget of 200 evaluations).  The theorem and Thm 7 suites skip
+    dimensions above ``DIM_CAPS["theorem"]``, where the Thm 7 optimizer
+    refuses, and the Lindblad suite those above ``DIM_CAPS["Lindblad"]``;
+    so ``"theorems"`` at dimensions above both selects no case."""
     if name not in SUITES:
         raise ValueError(f"unknown suite '{name}'")
     cases = []
     if name in ("lemmas", "all"):
         cases += lemma_suite(dims or (2, 3, 4, 8), trials, seed)
     if name in ("theorems", "all"):
-        thm_dims = tuple(
-            d for d in (dims or (2, 3)) if d <= bounds.OPTIMIZER_MAX_DIM
-        )
+        thm_dims = tuple(d for d in (dims or (2, 3)) if d <= DIM_CAPS["theorem"])
         cases += theorem_suite(thm_dims, trials, seed)
         cases += thm7_suite(thm_dims, max(1, trials // 5), seed, budget=200)
-        cases += lindblad_suite(tuple(d for d in (dims or (2, 3, 4)) if d <= 8),
-                                max(1, trials // 2), seed)
+        lindblad_dims = tuple(d for d in (dims or (2, 3, 4)) if d <= DIM_CAPS["Lindblad"])
+        cases += lindblad_suite(lindblad_dims, max(1, trials // 2), seed)
     if name in ("appendix", "all"):
         cases += appendix_suite(dims or (2, 3, 5), trials, seed)
     return cases

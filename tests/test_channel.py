@@ -6,6 +6,7 @@ import pytest
 from chanpolar import channel as chn
 from chanpolar import genlib, matcore, metrics, polar
 from chanpolar.errors import DegenerateLeading, DimensionMismatch, NotCP
+from wire_format import choi_to_json
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -417,7 +418,7 @@ class TestJson:
 
     def test_choi_variant(self):
         ch = genlib.depolarizing(2, 0.8)
-        obj = chn.choi_to_json(chn.to_choi(ch))
+        obj = choi_to_json(chn.to_choi(ch))
         back = chn.channel_from_json(obj)
         assert isinstance(back, chn.KrausChannel)
         assert chn.canonical(back) is back  # the canonical view

@@ -11,6 +11,7 @@ from chanpolar import channel as chn
 from chanpolar import genlib, polar, suites
 from chanpolar.cli import main
 from chanpolar.matcore import BoundReport
+from wire_format import choi_to_json, unitary_to_json
 
 
 def write_channel(path, ch):
@@ -70,7 +71,7 @@ class TestDecompose:
     def test_non_cp_choi_exit_3(self, tmp_path, capsys):
         bad = np.diag([1.5, 1.0, -0.5, 0.0]).astype(complex)
         p = tmp_path / "badchoi.json"
-        p.write_text(json.dumps(chn.choi_to_json(bad)))
+        p.write_text(json.dumps(choi_to_json(bad)))
         assert main(["decompose", "--in", str(p)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "domain"
@@ -106,7 +107,7 @@ class TestMetricsCmd:
         ch = chn.KrausChannel(dim=2, kraus=u[np.newaxis])
         p = write_channel(tmp_path / "rot.json", ch)
         t = tmp_path / "target.json"
-        t.write_text(json.dumps(chn.unitary_to_json(u)))
+        t.write_text(json.dumps(unitary_to_json(u)))
         assert main(["metrics", "--in", p, "--target", str(t)]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["phi"] == pytest.approx(1.0)
@@ -215,7 +216,6 @@ class TestSweepCmd:
             "mode": mode,
             "family": family,
             "max_depth": max_depth,
-            "seed": 0,
         }
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
@@ -717,8 +717,8 @@ class TestMatrixFileTypes:
         ad = genlib.amplitude_damping(2, 0.2)
         good = write_channel(tmp_path / "ad.json", ad)
         obj = {"kraus": chn.channel_to_json(ad),
-               "choi": chn.choi_to_json(chn.to_choi(ad)),
-               "unitary": chn.unitary_to_json(np.eye(2))}[kind]
+               "choi": choi_to_json(chn.to_choi(ad)),
+               "unitary": unitary_to_json(np.eye(2))}[kind]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(self._retyped(obj, kind, value)))
         argv = ["metrics", "--in", str(bad), "--out", "out.json"]
@@ -733,3 +733,95 @@ class TestMatrixFileTypes:
                       "JSON numbers",
         }
         assert cap.out == "" and not (tmp_path / "out.json").exists()
+
+
+class TestInputSchema:
+    """Every key of a channel file, unitary file, sweep config or family
+    spec is read against its field table: a key the table lacks, a missing
+    required key or a value of the wrong kind exits 2, naming the key,
+    before anything is written."""
+
+    ROTATION = {"family": "rotation", "dim": 2, "params": {"theta": 0.1}}
+
+    def run(self, tmp_path, monkeypatch, capsys, obj, command="sweep"):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.json").write_text(json.dumps(obj))
+        argv = (["sweep", "--config"] if command == "sweep" else [command, "--in"])
+        code = main(argv + ["in.json", "--out", "out.csv"])
+        cap = capsys.readouterr()
+        return code, cap, sorted(f.name for f in tmp_path.iterdir())
+
+    def assert_refused(self, result, key):
+        code, cap, files = result
+        assert code == 2
+        lines = cap.err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "parse"
+        assert f"'{key}'" in json.loads(lines[0])["detail"]
+        assert cap.out == "" and files == ["in.json"]
+
+    def test_top_level_sweep_seed_exit_2(self, tmp_path, monkeypatch, capsys):
+        cfg = {"family": self.ROTATION, "max_depth": 3, "seed": 0}
+        self.assert_refused(self.run(tmp_path, monkeypatch, capsys, cfg), "seed")
+
+    @pytest.mark.parametrize("key, cfg", [
+        ("max_dpeth", {"family": ROTATION, "max_dpeth": 500}),
+        ("pp", {"family": dict(ROTATION, params={"theta": 0.1, "pp": 3})}),
+        ("sed", {"family": dict(ROTATION, sed=3)}),
+    ], ids=["sweep-key", "family-param", "family-spec-key"])
+    def test_unread_sweep_key_exit_2(self, tmp_path, monkeypatch, capsys, key, cfg):
+        self.assert_refused(self.run(tmp_path, monkeypatch, capsys, cfg), key)
+
+    @pytest.mark.parametrize("key, extra", [
+        ("junk", {"junk": 1}),
+        ("choi", {"choi": [[1.0, 0.0]] * 16}),
+        ("dim", {"dim": True}),
+    ], ids=["unknown-key", "kraus-and-choi", "bool-dim"])
+    def test_bad_channel_file_exit_2(self, tmp_path, monkeypatch, capsys, key, extra):
+        obj = dict(chn.channel_to_json(genlib.amplitude_damping(2, 0.2)), **extra)
+        self.assert_refused(
+            self.run(tmp_path, monkeypatch, capsys, obj, "metrics"), key
+        )
+
+    @pytest.mark.parametrize("command", ["metrics", "sweep"])
+    def test_integer_beyond_float_range_exit_2(self, tmp_path, monkeypatch, capsys,
+                                               command):
+        """An integer matrix entry beyond the float range, or a family dim
+        beyond the index range, overflows numpy before any other check."""
+        if command == "sweep":
+            obj = {"family": {"family": "amplitude_damping", "dim": 2**70,
+                              "params": {"gamma": 0.1}}}
+        else:
+            obj = {"dim": 1, "kraus": [[[10**400, 0]]]}
+        code, cap, files = self.run(tmp_path, monkeypatch, capsys, obj, command)
+        assert code == 2 and json.loads(cap.err)["error"] == "parse"
+        assert "Traceback" not in cap.err and files == ["in.json"]
+
+    def test_other_mode_key_is_noted(self, tmp_path):
+        """The sigma_profile golden input carries a composition key,
+        max_depth: it is not read, and the manifest says so."""
+        out = tmp_path / "prof.csv"
+        cfg = Path(__file__).parent / "golden" / "inputs" / (
+            "sweep-sigma_profile-extremal_dephaser-d16.json")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "prof.csv.manifest.json").read_text())
+        assert manifest["notes"] == [
+            "sweep config 'max_depth' is not read in sigma_profile mode"
+        ]
+
+
+class TestVerifySkippedDims:
+    def test_skipped_dimension_is_noted(self, tmp_path):
+        """d = 16 is above the theorem and Lindblad caps: the rows are those
+        of d = 2 alone, and the manifest names each skipped (suite, d)."""
+        outs = [tmp_path / "d2.csv", tmp_path / "d2-16.csv"]
+        for dims, out in zip(("2", "2,16"), outs):
+            assert main(["verify", "--suite", "theorems", "--dims", dims,
+                         "--trials", "1", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        notes = [json.loads(Path(f"{out}.manifest.json").read_text())["notes"]
+                 for out in outs]
+        assert notes[0] == []
+        assert notes[1] == [
+            "the theorem cases skip d = 16: they run only at d <= 8",
+            "the Lindblad cases skip d = 16: they run only at d <= 8",
+        ]

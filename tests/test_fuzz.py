@@ -12,6 +12,15 @@ NaN or Infinity).  A case whose one mutation turns a number of a matrix
 string or a boolean must exit 2: only JSON numbers are read as numbers.
 Besides the seeded draws, the first such number of every base is turned
 into a numeric string and into ``true``.
+
+The generative half walks the field tables instead: every field of every
+table (a family's params table comes from its builder's signature) gets
+each value of ``PROBES``, and every table one key it lacks.  ``TAKES``
+says which probes each kind takes, and the kinds must agree.  A value the
+field's kind refuses, or the extra key, must exit 2 with one JSON line
+naming the key, no warning and nothing written; any other case exits 0,
+1, 2 or 3 (2 from a check past the kind, such as a builder's range or a
+matrix shape).
 """
 
 import copy
@@ -21,6 +30,8 @@ import random
 import warnings
 from pathlib import Path
 
+from chanpolar import channel as chn
+from chanpolar import cli, genlib
 from chanpolar.cli import main
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -200,3 +211,112 @@ def test_exit_code_contract(tmp_path, monkeypatch, capsys):
             assert set(json.loads(lines[0])) == {"error", "detail"}, where
             assert cap.out == "", where
             assert list(work.iterdir()) == [], where
+
+
+# ---------------------------------------------------------------------------
+# generative half
+# ---------------------------------------------------------------------------
+
+PROBES = (True, 2**70, 1e308, math.nan, "", None, [], {})
+# {kind: the reprs of the probes it takes}; it refuses every other probe
+TAKES = {
+    "an integer": {repr(2**70)},
+    "an integer >= 0": {repr(2**70)},
+    "an integer >= 1": {repr(2**70)},
+    "a finite JSON number": {repr(2**70), "1e+308"},
+    "a non-empty string": set(),
+    "a non-empty list": set(),
+    "a JSON object": {"{}"},
+    "a family name": set(),
+    "'composition' or 'sigma_profile'": set(),
+    "an integer in [1, 100000]": set(),
+    "a list of sweep column names": {"[]"},
+}
+# (dim, params) of a valid sweep of each family, every builder parameter given
+FAMILY_BASES = {
+    "identity": (2, {}),
+    "depolarizing": (2, {"p": 0.9}),
+    "dephasing": (2, {"q": 0.1}),
+    "stochastic_weyl": (2, {"p": 0.9}),
+    "amplitude_damping": (2, {"gamma": 0.1}),
+    "rotation": (2, {"theta": 0.1}),
+    "random_unitary_error": (2, {"strength": 0.1}),
+    "random_cptp": (2, {"kraus_rank": 2, "strength": 0.05}),
+    "psd_lk_decoherent": (2, {"strength": 0.1, "kraus_rank": 2}),
+    "extremal_dephaser": (4, {"base_scale": 2.5e-3, "n_outliers": 1,
+                              "outlier_depth": 0.02}),
+    "extremal_unitary": (2, {}),
+    "spiral": (3, {"alpha": 0.1}),
+    "coherence_mix": (2, {"infidelity": 1e-4, "level": 0.5}),
+}
+
+
+def _sweep(family, **cfg):
+    dim, params = FAMILY_BASES[family]
+    return dict(cfg, family={"family": family, "dim": dim, "params": params,
+                             "seed": 1})
+
+
+def _targets():
+    """(base document, argv, path of the object read against the table, the
+    table, its kinds, the keys read) for every field table."""
+    chan = ["metrics", "--in", "{path}"]
+    sweep = ["sweep", "--config", "{path}"]
+    for name in ("amplitude_damping-d2.json", "random_cptp-d2-choi.json"):
+        doc = json.loads((INPUTS / name).read_text())
+        yield doc, chan, (), chn._CHANNEL_FIELDS, chn.KINDS, set(chn._CHANNEL_FIELDS)
+    doc = json.loads((INPUTS / "target-d3.json").read_text())
+    argv = chan[:2] + [str(INPUTS / "random_unitary_error-d3.json"), "--target", "{path}"]
+    yield doc, argv, (), chn._UNITARY_FIELDS, chn.KINDS, set(chn._UNITARY_FIELDS)
+    modes = cli._MODE_FIELDS
+    table = {**cli._SWEEP_FIELDS, **modes["composition"], **modes["sigma_profile"]}
+    bases = {"composition": _sweep("rotation", max_depth=3),
+             "sigma_profile": _sweep("extremal_dephaser", mode="sigma_profile")}
+    for mode, doc in bases.items():
+        yield doc, sweep, (), table, cli._SWEEP_KINDS, {*cli._SWEEP_FIELDS, *modes[mode]}
+    yield (bases["composition"], sweep, ("family",), genlib._SPEC_FIELDS,
+           genlib._SPEC_KINDS, set(genlib._SPEC_FIELDS))
+    for family in FAMILY_BASES:
+        table = genlib._params_table(genlib.BUILDERS[family])
+        yield (_sweep(family, max_depth=3), sweep, ("family", "params"), table,
+               chn.KINDS, set(table))
+
+
+def _field_cases():
+    """(description, document, argv, key, whether the case must exit 2)."""
+    for base, argv, path, table, kinds, read in _targets():
+        for key, (kind, _) in table.items():
+            for value in PROBES:
+                takes = repr(value) in TAKES[kind]
+                assert kinds[kind](value) == takes, (kind, value)
+                doc = copy.deepcopy(base)
+                _get(doc, path)[key] = value
+                refuse = key in read and not takes
+                yield f"{list(path)} {key}={value!r}", doc, argv, key, refuse
+        doc = copy.deepcopy(base)
+        _get(doc, path)["extra"] = 1
+        yield f"{list(path)} extra key", doc, argv, "extra", True
+
+
+def test_field_tables(tmp_path, monkeypatch, capsys):
+    assert set(FAMILY_BASES) == set(genlib.BUILDERS)
+    for i, (what, doc, argv, key, refuse) in enumerate(_field_cases()):
+        src = tmp_path / f"in{i}.json"
+        src.write_text(json.dumps(doc))
+        work = tmp_path / f"run{i}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([str(src) if a == "{path}" else a for a in argv]
+                        + ["--out", "data.out"])
+        cap = capsys.readouterr()
+        where = f"case {i}: {argv[0]} {what} -> exit {code}\n{cap.err[-2000:]}"
+        assert code in (0, 1, 2, 3), where
+        if refuse:
+            assert code == 2, where
+            assert [str(w.message) for w in caught] == [], where
+            lines = cap.err.splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"] == "parse", where
+            assert f"'{key}'" in json.loads(lines[0])["detail"], where
+            assert cap.out == "" and list(work.iterdir()) == [], where

@@ -17,6 +17,7 @@ import pytest
 from chanpolar import channel as chn
 from chanpolar import genlib
 from chanpolar.cli import main
+from wire_format import choi_to_json, unitary_to_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -76,11 +77,11 @@ def _inputs() -> dict:
         "rotation-d2.json": chn.channel_to_json(genlib.rotation(2, 0.1)),
         "rotation-d2-tracezero.json": chn.channel_to_json(
             genlib.rotation(2, math.pi / 2)),
-        "random_cptp-d2-choi.json": chn.choi_to_json(
+        "random_cptp-d2-choi.json": choi_to_json(
             chn.to_choi(genlib.random_cptp(2, 3, seed=5, strength=0.2))),
         "random_unitary_error-d3.json": chn.channel_to_json(
             genlib.random_unitary_error(3, 0.2, seed=3)),
-        "target-d3.json": chn.unitary_to_json(genlib.random_unitary(3, seed=4)),
+        "target-d3.json": unitary_to_json(genlib.random_unitary(3, seed=4)),
         "sweep-composition-psd_lk_decoherent-d3.json": {
             "mode": "composition",
             "family": {"family": "psd_lk_decoherent", "dim": 3,
