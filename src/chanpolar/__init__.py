@@ -52,6 +52,7 @@ from .polar import (
     EquabilityReport,
     InfidelitySplit,
     channel_polar,
+    channel_polars,
     classify,
     equability,
     infidelity_split,

@@ -31,7 +31,7 @@ from .errors import (
     TargetNotUnitary,
 )
 from .matcore import HOLDS_TOL, BoundReport, make_report
-from .polar import _spectrum_constants, channel_polar, is_decoherent
+from .polar import _spectrum_constants, channel_polar, channel_polars, is_decoherent
 
 OPTIMIZER_MAX_DIM = 8  # the unitary-correction optimizer refuses larger d
 LINDBLAD_MAX_DIM = 8  # the Lindblad verification suite stops at this d
@@ -107,6 +107,8 @@ class _CircuitData:
     def __init__(self, circuit: CircuitSpec):
         d = circuit.dim
         self.d = d
+        # one stacked canonical form and polar factorization for all elements
+        self.polars = channel_polars(circuit.channels)
         self.canons = [chn.canonical(c) for c in circuit.channels]
         self.targets = circuit.targets
         self.w1 = np.array([c.w1 for c in self.canons])  # Upsilon(A_i*)
@@ -115,7 +117,6 @@ class _CircuitData:
         self.phis = np.array(  # the targets were checked by CircuitSpec
             [metrics._phi(c, t) for c, t in zip(self.canons, self.targets)]
         )
-        self.polars = [channel_polar(c) for c in circuit.channels]
         self.sigmas = [p.singular_values for p in self.polars]
         self.mean_sigma = np.array([float(np.mean(s)) for s in self.sigmas])
         self.pert = 1.0 - self.mean_sigma  # 1 - sqrt(Phi(D_i*, I))
@@ -229,6 +230,7 @@ def _require_decoherent(circuit: CircuitSpec):
         return
     d = circuit.dim
     eye = np.eye(d)
+    chn._canonicalize(circuit.channels)  # one batch for the checks below
     for i, (c, t) in enumerate(zip(circuit.channels, circuit.targets)):
         if np.linalg.norm(t - eye) > 1e-9 * np.sqrt(d):
             raise TargetNotUnitary(
@@ -624,7 +626,8 @@ def _optimize_correction(
     rng = np.random.default_rng(seed)
 
     def w_at(x: np.ndarray) -> np.ndarray:
-        return matcore._expi_hermitian(np.tensordot(x, basis, axes=(0, 0)), -1.0) @ w0
+        h = np.tensordot(x, basis, axes=(0, 0))
+        return matcore._expi_eig(*np.linalg.eigh(h), -1.0) @ w0
 
     x = np.zeros(nb)
     best_x = x

@@ -14,6 +14,7 @@ Vectorization convention (used everywhere): column stacking,
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
@@ -31,16 +32,6 @@ TP_TOL = 1e-9
 WEIGHT_DEGENERACY_TOL = 1e-10
 GRAM_ORTHO_TOL = 1e-12      # per-dim off-diagonal Gram tolerance
 MAX_EIGENSOLVER_DIM = 64    # Choi eigendecompositions are refused above this
-
-
-def col(a: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix: col(A) = sum_ij A_ij e_j (x) e_i."""
-    return np.asarray(a).flatten(order="F")
-
-
-def uncol(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`col` for a d x d matrix."""
-    return np.asarray(v).reshape((d, d), order="F")
 
 
 @dataclass(eq=False)
@@ -152,22 +143,29 @@ def to_choi(ch: KrausChannel) -> np.ndarray:
     return cols.T @ cols.conj()
 
 
-def _canonical_view(ops: np.ndarray, weights: np.ndarray) -> KrausChannel:
-    """Channel over operators already in canonical order, with the phase
-    convention applied: the largest-magnitude entry of each operator is
-    real positive, except that the leading one prefers tr A_1 real
-    positive.  The operators are stored C-contiguous, which fixes the
-    summation order of the einsum-based figures of merit."""
-    fixed = np.empty(ops.shape, dtype=np.complex128)
-    for i, op in enumerate(ops):
-        fix = matcore.fix_trace_phase if i == 0 else matcore.fix_entry_phase
-        fixed[i] = fix(op)
-    view = KrausChannel(dim=ops.shape[1], kraus=fixed)
-    view._weights = weights
-    return view
+def _canonical_views(ops: np.ndarray, weights: np.ndarray, counts) -> list:
+    """Channels over operators already in canonical order, the i-th over
+    the next ``counts[i]`` operators and weights, with the phase convention
+    applied: the largest-magnitude entry of each operator is real positive,
+    except that the leading one prefers tr A_1 real positive.  The
+    operators are stored C-contiguous, which fixes the summation order of
+    the einsum-based figures of merit."""
+    bounds = [0, *itertools.accumulate(counts)]
+    starts = [start for start, stop in zip(bounds, bounds[1:]) if stop > start]
+    fixed = matcore.fix_entry_phase(ops)
+    phase, ok = matcore._trace_phase(ops)
+    lead = np.zeros(len(ops), dtype=bool)
+    lead[starts] = ok[starts]
+    np.multiply(ops, np.conj(phase)[:, None, None], out=fixed, where=lead[:, None, None])
+    views = []
+    for start, stop in zip(bounds, bounds[1:]):
+        view = KrausChannel(dim=ops.shape[-1], kraus=fixed[start:stop])
+        view._weights = weights[start:stop]
+        views.append(view)
+    return views
 
 
-def from_choi(choi: np.ndarray) -> KrausChannel:
+def from_choi(choi: np.ndarray):
     """Canonical Kraus decomposition from the Choi eigendecomposition.
 
     ``choi`` is a finite d^2 x d^2 matrix (as returned by :func:`to_choi`);
@@ -176,33 +174,39 @@ def from_choi(choi: np.ndarray) -> KrausChannel:
     ``-1e-10*max(d, lambda_max)`` raises :class:`NotCP` (for a CPTP map
     lambda_max <= tr C = d).  A spectrum beyond the float range is
     decomposed as that of C/4^256, with the square roots scaled back and
-    the weights +inf.
+    the weights +inf.  A stack of Choi matrices gives the list of views.
     """
-    m = matcore.as_complex_matrix(choi, "choi")
-    d = math.isqrt(m.shape[0])
-    if d == 0 or m.shape != (d * d, d * d):
+    m = matcore.as_complex_matrix(choi, "choi", stacked=True)
+    d = math.isqrt(m.shape[-1])
+    if d == 0 or m.shape[-2:] != (d * d, d * d):
         raise DimensionMismatch(
             f"choi must be d^2 x d^2 for some d >= 1, got {m.shape}"
         )
+    stack = m.reshape((-1, d * d, d * d))
     floor = CHOI_DROP_TOL * d
-    root = 1.0  # the square root of the factor C was divided by
-    eig = matcore.hermitian_eig(m, drop_floor=floor)
-    if eig.values[0] == np.inf:
-        root = 2.0**256
-        eig = matcore.hermitian_eig(m / root**2, drop_floor=floor / root**2)
-    vals = eig.values
-    if vals[-1] < -CP_EIG_TOL * max(d, vals[0]):
-        raise NotCP(f"Choi eigenvalue {float(vals[-1]) * root**2:.3e} below CP floor")
-    keep = vals > floor / root**2
-    vals = vals[keep]
-    vecs = eig.vectors[:, keep]
-    if vals.size == 0:
+    eig = matcore.hermitian_eig(stack, drop_floor=floor)
+    vals, vecs = eig.values, eig.vectors
+    root = np.ones(len(vals))  # the square root of the factor each C was divided by
+    big = vals[:, 0] == np.inf
+    if big.any():
+        root[big] = 2.0**256
+        eig = matcore.hermitian_eig(stack[big] / 2.0**512, drop_floor=floor / 2.0**512)
+        vals[big], vecs[big] = eig.values, eig.vectors
+    for i in np.flatnonzero(vals[:, -1] < -CP_EIG_TOL * np.maximum(d, vals[:, 0]))[:1]:
+        raise NotCP(f"Choi eigenvalue {float(vals[i, -1]) * root[i]**2:.3e} below CP floor")
+    keep = vals > (floor / root**2)[:, None]
+    counts = keep.sum(axis=1)
+    if not counts.all():
         raise NotCP("Choi matrix is numerically zero")
-    ops = np.stack(
-        [np.sqrt(v) * root * uncol(vecs[:, i], d) for i, v in enumerate(vals)]
-    )
+    vals = vals[keep]
+    root = np.repeat(root, counts)
+    # each kept column v as the matrix M with col(M) = v
+    cols = vecs.swapaxes(1, 2)[keep].reshape(-1, d, d).swapaxes(1, 2)
+    ops = (np.sqrt(vals) * root)[:, None, None] * cols
     with np.errstate(over="ignore"):
-        return _canonical_view(ops, vals / d * root**2)
+        weights = vals / d * root**2
+    views = _canonical_views(ops, weights, counts.tolist())
+    return views if m.ndim > 2 else views[0]
 
 
 def _gram(k: np.ndarray) -> np.ndarray:
@@ -215,7 +219,7 @@ def canonical(ch: KrausChannel) -> KrausChannel:
 
     The view's operators are mutually orthogonal under the Hilbert-Schmidt
     inner product, sorted by descending weight w_i = ||A_i||_2^2 / d and
-    phase-fixed (see :func:`_canonical_view`); ``canonical`` of a view is
+    phase-fixed (see :func:`_canonical_views`); ``canonical`` of a view is
     the view itself.  Equivalent to ``from_choi(to_choi(ch))``.  A family
     that is already mutually orthogonal (off-diagonal Gram entries below
     ``1e-12*d``) is sorted and phase-fixed directly, which keeps large
@@ -224,29 +228,48 @@ def canonical(ch: KrausChannel) -> KrausChannel:
     """
     if ch._weights is not None:  # ch is a canonical view
         return ch
-    cached = ch._canonical
-    if cached is not None:
-        return cached
-    k = ch.kraus
-    d = ch.dim
-    g = _gram(k)
-    off = g - np.diag(np.diag(g))
-    if k.shape[0] == 1 or np.max(np.abs(off)) <= GRAM_ORTHO_TOL * d:
-        norms2 = np.diag(g).real
-        keep = norms2 > CHOI_DROP_TOL * d
-        norms2 = norms2[keep]
-        order = np.argsort(-norms2, kind="stable")
-        result = _canonical_view(k[keep][order], norms2[order] / d)
-    else:
-        if d > MAX_EIGENSOLVER_DIM:
+    if ch._canonical is None:
+        _canonicalize([ch])
+    return ch._canonical
+
+
+def _canonicalize(channels) -> list:
+    """The canonical views of channels of one dimension, each cached as by
+    :func:`canonical`: the orthogonal families phase-fixed together, the
+    others from one stacked :func:`from_choi`."""
+    gram, choi = [], []
+    for ch in dict.fromkeys(channels):
+        if ch._weights is not None or ch._canonical is not None:
+            continue
+        k = ch.kraus
+        d = ch.dim
+        g = _gram(k)
+        off = g - np.diag(np.diag(g))
+        if k.shape[0] == 1 or np.max(np.abs(off)) <= GRAM_ORTHO_TOL * d:
+            norms2 = np.diag(g).real
+            order = np.argsort(-norms2, kind="stable")
+            order = order[norms2[order] > CHOI_DROP_TOL * d]  # the stable order of the kept
+            gram.append((ch, k[order], norms2[order] / d))
+        elif d > MAX_EIGENSOLVER_DIM:
             raise DimensionMismatch(
                 f"canonicalization of non-orthogonal Kraus families above "
                 f"d={MAX_EIGENSOLVER_DIM} requires a Choi eigendecomposition "
                 "that is out of range; supply an orthogonal family"
             )
-        result = from_choi(to_choi(ch))
-    ch._canonical = result
-    return result
+        else:
+            choi.append(ch)
+    done, views = [], []
+    if gram:
+        done, ops, weights = map(list, zip(*gram))
+        ops = ops[0] if len(ops) == 1 else np.concatenate(ops)
+        views = _canonical_views(ops, np.concatenate(weights), [len(w) for w in weights])
+    if choi:
+        chois = [to_choi(ch) for ch in choi]
+        views += from_choi(np.stack(chois) if len(chois) > 1 else chois[0][np.newaxis])
+        done += choi
+    for ch, view in zip(done, views):
+        ch._canonical = view
+    return [c if c._weights is not None else c._canonical for c in channels]
 
 
 def lk(ch: KrausChannel) -> KrausChannel:

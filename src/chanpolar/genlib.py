@@ -151,16 +151,22 @@ def rotation(d: int, theta: float) -> chn.KrausChannel:
     return chn.KrausChannel(dim=d, kraus=rotation_matrix(d, theta)[np.newaxis])
 
 
+def _gue_eig(n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of the n x n GUE draw H of each seed (real then
+    imaginary normals of the seeded stream), normalized to unit spectral
+    radius; one stacked solver call for all seeds."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    g = np.stack([r.standard_normal((n, n)) + 1j * r.standard_normal((n, n)) for r in rngs])
+    h = (g + np.conj(g).swapaxes(-1, -2)) / 2.0
+    top = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)[:, None, None]
+    np.divide(h, top, out=h, where=top > 0)
+    return np.linalg.eigh(h)
+
+
 def _gue_rotation(n: int, strength: float, seed) -> np.ndarray:
-    """exp(-i strength H) for an n x n GUE draw H normalized to unit
-    spectral radius (real then imaginary normals of the seeded stream)."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (g + g.conj().T) / 2.0
-    top = float(np.abs(np.linalg.eigvalsh(h)).max())
-    if top > 0:
-        h = h / top
-    return matcore._expi_hermitian(h, -strength)
+    """exp(-i strength H) for the n x n GUE draw H of :func:`_gue_eig`."""
+    w, v = _gue_eig(n, [seed])
+    return matcore._expi_eig(w[0], v[0], -strength)
 
 
 def random_unitary_error(d: int, strength: float, seed) -> chn.KrausChannel:
@@ -339,12 +345,16 @@ BUILDERS = {
 }
 FAMILIES = tuple(BUILDERS)
 
+# a family's dimension is capped at the Choi eigensolver's limit, as verify --dims is
+_DIM_KIND = f"an integer in [1, {chn.MAX_EIGENSOLVER_DIM}]"
 _SPEC_KINDS = {
-    **chn.KINDS, "a family name": lambda v: isinstance(v, str) and v in FAMILIES,
+    **chn.KINDS,
+    "a family name": lambda v: isinstance(v, str) and v in FAMILIES,
+    _DIM_KIND: lambda v: type(v) is int and 1 <= v <= chn.MAX_EIGENSOLVER_DIM,
 }
 _SPEC_FIELDS = {
     "family": ("a family name", chn.REQUIRED),
-    "dim": ("an integer >= 1", chn.REQUIRED),
+    "dim": (_DIM_KIND, chn.REQUIRED),
     "params": ("a JSON object", {}),
     "seed": ("an integer >= 0", None),
 }

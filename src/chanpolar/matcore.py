@@ -10,6 +10,18 @@ bound evaluators and the suites build it with :func:`make_report`.
 Norm conventions: ``||.||_2`` written in docstrings means the Schatten
 2-norm (Frobenius); the spectral radius of a general matrix means its
 largest singular value.
+
+Stacks: :func:`hermitian_eig`, :func:`polar_decompose` and
+:func:`fix_entry_phase` take leading stack axes; a single matrix is the
+N = 1 case, and a stack has the bits of N single calls.  Measured on numpy
+2.4.6 at n = 2 ... 16: stacked ``eigh``, ``eigvalsh``, ``svd``, ``matmul``
+and ``trace`` equal the per-matrix calls; ``np.abs`` of a complex array
+differs in the last bit from Python ``abs()`` of its scalars, so where a
+single path used ``abs()`` a stack uses ``np.hypot(re, im)``, and where it
+used ``np.abs`` (the column phases of :func:`hermitian_eig`) it keeps
+``np.abs``, which ``hypot`` does not match; ``np.linalg.norm(...,
+axis=(-2, -1))`` differs from each matrix's norm, so the Hermiticity check
+(like Upsilon in ``metrics``) keeps one norm per matrix.
 """
 
 from __future__ import annotations
@@ -28,10 +40,10 @@ PHASE_TRACE_TOL = 1e-9
 ENTRY_ROUND_DECIMALS = 8
 
 
-def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite complex128 2-d array (no copy when possible)."""
+def as_complex_matrix(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """A finite complex128 2-d array, or stack if ``stacked`` (no copy when possible)."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stacked and a.ndim > 2):
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -39,7 +51,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a
 
@@ -48,34 +60,32 @@ def fix_entry_phase(op: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the largest-magnitude entry is real positive.
 
     Ties resolve to the first maximal entry in row-major order.  Zero
-    matrices are returned unchanged.
+    matrices are returned unchanged.  Leading axes hold a stack; each
+    matrix is rotated on its own.
     """
-    idx = int(np.argmax(np.abs(op)))
-    val = op.flat[idx]
-    if abs(val) == 0.0:
-        return op
-    return op * (np.conj(val) / abs(val))
+    flat = op.reshape(-1, op.shape[-2] * op.shape[-1])
+    val = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    r = np.hypot(val.real, val.imag)
+    nz = r != 0.0
+    rot = (np.conj(val) / np.where(nz, r, 1.0)).reshape(op.shape[:-2] + (1, 1))
+    return np.multiply(op, rot, out=op.copy(), where=nz.reshape(rot.shape))
 
 
-def _trace_phase(op: np.ndarray) -> complex | None:
-    """tr(op) / |tr(op)|, or None when |tr(op)| <= ``PHASE_TRACE_TOL``."""
-    t = np.trace(op)
-    return complex(t / abs(t)) if abs(t) > PHASE_TRACE_TOL else None
+def _trace_phase(op: np.ndarray):
+    """``(tr(op) / |tr(op)|, |tr(op)| > PHASE_TRACE_TOL)`` over the leading
+    axes; the phase is 1 where the test fails."""
+    t = np.trace(op, axis1=-2, axis2=-1)
+    r = np.hypot(t.real, t.imag)
+    ok = r > PHASE_TRACE_TOL
+    return np.divide(t, r, out=np.ones_like(t), where=ok), ok
 
 
-def fix_trace_phase(op: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so tr(op) is real positive.
-
-    Falls back to :func:`fix_entry_phase` when |tr| <= ``PHASE_TRACE_TOL``.
-    """
-    phase = _trace_phase(op)
-    return fix_entry_phase(op) if phase is None else op * np.conj(phase)
-
-
-def _expi_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
-    """exp(1j * scale * H) for Hermitian H, via eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * scale * w)) @ v.conj().T
+def _expi_eig(w: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
+    """exp(1j * scale * H) from the eigendecomposition ``w, v`` of a
+    Hermitian H as ``np.linalg.eigh`` returns it; a stack takes one scale
+    per matrix."""
+    e = np.exp(1j * np.asarray(scale)[..., None] * w)
+    return (v * e[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
 
 
 @dataclass(eq=False)
@@ -88,7 +98,8 @@ class HermitianEig:
     lexicographically on their entries rounded to 1e-8, which makes the
     output deterministic even when the underlying solver is free to mix
     them; blocks at or below a caller's ``drop_floor`` (see
-    :func:`hermitian_eig`) are the exception.
+    :func:`hermitian_eig`) are the exception.  For a stack of matrices both
+    fields carry its leading axes.
     """
 
     values: np.ndarray
@@ -102,6 +113,21 @@ def _lex_key(col: np.ndarray):
     out[0::2] = r
     out[1::2] = i
     return tuple(out)
+
+
+def _order_blocks(w: list, v: np.ndarray, drop_floor: float):
+    """Sort in place the columns ``v`` of each degenerate block of the
+    descending eigenvalues ``w`` whose top lies above ``drop_floor``."""
+    n = len(w)
+    start = 0
+    while start < n:
+        stop = start + 1
+        while stop < n and w[stop - 1] - w[stop] < DEGENERACY_TOL:
+            stop += 1
+        if stop - start > 1 and w[start] > drop_floor:
+            order = sorted(range(start, stop), key=lambda j: _lex_key(v[:, j]))
+            v[:, start:stop] = v[:, order]
+        start = stop
 
 
 def _tamed(a: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -119,11 +145,12 @@ def _tamed(a: np.ndarray) -> tuple[np.ndarray, float, int]:
 
 
 def _require_hermitian(a: np.ndarray, name: str):
-    """``||A - A^dag||_2 > HERMITICITY_RTOL ||A||_2`` raises; near the top of
-    the float range both norms are taken of :func:`_tamed` A."""
-    a, size, _ = _tamed(a)
-    if np.linalg.norm(a - a.conj().T) > HERMITICITY_RTOL * max(size, 1e-300):
-        raise NotHermitian(f"{name} is not Hermitian within tolerance")
+    """``||A - A^dag||_2 > HERMITICITY_RTOL ||A||_2`` raises for any matrix A of
+    a stack; near the top of the float range both norms are of :func:`_tamed` A."""
+    for item in a.reshape((-1,) + a.shape[-2:]):
+        item, size, _ = _tamed(item)
+        if np.linalg.norm(item - item.conj().T) > HERMITICITY_RTOL * max(size, 1e-300):
+            raise NotHermitian(f"{name} is not Hermitian within tolerance")
 
 
 def hermitian_eig(m, drop_floor: float = -np.inf) -> HermitianEig:
@@ -133,45 +160,38 @@ def hermitian_eig(m, drop_floor: float = -np.inf) -> HermitianEig:
     passes that floor: degenerate blocks lying entirely at or below it are
     then left in solver order.  A block that straddles the floor is still
     ordered whole, so the columns above it are the same as without the
-    floor.
+    floor.  ``m`` may carry leading stack axes: one stacked solver call
+    then serves every matrix, and the block ordering runs matrix by matrix.
 
     Raises
     ------
     NotHermitian
-        when ``||M - M^dag||_2 > HERMITICITY_RTOL * ||M||_2``.
+        when ``||M - M^dag||_2 > HERMITICITY_RTOL * ||M||_2`` for a matrix.
     NoConvergence
         when the underlying solver fails to converge.
     """
-    a = _require_square(as_complex_matrix(m, "M"), "M")
+    a = _require_square(as_complex_matrix(m, "M", stacked=True), "M")
     _require_hermitian(a, "matrix")
-    h = a / 2.0 + a.conj().T / 2.0  # (a + a^dag) / 2 could overflow
+    h = a / 2.0 + np.conj(a).swapaxes(-1, -2) / 2.0  # (a + a^dag) / 2 could overflow
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NoConvergence(str(exc)) from exc
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
+    n = w.shape[-1]
+    w = w[..., ::-1].copy()
+    v = v[..., ::-1].reshape(-1, n, n)
 
     # per-column phase convention
-    idx = np.argmax(np.abs(v), axis=0)
-    piv = v[idx, np.arange(v.shape[1])]
+    piv = v[np.arange(len(v))[:, None], np.argmax(np.abs(v), axis=1), np.arange(n)]
     nz = np.abs(piv) > 0
     phases = np.ones_like(piv)
     phases[nz] = np.conj(piv[nz]) / np.abs(piv[nz])
-    v = v * phases[np.newaxis, :]
+    v = v * phases[:, None, :]
 
-    # deterministic order inside degenerate blocks
-    n = w.size
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and w[stop - 1] - w[stop] < DEGENERACY_TOL:
-            stop += 1
-        if stop - start > 1 and w[start] > drop_floor:
-            order = sorted(range(start, stop), key=lambda j: _lex_key(v[:, j]))
-            v[:, start:stop] = v[:, order]
-        start = stop
-    return HermitianEig(values=w, vectors=v)
+    # deterministic order inside degenerate blocks, matrix by matrix
+    for i, values in enumerate(w.reshape(-1, n).tolist()):
+        _order_blocks(values, v[i], drop_floor)
+    return HermitianEig(values=w, vectors=v.reshape(a.shape))
 
 
 @dataclass(eq=False)
@@ -183,7 +203,8 @@ class MatrixPolar:
     unit complex number restoring the raw factor); otherwise ``phase`` is 1.
     ``psd`` is (A^dag A)^(1/2), ``singular_values`` are the singular
     values of A in descending order and ``rank`` counts those above
-    ``s_1 n 1e-12`` (0 for the zero matrix).
+    ``s_1 n 1e-12`` (0 for the zero matrix).  A stack of matrices gives
+    arrays over its leading axes in every field.
     """
 
     unitary: np.ndarray
@@ -195,44 +216,49 @@ class MatrixPolar:
 
 
 def polar_decompose(a) -> MatrixPolar:
-    """Polar-decompose a square matrix via SVD.
+    """Polar-decompose a square matrix, or a stack of them, via SVD.
 
     For rank-deficient input the unitary factor is completed on the null
     block so that it is closest (Frobenius) to the identity among all valid
     completions; this keeps the factor continuous with nearby full-rank
-    inputs.
+    inputs.  A stack takes one SVD call; rank-deficient matrices are completed
+    one by one.
     """
-    a = _require_square(as_complex_matrix(a, "A"), "A")
-    n = a.shape[0]
+    a = _require_square(as_complex_matrix(a, "A", stacked=True), "A")
+    n = a.shape[-1]
     try:
         u, s, wh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NoConvergence(str(exc)) from exc
-    w = wh.conj().T
-    rank_tol = s[0] * n * 1e-12 if n and s[0] > 0 else 0.0
-    r = int(np.sum(s > rank_tol))
-    if r == n:
+    w = np.conj(wh).swapaxes(-1, -2)
+    rank = np.sum(s > s[..., :1] * n * 1e-12, axis=-1)  # 0 for the zero matrix
+    full = rank == n
+    if full.all():
         v = u @ wh
     else:
-        v = u[:, :r] @ wh[:r, :]
-        un = u[:, r:]
-        wn = w[:, r:]
-        # max Re tr over the free block -> polar phase of Wn^dag Un
-        m = wn.conj().T @ un
-        um, _, vmh = np.linalg.svd(m)
-        v = v + un @ (um @ vmh).conj().T @ wn.conj().T
-    psd = (w * s) @ w.conj().T
-    psd = (psd + psd.conj().T) / 2.0
-    phase = _trace_phase(v)
-    if phase is not None:
-        v = v * np.conj(phase)
+        v = np.empty_like(u)
+        v[full] = u[full] @ wh[full]
+        for i in zip(*np.nonzero(~full)) if a.ndim > 2 else [()]:
+            ui, wi, r = u[i], w[i], rank[i]
+            un = ui[:, r:]
+            wn = wi[:, r:]
+            # max Re tr over the free block -> polar phase of Wn^dag Un
+            um, _, vmh = np.linalg.svd(wn.conj().T @ un)
+            np.matmul(ui[:, :r], wh[i][:r, :], out=v[i])
+            v[i] += un @ (um @ vmh).conj().T @ wn.conj().T
+    psd = (w * s[..., None, :]) @ np.conj(w).swapaxes(-1, -2)
+    psd = (psd + np.conj(psd).swapaxes(-1, -2)) / 2.0
+    phase, fixed = _trace_phase(v)
+    np.multiply(v, np.conj(phase)[..., None, None], out=v, where=fixed[..., None, None])
+    if a.ndim == 2:
+        fixed, phase, rank = fixed.item(), phase.item(), rank.item()
     return MatrixPolar(
         unitary=v,
         psd=psd,
-        phase_fixed=phase is not None,
-        phase=1.0 + 0.0j if phase is None else phase,
-        singular_values=s.copy(),
-        rank=r,
+        phase_fixed=fixed,
+        phase=phase,
+        singular_values=s,
+        rank=rank,
     )
 
 

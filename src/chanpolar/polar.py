@@ -105,27 +105,45 @@ def channel_polar(ch: chn.KrausChannel, strict: bool = False) -> ChannelPolar:
     canon = chn.canonical(ch)
     if canon.degenerate_leading and strict:
         raise DegenerateLeading("leading Kraus weight is degenerate")
-    if canon._polar is not None:
-        return canon._polar
-    if metrics.upsilon(canon) ** 2 <= metrics.NC_THRESHOLD:
-        warnings.warn(
-            "channel is catastrophic (Upsilon^2 <= 1/2); polar factors may "
-            "be discontinuous in the input",
-            stacklevel=2,
+    if canon._polar is None:
+        _polarize([canon])
+    return canon._polar
+
+
+def channel_polars(channels) -> list[ChannelPolar]:
+    """:func:`channel_polar` of each channel (not strict), all of one
+    dimension, with the results cached as there.  The channels that take
+    the Choi route share one stacked eigendecomposition and the uncached
+    leading operators one stacked SVD; each result has the bits of its
+    single call, and each catastrophic channel warns once."""
+    canons = chn._canonicalize(channels)
+    todo = [c for c in dict.fromkeys(canons) if c._polar is None]
+    if todo:
+        _polarize(todo)
+    return [c._polar for c in canons]
+
+
+def _polarize(canons: list):
+    """Cache on each canonical view its polar factors, from one stacked SVD."""
+    for canon in canons:
+        if metrics.upsilon(canon) ** 2 <= metrics.NC_THRESHOLD:
+            warnings.warn(
+                "channel is catastrophic (Upsilon^2 <= 1/2); polar factors may "
+                "be discontinuous in the input",
+                stacklevel=3,
+            )
+    lead = [c.kraus[0] for c in canons]
+    pol = matcore.polar_decompose(np.stack(lead) if len(lead) > 1 else lead[0][np.newaxis])
+    for i, canon in enumerate(canons):
+        canon._polar = ChannelPolar(
+            dim=canon.dim,
+            unitary=pol.unitary[i],
+            psd=pol.psd[i],
+            phase_fixed=bool(pol.phase_fixed[i]),
+            singular_values=pol.singular_values[i],
+            unique=bool(pol.rank[i] == canon.dim) and not canon.degenerate_leading,
+            _kraus=canon.kraus,
         )
-    pol = matcore.polar_decompose(canon.a1)
-    d = canon.dim
-    result = ChannelPolar(
-        dim=d,
-        unitary=pol.unitary,
-        psd=pol.psd,
-        phase_fixed=pol.phase_fixed,
-        singular_values=pol.singular_values,
-        unique=pol.rank == d and not canon.degenerate_leading,
-        _kraus=canon.kraus,
-    )
-    canon._polar = result
-    return result
 
 
 def is_decoherent(ch: chn.KrausChannel) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bounds, channel as chn, genlib, matcore, metrics
 from .matcore import BoundReport
-from .polar import _spectrum_constants, channel_polar
+from .polar import _spectrum_constants, channel_polar, channel_polars
 
 REGIME_CAP = 0.1  # theorem_suite circuits keep m^2 r^2 <= this
 THEOREM_DEPTHS = (2, 4, 8, 16, 32)  # circuit depths of theorem_suite
@@ -36,33 +36,48 @@ def _subseed(rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 
 
-def element_for_infidelity(
-    d: int, r_target: float, rng: np.random.Generator, decoherent: bool = False
-) -> chn.KrausChannel:
+def element_for_infidelity(d: int, r_target, rng, decoherent: bool = False):
     """Near-identity random element with infidelity close to ``r_target``.
 
-    Generates at a guessed strength, measures, and regenerates once with
-    the rescaled strength (r scales quadratically in the strength, so one
-    correction step lands within a few percent).  Deterministic per rng
-    state.
+    Draws a Kraus rank in [2, 4] (capped at d^2) and a generator seed from
+    ``rng``, generates at a guessed strength, measures, and regenerates
+    once with the rescaled strength (r scales quadratically in the
+    strength, so one correction step lands within a few percent); the
+    second draw has the same seed, so it reuses the first one's GUE
+    eigendecomposition.  Deterministic per rng state.
+
+    Batched form: ``r_target`` a sequence of m targets and ``rng`` their m
+    (rank, seed) pairs, drawn as above; it returns the m elements of m single
+    calls, with one stacked generator eigendecomposition per Kraus rank.
     """
-    rank = int(rng.integers(2, 5))
-    seed = _subseed(rng)
-    eps0 = float(np.sqrt(2.0 * r_target))
+    single = np.ndim(r_target) == 0
+    if single:
+        r_target, rng = [r_target], [(int(rng.integers(2, 5)), _subseed(rng))]
+    r_t = np.asarray(r_target, dtype=np.float64)
+    ks = np.minimum([rank for rank, _ in rng], d * d)
+    out = [None] * len(r_t)
 
-    def gen(eps: float) -> chn.KrausChannel:
-        if decoherent:
-            return genlib.psd_lk_decoherent(
-                d, min(eps, 0.3), seed, kraus_rank=min(rank, d * d)
-            )
-        return genlib.random_cptp(d, min(rank, d * d), seed, strength=eps)
+    def gen(w, v, k, eps):
+        if decoherent:  # psd_lk_decoherent(d, min(eps, 0.3), seed, kraus_rank=k)
+            eps = np.minimum(eps, 0.3)
+        iso = matcore._expi_eig(w, v, -eps)[..., :d]  # random_cptp(d, k, seed, strength=eps)
+        chs = [chn.KrausChannel(dim=d, kraus=x.reshape(k, d, d).copy()) for x in iso]
+        return [p.decoherent_left for p in channel_polars(chs)] if decoherent else chs
 
-    ch = gen(eps0)
-    r0 = metrics.infidelity(metrics.phi(ch), d)
-    if r0 > 1e-12:
-        eps1 = eps0 * float(np.sqrt(r_target / r0))
-        ch = gen(eps1)
-    return ch
+    for k in sorted(set(ks.tolist())):  # np.unique would import numpy.ma
+        idx = np.flatnonzero(ks == k)
+        w, v = genlib._gue_eig(d * k, [rng[i][1] for i in idx])
+        eps0 = np.sqrt(2.0 * r_t[idx])
+        chs = gen(w, v, k, eps0)
+        r0 = np.array([metrics.infidelity(metrics.phi(ch), d) for ch in chs])
+        redo = np.flatnonzero(r0 > 1e-12)
+        if redo.size:
+            eps1 = eps0[redo] * np.sqrt(r_t[idx][redo] / r0[redo])
+            for j, ch in zip(redo, gen(w[redo], v[redo], k, eps1)):
+                chs[j] = ch
+        for i, ch in zip(idx, chs):
+            out[i] = ch
+    return out[0] if single else out
 
 
 def sample_noncatastrophic(d: int, rng: np.random.Generator):
@@ -122,20 +137,24 @@ def appendix_suite(dims=(2, 3, 5), trials: int = 1000, seed: int = 0) -> list[Bo
 def _circuit(d: int, m: int, rng, with_targets=False, decoherent=False):
     """Depth-m circuit of near-identity elements with target infidelities
     log-uniform in [3e-5, min(1e-2, 0.8 sqrt(REGIME_CAP) / m)]; with
-    targets, each element applies its Haar-random target unitary first."""
+    targets, each element applies its Haar-random target unitary first.
+
+    All random numbers are drawn first, in per-element order (target
+    infidelity, rank, seed, target seed; none depends on a computed value),
+    then one batched :func:`element_for_infidelity` call builds the elements.
+    """
     r_cap = min(1e-2, np.sqrt(REGIME_CAP) * 0.8 / m)
-    channels = []
-    targets = [] if with_targets else None
+    r_ts, draws, target_seeds = [], [], []
     for _ in range(m):
-        r_t = float(10 ** rng.uniform(np.log10(3e-5), np.log10(r_cap)))
-        el = element_for_infidelity(d, r_t, rng, decoherent=decoherent)
+        r_ts.append(float(10 ** rng.uniform(np.log10(3e-5), np.log10(r_cap))))
+        draws.append((int(rng.integers(2, 5)), _subseed(rng)))  # rank, then seed
         if with_targets:
-            u = genlib.random_unitary(d, _subseed(rng))
-            el = chn.KrausChannel(
-                dim=d, kraus=np.einsum("kij,jl->kil", el.kraus, u)
-            )
-            targets.append(u)
-        channels.append(el)
+            target_seeds.append(_subseed(rng))
+    channels = element_for_infidelity(d, r_ts, draws, decoherent=decoherent)
+    targets = [genlib.random_unitary(d, seed) for seed in target_seeds] if with_targets else None
+    if with_targets:
+        channels = [chn.KrausChannel(dim=d, kraus=np.einsum("kij,jl->kil", el.kraus, u))
+                    for el, u in zip(channels, targets)]
     return bounds.CircuitSpec(channels, targets)
 
 

@@ -13,6 +13,12 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
+def col(a):
+    """Column stacking, the vectorization of the channel module:
+    col(A)[j*d + i] = A[i, j]."""
+    return np.asarray(a).flatten(order="F")
+
+
 def rotation(theta):
     return genlib.rotation_matrix(2, theta)
 
@@ -62,7 +68,7 @@ class TestChoiConversions:
         u = genlib.random_unitary(3, seed=4)
         ch = chn.KrausChannel(dim=3, kraus=u[np.newaxis])
         choi = chn.to_choi(ch)
-        v = chn.col(u)
+        v = col(u)
         assert np.allclose(choi, np.outer(v, v.conj()), atol=1e-12)
         canon = chn.from_choi(chn.to_choi(ch))
         assert canon.kraus.shape[0] == 1
@@ -233,6 +239,63 @@ class TestFromChoiDropFloor:
         assert calls == []
 
 
+def remixed(ch, seed):
+    """The channel over its Kraus operators mixed by a Haar unitary, a
+    non-orthogonal family that takes the Choi route."""
+    u = genlib.random_unitary(ch.n_kraus, seed)
+    return chn.KrausChannel(dim=ch.dim, kraus=np.einsum("ij,jkl->ikl", u, ch.kraus))
+
+
+def assert_same_view(a, b):
+    assert a.kraus.shape == b.kraus.shape
+    assert a.kraus.tobytes() == b.kraus.tobytes()
+    assert a.weights.tobytes() == b.weights.tobytes()
+
+
+class TestStackedCanonical:
+    """A stack of Choi matrices, or a list of channels, gives the bits of
+    one call per item."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_from_choi_stack(self, d, monkeypatch):
+        # Kraus counts 1 to d^2 keep 1 to d^2 operators; the remixed
+        # depolarizing channel has a degenerate Choi block above the floor;
+        # the last Choi matrix is scaled past the float range of its spectrum
+        chans = [genlib.random_cptp(d, k, seed=k) for k in range(1, d * d + 1)]
+        chans.append(remixed(genlib.depolarizing(d, 0.9), seed=d))
+        chois = np.stack([chn.to_choi(c) for c in chans] + [chn.to_choi(chans[1]) * 1e308])
+        sorted_cols = []
+        lex_key = matcore._lex_key
+        monkeypatch.setattr(matcore, "_lex_key",
+                            lambda col: sorted_cols.append(1) or lex_key(col))
+        views = chn.from_choi(chois)
+        assert len(sorted_cols) == d * d - 1  # the depolarizing block alone
+        assert [v.n_kraus for v in views[:-1]] == list(range(1, d * d + 1)) + [d * d]
+        assert np.linalg.eigvalsh(chois[-1])[-1] == np.inf
+        for choi, view in zip(chois, views):
+            assert_same_view(view, chn.from_choi(choi))
+
+    def test_from_choi_stack_refuses_a_non_cp_item(self):
+        chois = np.stack([chn.to_choi(genlib.depolarizing(2, 0.5)),
+                          np.diag([1.5, 1.0, -0.5, 0.0]).astype(complex)])
+        with pytest.raises(NotCP):
+            chn.from_choi(chois)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_canonicalize_list(self, d):
+        chans = [genlib.random_cptp(d, k, seed=k + 10) for k in range(1, 5)]
+        chans += [genlib.amplitude_damping(d, 0.3), weyl_mixture(d, [0.7, 0.2, 0.1]),
+                  genlib.rotation(d, 0.4), remixed(genlib.amplitude_damping(d, 1.0), 3)]
+        view = chn.canonical(chans[0])
+        listed = chans + [chans[1], view]  # a repeat and a canonical view
+        canons = chn._canonicalize(listed)
+        assert canons[-1] is view and canons[len(chans)] is canons[1]
+        for ch, canon in zip(chans, canons):
+            assert chn.canonical(ch) is canon
+            fresh = chn.KrausChannel(dim=d, kraus=ch.kraus.copy())
+            assert_same_view(canon, chn.canonical(fresh))
+
+
 class TestLk:
     def test_unitary_channel(self):
         u = genlib.random_unitary(2, seed=3)
@@ -388,7 +451,7 @@ class TestSuperoperator:
         s = chn.to_superop(ch)
         for _ in range(20):
             rho = random_state(2, rng)
-            lhs = chn.uncol(s @ chn.col(rho), 2)
+            lhs = (s @ col(rho)).reshape((2, 2), order="F")
             assert np.allclose(lhs, chn.apply(ch, rho), atol=1e-10)
 
 

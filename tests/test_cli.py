@@ -540,7 +540,8 @@ class TestStrictLk:
 
 def choi_of(ch):
     """Choi matrix sum_i col(A_i) col(A_i)^dag, built here from the Kraus list."""
-    return sum(np.outer(chn.col(a), chn.col(a).conj()) for a in ch.kraus)
+    cols = [a.flatten(order="F") for a in ch.kraus]
+    return sum(np.outer(c, c.conj()) for c in cols)
 
 
 def write_choi(path, d, m):
@@ -650,12 +651,12 @@ class TestErrorPaths:
         assert main(["verify", "--dims", dims, "--trials", "1"]) == 64
         assert self._err(capsys)["error"] == "usage"
 
-    def test_sweep_nonorthogonal_d65_exit_3(self, tmp_path, capsys):
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(
-            {"family": {"family": "random_cptp", "dim": 65, "params": {"kraus_rank": 2}}}
-        ))
-        assert main(["sweep", "--config", str(p)]) == 3
+    def test_nonorthogonal_d65_channel_exit_3(self, tmp_path, capsys):
+        """A non-orthogonal Kraus family above d = 64 needs a Choi
+        eigendecomposition out of range.  A sweep config cannot ask for one
+        (its family dim is capped at 64); a channel file can."""
+        p = write_channel(tmp_path / "d65.json", genlib.random_cptp(65, 2, seed=0))
+        assert main(["metrics", "--in", str(p)]) == 3
         assert self._err(capsys)["error"] == "domain"
 
     @pytest.mark.parametrize("family, params", [
@@ -758,6 +759,16 @@ class TestInputSchema:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "parse"
         assert f"'{key}'" in json.loads(lines[0])["detail"]
         assert cap.out == "" and files == ["in.json"]
+
+    @pytest.mark.parametrize("dim", [0, 65, 1000000])
+    def test_family_dim_outside_eigensolver_range_exit_2(self, tmp_path, monkeypatch,
+                                                         capsys, dim):
+        """A family dim outside [1, 64] is refused before any array is built
+        (a dim of 10^6 used to end in exit 70, MemoryError)."""
+        cfg = {"family": {"family": "identity", "dim": dim}}
+        result = self.run(tmp_path, monkeypatch, capsys, cfg)
+        self.assert_refused(result, "dim")
+        assert "an integer in [1, 64]" in json.loads(result[1].err)["detail"]
 
     def test_top_level_sweep_seed_exit_2(self, tmp_path, monkeypatch, capsys):
         cfg = {"family": self.ROTATION, "max_depth": 3, "seed": 0}

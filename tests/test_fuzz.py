@@ -230,6 +230,7 @@ TAKES = {
     "a family name": set(),
     "'composition' or 'sigma_profile'": set(),
     "an integer in [1, 100000]": set(),
+    "an integer in [1, 64]": set(),
     "a list of sweep column names": {"[]"},
 }
 # (dim, params) of a valid sweep of each family, every builder parameter given

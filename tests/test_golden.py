@@ -8,6 +8,7 @@ carries the wall clock) and its exit code with the files in
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 import math
 import pathlib
@@ -15,12 +16,13 @@ import pathlib
 import pytest
 
 from chanpolar import channel as chn
-from chanpolar import genlib
+from chanpolar import genlib, matcore
 from chanpolar.cli import main
 from wire_format import choi_to_json, unitary_to_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
+BENCH_REFERENCE = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
 
 # output file -> (argv with an {inputs} placeholder, expected exit code)
 CASES = {
@@ -136,6 +138,26 @@ def test_golden_output(name, tmp_path, capsys):
     capsys.readouterr()
     assert code == CASES[name][1]
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("seed, ordered", [(0, 0), (1, 0), (219, 2)])
+def test_verify_benchmark_units(seed, ordered, tmp_path, capsys, monkeypatch):
+    """Exit code and SHA-256 of ``verify`` pool units against the
+    benchmark's committed reference, which this test only reads.  Pool
+    seed 219 holds a d = 3 Choi matrix with a degenerate block above the
+    drop floor (kept eigenvalues 1.25e-10 and 9.5e-11), so its stacked
+    canonical form sorts that block's two columns."""
+    code, digest = json.loads(BENCH_REFERENCE.read_text())["verify"][f"verify/{seed}"]
+    calls = []
+    lex_key = matcore._lex_key
+    monkeypatch.setattr(matcore, "_lex_key", lambda col: calls.append(col.size) or lex_key(col))
+    out = tmp_path / "verify.csv"
+    argv = ["verify", "--suite", "all", "--dims", "2,3", "--trials", "5",
+            "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == code
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert calls == [9] * ordered
 
 
 def regenerate():

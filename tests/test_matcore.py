@@ -169,6 +169,86 @@ class TestPolarDecompose:
         assert p1.psd.tobytes() == p2.psd.tobytes()
 
 
+def random_unitary(d, rng):
+    return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+
+
+class TestStackedKernels:
+    """A stack of N matrices gives the bits of N single calls."""
+
+    @staticmethod
+    def hermitian_stack(n, rng):
+        u = random_unitary(n, rng)
+        degenerate = np.zeros(n)
+        degenerate[:3] = [1.0, 0.5, 0.5]  # a block above any floor, zeros below
+        return np.stack([random_hermitian(n, rng), (u * degenerate) @ u.conj().T,
+                         random_hermitian(n, rng, 1e-3), np.eye(n)])
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 16])
+    @pytest.mark.parametrize("floor", [-np.inf, 1e-12])
+    def test_hermitian_eig(self, n, floor, monkeypatch):
+        ms = self.hermitian_stack(n, np.random.default_rng([3, n]))
+        sorted_cols = []
+        lex_key = matcore._lex_key
+        monkeypatch.setattr(matcore, "_lex_key",
+                            lambda col: sorted_cols.append(1) or lex_key(col))
+        stacked = matcore.hermitian_eig(ms, drop_floor=floor)
+        # the 0.5 pair and the identity are sorted; the zeros of the
+        # degenerate matrix form a block (of n - 3) only without a floor
+        zeros = n - 3 if n - 3 >= 2 and floor == -np.inf else 0
+        assert len(sorted_cols) == 2 + n + zeros
+        for i, m in enumerate(ms):
+            single = matcore.hermitian_eig(m, drop_floor=floor)
+            assert np.array_equal(stacked.values[i], single.values)
+            assert np.array_equal(stacked.vectors[i], single.vectors)
+
+    def test_hermitian_eig_refuses_any_non_hermitian_item(self):
+        ms = np.stack([np.eye(2, dtype=complex), np.array([[0, 1], [0, 0]], dtype=complex)])
+        with pytest.raises(NotHermitian):
+            matcore.hermitian_eig(ms)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_polar_decompose(self, n):
+        rng = np.random.default_rng([5, n])
+        u = random_unitary(n, rng)
+        s = np.linspace(1.0, 0.5, n)
+        s[-1] = 0.0
+        shift = np.roll(np.eye(n), 1, axis=0)  # traceless unitary: |tr V| = 0
+        ms = np.stack([
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+            u @ np.diag(s),  # rank-deficient: closest-to-identity completion
+            np.zeros((n, n)),
+            shift,
+            np.eye(n),
+        ])
+        stacked = matcore.polar_decompose(ms)
+        assert list(stacked.rank) == [n, n - 1, 0, n, n]
+        assert list(stacked.phase_fixed) == [True, True, True, False, True]
+        for i, m in enumerate(ms):
+            single = matcore.polar_decompose(m)
+            assert np.array_equal(stacked.unitary[i], single.unitary)
+            assert np.array_equal(stacked.psd[i], single.psd)
+            assert np.array_equal(stacked.singular_values[i], single.singular_values)
+            assert stacked.phase[i] == single.phase
+            assert stacked.phase_fixed[i] == single.phase_fixed
+            assert stacked.rank[i] == single.rank
+            assert type(single.phase_fixed) is bool and type(single.rank) is int
+            assert type(single.phase) is complex
+
+    def test_phase_fixes(self):
+        rng = np.random.default_rng(7)
+        ops = np.stack([rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+                        np.zeros((3, 3)), np.roll(np.eye(3), 1, axis=0)])
+        fixed = matcore.fix_entry_phase(ops)
+        phase, ok = matcore._trace_phase(ops)
+        assert list(ok) == [True, False, False]
+        for i, op in enumerate(ops):
+            assert np.array_equal(fixed[i], matcore.fix_entry_phase(op))
+            one_phase, one_ok = matcore._trace_phase(op)
+            assert phase[i] == one_phase and ok[i] == one_ok
+        assert np.array_equal(fixed[1], ops[1])
+
+
 class TestTraceInequality:
     def test_pauli_z_pair(self):
         chk = matcore.check_trace_inequality(Z, Z)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,48 @@ class TestPolarInvariance:
         assert clear["sigma_err"] <= (1e-12 if route == "gram" else 1e-6)
         if route == "gram":
             assert flagged["sigma_err"] <= 1e-12
+
+class TestChannelPolars:
+    """The list entry point gives the bits of one channel_polar per channel."""
+
+    @staticmethod
+    def channels():
+        mix = genlib.random_unitary(2, seed=4)
+        rank_deficient = chn.KrausChannel(  # A_1 = |0><0| on the Choi route
+            dim=2, kraus=np.einsum("ij,jkl->ikl", mix, genlib.amplitude_damping(2, 1.0).kraus)
+        )
+        return [
+            genlib.random_cptp(2, 2, seed=1),
+            genlib.random_cptp(2, 3, seed=2, strength=0.1),
+            genlib.random_cptp(2, 4, seed=1),  # catastrophic: Upsilon^2 = 0.39
+            rank_deficient,
+            genlib.rotation(2, np.pi / 2),  # |tr V| below the phase tolerance
+            genlib.amplitude_damping(2, 0.2),  # an orthogonal family: the Gram route
+        ]
+
+    def test_equals_single_calls(self):
+        chans = self.channels()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pols = polar.channel_polars(chans + [chans[2]])
+        # each catastrophic channel warns once, a repeat does not
+        catastrophic = [metrics.upsilon(c) ** 2 <= metrics.NC_THRESHOLD for c in chans]
+        assert catastrophic[2] and len(caught) == sum(catastrophic)
+        assert all(str(w.message).startswith("channel is catastrophic") for w in caught)
+        assert pols[-1] is pols[2]
+        assert [p.phase_fixed for p in pols[:-1]] == [True, True, True, True, False, True]
+        assert [p.unique for p in pols[:-1]] == [True, True, True, False, True, True]
+        for ch, pol in zip(chans, pols):
+            assert polar.channel_polar(ch) is pol
+            fresh = chn.KrausChannel(dim=2, kraus=ch.kraus.copy())
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                single = polar.channel_polar(fresh)
+            for name in ("unitary", "psd", "singular_values"):
+                assert getattr(pol, name).tobytes() == getattr(single, name).tobytes()
+            assert (pol.phase_fixed, pol.unique) == (single.phase_fixed, single.unique)
+            assert pol._kraus.tobytes() == single._kraus.tobytes()
+
 
 class TestIsDecoherent:
     def test_named_families(self):

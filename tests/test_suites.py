@@ -76,6 +76,37 @@ def composition_sweep_per_depth(element, max_depth):
     return rows
 
 
+def circuit_per_element(d, m, rng, with_targets=False, decoherent=False):
+    """One element at a time, each from its own genlib generator call: the
+    reference route that :func:`suites._circuit` must match bit for bit."""
+    r_cap = min(1e-2, np.sqrt(suites.REGIME_CAP) * 0.8 / m)
+    channels = []
+    targets = [] if with_targets else None
+    for _ in range(m):
+        r_t = float(10 ** rng.uniform(np.log10(3e-5), np.log10(r_cap)))
+        rank = int(rng.integers(2, 5))
+        seed = int(rng.integers(0, 2**63 - 1))
+        eps0 = float(np.sqrt(2.0 * r_t))
+
+        def gen(eps):
+            if decoherent:
+                return genlib.psd_lk_decoherent(
+                    d, min(eps, 0.3), seed, kraus_rank=min(rank, d * d)
+                )
+            return genlib.random_cptp(d, min(rank, d * d), seed, strength=eps)
+
+        el = gen(eps0)
+        r0 = metrics.infidelity(metrics.phi(el), d)
+        if r0 > 1e-12:
+            el = gen(eps0 * float(np.sqrt(r_t / r0)))
+        if with_targets:
+            u = genlib.random_unitary(d, int(rng.integers(0, 2**63 - 1)))
+            el = chn.KrausChannel(dim=d, kraus=np.einsum("kij,jl->kil", el.kraus, u))
+            targets.append(u)
+        channels.append(el)
+    return channels, targets
+
+
 class TestSamplers:
     def test_element_calibration(self):
         rng = np.random.default_rng(1)
@@ -85,6 +116,26 @@ class TestSamplers:
                 el = suites.element_for_infidelity(d, r_t, rng)
                 r = metrics.infidelity(metrics.phi(el), d)
                 assert r == pytest.approx(r_t, rel=0.05)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("m", [2, 16, 32])
+    @pytest.mark.parametrize("kind", ["targets", "general", "decoherent"])
+    def test_circuit_equals_per_element_route(self, d, m, kind):
+        """The batched sampler draws the same numbers in the same order and
+        builds the same elements as a loop of single generator calls."""
+        opts = {"with_targets": kind == "targets", "decoherent": kind == "decoherent"}
+        for seed in range(5):
+            rng = np.random.default_rng([seed, d, m])
+            ref = np.random.default_rng([seed, d, m])
+            circ = suites._circuit(d, m, rng, **opts)
+            channels, targets = circuit_per_element(d, m, ref, **opts)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            for got, want in zip(circ.channels, channels, strict=True):
+                assert got.kraus.shape == want.kraus.shape
+                assert got.kraus.tobytes() == want.kraus.tobytes()
+            if targets is not None:
+                for got, want in zip(circ.targets, targets, strict=True):
+                    assert got.tobytes() == want.tobytes()
 
     def test_sample_noncatastrophic(self):
         for t in range(20):
