@@ -102,13 +102,13 @@ def _circuit_product(mats, d: int) -> np.ndarray:
 
 
 class _CircuitData:
-    """Per-element and composite quantities shared by the evaluators."""
+    """Per-element and composite quantities shared by the evaluators, from
+    the elements' polar factors and the composite (see :func:`_prime`)."""
 
-    def __init__(self, circuit: CircuitSpec):
+    def __init__(self, circuit: CircuitSpec, polars: list, composite: chn.KrausChannel):
         d = circuit.dim
         self.d = d
-        # one stacked canonical form and polar factorization for all elements
-        self.polars = channel_polars(circuit.channels)
+        self.polars = polars
         self.canons = [chn.canonical(c) for c in circuit.channels]
         self.targets = circuit.targets
         self.w1 = np.array([c.w1 for c in self.canons])  # Upsilon(A_i*)
@@ -128,7 +128,7 @@ class _CircuitData:
         self.prod_ups = float(np.prod(self.ups))
         self.sum_w1_sq = float(np.sum((1.0 - self.w1) ** 2))
         self.sum_cross = float(np.sum((1.0 - self.w1) * (1.0 - self.phis)))
-        self.composite = chn.compose(circuit.channels)
+        self.composite = composite
         u_c = _circuit_product(self.targets, d)
         self.phi_c = metrics.phi(self.composite, u_c)
         self.ups_c = metrics.upsilon(self.composite)
@@ -140,9 +140,24 @@ class _CircuitData:
         self.composite_nc = bool(metrics._nc_regime(self.phi_c, self.ups_c))
 
 
+def _prime(circuits) -> None:
+    """Set ``_data`` on each circuit that has none, all of one dimension:
+    one :func:`channel_polars` over all their elements (one stacked
+    canonical form and polar factorization) and one
+    :func:`chn._compose_circuits` for the composites."""
+    todo = [c for c in circuits if c._data is None]
+    if not todo:
+        return
+    polars = iter(channel_polars([ch for c in todo for ch in c.channels]))
+    composites = chn._compose_circuits([c.channels for c in todo])
+    for circuit, composite in zip(todo, composites):
+        els = [next(polars) for _ in circuit.channels]
+        circuit._data = _CircuitData(circuit, els, composite)
+
+
 def _data(circuit: CircuitSpec) -> _CircuitData:
     if circuit._data is None:
-        circuit._data = _CircuitData(circuit)
+        _prime([circuit])
     return circuit._data
 
 

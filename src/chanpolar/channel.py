@@ -307,21 +307,35 @@ def compose(channels: Sequence[KrausChannel]) -> KrausChannel:
     """Compose channels in circuit order: index 0 is applied first.
 
     Product Kraus families are re-canonicalized whenever their size exceeds
-    d^2, keeping memory bounded for deep circuits.
+    d^2, keeping memory bounded for deep circuits.  The one-circuit case of
+    :func:`_compose_circuits`.
     """
-    if not channels:
+    return _compose_circuits([channels])[0]
+
+
+def _compose_circuits(circuits) -> list:
+    """:func:`compose` of each circuit, all of one dimension, in lockstep:
+    at each step every circuit that is still deeper takes its next product,
+    and the products with more than d^2 operators are re-canonicalized
+    together by one :func:`_canonicalize`.  Each result has the bits of its
+    single call."""
+    if not all(circuits):
         raise ValueError("need at least one channel")
-    dims = {c.dim for c in channels}
-    if len(dims) != 1:
+    if len({c.dim for circuit in circuits for c in circuit}) != 1:
         raise DimensionMismatch("composed channels must share a dimension")
-    d = channels[0].dim
-    acc = channels[0]
-    for ch in channels[1:]:
-        prod = np.einsum("aij,bjk->abik", ch.kraus, acc.kraus).reshape(-1, d, d)
-        acc = KrausChannel(dim=d, kraus=prod)
-        if prod.shape[0] > d * d:
-            acc = canonical(acc)
-    return acc
+    d = circuits[0][0].dim
+    accs = [circuit[0] for circuit in circuits]
+    for j in range(1, max(map(len, circuits))):
+        big = []
+        for i, circuit in enumerate(circuits):
+            if j < len(circuit):
+                prod = np.einsum("aij,bjk->abik", circuit[j].kraus, accs[i].kraus)
+                accs[i] = KrausChannel(dim=d, kraus=prod.reshape(-1, d, d))
+                if accs[i].n_kraus > d * d:
+                    big.append(i)
+        for i, view in zip(big, _canonicalize([accs[i] for i in big])):
+            accs[i] = view
+    return accs
 
 
 def to_superop(ch: KrausChannel) -> np.ndarray:

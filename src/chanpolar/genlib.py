@@ -185,10 +185,14 @@ def random_cptp(
     a strength the isometry is exp(-i strength H) J for a normalized GUE
     generator H and the embedding J, which produces a channel close to the
     identity (exactly the identity at strength 0).  TP holds exactly by
-    construction.
+    construction.  The isometry's size d * kraus_rank is capped at
+    ``MAX_EIGENSOLVER_DIM^2``, the size of the largest Choi matrix that
+    :func:`~chanpolar.channel.canonical` decomposes.
     """
     _require(1 <= kraus_rank <= d * d, "kraus_rank must be in [1, d^2]")
     n = d * kraus_rank
+    _require(n <= chn.MAX_EIGENSOLVER_DIM**2,
+             f"d * kraus_rank must be at most {chn.MAX_EIGENSOLVER_DIM**2}")
     if strength is None:
         u = random_unitary(n, seed)
         iso = u[:, :d]

@@ -19,6 +19,7 @@ from .polar import _spectrum_constants, channel_polar, channel_polars
 
 REGIME_CAP = 0.1  # theorem_suite circuits keep m^2 r^2 <= this
 THEOREM_DEPTHS = (2, 4, 8, 16, 32)  # circuit depths of theorem_suite
+_THEOREM_CHUNK = 64  # (d, m, t) cells per batch of theorem_suite
 _SWEEP_BLOCK = 256  # depths per stacked eigvalsh in composition_sweep
 
 
@@ -134,6 +135,38 @@ def appendix_suite(dims=(2, 3, 5), trials: int = 1000, seed: int = 0) -> list[Bo
     return out
 
 
+def _draw_circuit(d: int, m: int, rng, with_targets=False) -> tuple:
+    """The random numbers of one :func:`_circuit`, in per-element order:
+    (target infidelities, (rank, seed) pairs, target seeds or None)."""
+    r_cap = min(1e-2, np.sqrt(REGIME_CAP) * 0.8 / m)
+    r_ts, draws, target_seeds = [], [], []
+    for _ in range(m):
+        r_ts.append(float(10 ** rng.uniform(np.log10(3e-5), np.log10(r_cap))))
+        draws.append((int(rng.integers(2, 5)), _subseed(rng)))  # rank, then seed
+        if with_targets:
+            target_seeds.append(_subseed(rng))
+    return r_ts, draws, target_seeds if with_targets else None
+
+
+def _build_circuits(d: int, drawn: list, decoherent=False) -> list:
+    """The circuits of :func:`_draw_circuit` results, all elements from one
+    batched :func:`element_for_infidelity` call."""
+    channels = iter(element_for_infidelity(
+        d, [r for r_ts, _, _ in drawn for r in r_ts],
+        [x for _, draws, _ in drawn for x in draws], decoherent=decoherent,
+    ))
+    out = []
+    for r_ts, _, target_seeds in drawn:
+        els = [next(channels) for _ in r_ts]
+        targets = None
+        if target_seeds is not None:
+            targets = [genlib.random_unitary(d, seed) for seed in target_seeds]
+            els = [chn.KrausChannel(dim=d, kraus=np.einsum("kij,jl->kil", el.kraus, u))
+                   for el, u in zip(els, targets)]
+        out.append(bounds.CircuitSpec(els, targets))
+    return out
+
+
 def _circuit(d: int, m: int, rng, with_targets=False, decoherent=False):
     """Depth-m circuit of near-identity elements with target infidelities
     log-uniform in [3e-5, min(1e-2, 0.8 sqrt(REGIME_CAP) / m)]; with
@@ -143,19 +176,7 @@ def _circuit(d: int, m: int, rng, with_targets=False, decoherent=False):
     infidelity, rank, seed, target seed; none depends on a computed value),
     then one batched :func:`element_for_infidelity` call builds the elements.
     """
-    r_cap = min(1e-2, np.sqrt(REGIME_CAP) * 0.8 / m)
-    r_ts, draws, target_seeds = [], [], []
-    for _ in range(m):
-        r_ts.append(float(10 ** rng.uniform(np.log10(3e-5), np.log10(r_cap))))
-        draws.append((int(rng.integers(2, 5)), _subseed(rng)))  # rank, then seed
-        if with_targets:
-            target_seeds.append(_subseed(rng))
-    channels = element_for_infidelity(d, r_ts, draws, decoherent=decoherent)
-    targets = [genlib.random_unitary(d, seed) for seed in target_seeds] if with_targets else None
-    if with_targets:
-        channels = [chn.KrausChannel(dim=d, kraus=np.einsum("kij,jl->kil", el.kraus, u))
-                    for el, u in zip(channels, targets)]
-    return bounds.CircuitSpec(channels, targets)
+    return _build_circuits(d, [_draw_circuit(d, m, rng, with_targets)], decoherent)[0]
 
 
 def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundReport]:
@@ -164,23 +185,37 @@ def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundRe
     ``max(1, trials // len(THEOREM_DEPTHS))`` circuits per dimension and
     depth of ``THEOREM_DEPTHS``; element infidelities stay below 1e-2 and
     within m^2 r^2 <= 0.1.
+
+    The (d, m, t) cells of a dimension run in chunks of at most
+    ``_THEOREM_CHUNK``: each cell draws its random numbers from its own
+    stream, then the chunk's general and decoherent elements are built by
+    one batched sampler call each, all its circuits are primed together
+    (:func:`bounds._prime`), and the cases are evaluated cell by cell.  So
+    the results do not depend on the chunk size, and the working memory is
+    O(chunk) at any ``trials``.
     """
     out = []
     per = max(1, trials // len(THEOREM_DEPTHS))
     for d in dims:
-        for m in THEOREM_DEPTHS:
-            for t in range(per):
+        cells = [(m, t) for m in THEOREM_DEPTHS for t in range(per)]
+        for at in range(0, len(cells), _THEOREM_CHUNK):
+            chunk = cells[at:at + _THEOREM_CHUNK]
+            general, decoh, vs = [], [], []
+            for m, t in chunk:
                 rng = np.random.default_rng([seed, d, m, t])
+                general.append(_draw_circuit(d, m, rng, with_targets=(t % 2 == 0)))
+                decoh.append(_draw_circuit(d, m, rng))
+                vs.append((float(rng.uniform(0.0, 0.15)), _subseed(rng)))
+            circs = _build_circuits(d, general)
+            dcircs = _build_circuits(d, decoh, decoherent=True)
+            bounds._prime(circs + dcircs)
+            for (m, t), circ, dcirc, (strength, v_seed) in zip(chunk, circs, dcircs, vs):
                 tag = f"d{d}/m{m}/t{t}"
-                circ = _circuit(d, m, rng, with_targets=(t % 2 == 0))
                 out.append(_case(f"thm1/{tag}", bounds.thm1_uni_evo(circ)))
                 out.append(_case(f"thm2/{tag}", bounds.thm2_fid_evo(circ)))
                 out.append(_case(f"thm5/{tag}", bounds.thm5_unitarity_decay(circ)))
                 out.append(_case(f"thm9/{tag}", bounds.thm9_max_correction_multi(circ)))
-                dcirc = _circuit(d, m, rng, decoherent=True)
-                v = genlib.random_unitary_error(
-                    d, float(rng.uniform(0.0, 0.15)), _subseed(rng)
-                ).kraus[0]
+                v = genlib.random_unitary_error(d, strength, v_seed).kraus[0]
                 mono, sub = bounds.thm4_decoherent_features(dcirc, v)
                 out.append(_case(f"thm4a/{tag}", mono))
                 out.append(_case(f"thm4b/{tag}", sub))

@@ -346,6 +346,20 @@ class TestLk:
             polar.channel_polar(ch, strict=True)
 
 
+def compose_sequential(channels):
+    """One product at a time, each one over d^2 operators canonicalized on
+    its own: the reference route that :func:`chn._compose_circuits` must
+    match bit for bit."""
+    d = channels[0].dim
+    acc = channels[0]
+    for ch in channels[1:]:
+        prod = np.einsum("aij,bjk->abik", ch.kraus, acc.kraus).reshape(-1, d, d)
+        acc = chn.KrausChannel(dim=d, kraus=prod)
+        if prod.shape[0] > d * d:
+            acc = chn.canonical(acc)
+    return acc
+
+
 class TestCompose:
     def test_two_identities(self):
         ch = chn.compose([genlib.identity_channel(2), genlib.identity_channel(2)])
@@ -389,6 +403,45 @@ class TestCompose:
         els = [genlib.depolarizing(2, 0.95)] * 4
         comp = chn.compose(els)
         assert comp.n_kraus <= 4
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_circuits_in_lockstep_equal_one_at_a_time(self, d):
+        """Each composite of a lockstep batch has the bytes of the
+        sequential one-circuit loop and of its own compose call.  At the
+        first step one product stays at d^2 operators, one stays below, one
+        takes the Gram route (2d^2 products, of which 2d orthogonal non-zero
+        ones) and one the Choi route (d = 2, 3) or stays below (d = 4)."""
+        proj = np.eye(d)[:, :, np.newaxis] * np.eye(d)[:, np.newaxis, :]
+        shift = np.roll(proj, 1, axis=1)
+        dephase = chn.KrausChannel(dim=d, kraus=proj)
+        hop = chn.KrausChannel(dim=d, kraus=np.sqrt(0.5) * np.concatenate([proj, shift]))
+        rcp = lambda k, seed: genlib.random_cptp(d, k, seed=seed, strength=0.2)
+        circuits = [
+            [rcp(2, 1)],
+            [rcp(2, 2), genlib.rotation(d, 0.3), rcp(3, 3)],
+            [dephase, hop, rcp(2, 4), dephase],
+            [rcp(d, 5), rcp(d, 6)],
+            [rcp(3, 7), rcp(4, 8), rcp(2, 9), rcp(2, 10), genlib.rotation(d, 0.1)],
+            [rcp(1 + i % 4, 11 + i) for i in range(9)],
+        ]
+        batched = chn._compose_circuits(circuits)
+        for circuit, got in zip(circuits, batched, strict=True):
+            for want in (compose_sequential(circuit), chn.compose(circuit)):
+                assert (got._weights is None) == (want._weights is None)
+                assert got.kraus.shape == want.kraus.shape
+                assert got.kraus.tobytes() == want.kraus.tobytes()
+                if got._weights is not None:
+                    assert got.weights.tobytes() == want.weights.tobytes()
+        assert batched[0] is circuits[0][0]
+        gram = chn.KrausChannel(dim=d, kraus=np.einsum(
+            "aij,bjk->abik", hop.kraus, dephase.kraus).reshape(-1, d, d))
+        g = chn._gram(gram.kraus)
+        assert gram.n_kraus > d * d and not np.any(g - np.diag(np.diag(g)))
+
+    def test_circuits_of_mixed_dimensions_refused(self):
+        with pytest.raises(DimensionMismatch):
+            chn._compose_circuits([[genlib.identity_channel(2)] * 2,
+                                   [genlib.identity_channel(3)]])
 
     def test_weight_multiset_unitary_invariance(self):
         ch = genlib.random_cptp(3, 3, seed=21)

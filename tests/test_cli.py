@@ -507,6 +507,25 @@ class TestSweepConfigTypes:
         assert f"'{key}'" in json.loads(cap.err)["detail"]
         assert cap.out == "" and files == ["cfg.json"]
 
+    @pytest.mark.parametrize("family", ["random_cptp", "psd_lk_decoherent"])
+    def test_generator_beyond_the_eigensolver_size_exit_2(
+            self, tmp_path, monkeypatch, capsys, family):
+        """d * kraus_rank = 64 * 4096 would draw a 262144 x 262144 generator;
+        it is refused before anything is drawn or written."""
+        def draw(*args):
+            raise RuntimeError("drew a generator")  # would exit 70
+
+        monkeypatch.setattr(genlib, "_gue_rotation", draw)
+        monkeypatch.setattr(genlib, "random_unitary", draw)
+        params = {"kraus_rank": 4096, "strength": 0.1}
+        fam = {"family": family, "dim": 64, "params": params, "seed": 0}
+        code, cap, files = self.run(tmp_path, monkeypatch, capsys, json.dumps({"family": fam}))
+        assert code == 2
+        lines = cap.err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "parse"
+        assert "kraus_rank" in json.loads(lines[0])["detail"]
+        assert cap.out == "" and files == ["cfg.json"]
+
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     def test_negative_seed_flag_exit_64(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)

@@ -165,6 +165,27 @@ class TestRandomCptp:
         ch = genlib.random_cptp(2, 3, seed=4, strength=0.05)
         assert metrics.non_catastrophic(ch)
 
+    def test_generator_size_capped_before_drawing(self, monkeypatch):
+        """d * kraus_rank above MAX_EIGENSOLVER_DIM^2 = 4096 is refused
+        before any isometry is drawn; 4096 itself reaches the draw."""
+        class Drew(Exception):
+            pass
+
+        def draw(n, *args):
+            raise Drew(n)
+
+        monkeypatch.setattr(genlib, "random_unitary", draw)
+        monkeypatch.setattr(genlib, "_gue_rotation", draw)
+        assert chn.MAX_EIGENSOLVER_DIM**2 == 4096
+        for strength in (None, 0.1):
+            with pytest.raises(Drew, match="4096"):
+                genlib.random_cptp(32, 128, seed=0, strength=strength)
+            for d, k in ((32, 129), (64, 65), (64, 4096)):
+                with pytest.raises(ParamOutOfRange, match="at most 4096"):
+                    genlib.random_cptp(d, k, seed=0, strength=strength)
+        with pytest.raises(ParamOutOfRange, match="at most 4096"):
+            genlib.psd_lk_decoherent(64, 0.1, seed=0, kraus_rank=4096)
+
 
 class TestPsdLkDecoherent:
     def test_strength_zero_limit(self):

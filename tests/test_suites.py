@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,41 @@ def circuit_per_element(d, m, rng, with_targets=False, decoherent=False):
     return channels, targets
 
 
+def theorem_suite_per_cell(dims, trials, seed):
+    """One (d, m, t) cell at a time, its circuits from
+    :func:`circuit_per_element` and each one's data computed on its own:
+    the reference route that :func:`suites.theorem_suite` must match bit
+    for bit."""
+    out = []
+    per = max(1, trials // len(suites.THEOREM_DEPTHS))
+    for d in dims:
+        for m in suites.THEOREM_DEPTHS:
+            for t in range(per):
+                rng = np.random.default_rng([seed, d, m, t])
+                tag = f"d{d}/m{m}/t{t}"
+                circ = bounds.CircuitSpec(*circuit_per_element(d, m, rng, t % 2 == 0))
+                out.append(suites._case(f"thm1/{tag}", bounds.thm1_uni_evo(circ)))
+                out.append(suites._case(f"thm2/{tag}", bounds.thm2_fid_evo(circ)))
+                out.append(suites._case(f"thm5/{tag}", bounds.thm5_unitarity_decay(circ)))
+                out.append(
+                    suites._case(f"thm9/{tag}", bounds.thm9_max_correction_multi(circ))
+                )
+                dcirc = bounds.CircuitSpec(
+                    circuit_per_element(d, m, rng, decoherent=True)[0]
+                )
+                v = genlib.random_unitary_error(
+                    d, float(rng.uniform(0.0, 0.15)), int(rng.integers(0, 2**63 - 1))
+                ).kraus[0]
+                mono, sub = bounds.thm4_decoherent_features(dcirc, v)
+                out.append(suites._case(f"thm4a/{tag}", mono))
+                out.append(suites._case(f"thm4b/{tag}", sub))
+                out.append(suites._case(f"thm6/{tag}", bounds.thm6_fidelity_decay(dcirc)))
+                out.append(
+                    suites._case(f"thm8/{tag}", bounds.thm8_equable_composition(v, dcirc))
+                )
+    return out
+
+
 class TestSamplers:
     def test_element_calibration(self):
         rng = np.random.default_rng(1)
@@ -150,6 +187,26 @@ class TestSamplers:
         assert [(c.case_id, c.observed) for c in a] == [
             (c.case_id, c.observed) for c in b
         ]
+
+
+class TestTheoremSuite:
+    @pytest.mark.parametrize("chunk", [1, 3, 10**6], ids=["1", "3", "whole"])
+    def test_chunks_equal_per_cell_route(self, chunk, monkeypatch):
+        """Every field of every report, terms included, is the same at any
+        chunk size as on the per-cell route; 10 trials give 2 circuits per
+        depth, so chunks of 3 cross the depths."""
+        primed = []
+        prime = bounds._prime
+        monkeypatch.setattr(bounds, "_prime", lambda cs: primed.append(len(cs)) or prime(cs))
+        monkeypatch.setattr(suites, "_THEOREM_CHUNK", chunk)
+        got = suites.theorem_suite(dims=(2, 3), trials=10, seed=4)
+        cells = [min(chunk, 10 - at) for at in range(0, 10, chunk)] * 2
+        assert primed == [2 * n for n in cells]  # a general and a decoherent circuit per cell
+        monkeypatch.setattr(bounds, "_prime", prime)
+        want = theorem_suite_per_cell(dims=(2, 3), trials=10, seed=4)
+        assert len(got) == len(want) == 2 * 10 * 8
+        for a, b in zip(got, want):
+            assert repr(dataclasses.asdict(a)) == repr(dataclasses.asdict(b))
 
 
 class TestRecords:
