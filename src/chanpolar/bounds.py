@@ -544,6 +544,17 @@ def coherent_envelope(
     angles beyond the point where the envelope reaches zero clamp the lower
     bound to zero (also flagged).
     """
+    x, arcs = _envelope_angles(ratios, d)
+    ups_prod = float(np.prod(upsilons)) if upsilons is not None else 1.0
+    lower, capped = _envelope_lower(float(np.sum(arcs)), d)
+    return EnvelopeBounds(
+        lower=lower * ups_prod, upper=ups_prod, clipped=bool(np.any(x > 1.0)) or capped
+    )
+
+
+def _envelope_angles(ratios, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of :func:`coherent_envelope`, then its ratios as an array
+    and their per-element angles, the terms of its arccos sum."""
     x = np.asarray(ratios, dtype=np.float64)
     if x.size == 0:
         raise ValueError("need at least one ratio")
@@ -551,25 +562,22 @@ def coherent_envelope(
         raise DimensionMismatch("the coherent envelope needs d >= 2")
     if not (np.min(x) > 0.5 and np.max(x) <= 1.0 + 1e-9):  # NaN fails too
         raise RatioOutOfRange("each Phi/Upsilon ratio must lie in (1/2, 1]")
-    ups_prod = float(np.prod(upsilons)) if upsilons is not None else 1.0
-    clipped = bool(np.any(x > 1.0))
+    root = np.sqrt(np.minimum(x, 1.0))
+    # x > 1/2 and d >= 3 give d sqrt(x) - 1 > 0: no odd-d argument below -1
+    return x, np.arccos(root if d % 2 == 0 else (d * root - 1.0) / (d - 1.0))
+
+
+def _envelope_lower(total: float, d: int) -> tuple[float, bool]:
+    """(lower envelope before the Upsilon product, whether it was clamped)
+    of an angle total; a total at or past the angle where the envelope
+    reaches zero is clamped to that angle."""
+    cap = np.pi / 2.0 if d % 2 == 0 else float(np.arccos(-1.0 / (d - 1.0)))
+    capped = total >= cap
+    if capped:
+        total = cap
     if d % 2 == 0:
-        args = np.sqrt(np.minimum(x, 1.0))
-        total = float(np.sum(np.arccos(args)))
-        if total >= np.pi / 2.0:
-            total = np.pi / 2.0
-            clipped = True
-        lower = float(np.cos(total) ** 2) * ups_prod
-    else:
-        # x > 1/2 and d >= 3 give d sqrt(x) - 1 > 0: no argument below -1
-        args = (d * np.sqrt(np.minimum(x, 1.0)) - 1.0) / (d - 1.0)
-        total = float(np.sum(np.arccos(args)))
-        cap = float(np.arccos(-1.0 / (d - 1.0)))
-        if total >= cap:
-            total = cap
-            clipped = True
-        lower = float(((d - 1.0) * np.cos(total) + 1.0) ** 2 / d**2) * ups_prod
-    return EnvelopeBounds(lower=lower, upper=ups_prod, clipped=clipped)
+        return float(np.cos(total) ** 2), capped
+    return float(((d - 1.0) * np.cos(total) + 1.0) ** 2 / d**2), capped
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
+import operator
 import sys
 import time
 import traceback
@@ -33,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, channel as chn, genlib, metrics, polar, suites
-from .errors import ChanPolarError, ParamOutOfRange
+from .errors import ChanPolarError, DimensionMismatch, ParamOutOfRange
 from .matcore import BoundReport
 
 EXIT_OK = 0
@@ -43,10 +45,15 @@ EXIT_DOMAIN = 3
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
-# a sweep holds every row in memory and its envelope sum is O(depth) per
-# row: depth 2*10^4 takes 7 s at d = 2 on a 2-core Xeon, so 10^5 (about
-# 100 s) keeps one run to minutes where 10^6 would take hours
+# a composition sweep holds every row in memory and steps the d^2 x d^2
+# superoperator power one depth at a time.  On a 2-core Xeon a depth-2*10^4
+# sweep takes 1.7 s end to end at d = 2 (10^5: 9 s), and a depth costs
+# 0.12 ms at d = 8, 2 ms at d = 16 and 0.1 s at d = 32, where building the
+# superoperator of a d^2-operator family takes 7.5 s (it grows as d^6).  So
+# with the dim cap at 16, 10^5 keeps one run to minutes where 10^6 or d = 32
+# would take hours.
 MAX_SWEEP_DEPTH = 10**5
+_MAX_SWEEP_DIM = 16
 
 
 def _fmt(x) -> str:
@@ -189,9 +196,29 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _records_csv(columns, records) -> str:
-    """CSV text with one row per record, each cell the named field's value."""
-    return _csv(columns, ([_fmt(getattr(r, c)) for c in columns] for r in records))
+# {declared field type: column formatter}, each cell equal to its _fmt
+_COLUMN_FORMATS = {
+    "str": lambda col: col,
+    "bool": lambda col: map("01".__getitem__, map(bool, col)),
+    "int": lambda col: map(str, map(int, col)),
+    "float": lambda col: map(format, map(float, col), itertools.repeat(".17g")),
+}
+
+
+def _records_csv(record_type, columns, records) -> str:
+    """CSV text with one row per record, each cell the named field's value.
+
+    Each column's formatter is picked once, from the field's declared type
+    (:func:`_fmt` for any other type), and the rows are formatted lazily as
+    the writer takes them, never as a whole table."""
+    kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(record_type)}
+    cols = (
+        _COLUMN_FORMATS.get(kinds[c], lambda col: map(_fmt, col))(
+            map(operator.attrgetter(c), records)
+        )
+        for c in columns
+    )
+    return _csv(columns, zip(*cols))
 
 
 def _emit(payload: str, out_path: str | None):
@@ -304,7 +331,7 @@ def _cmd_verify(args) -> _Result:
     n_fail = sum(1 for c in cases if not c.holds)
     sys.stderr.write(f"verify {args.suite}: {len(cases)} cases, {n_fail} violations\n")
     return _Result(
-        _records_csv(_VERIFY_COLUMNS, cases),
+        _records_csv(BoundReport, _VERIFY_COLUMNS, cases),
         {"suite": args.suite, "dims": args.dims, "trials": args.trials},
         args.seed,
         notes=tuple(f"the {name} cases skip d = {d}: they run only at d <= {cap}"
@@ -368,6 +395,13 @@ def _cmd_sweep(args) -> _Result:
         if args.seed is not None:
             fam.seed = args.seed
         element = genlib.make_channel(fam)
+    # after the family's own checks, so that a parameter out of range stays
+    # a parse error; before the superoperator and the rows
+    if mode == "composition" and element.dim > _MAX_SWEEP_DIM:
+        raise DimensionMismatch(
+            f"a composition sweep runs at family dim <= {_MAX_SWEEP_DIM}, "
+            f"got {element.dim}"
+        )
     args.out = args.out or val["out"]
     notes = (_FIG3_NOTE,) if fam.family == "coherence_mix" else ()
     notes += tuple(f"sweep config '{key}' is not read in {mode} mode" for key in unread)
@@ -392,7 +426,8 @@ def _cmd_sweep(args) -> _Result:
     if any(not r.non_catastrophic for r in rows):
         _error_json("domain", "composition left the non-catastrophic regime mid-sweep")
         code = EXIT_DOMAIN
-    return _Result(_records_csv(columns, rows), cfg, fam.seed, notes, code)
+    payload = _records_csv(suites.SweepRow, columns, rows)
+    return _Result(payload, cfg, fam.seed, notes, code)
 
 
 # ---------------------------------------------------------------------------

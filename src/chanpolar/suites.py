@@ -344,16 +344,25 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
     coherent-envelope lower bound.  Rows past the non-catastrophic horizon
     are still emitted and flagged.
 
-    Each depth costs a fixed number of numpy calls on d x d and
-    d^2 x d^2 matrices, one of them the O(m) coherent-envelope sum over
-    prefix views of two arrays built once.  The WSE coherence constants of
-    V^m come from one stacked eigvalsh per block of 256 depths, so the
-    working memory is O(256 d^2 + d^4) besides the rows.
+    The envelope's checks run once, before any row: a d = 1 element raises
+    here.  Its angles are built once (the elements are identical), and
+    depth m sums the first m of them.  The depths run in blocks of 256:
+    only S^m = S S^(m-1) and the P^m chain (the conjugated decoherent
+    factors) step one depth at a time, and the block's V^m, its coherence
+    constants and the traces of V^m and V^m P^m are stacked numpy calls.
+    Each row's scalars are then Python float arithmetic that rounds like
+    the one-depth-at-a-time formulas, so the rows are bit for bit theirs.
+    The working memory is O(256 d^2 + d^4) besides the rows.
     """
     d = element.dim
     pol = channel_polar(element)
     phi_e = metrics.phi(element)
     ups_e = metrics.upsilon(element)
+    ratio = min(phi_e / ups_e, 1.0) if ups_e > 0 else 1.0
+    if ratio > 0.5:
+        arcs = bounds._envelope_angles(np.full(max_depth, ratio), d)[1]
+        # multiply-reduce is sequential: entry m - 1 is np.prod of m copies
+        ups_prods = np.cumprod(np.full(max_depth, ups_e)).tolist()
     w1 = element.w1
     sigma = pol.singular_values
     mean_sigma = float(np.mean(sigma))
@@ -367,37 +376,48 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
     v_m = np.eye(d, dtype=np.complex128)
     p_m = np.eye(d, dtype=np.complex128)
     rows = []
-    ratio = min(phi_e / ups_e, 1.0) if ups_e > 0 else 1.0
-    if ratio > 0.5:
-        # the first m entries are the envelope's per-element inputs at depth m
-        ratios = np.full(max_depth, ratio)
-        upsilons = np.full(max_depth, ups_e)
     # V^m for the depths of one block, overwritten block after block
     v_buf = np.empty((min(_SWEEP_BLOCK, max_depth), d, d), dtype=np.complex128)
     for start in range(0, max_depth, _SWEEP_BLOCK):
-        v_pows = v_buf[: min(_SWEEP_BLOCK, max_depth - start)]
+        n = min(_SWEEP_BLOCK, max_depth - start)
+        v_pows = v_buf[:n]
         for v_k in v_pows:
             v_m = np.matmul(v, v_m, out=v_k)
         gammas_c = bounds._wse_coh_constant(v_pows).tolist()
-        for m, (v_m, gamma_c) in enumerate(zip(v_pows, gammas_c), start + 1):
+        # V^m† P V^m, each then overwritten by P^m; the stack is dropped
+        # before the next block's coherence constants, so that the peak
+        # memory stays theirs
+        p_pows = np.swapaxes(v_pows.conj(), -1, -2) @ psd @ v_pows
+        for p_k in p_pows:
+            p_m = np.matmul(p_k, p_m, out=p_k)
+        p_m = p_m.copy()
+        # |tr| by np.hypot rounds like abs() of a complex scalar, and a
+        # Python float's ** 2 like a numpy scalar's (an array's may not)
+        tr_v = np.trace(v_pows, axis1=-2, axis2=-1)
+        tr_vp = np.trace(v_pows @ p_pows, axis1=-2, axis2=-1)
+        del p_pows
+        abs_v = np.hypot(tr_v.real, tr_v.imag).tolist()
+        abs_vp = np.hypot(tr_vp.real, tr_vp.imag).tolist()
+        for m, gamma_c, t_v, t_vp in zip(
+            range(start + 1, start + n + 1), gammas_c, abs_v, abs_vp
+        ):
             s_m = s_el @ s_m
-            p_m = (v_m.conj().T @ psd @ v_m) @ p_m
-            phi_m = float(np.trace(s_m).real) / d**2
-            ups_m = float(np.linalg.norm(s_m)) / d
-            phi_vm = metrics._overlap(v_m)
+            phi_m = float(s_m.trace().real) / d**2
+            flat = s_m.ravel()  # np.linalg.norm(s_m), in its own dot form
+            re, im = flat.real, flat.imag
+            ups_m = float(np.sqrt(re.dot(re) + im.dot(im))) / d
+            phi_vm = t_v**2 / d**2
             centre = phi_vm * phi_d**m
             s_star = m * (1.0 - w1)
             pert_sum = m * (1.0 - mean_sigma)
             band = bounds._thm8_terms(
-                s_star, metrics._overlap(v_m @ p_m), s_star * (1.0 - phi_d),
+                s_star, t_vp**2 / d**2, s_star * (1.0 - phi_d),
                 gamma_d, gamma_c, phi_vm, pert_sum,
             )[1]
+            coh_lower = 0.0
             if ratio > 0.5:
-                env = bounds.coherent_envelope(ratios[:m], d, upsilons=upsilons[:m])
-                coh_lower = env.lower
-            else:
-                coh_lower = 0.0
-            nc = bool(metrics._nc_regime(phi_m, ups_m))
+                coh_lower = bounds._envelope_lower(float(arcs[:m].sum()), d)[0]
+                coh_lower *= ups_prods[m - 1]
             rows.append(
                 SweepRow(
                     depth=m,
@@ -407,7 +427,7 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
                     thm8_lower=centre - band,
                     thm8_upper=centre + band,
                     coherent_lower=coh_lower,
-                    non_catastrophic=nc,
+                    non_catastrophic=bool(metrics._nc_regime(phi_m, ups_m)),
                     contained=bool(abs(phi_m - centre) <= band + matcore.HOLDS_TOL),
                 )
             )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chanpolar import channel as chn
-from chanpolar import genlib, polar, suites
+from chanpolar import cli, genlib, polar, suites
 from chanpolar.cli import main
 from chanpolar.matcore import BoundReport
 from wire_format import choi_to_json, unitary_to_json
@@ -390,6 +390,53 @@ class TestSweepCmd:
         assert (tmp_path / "rows.csv.manifest.json").exists()
 
 
+@dataclasses.dataclass
+class _Cells:
+    name: str
+    count: int
+    value: float
+    flag: bool
+
+
+_CellsTyped = dataclasses.make_dataclass(  # field types as classes, not strings
+    "_CellsTyped", [("name", str), ("count", int), ("value", float), ("flag", bool)]
+)
+
+
+class TestRecordsCsv:
+    """The column-wise CSV writer equals one _fmt call per cell."""
+
+    RECORDS = [
+        ("a", 3, 0.1, True),
+        ("b,c", np.int64(-7), np.float64(-2.5e-300), np.bool_(False)),
+        ('q"uote', np.int32(0), float("inf"), np.True_),
+        ("", 10**17, np.float64("nan"), False),
+        ("x y", np.uint8(255), -0.0, np.bool_(True)),
+        ("1e5", True, np.float64(1.0) / 3.0, True),
+        ("n", 2, 7, np.False_),  # an int in a float column
+        ("m", 4, True, False),  # a bool in a float column
+    ]
+
+    @staticmethod
+    def _per_cell(columns, records):
+        return cli._csv(
+            columns, ([cli._fmt(getattr(r, c)) for c in columns] for r in records)
+        )
+
+    @pytest.mark.parametrize("record_type", [_Cells, _CellsTyped])
+    @pytest.mark.parametrize("columns", [
+        ("name", "count", "value", "flag"), ("flag", "value"), ("count",),
+    ])
+    def test_equals_per_cell_fmt(self, record_type, columns):
+        records = [record_type(*cells) for cells in self.RECORDS]
+        assert cli._records_csv(record_type, columns, records) == self._per_cell(
+            columns, records
+        )
+
+    def test_no_records_is_the_header(self):
+        assert cli._records_csv(_Cells, ("name", "value"), []) == "name,value\n"
+
+
 class TestSweepConfigTypes:
     """max_depth is a non-bool int in [1, MAX_SWEEP_DEPTH] and kappa a
     finite number; anything else exits 2 before a file is written."""
@@ -701,6 +748,43 @@ class TestErrorPaths:
         lines = cap.err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
         assert sorted(x.name for x in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("family, params, dim", [
+        ("stochastic_weyl", {"p": 0.9}, 17),
+        ("psd_lk_decoherent", {"strength": 0.1}, 32),
+        ("identity", {}, 64),
+    ])
+    def test_composition_sweep_above_d16_exit_3(
+        self, tmp_path, monkeypatch, capsys, family, params, dim
+    ):
+        """A composition sweep steps a d^2 x d^2 power per depth; above
+        d = 16 it is refused before the superoperator is built or any row
+        computed, like the d = 1 refusal: one JSON line, nothing written."""
+        def unreachable(*args):
+            raise AssertionError("reached the sweep")
+
+        monkeypatch.setattr(chn, "to_superop", unreachable)
+        monkeypatch.setattr(suites, "composition_sweep", unreachable)
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "family": {"family": family, "dim": dim, "params": params, "seed": 0},
+            "max_depth": 3,
+        }))
+        assert main(["sweep", "--config", str(p), "--out", "rows.csv"]) == 3
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        lines = cap.err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_sigma_profile_above_d16_runs(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "mode": "sigma_profile",
+            "family": {"family": "identity", "dim": 32},
+        }))
+        assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "p.csv")]) == 0
 
     def test_missing_input_file_exit_2(self, tmp_path, capsys):
         assert main(["metrics", "--in", str(tmp_path / "absent.json")]) == 2

@@ -16,7 +16,7 @@ import pathlib
 import pytest
 
 from chanpolar import channel as chn
-from chanpolar import genlib, matcore
+from chanpolar import cli, genlib, matcore
 from chanpolar.cli import main
 from wire_format import choi_to_json, unitary_to_json
 
@@ -133,6 +133,24 @@ def _run(name: str, out: pathlib.Path) -> int:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path, capsys):
+    out = tmp_path / name
+    code = _run(name, out)
+    capsys.readouterr()
+    assert code == CASES[name][1]
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in CASES if n.startswith(("verify-", "sweep-composition-")))
+)
+def test_golden_csv_per_cell_route(name, tmp_path, capsys, monkeypatch):
+    """The verify and composition-sweep goldens are also the bytes of one
+    ``_fmt`` call per cell, the route the column-wise formatter replaced."""
+    def per_cell(record_type, columns, records):
+        return cli._csv(columns, ([cli._fmt(getattr(r, c)) for c in columns]
+                                  for r in records))
+
+    monkeypatch.setattr(cli, "_records_csv", per_cell)
     out = tmp_path / name
     code = _run(name, out)
     capsys.readouterr()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chanpolar import bounds, channel as chn, genlib, metrics, polar, suites
-from chanpolar.errors import PhaseUndefined
+from chanpolar.errors import DimensionMismatch, PhaseUndefined
 from chanpolar.matcore import BoundReport
 from chanpolar.polar import _spectrum_constants
 
@@ -228,28 +228,45 @@ class TestRecords:
 
 class TestCompositionSweep:
     @pytest.mark.parametrize(
-        "element",
+        "element, max_depth",
         [
-            genlib.coherence_mix(1e-4, 0.5),  # even-d envelope
-            genlib.rotation(2, np.pi / 6),  # V^m traceless at m = 3 (mod 6)
-            genlib.psd_lk_decoherent(5, 0.02, seed=3),  # odd-d envelope
-            genlib.random_cptp(3, 3, seed=4, strength=0.05),
-            chn.compose([
+            (genlib.coherence_mix(1e-4, 0.5), 600),  # even-d envelope
+            (genlib.rotation(2, np.pi / 6), 600),  # V^m traceless at m = 3 (mod 6)
+            (genlib.psd_lk_decoherent(5, 0.02, seed=3), 600),  # odd-d envelope
+            (genlib.random_cptp(3, 3, seed=4, strength=0.05), 600),
+            (chn.compose([
                 genlib.psd_lk_decoherent(3, 0.02, seed=5),
                 chn.KrausChannel(dim=3, kraus=PHASES_D3[np.newaxis]),
-            ]),
+            ]), 600),
+            (genlib.psd_lk_decoherent(4, 0.02, seed=6), 600),
+            (genlib.stochastic_weyl(8, 0.998, seed=7), 600),
+            (genlib.random_cptp(8, 3, seed=8, strength=0.05), 600),
+            (genlib.coherence_mix(1e-4, 0.01), 2000),  # a figure-3 curve
         ],
         ids=["coherence_mix-d2", "rotation-d2", "psd_lk_decoherent-d5",
-             "random_cptp-d3", "traceless-cube-d3"],
+             "random_cptp-d3", "traceless-cube-d3", "psd_lk_decoherent-d4",
+             "stochastic_weyl-d8", "random_cptp-d8", "coherence_mix-d2-depth2000"],
     )
-    def test_rows_equal_per_depth_route(self, element):
+    def test_rows_equal_per_depth_route(self, element, max_depth):
         # gamma_coh is 0 for every d = 2 unitary; the d = 3 elements give
-        # it weight, and the last one has a traceless V^m whenever 3 divides m
-        # and 9 does not
-        # across the 256-depth blocks of the stacked coherence constants
-        ref = composition_sweep_per_depth(element, 600)
-        for max_depth in (1, 255, 256, 257, 600):
-            assert suites.composition_sweep(element, max_depth) == ref[:max_depth]
+        # it weight, and the traceless-cube one has a traceless V^m whenever
+        # 3 divides m and 9 does not; d = 4 and 8 take numpy's unrolled
+        # pairwise sums in the traces of the d^2 x d^2 powers (and d = 8 in
+        # those of V^m); the depths reach across the 256-depth blocks
+        ref = composition_sweep_per_depth(element, max_depth)
+        for depth in (1, 255, 256, 257, max_depth):
+            assert suites.composition_sweep(element, depth) == ref[:depth]
+
+    def test_d1_raises_before_any_row(self, monkeypatch):
+        # the coherent envelope needs d >= 2; its checks run before the
+        # superoperator is built or any V^m block is stacked
+        def unreachable(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(chn, "to_superop", unreachable)
+        monkeypatch.setattr(bounds, "_wse_coh_constant", unreachable)
+        with pytest.raises(DimensionMismatch):
+            suites.composition_sweep(genlib.identity_channel(1), 3)
 
     def test_builds_no_left_factor(self):
         el = genlib.random_cptp(3, 3, seed=12, strength=0.05)
