@@ -40,7 +40,6 @@ from .metrics import (
     haar_unitarity_mc,
     infidelity,
     lk_gap_bounds,
-    m_fidelity,
     non_catastrophic,
     phi,
     unitarity,

@@ -33,8 +33,8 @@ from .errors import (
 from .matcore import HOLDS_TOL, BoundReport, make_report
 from .polar import _spectrum_constants, channel_polar, channel_polars, is_decoherent
 
-OPTIMIZER_MAX_DIM = 8  # the unitary-correction optimizer refuses larger d
 LINDBLAD_MAX_DIM = 8  # the Lindblad verification suite stops at this d
+_CORRECTION_MAX_STEPS = 50  # polar-ascent steps of optimize_unitary_correction
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +374,15 @@ def thm6_fidelity_decay(circuit: CircuitSpec) -> BoundReport:
     )
 
 
-def thm7_max_correction(
-    ch: chn.KrausChannel,
-    target=None,
-    budget: int = 500,
-    seed: int = 0,
-) -> BoundReport:
+def thm7_max_correction(ch: chn.KrausChannel, target=None) -> BoundReport:
     """Quasi-maximal unitary correction.
 
     ``observed`` is Phi(W0 o A, U) with W0 = U o V^dag from the channel
     polar decomposition; the interval is
     [Upsilon^2 - (1-Upsilon^2)^2, Upsilon + 3/2 (1-Upsilon^2)^2].  The
-    WSE-refined lower bound and the numerically optimized correction are
-    itemized in the terms; ``holds`` also requires the optimized value to
-    stay below the upper end.
+    WSE-refined lower bound and the correction reached by
+    :func:`optimize_unitary_correction` are itemized in the terms; ``holds``
+    also requires that correction's Phi to stay below the upper end.
     """
     d = ch.dim
     u = metrics._check_target(target, d)
@@ -401,7 +396,7 @@ def thm7_max_correction(
     upper = ups + 1.5 * gap**2
     gamma = _spectrum_constants(pol.singular_values)[1]
     lower_wse = ups - (1.0 + gamma**2) * gap**2
-    opt = _optimize_correction(ch, u, budget, seed)
+    opt = _optimize_correction(ch, u)
     terms = {
         "upsilon": ups,
         "lower_wse": lower_wse,
@@ -581,33 +576,13 @@ def _envelope_lower(total: float, d: int) -> tuple[float, bool]:
 
 
 # ---------------------------------------------------------------------------
-# numerical unitary-correction oracle
+# unitary-correction ascent
 # ---------------------------------------------------------------------------
-
-
-def traceless_hermitian_basis(d: int) -> np.ndarray:
-    """Generalized Gell-Mann basis: d^2 - 1 traceless Hermitian matrices,
-    orthonormal under the Hilbert-Schmidt inner product."""
-    out = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
-            out.append(m)
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[i, j] = -1j / np.sqrt(2.0)
-            m[j, i] = 1j / np.sqrt(2.0)
-            out.append(m)
-    for k in range(1, d):
-        diag = np.array([1.0] * k + [-float(k)] + [0.0] * (d - k - 1))
-        m = np.diag(diag).astype(np.complex128) / np.sqrt(k * (k + 1.0))
-        out.append(m)
-    return np.stack(out)
 
 
 @dataclass
 class UnitaryCorrection:
-    """Best unitary correction found by local ascent."""
+    """Unitary correction reached by polar ascent from the polar correction."""
 
     unitary: np.ndarray
     phi_achieved: float
@@ -615,78 +590,41 @@ class UnitaryCorrection:
     improvement: float
 
 
-def optimize_unitary_correction(
-    ch: chn.KrausChannel,
-    target=None,
-    budget: int = 500,
-    seed: int = 0,
-) -> UnitaryCorrection:
-    """Seeded local ascent of Phi(W o A, U) over W in SU(d).
+def optimize_unitary_correction(ch: chn.KrausChannel, target=None) -> UnitaryCorrection:
+    """Polar ascent of Phi(W o A, U) over unitaries W, from the polar
+    correction W0 = U V^dag.
 
-    Parameterizes W = exp(-i sum_a x_a B_a) W0 over the traceless Hermitian
-    basis, seeded at the polar correction W0 = U V^dag, with a first step of
-    0.1.  Deterministic for a given seed; the best value is non-decreasing
-    in the budget (candidate proposals form a budget-independent prefix
-    sequence).
+    Phi(W o A, U) = sum_k |tr(U^dag W A_k)|^2 / d^2 is convex in W.  With
+    c_k = tr(U^dag W A_k) and G = sum_k conj(c_k) A_k U^dag, the polar
+    factor of G^dag maximizes the linearization Re tr(W G), so taking it as
+    the next W never lowers Phi.  The ascent stops at the first step that
+    does not raise Phi, after at most ``_CORRECTION_MAX_STEPS`` steps, and
+    returns the last W that did; ``evaluations`` counts the Phi evaluations
+    (1 + the number of steps).
     """
     u = metrics._check_target(target, ch.dim)
-    return _optimize_correction(ch, u, budget, seed)
+    return _optimize_correction(ch, u)
 
 
-def _optimize_correction(
-    ch: chn.KrausChannel, u: np.ndarray, budget: int, seed: int
-) -> UnitaryCorrection:
+def _optimize_correction(ch: chn.KrausChannel, u: np.ndarray) -> UnitaryCorrection:
     """:func:`optimize_unitary_correction` against a target that
     :func:`metrics._check_target` returned."""
-    d = ch.dim
-    if d > OPTIMIZER_MAX_DIM:
-        raise DimensionMismatch(f"optimizer is guarded to d <= {OPTIMIZER_MAX_DIM}")
-    pol = channel_polar(ch)
-    w0 = u @ pol.unitary.conj().T
     uc = u.conj().T
-    basis = traceless_hermitian_basis(d)
-    nb = basis.shape[0]
-    rng = np.random.default_rng(seed)
-
-    def w_at(x: np.ndarray) -> np.ndarray:
-        h = np.tensordot(x, basis, axes=(0, 0))
-        return matcore._expi_eig(*np.linalg.eigh(h), -1.0) @ w0
-
-    x = np.zeros(nb)
-    best_x = x
-    best = metrics._phi_with_prefix(uc @ w0, ch.kraus)
-    f_w0 = best
+    w = u @ channel_polar(ch).unitary.conj().T
+    best = f_w0 = metrics._phi_with_prefix(uc @ w, ch.kraus)
     evals = 1
-    step = 0.1
-    fails = 0
-    while step > 1e-9 and evals < budget:
-        direction = rng.standard_normal(nb)
-        direction /= np.linalg.norm(direction)
-        improved = False
-        for sign in (1.0, -1.0):
-            if evals >= budget:
-                break
-            cand = best_x + sign * step * direction
-            val = metrics._phi_with_prefix(uc @ w_at(cand), ch.kraus)
-            evals += 1
-            if val > best:
-                best = val
-                best_x = cand
-                improved = True
-                break
-        if improved:
-            step *= 1.3
-            fails = 0
-        else:
-            fails += 1
-            if fails >= 2:
-                step *= 0.5
-                fails = 0
+    while evals <= _CORRECTION_MAX_STEPS:
+        c = np.einsum("ij,kji->k", uc @ w, ch.kraus)  # c_k = tr(U^dag W A_k)
+        g = np.einsum("k,kij->ij", c.conj(), ch.kraus) @ uc
+        # the trace-phase convention of the polar factor leaves Phi unchanged
+        w_next = matcore.polar_decompose(g.conj().T).unitary
+        val = metrics._phi_with_prefix(uc @ w_next, ch.kraus)
+        evals += 1
+        if not val > best:
+            break
+        w, best = w_next, val
     return UnitaryCorrection(
-        unitary=w_at(best_x),
-        phi_achieved=best,
-        evaluations=evals,
-        improvement=best - f_w0,
+        unitary=w, phi_achieved=best, evaluations=evals, improvement=best - f_w0
     )
 
 

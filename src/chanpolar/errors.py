@@ -33,10 +33,6 @@ class DegenerateLeading(ChanPolarError):
     """Leading Kraus weight is degenerate and strict mode is on."""
 
 
-class ZeroOperator(ChanPolarError):
-    """An operator argument that must be nonzero is (numerically) zero."""
-
-
 class TargetNotUnitary(ChanPolarError):
     """Target operator is not unitary within tolerance."""
 

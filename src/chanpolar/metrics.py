@@ -10,12 +10,11 @@ just the canonical one) gives the same value.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import channel as chn
-from .errors import DimensionMismatch, TargetNotUnitary, ZeroOperator
+from .errors import DimensionMismatch, TargetNotUnitary
 from .matcore import make_report
 
 UNITARY_TOL = 1e-9
@@ -32,26 +31,6 @@ def _check_target(u, d: int) -> np.ndarray:
     if not np.linalg.norm(u.conj().T @ u - np.eye(d)) <= UNITARY_TOL * np.sqrt(d):
         raise TargetNotUnitary("target is not unitary within tolerance")
     return u
-
-
-class MFidelity(NamedTuple):
-    """Complex M-fidelity and its real part."""
-
-    value: complex
-    real: float
-
-
-def m_fidelity(ch: chn.KrausChannel, target, m) -> MFidelity:
-    """Overlap <A(M), U(M)> / ||M||^2 for a single probe operator M."""
-    mm = np.asarray(m, dtype=np.complex128)
-    norm2 = float(np.linalg.norm(mm) ** 2)
-    if norm2 <= 1e-28:
-        raise ZeroOperator("probe operator M is numerically zero")
-    u = _check_target(target, ch.dim)
-    out = chn.apply(ch, mm)
-    ref = u @ mm @ u.conj().T
-    val = complex(np.trace(out.conj().T @ ref) / norm2)
-    return MFidelity(value=val, real=val.real)
 
 
 def phi(ch: chn.KrausChannel, target=None) -> float:

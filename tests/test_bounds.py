@@ -3,7 +3,6 @@ import pytest
 
 from chanpolar import bounds, channel as chn, genlib, metrics, suites
 from chanpolar.errors import (
-    DimensionMismatch,
     NotDecoherent,
     NotNonCatastrophic,
     NotTraceless,
@@ -179,14 +178,14 @@ class TestThm6:
 class TestThm7:
     def test_decoherent_input_observed_is_phi(self):
         ch = genlib.amplitude_damping(2, 0.19)
-        rep = bounds.thm7_max_correction(ch, budget=100, seed=1)
+        rep = bounds.thm7_max_correction(ch)
         assert rep.observed == pytest.approx(metrics.phi(ch), abs=1e-12)
         assert rep.holds
         # optimizer finds at most second-order improvements at the polar point
         assert rep.terms["optimizer_improvement"] <= 1.5 * (1 - 0.82805) ** 2 + 1e-9
 
     def test_rotation_dephasing_frozen_interval(self):
-        rep = bounds.thm7_max_correction(rot_deph(0.1, 0.01), budget=200, seed=2)
+        rep = bounds.thm7_max_correction(rot_deph(0.1, 0.01))
         assert rep.observed == pytest.approx(0.99, abs=1e-12)
         ups = np.sqrt(0.9802)
         assert rep.lower == pytest.approx(0.9802 - (1 - 0.9802) ** 2, abs=1e-12)
@@ -194,7 +193,7 @@ class TestThm7:
         assert rep.holds
 
     def test_pure_rotation_recovers_unity(self):
-        rep = bounds.thm7_max_correction(genlib.rotation(2, 0.1), budget=100, seed=3)
+        rep = bounds.thm7_max_correction(genlib.rotation(2, 0.1))
         assert rep.observed == pytest.approx(1.0, abs=1e-12)  # W0 = R(-0.1)
         assert rep.terms["phi_optimized"] == pytest.approx(1.0, abs=1e-12)
 
@@ -244,7 +243,7 @@ class TestCheckCounts:
     def test_thm7_checks_target_once(self, monkeypatch):
         calls = self.counting(monkeypatch, metrics, "_check_target")
         u = genlib.rotation_matrix(2, 0.1)
-        bounds.thm7_max_correction(rot_deph(0.1, 0.01), u, budget=20)
+        bounds.thm7_max_correction(rot_deph(0.1, 0.01), u)
         assert len(calls) == 1 and calls[0][0] is u
 
     def test_thm7_target_error_comes_first(self):
@@ -257,8 +256,8 @@ class TestCheckCounts:
     def test_optimizer_result_unchanged_by_thm7_route(self):
         ch = rot_deph(0.1, 0.01)
         u = genlib.rotation_matrix(2, 0.1)
-        rep = bounds.thm7_max_correction(ch, u, budget=60, seed=4)
-        opt = bounds.optimize_unitary_correction(ch, target=u, budget=60, seed=4)
+        rep = bounds.thm7_max_correction(ch, u)
+        opt = bounds.optimize_unitary_correction(ch, target=u)
         assert rep.terms["phi_optimized"] == opt.phi_achieved
 
 
@@ -380,35 +379,44 @@ class TestCoherentEnvelope:
 
 
 class TestOptimizer:
-    def test_monotone_in_budget(self):
-        rng = np.random.default_rng(5)
-        ch, target = suites.sample_noncatastrophic(2, rng)
-        vals = [
-            bounds.optimize_unitary_correction(
-                ch, target, budget=b, seed=9
-            ).phi_achieved
-            for b in (10, 50, 200, 500)
-        ]
-        assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-
     def test_never_below_polar_start(self):
         for t in range(10):
             rng = np.random.default_rng([91, t])
             ch, target = suites.sample_noncatastrophic(2, rng)
-            opt = bounds.optimize_unitary_correction(ch, target, budget=120, seed=t)
+            opt = bounds.optimize_unitary_correction(ch, target)
             assert opt.improvement >= -1e-12
 
     def test_improvement_within_interval_width(self):
         for t in range(10):
             rng = np.random.default_rng([92, t])
             ch, target = suites.sample_noncatastrophic(2, rng)
-            rep = bounds.thm7_max_correction(ch, target, budget=300, seed=t)
+            rep = bounds.thm7_max_correction(ch, target)
             assert rep.terms["optimizer_improvement"] <= rep.upper - rep.lower + 1e-9
 
-    def test_refuses_above_max_dim(self):
-        ch = genlib.identity_channel(bounds.OPTIMIZER_MAX_DIM + 1)
-        with pytest.raises(DimensionMismatch):
-            bounds.optimize_unitary_correction(ch)
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_stationary_at_the_returned_correction(self, d):
+        # W G is Hermitian PSD at a fixed point of the polar step
+        for t in range(5):
+            rng = np.random.default_rng([93, d, t])
+            ch, target = suites.sample_noncatastrophic(d, rng)
+            opt = bounds.optimize_unitary_correction(ch, target)
+            uc = target.conj().T
+            c = np.einsum("ij,kji->k", uc @ opt.unitary, ch.kraus)
+            g = np.einsum("k,kij->ij", c.conj(), ch.kraus) @ uc
+            wg = opt.unitary @ g
+            assert np.linalg.norm(wg - wg.conj().T) <= 1e-6 * np.linalg.norm(wg)
+            herm = (wg + wg.conj().T) / 2.0
+            assert np.linalg.eigvalsh(herm).min() >= -1e-9 * np.linalg.norm(g)
+            assert opt.improvement >= 0.0
+            assert 2 <= opt.evaluations <= bounds._CORRECTION_MAX_STEPS + 1
+
+    def test_runs_above_the_theorem_cap(self):
+        rng = np.random.default_rng([94, 16])
+        ch, target = suites.sample_noncatastrophic(16, rng)
+        opt = bounds.optimize_unitary_correction(ch, target)
+        assert opt.improvement >= 0.0
+        rep = bounds.thm7_max_correction(ch, target)
+        assert rep.terms["phi_optimized"] == opt.phi_achieved
 
 
 class TestLindblad:
