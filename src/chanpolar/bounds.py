@@ -109,31 +109,31 @@ class _CircuitData:
         d = circuit.dim
         self.d = d
         self.polars = polars
-        self.canons = [chn.canonical(c) for c in circuit.channels]
-        self.targets = circuit.targets
-        self.w1 = np.array([c.w1 for c in self.canons])  # Upsilon(A_i*)
-        self.s_star = float(np.sum(1.0 - self.w1))  # S* = sum_i (1 - Upsilon(A_i*))
-        self.ups = np.array([metrics.upsilon(c) for c in self.canons])
+        canons = [chn.canonical(c) for c in circuit.channels]
+        w1 = np.array([c.w1 for c in canons])  # Upsilon(A_i*)
+        self.s_star = float(np.sum(1.0 - w1))  # S* = sum_i (1 - Upsilon(A_i*))
+        self.ups = np.array([metrics.upsilon(c) for c in canons])
         self.phis = np.array(  # the targets were checked by CircuitSpec
-            [metrics._phi(c, t) for c, t in zip(self.canons, self.targets)]
+            [metrics._phi(c, t) for c, t in zip(canons, circuit.targets)]
         )
-        self.sigmas = [p.singular_values for p in self.polars]
-        self.mean_sigma = np.array([float(np.mean(s)) for s in self.sigmas])
+        # the (m, d) LK singular values; each row's statistics have the bits
+        # of a call on that row alone
+        sigmas = np.stack([p.singular_values for p in polars])
+        self.mean_sigma = np.mean(sigmas, axis=-1)
         self.pert = 1.0 - self.mean_sigma  # 1 - sqrt(Phi(D_i*, I))
-        self.gammas = np.array([_spectrum_constants(s)[1] for s in self.sigmas])
         # scalars that several evaluators share
         self.pert_sum = float(np.sum(self.pert))
         self.half_s_star_sq = 0.5 * self.s_star**2
-        self.gamma_max = float(np.max(self.gammas))
+        self.gamma_max = float(np.max(_spectrum_constants(sigmas)[1]))
         self.prod_ups = float(np.prod(self.ups))
-        self.sum_w1_sq = float(np.sum((1.0 - self.w1) ** 2))
-        self.sum_cross = float(np.sum((1.0 - self.w1) * (1.0 - self.phis)))
+        self.sum_w1_sq = float(np.sum((1.0 - w1) ** 2))
+        self.sum_cross = float(np.sum((1.0 - w1) * (1.0 - self.phis)))
         self.composite = composite
-        u_c = _circuit_product(self.targets, d)
+        u_c = _circuit_product(circuit.targets, d)
         self.phi_c = metrics.phi(self.composite, u_c)
         self.ups_c = metrics.upsilon(self.composite)
         # A*_{m:1}, the composed LK maps, is the one-operator map of a1_c
-        self.a1_c = _circuit_product([c.a1 for c in self.canons], d)
+        self.a1_c = _circuit_product([c.a1 for c in canons], d)
         self.ups_star_c = float(np.linalg.norm(self.a1_c) ** 2 / d)  # Upsilon(A*_{m:1})
         self.phi_star_c = metrics._overlap(u_c.conj().T @ self.a1_c)  # Phi(A*, U_{m:1})
         self.element_nc = bool(np.all(metrics._nc_regime(self.phis, self.ups)))
@@ -141,16 +141,13 @@ class _CircuitData:
 
 
 def _prime(circuits) -> None:
-    """Set ``_data`` on each circuit that has none, all of one dimension:
-    one :func:`channel_polars` over all their elements (one stacked
-    canonical form and polar factorization) and one
-    :func:`chn._compose_circuits` for the composites."""
-    todo = [c for c in circuits if c._data is None]
-    if not todo:
-        return
-    polars = iter(channel_polars([ch for c in todo for ch in c.channels]))
-    composites = chn._compose_circuits([c.channels for c in todo])
-    for circuit, composite in zip(todo, composites):
+    """Set ``_data`` on each circuit, all of one dimension: one
+    :func:`channel_polars` over all their elements (one stacked canonical
+    form and polar factorization) and one :func:`chn._compose_circuits`
+    for the composites."""
+    polars = iter(channel_polars([ch for c in circuits for ch in c.channels]))
+    composites = chn._compose_circuits([c.channels for c in circuits])
+    for circuit, composite in zip(circuits, composites):
         els = [next(polars) for _ in circuit.channels]
         circuit._data = _CircuitData(circuit, els, composite)
 

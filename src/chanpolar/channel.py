@@ -52,8 +52,6 @@ class KrausChannel:
 
     def __post_init__(self):
         k = np.asarray(self.kraus, dtype=np.complex128)
-        if k.ndim == 2:
-            k = k[np.newaxis, :, :]
         if k.ndim != 3 or k.shape[1] != self.dim or k.shape[2] != self.dim:
             raise DimensionMismatch(
                 f"kraus must have shape (k, {self.dim}, {self.dim}), got {k.shape}"

@@ -12,8 +12,8 @@ error (any other ``ChanPolarError``: not CPTP, a composition leaving the
 non-catastrophic regime, a dimension out of range), 64 usage error, 70
 internal error (an unexpected exception: a defect, reported with its
 traceback).  Every command runs through
-:func:`main`, which writes the output and its manifest and is the one
-place that maps exceptions to these codes.
+:func:`main`, which writes the output and its manifest, writes every
+error line and is the one place that maps exceptions to these codes.
 """
 
 from __future__ import annotations
@@ -89,6 +89,7 @@ class _Result(NamedTuple):
     seed: int | None = None
     notes: tuple = ()
     code: int = EXIT_OK
+    error: str | None = None  # the detail of a domain error found mid-run
 
 
 def _error_json(kind: str, detail: str):
@@ -422,12 +423,11 @@ def _cmd_sweep(args) -> _Result:
     columns = _SWEEP_COLUMNS
     if val["metrics"] is not None:  # depth, then the named columns in table order
         columns = tuple(c for c in columns if c == "depth" or c in val["metrics"])
-    code = EXIT_OK
-    if any(not r.non_catastrophic for r in rows):
-        _error_json("domain", "composition left the non-catastrophic regime mid-sweep")
-        code = EXIT_DOMAIN
     payload = _records_csv(suites.SweepRow, columns, rows)
-    return _Result(payload, cfg, fam.seed, notes, code)
+    if all(r.non_catastrophic for r in rows):
+        return _Result(payload, cfg, fam.seed, notes)
+    return _Result(payload, cfg, fam.seed, notes, EXIT_DOMAIN,
+                   "composition left the non-catastrophic regime mid-sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +483,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Run one command: write its output (and the manifest sidecar when the
-    output is a file) and map any exception to its exit code."""
+    output is a file) and any error it returns, and map any exception to its
+    exit code and error line."""
     t0 = time.time()
     try:
         args = _build_parser().parse_args(argv)
         res = _COMMANDS[args.command](args)
+        if res.error is not None:
+            _error_json("domain", res.error)
         _emit(res.payload, args.out)
         if args.out:
             _write_manifest(args.out, args.command, res.config, res.seed, res.notes, t0)

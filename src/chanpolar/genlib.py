@@ -163,17 +163,11 @@ def _gue_eig(n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h)
 
 
-def _gue_rotation(n: int, strength: float, seed) -> np.ndarray:
-    """exp(-i strength H) for the n x n GUE draw H of :func:`_gue_eig`."""
-    w, v = _gue_eig(n, [seed])
-    return matcore._expi_eig(w[0], v[0], -strength)
-
-
 def random_unitary_error(d: int, strength: float, seed) -> chn.KrausChannel:
     """exp(-i strength H) with H a seeded GUE draw normalized to unit
     spectral radius; strength is then the largest rotation angle."""
     _require(strength >= 0.0, "strength must be non-negative")
-    return chn.KrausChannel(dim=d, kraus=_gue_rotation(d, strength, seed)[np.newaxis])
+    return chn.KrausChannel(dim=d, kraus=matcore._expi_eig(*_gue_eig(d, [seed]), -strength))
 
 
 def random_cptp(
@@ -198,7 +192,7 @@ def random_cptp(
         iso = u[:, :d]
     else:
         _require(strength >= 0.0, "strength must be non-negative")
-        iso = _gue_rotation(n, strength, seed)[:, :d]
+        iso = matcore._expi_eig(*_gue_eig(n, [seed]), -strength)[0, :, :d]
     kraus = iso.reshape(kraus_rank, d, d)
     return chn.KrausChannel(dim=d, kraus=kraus.copy())
 

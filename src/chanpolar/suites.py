@@ -37,25 +37,22 @@ def _subseed(rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 
 
-def element_for_infidelity(d: int, r_target, rng, decoherent: bool = False):
-    """Near-identity random element with infidelity close to ``r_target``.
+def element_for_infidelity(d: int, r_target, draws, decoherent: bool = False):
+    """Near-identity random elements, the i-th with infidelity close to
+    ``r_target[i]``.
 
-    Draws a Kraus rank in [2, 4] (capped at d^2) and a generator seed from
-    ``rng``, generates at a guessed strength, measures, and regenerates
-    once with the rescaled strength (r scales quadratically in the
-    strength, so one correction step lands within a few percent); the
-    second draw has the same seed, so it reuses the first one's GUE
-    eigendecomposition.  Deterministic per rng state.
-
-    Batched form: ``r_target`` a sequence of m targets and ``rng`` their m
-    (rank, seed) pairs, drawn as above; it returns the m elements of m single
-    calls, with one stacked generator eigendecomposition per Kraus rank.
+    ``draws`` holds one (Kraus rank, generator seed) pair per target; the
+    rank is capped at d^2.  Each element is generated at a guessed strength,
+    measured, and regenerated once with the rescaled strength (r scales
+    quadratically in the strength, so one correction step lands within a
+    few percent) from the same seed, so the second draw reuses the first
+    one's GUE eigendecomposition.  The elements of one rank share one
+    stacked generator eigendecomposition; each has the bits of its own
+    ``genlib.random_cptp`` (or, decoherent, ``genlib.psd_lk_decoherent``)
+    calls.
     """
-    single = np.ndim(r_target) == 0
-    if single:
-        r_target, rng = [r_target], [(int(rng.integers(2, 5)), _subseed(rng))]
     r_t = np.asarray(r_target, dtype=np.float64)
-    ks = np.minimum([rank for rank, _ in rng], d * d)
+    ks = np.minimum([rank for rank, _ in draws], d * d)
     out = [None] * len(r_t)
 
     def gen(w, v, k, eps):
@@ -67,7 +64,7 @@ def element_for_infidelity(d: int, r_target, rng, decoherent: bool = False):
 
     for k in sorted(set(ks.tolist())):  # np.unique would import numpy.ma
         idx = np.flatnonzero(ks == k)
-        w, v = genlib._gue_eig(d * k, [rng[i][1] for i in idx])
+        w, v = genlib._gue_eig(d * k, [draws[i][1] for i in idx])
         eps0 = np.sqrt(2.0 * r_t[idx])
         chs = gen(w, v, k, eps0)
         r0 = np.array([metrics.infidelity(metrics.phi(ch), d) for ch in chs])
@@ -78,7 +75,7 @@ def element_for_infidelity(d: int, r_target, rng, decoherent: bool = False):
                 chs[j] = ch
         for i, ch in zip(idx, chs):
             out[i] = ch
-    return out[0] if single else out
+    return out
 
 
 def sample_noncatastrophic(d: int, rng: np.random.Generator):
@@ -97,47 +94,55 @@ def sample_noncatastrophic(d: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
+def _trials(dims, trials: int, seed: int):
+    """(d, t, rng) for each dimension and trial index, the generator seeded
+    by [seed, d, t]: the per-trial stream of the single-channel suites."""
+    for d in dims:
+        for t in range(trials):
+            yield d, t, np.random.default_rng([seed, d, t])
+
+
 def lemma_suite(dims=(2, 3, 4, 8), trials: int = 1000, seed: int = 0) -> list[BoundReport]:
     """LK gap sandwiches on random non-catastrophic channels."""
     out = []
-    for d in dims:
-        for t in range(trials):
-            rng = np.random.default_rng([seed, d, t])
-            ch, target = sample_noncatastrophic(d, rng)
-            r1, r2 = metrics.lk_gap_bounds(ch, target)
-            out.append(_case(f"lemma1/d{d}/t{t}", r1))
-            out.append(_case(f"lemma2/d{d}/t{t}", r2))
+    for d, t, rng in _trials(dims, trials, seed):
+        ch, target = sample_noncatastrophic(d, rng)
+        r1, r2 = metrics.lk_gap_bounds(ch, target)
+        out.append(_case(f"lemma1/d{d}/t{t}", r1))
+        out.append(_case(f"lemma2/d{d}/t{t}", r2))
     return out
 
 
 def appendix_suite(dims=(2, 3, 5), trials: int = 1000, seed: int = 0) -> list[BoundReport]:
     """Trace, flavored Von Neumann, and norm inequality sweeps."""
     out = []
-    for d in dims:
-        for t in range(trials):
-            rng = np.random.default_rng([seed, d, t])
+    for d, t, rng in _trials(dims, trials, seed):
 
-            def herm():
-                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                return (g + g.conj().T) / 2.0
+        def herm():
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            return (g + g.conj().T) / 2.0
 
-            def contraction():
-                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                u, s, vh = np.linalg.svd(g)
-                return (u * np.minimum(s, 1.0)) @ vh
+        def contraction():
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            u, s, vh = np.linalg.svd(g)
+            return (u * np.minimum(s, 1.0)) @ vh
 
-            tr = matcore.check_trace_inequality(herm(), herm())
-            out.append(_case(f"trace/d{d}/t{t}", tr))
-            vn = matcore.check_vn_inequality(contraction(), contraction())
-            out.append(_case(f"vn/d{d}/t{t}", vn))
-            nm = matcore.check_norm_inequality(contraction(), contraction())
-            out.append(_case(f"norm/d{d}/t{t}", nm))
+        tr = matcore.check_trace_inequality(herm(), herm())
+        out.append(_case(f"trace/d{d}/t{t}", tr))
+        vn = matcore.check_vn_inequality(contraction(), contraction())
+        out.append(_case(f"vn/d{d}/t{t}", vn))
+        nm = matcore.check_norm_inequality(contraction(), contraction())
+        out.append(_case(f"norm/d{d}/t{t}", nm))
     return out
 
 
 def _draw_circuit(d: int, m: int, rng, with_targets=False) -> tuple:
-    """The random numbers of one :func:`_circuit`, in per-element order:
-    (target infidelities, (rank, seed) pairs, target seeds or None)."""
+    """The random numbers of one depth-m circuit, drawn in per-element order
+    (target infidelity, rank, seed, target seed; none depends on a computed
+    value): (target infidelities, (rank, seed) pairs, target seeds or None).
+
+    The infidelities are log-uniform in [3e-5, min(1e-2, 0.8 sqrt(REGIME_CAP) / m)].
+    """
     r_cap = min(1e-2, np.sqrt(REGIME_CAP) * 0.8 / m)
     r_ts, draws, target_seeds = [], [], []
     for _ in range(m):
@@ -150,7 +155,8 @@ def _draw_circuit(d: int, m: int, rng, with_targets=False) -> tuple:
 
 def _build_circuits(d: int, drawn: list, decoherent=False) -> list:
     """The circuits of :func:`_draw_circuit` results, all elements from one
-    batched :func:`element_for_infidelity` call."""
+    :func:`element_for_infidelity` call; with targets, each element applies
+    its Haar-random target unitary first."""
     channels = iter(element_for_infidelity(
         d, [r for r_ts, _, _ in drawn for r in r_ts],
         [x for _, draws, _ in drawn for x in draws], decoherent=decoherent,
@@ -165,18 +171,6 @@ def _build_circuits(d: int, drawn: list, decoherent=False) -> list:
                    for el, u in zip(els, targets)]
         out.append(bounds.CircuitSpec(els, targets))
     return out
-
-
-def _circuit(d: int, m: int, rng, with_targets=False, decoherent=False):
-    """Depth-m circuit of near-identity elements with target infidelities
-    log-uniform in [3e-5, min(1e-2, 0.8 sqrt(REGIME_CAP) / m)]; with
-    targets, each element applies its Haar-random target unitary first.
-
-    All random numbers are drawn first, in per-element order (target
-    infidelity, rank, seed, target seed; none depends on a computed value),
-    then one batched :func:`element_for_infidelity` call builds the elements.
-    """
-    return _build_circuits(d, [_draw_circuit(d, m, rng, with_targets)], decoherent)[0]
 
 
 def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundReport]:
@@ -230,11 +224,9 @@ def thm7_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundRepor
     """Single-channel quasi-maximal correction sweep, each case with the
     polar-ascent cross-check of :func:`bounds.thm7_max_correction`."""
     out = []
-    for d in dims:
-        for t in range(trials):
-            rng = np.random.default_rng([seed, d, t])
-            ch, target = sample_noncatastrophic(d, rng)
-            out.append(_case(f"thm7/d{d}/t{t}", bounds.thm7_max_correction(ch, target)))
+    for d, t, rng in _trials(dims, trials, seed):
+        ch, target = sample_noncatastrophic(d, rng)
+        out.append(_case(f"thm7/d{d}/t{t}", bounds.thm7_max_correction(ch, target)))
     return out
 
 
@@ -243,44 +235,40 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Bou
     generator preservation under traceless canonicalization (traceful
     draws)."""
     out = []
-    for d in dims:
-        for t in range(trials):
-            rng = np.random.default_rng([seed, d, t])
+    for d, t, rng in _trials(dims, trials, seed):
 
-            def op():
-                return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        def op():
+            return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
-            h = op()
-            h = (h + h.conj().T) / 2.0
-            n_ops = int(rng.integers(1, 4))
-            traceless = []
-            for _ in range(n_ops):
-                l = op()
-                traceless.append(l - np.trace(l) / d * np.eye(d))
-            spec = bounds.LindbladSpec(dim=d, hamiltonian=h, lindblad_ops=traceless)
-            st = bounds.lindblad_structure(spec)
-            worst = st.worst_overlap
-            out.append(
-                BoundReport(
-                    case_id=f"lind_orth/d{d}/t{t}", theorem="lindblad_orthogonality",
-                    observed=worst, lower=0.0, upper=1e-9, slack=1e-9 - worst,
-                    holds=st.orthogonal,
-                )
+        h = op()
+        h = (h + h.conj().T) / 2.0
+        n_ops = int(rng.integers(1, 4))
+        traceless = []
+        for _ in range(n_ops):
+            l = op()
+            traceless.append(l - np.trace(l) / d * np.eye(d))
+        spec = bounds.LindbladSpec(dim=d, hamiltonian=h, lindblad_ops=traceless)
+        st = bounds.lindblad_structure(spec)
+        worst = st.worst_overlap
+        out.append(
+            BoundReport(
+                case_id=f"lind_orth/d{d}/t{t}", theorem="lindblad_orthogonality",
+                observed=worst, lower=0.0, upper=1e-9, slack=1e-9 - worst,
+                holds=st.orthogonal,
             )
-            traceful = [op() for _ in range(n_ops)]
-            spec2 = bounds.LindbladSpec(dim=d, hamiltonian=h, lindblad_ops=traceful)
-            before = bounds.lindblad_superop(spec2)
-            after = bounds.lindblad_superop(bounds.canonicalize_lindblad(spec2))
-            err = float(
-                np.linalg.norm(before - after) / max(np.linalg.norm(before), 1.0)
+        )
+        traceful = [op() for _ in range(n_ops)]
+        spec2 = bounds.LindbladSpec(dim=d, hamiltonian=h, lindblad_ops=traceful)
+        before = bounds.lindblad_superop(spec2)
+        after = bounds.lindblad_superop(bounds.canonicalize_lindblad(spec2))
+        err = float(np.linalg.norm(before - after) / max(np.linalg.norm(before), 1.0))
+        out.append(
+            BoundReport(
+                case_id=f"lind_canon/d{d}/t{t}", theorem="lindblad_canonicalize",
+                observed=err, lower=0.0, upper=1e-9, slack=1e-9 - err,
+                holds=err <= 1e-9,
             )
-            out.append(
-                BoundReport(
-                    case_id=f"lind_canon/d{d}/t{t}", theorem="lindblad_canonicalize",
-                    observed=err, lower=0.0, upper=1e-9, slack=1e-9 - err,
-                    holds=err <= 1e-9,
-                )
-            )
+        )
     return out
 
 

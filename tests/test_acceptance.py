@@ -45,7 +45,8 @@ def test_criterion_02_theorem_evolution_suite():
     # regime spot-check: rebuild a few circuits and verify the restrictions
     for d, m, t in ((2, 32, 0), (3, 8, 3), (2, 2, 7)):
         rng = np.random.default_rng([SEED, d, m, t])
-        circ = suites._circuit(d, m, rng, with_targets=(t % 2 == 0))
+        drawn = suites._draw_circuit(d, m, rng, with_targets=(t % 2 == 0))
+        circ = suites._build_circuits(d, [drawn])[0]
         rs = [
             metrics.infidelity(metrics.phi(c, u), d)
             for c, u in zip(circ.channels, circ.targets)

@@ -1,14 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 from chanpolar import bounds, channel as chn, genlib, metrics, suites
 from chanpolar.errors import (
+    DimensionMismatch,
     NotDecoherent,
     NotNonCatastrophic,
     NotTraceless,
     RatioOutOfRange,
     TargetNotUnitary,
 )
+from chanpolar.polar import _spectrum_constants
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -337,6 +341,24 @@ class TestThm9:
             )
 
 
+class TestCircuitData:
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("m", [2, 32])
+    @pytest.mark.parametrize("decoherent", [False, True], ids=["general", "decoherent"])
+    def test_stacked_sigma_statistics_equal_per_element_route(self, d, m, decoherent):
+        """The statistics of the stacked (m, d) LK singular values have the
+        bits of one call per element."""
+        rng = np.random.default_rng([11, d, m])
+        drawn = suites._draw_circuit(d, m, rng)
+        data = bounds._data(suites._build_circuits(d, [drawn], decoherent)[0])
+        sigmas = [p.singular_values for p in data.polars]
+        assert len(sigmas) == m
+        means = [float(np.mean(s)) for s in sigmas]
+        assert data.mean_sigma.tolist() == means
+        assert data.pert.tolist() == [1.0 - x for x in means]
+        assert data.gamma_max == max(_spectrum_constants(s)[1] for s in sigmas)
+
+
 class TestCoherentEnvelope:
     def test_all_ratios_one(self):
         env = bounds.coherent_envelope([1.0, 1.0], 2, upsilons=[0.9, 0.8])
@@ -487,3 +509,42 @@ class TestLindblad:
         before = bounds.lindblad_superop(spec)
         after = bounds.lindblad_superop(out)
         assert np.linalg.norm(before - after) <= 1e-9
+
+
+REFUSALS = {
+    "empty circuit": (
+        lambda: bounds.CircuitSpec([]),
+        ValueError, "circuit needs at least one channel",
+    ),
+    "mixed dimensions": (
+        lambda: bounds.CircuitSpec([genlib.identity_channel(2), genlib.identity_channel(3)]),
+        DimensionMismatch, "circuit channels must share a dimension",
+    ),
+    "target count": (
+        lambda: bounds.CircuitSpec([genlib.identity_channel(2)] * 2, [I2]),
+        DimensionMismatch, "one target per channel required",
+    ),
+    "no ratios": (
+        lambda: bounds.coherent_envelope([], 2),
+        ValueError, "need at least one ratio",
+    ),
+    "H shape": (
+        lambda: bounds.LindbladSpec(dim=2, hamiltonian=np.eye(3), lindblad_ops=[X]),
+        DimensionMismatch, "H dimension mismatch",
+    ),
+    "H not Hermitian": (
+        lambda: bounds.LindbladSpec(dim=2, hamiltonian=(X + 1j * Y) / 2, lindblad_ops=[X]),
+        ValueError, "H must be Hermitian within 1e-9",
+    ),
+    "L shape": (
+        lambda: bounds.LindbladSpec(dim=2, hamiltonian=Z, lindblad_ops=[X, np.eye(3)]),
+        DimensionMismatch, "Lindblad operator dimension mismatch",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSALS.values(), ids=REFUSALS)
+def test_input_refused(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is exc

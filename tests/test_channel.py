@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -554,3 +555,38 @@ class TestJson:
     def test_malformed_raises(self, obj):
         with pytest.raises(ValueError):
             chn.channel_from_json(obj)
+
+
+REFUSALS = {
+    "kraus shape": (
+        lambda: chn.KrausChannel(dim=2, kraus=np.zeros((1, 3, 3))),
+        DimensionMismatch, "kraus must have shape (k, 2, 2), got (1, 3, 3)",
+    ),
+    "2-d kraus": (
+        lambda: chn.KrausChannel(dim=2, kraus=I2),
+        DimensionMismatch, "kraus must have shape (k, 2, 2), got (2, 2)",
+    ),
+    "no kraus operator": (
+        lambda: chn.KrausChannel(dim=2, kraus=np.zeros((0, 2, 2))),
+        ValueError, "channel needs at least one Kraus operator",
+    ),
+    "non-finite kraus": (
+        lambda: chn.KrausChannel(dim=2, kraus=np.array([[[1.0, 0.0], [0.0, np.nan]]])),
+        ValueError, "Kraus operators contain non-finite entries",
+    ),
+    "rho shape": (
+        lambda: chn.apply(genlib.identity_channel(2), np.eye(3)),
+        DimensionMismatch, "rho must be 2 x 2, got (3, 3)",
+    ),
+    "compose nothing": (
+        lambda: chn.compose([]),
+        ValueError, "need at least one channel",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSALS.values(), ids=REFUSALS)
+def test_input_refused(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is exc

@@ -263,6 +263,14 @@ class TestSweepCmd:
         rows = read_csv(out)
         assert len(rows) == 10  # rows still emitted
         assert any(r["non_catastrophic"] == "0" for r in rows)
+        # one error line, written by main as for a raised domain error
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+            {"error": "domain",
+             "detail": "composition left the non-catastrophic regime mid-sweep"}
+        ]
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["command"] == "sweep" and manifest["seed"] is None
+        assert manifest["config"] == json.loads(Path(cfg).read_text())
 
     def test_seed_flag_is_the_config_seed(self, tmp_path):
         fam = {"family": "psd_lk_decoherent", "dim": 2, "params": {"strength": 0.1},
@@ -562,7 +570,7 @@ class TestSweepConfigTypes:
         def draw(*args):
             raise RuntimeError("drew a generator")  # would exit 70
 
-        monkeypatch.setattr(genlib, "_gue_rotation", draw)
+        monkeypatch.setattr(genlib, "_gue_eig", draw)
         monkeypatch.setattr(genlib, "random_unitary", draw)
         params = {"kraus_rank": 4096, "strength": 0.1}
         fam = {"family": family, "dim": 64, "params": params, "seed": 0}

@@ -175,7 +175,7 @@ class TestRandomCptp:
             raise Drew(n)
 
         monkeypatch.setattr(genlib, "random_unitary", draw)
-        monkeypatch.setattr(genlib, "_gue_rotation", draw)
+        monkeypatch.setattr(genlib, "_gue_eig", draw)
         assert chn.MAX_EIGENSOLVER_DIM**2 == 4096
         for strength in (None, 0.1):
             with pytest.raises(Drew, match="4096"):

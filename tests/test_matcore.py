@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -342,3 +344,26 @@ class TestAppendixReports:
         assert rep.theorem == theorem and rep.case_id == ""
         assert rep.slack == min(rep.observed - rep.lower, rep.upper - rep.observed)
         assert rep.holds
+
+
+REFUSALS = {
+    "non-finite entry": (
+        lambda: matcore.as_complex_matrix([[1.0, np.inf], [0.0, 1.0]]),
+        ValueError, "matrix contains non-finite entries",
+    ),
+    "non-square": (
+        lambda: matcore.check_vn_inequality(np.zeros((2, 3)), np.eye(2)),
+        ValueError, "A must be square, got shape (2, 3)",
+    ),
+    "pair size mismatch": (
+        lambda: matcore.check_norm_inequality(np.eye(2), np.eye(3)),
+        ValueError, "A and B must share a dimension",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSALS.values(), ids=REFUSALS)
+def test_input_refused(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is exc

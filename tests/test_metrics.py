@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,22 @@ class TestMonteCarlo:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             metrics.haar_fidelity_mc(genlib.identity_channel(2), n_samples=10, seed=0)
+
+
+REFUSALS = {
+    "target shape": (
+        lambda: metrics.phi(genlib.identity_channel(2), np.eye(3)),
+        TargetNotUnitary, "target must be 2 x 2, got (3, 3)",
+    ),
+    "too few MC samples": (
+        lambda: metrics.haar_unitarity_mc(genlib.identity_channel(2), n_samples=99),
+        ValueError, "n_samples must be at least 100",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSALS.values(), ids=REFUSALS)
+def test_input_refused(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is exc

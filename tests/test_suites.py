@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def composition_sweep_per_depth(element, max_depth):
 
 def circuit_per_element(d, m, rng, with_targets=False, decoherent=False):
     """One element at a time, each from its own genlib generator call: the
-    reference route that :func:`suites._circuit` must match bit for bit."""
+    reference route that the batched sampler must match bit for bit."""
     r_cap = min(1e-2, np.sqrt(suites.REGIME_CAP) * 0.8 / m)
     channels = []
     targets = [] if with_targets else None
@@ -148,9 +149,12 @@ class TestSamplers:
     def test_element_calibration(self):
         rng = np.random.default_rng(1)
         for d in (2, 3):
-            for _ in range(10):
-                r_t = float(10 ** rng.uniform(-4.5, -2.0))
-                el = suites.element_for_infidelity(d, r_t, rng)
+            r_ts, draws = [], []
+            for _ in range(10):  # target, rank, seed: one element's draws
+                r_ts.append(float(10 ** rng.uniform(-4.5, -2.0)))
+                draws.append((int(rng.integers(2, 5)), suites._subseed(rng)))
+            els = suites.element_for_infidelity(d, r_ts, draws)
+            for r_t, el in zip(r_ts, els, strict=True):
                 r = metrics.infidelity(metrics.phi(el), d)
                 assert r == pytest.approx(r_t, rel=0.05)
 
@@ -164,7 +168,8 @@ class TestSamplers:
         for seed in range(5):
             rng = np.random.default_rng([seed, d, m])
             ref = np.random.default_rng([seed, d, m])
-            circ = suites._circuit(d, m, rng, **opts)
+            drawn = suites._draw_circuit(d, m, rng, opts["with_targets"])
+            circ = suites._build_circuits(d, [drawn], opts["decoherent"])[0]
             channels, targets = circuit_per_element(d, m, ref, **opts)
             assert rng.bit_generator.state == ref.bit_generator.state
             for got, want in zip(circ.channels, channels, strict=True):
@@ -362,3 +367,18 @@ class TestSigmaProfile:
         assert prof.Gamma_decoh == pytest.approx(eq.Gamma_decoh, abs=1e-12)
         assert np.allclose(prof.sigma, eq.sigma, atol=0)
         assert prof.sd == pytest.approx(np.std(prof.sigma), abs=1e-15)
+
+
+REFUSALS = {
+    "unknown suite": (
+        lambda: suites.run_suite("lemma"),
+        ValueError, "unknown suite 'lemma'",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSALS.values(), ids=REFUSALS)
+def test_input_refused(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is exc
