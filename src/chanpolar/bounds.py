@@ -33,7 +33,6 @@ from .errors import (
 from .matcore import HOLDS_TOL, BoundReport, make_report
 from .polar import _spectrum_constants, channel_polar, channel_polars, is_decoherent
 
-LINDBLAD_MAX_DIM = 8  # the Lindblad verification suite stops at this d
 _CORRECTION_MAX_STEPS = 50  # polar-ascent steps of optimize_unitary_correction
 
 
@@ -78,18 +77,12 @@ def _wse_coh_constant(v: np.ndarray):
     |tr V| <= ``matcore.PHASE_TRACE_TOL`` the phase is undefined: a single
     matrix raises :class:`PhaseUndefined`, a stack reports 0 there.
     """
-    t = np.trace(v, axis1=-2, axis2=-1)
-    # np.hypot rounds like abs() of a complex scalar; np.abs of an array
-    # may differ in the last bit
-    r = np.hypot(t.real, t.imag)
-    undefined = r <= matcore.PHASE_TRACE_TOL
-    if v.ndim == 2 and undefined:
+    phase, ok = matcore._trace_phase(v)
+    if v.ndim == 2 and not ok:
         raise PhaseUndefined("tr V ~ 0: coherence constant undefined")
-    herm = v * (np.conj(t) / np.where(undefined, 1.0, r))[..., None, None]
-    herm += np.swapaxes(herm, -1, -2).conj()
-    herm /= 2.0
-    gamma = _spectrum_constants(np.linalg.eigvalsh(herm))[1]
-    return gamma if v.ndim == 2 else np.where(undefined, 0.0, gamma)
+    herm_spec = matcore._hermitian_part_spectrum(v * np.conj(phase)[..., None, None])
+    gamma = _spectrum_constants(herm_spec)[1]
+    return gamma if v.ndim == 2 else np.where(ok, gamma, 0.0)
 
 
 def _circuit_product(mats, d: int) -> np.ndarray:
@@ -380,14 +373,19 @@ def thm7_max_correction(ch: chn.KrausChannel, target=None) -> BoundReport:
     WSE-refined lower bound and the correction reached by
     :func:`optimize_unitary_correction` are itemized in the terms; ``holds``
     also requires that correction's Phi to stay below the upper end.
+
+    ``optimizer_improvement`` can be negative, down to about -2e-15:
+    ``phi_w0`` takes Phi on the canonical Kraus operators with prefix V^dag,
+    the ascent's start on the input ones with prefix U^dag U V^dag, and the
+    ascent never falls below its own start.
     """
     d = ch.dim
     u = metrics._check_target(target, d)
-    if not metrics._non_catastrophic(ch, u):
+    ups = metrics.upsilon(ch)
+    if not metrics._nc_regime(metrics._phi(ch, u), ups):
         raise NotNonCatastrophic("channel must be non-catastrophic")
     pol = channel_polar(ch)
     observed = metrics._phi_with_prefix(pol.unitary.conj().T, chn.canonical(ch).kraus)
-    ups = metrics.upsilon(ch)
     gap = 1.0 - ups**2
     lower = ups**2 - gap**2
     upper = ups + 1.5 * gap**2

@@ -240,17 +240,9 @@ def _decompose_report(ch: chn.KrausChannel, target, kappa: float, strict: bool) 
     pol = polar.channel_polar(ch, strict=strict)
     try:
         eq_rep = polar.equability(ch, kappa)
-        eq = {
-            "sigma": [float(s) for s in eq_rep.sigma],
-            "lambda_re": [float(x) for x in eq_rep.lambda_re],
-            "Gamma_decoh": eq_rep.Gamma_decoh,
-            "Gamma_coh": eq_rep.Gamma_coh,
-            "gamma_decoh": eq_rep.gamma_decoh,
-            "gamma_coh": eq_rep.gamma_coh,
-            "sse_ok": eq_rep.sse_ok,
-            "wse_ok": eq_rep.wse_ok,
-            "kappa": eq_rep.kappa,
-        }
+        eq = {f.name: getattr(eq_rep, f.name) for f in fields(eq_rep)
+              if not f.name.endswith("_threshold")}
+        eq["sigma"], eq["lambda_re"] = eq_rep.sigma.tolist(), eq_rep.lambda_re.tolist()
     except ChanPolarError as exc:
         eq = {"error": str(exc), "kappa": kappa}
     rep = metrics.report(ch, target)
@@ -346,10 +338,9 @@ def _cmd_verify(args) -> _Result:
 # ---------------------------------------------------------------------------
 
 _SWEEP_COLUMNS = tuple(f.name for f in fields(suites.SweepRow))
-_PROFILE_COLUMNS = (
-    "row_type", "index", "value", "mean", "sd", "gamma_decoh", "Gamma_decoh",
-    "threshold", "sse_decoh_ok", "wse_decoh_ok",
-)
+# the summary row's columns are the profile's fields after the spectrum
+_PROFILE_SUMMARY = tuple(f.name for f in fields(suites.SigmaProfile) if f.name != "sigma")
+_PROFILE_COLUMNS = ("row_type", "index", "value") + _PROFILE_SUMMARY
 
 _FIG3_NOTE = (
     "coherence_mix 'infidelity' is the average infidelity r = 1 - F of the "
@@ -410,14 +401,10 @@ def _cmd_sweep(args) -> _Result:
         prof = suites.sigma_profile(
             element, args.kappa if args.kappa is not None else float(val["kappa"])
         )
-        table = [
-            ["sigma", str(i), _fmt(x)] + [""] * 7 for i, x in enumerate(prof.sigma)
-        ]
-        table.append(
-            ["summary", "", "", _fmt(prof.mean), _fmt(prof.sd),
-             _fmt(prof.gamma_decoh), _fmt(prof.Gamma_decoh), _fmt(prof.threshold),
-             _fmt(prof.sse_decoh_ok), _fmt(prof.wse_decoh_ok)]
-        )
+        summary = [_fmt(getattr(prof, c)) for c in _PROFILE_SUMMARY]
+        table = [["sigma", str(i), _fmt(x)] + [""] * len(summary)
+                 for i, x in enumerate(prof.sigma)]
+        table.append(["summary", "", ""] + summary)
         return _Result(_csv(_PROFILE_COLUMNS, table), cfg, fam.seed, notes)
     rows = suites.composition_sweep(element, val["max_depth"])
     columns = _SWEEP_COLUMNS

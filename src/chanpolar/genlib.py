@@ -100,11 +100,10 @@ def stochastic_weyl(d: int, p: float, seed) -> chn.KrausChannel:
     randomly (seeded) over the other Weyl unitaries.  p > 1/2 keeps the
     identity component leading."""
     _require(0.5 < p <= 1.0, "stochastic_weyl p must be in (1/2, 1]")
+    _require(d >= 2, "stochastic_weyl needs d >= 2")
     rng = np.random.default_rng(seed)
     ops = weyl_ops(d)
     raw = rng.random(d * d - 1)
-    if raw.sum() <= 0:
-        raw = np.ones(d * d - 1)
     raw = raw / raw.sum() * (1.0 - p)
     kraus = [np.sqrt(p) * ops[0]] + [
         np.sqrt(w) * op for w, op in zip(raw, ops[1:])

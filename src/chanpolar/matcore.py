@@ -80,6 +80,12 @@ def _trace_phase(op: np.ndarray):
     return np.divide(t, r, out=np.ones_like(t), where=ok), ok
 
 
+def _hermitian_part_spectrum(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part (A + A^dag) / 2 over the
+    leading axes."""
+    return np.linalg.eigvalsh((a + np.conj(a).swapaxes(-1, -2)) / 2.0)
+
+
 def _expi_eig(w: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
     """exp(1j * scale * H) from the eigendecomposition ``w, v`` of a
     Hermitian H as ``np.linalg.eigh`` returns it; a stack takes one scale
@@ -267,7 +273,8 @@ class BoundReport:
     """An observed value against its lower/upper envelope.
 
     ``slack`` is min(observed - lower, upper - observed), the distance to
-    the nearer side; an open side is -inf or +inf.  ``holds`` is the
+    the nearer side (the Lindblad records of ``suites.lindblad_suite`` take
+    upper - observed); an open side is -inf or +inf.  ``holds`` is the
     verdict, ``lower - HOLDS_TOL <= observed <= upper + HOLDS_TOL`` from
     :func:`make_report` unless the check says otherwise.  ``terms``
     itemizes the summands of a bound and ``hot_truncated`` marks bounds
@@ -310,10 +317,6 @@ def make_report(
     )
 
 
-def _max_eigenvalue(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[-1])
-
-
 def _square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """The operands of an inequality check as square matrices of one size."""
     a = _require_square(as_complex_matrix(a, "A"), "A")
@@ -335,8 +338,7 @@ def check_trace_inequality(a, b) -> BoundReport:
     _require_hermitian(a, "A")
     _require_hermitian(b, "B")
     d = a.shape[0]
-    rho_a = _max_eigenvalue(a)
-    rho_b = _max_eigenvalue(b)
+    rho_a, rho_b = (float(_hermitian_part_spectrum(m)[-1]) for m in (a, b))
     lhs = float(np.trace(a @ b).real) / d
     rhs = rho_b * float(np.trace(a).real) / d + rho_a * float(np.trace(b).real) / d - rho_a * rho_b
     rep = make_report("appendix_trace", lhs, rhs, np.inf)

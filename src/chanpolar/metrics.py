@@ -89,13 +89,7 @@ def _nc_regime(phi_value, upsilon_value):
 
 def non_catastrophic(ch: chn.KrausChannel, target=None) -> bool:
     """Phi(A, U) > 1/2 and Upsilon^2(A) > 1/2."""
-    return _non_catastrophic(ch, _check_target(target, ch.dim))
-
-
-def _non_catastrophic(ch: chn.KrausChannel, u: np.ndarray) -> bool:
-    """:func:`non_catastrophic` against a target that :func:`_check_target`
-    returned."""
-    return bool(_nc_regime(_phi(ch, u), upsilon(ch)))
+    return bool(_nc_regime(_phi(ch, _check_target(target, ch.dim)), upsilon(ch)))
 
 
 @dataclass

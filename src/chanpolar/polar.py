@@ -81,10 +81,8 @@ class ChannelPolar:
 
     @cached_property
     def lambda_re(self) -> np.ndarray:
-        # V is unitary hence normal: Re of its eigenvalues are the
-        # eigenvalues of the Hermitian part.
-        v = self.unitary
-        return np.linalg.eigvalsh((v + v.conj().T) / 2.0)[::-1]
+        # V is normal: Re of its eigenvalues is the Hermitian part's spectrum
+        return matcore._hermitian_part_spectrum(self.unitary)[::-1]
 
 
 def channel_polar(ch: chn.KrausChannel, strict: bool = False) -> ChannelPolar:
@@ -152,7 +150,7 @@ def is_decoherent(ch: chn.KrausChannel) -> bool:
     a1 = ch.a1
     if np.linalg.norm(a1 - a1.conj().T) > DECOHERENT_TOL:
         return False
-    return bool(np.linalg.eigvalsh((a1 + a1.conj().T) / 2.0)[0] >= -DECOHERENT_TOL)
+    return bool(matcore._hermitian_part_spectrum(a1)[0] >= -DECOHERENT_TOL)
 
 
 @dataclass

@@ -233,7 +233,10 @@ def thm7_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundRepor
 def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[BoundReport]:
     """Orthogonality of the three generator terms (traceless draws) and
     generator preservation under traceless canonicalization (traceful
-    draws)."""
+    draws).  Both records are built here, not by ``make_report``: ``slack``
+    is ``1e-9 - observed``, not the distance to the nearer side, and
+    ``holds`` is the structure's relative orthogonality test (each pairwise
+    |<T_a, T_b>| <= 1e-9 |T_a| |T_b|), or ``observed <= 1e-9``."""
     out = []
     for d, t, rng in _trials(dims, trials, seed):
 
@@ -273,11 +276,10 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Bou
 
 
 SUITES = ("lemmas", "theorems", "appendix", "all")
-# Theorem cases grow steeply in cost with d: five theorem-suite cells at
-# d = 16 take about 12 s on a 2-core VM, most of it in composition and
-# element canonical forms.
-THEOREM_MAX_DIM = 8
-DIM_CAPS = {"theorem": THEOREM_MAX_DIM, "Lindblad": bounds.LINDBLAD_MAX_DIM}
+# The largest d of each capped suite.  Theorem cases grow steeply in cost
+# with d: five theorem-suite cells at d = 16 take about 12 s on a 2-core VM,
+# most of it in composition and element canonical forms.
+DIM_CAPS = {"theorem": 8, "Lindblad": 8}
 
 
 def run_suite(name: str, dims=None, trials: int = 100, seed: int = 0) -> list[BoundReport]:

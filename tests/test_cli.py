@@ -743,18 +743,21 @@ class TestErrorPaths:
     ])
     def test_d1_sweep_exit_3(self, tmp_path, monkeypatch, capsys, family, params):
         """A family built at d = 1 reaches the coherent envelope, which
-        needs d >= 2: a domain error with nothing written."""
+        needs d >= 2: a domain error with nothing written.  ``stochastic_weyl``
+        refuses d = 1 itself (its non-identity weight has no Weyl operator
+        to go to), a parse error."""
+        code, error = (2, "parse") if family == "stochastic_weyl" else (3, "domain")
         monkeypatch.chdir(tmp_path)
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({
             "family": {"family": family, "dim": 1, "params": params, "seed": 0},
             "max_depth": 3,
         }))
-        assert main(["sweep", "--config", str(p), "--out", "rows.csv"]) == 3
+        assert main(["sweep", "--config", str(p), "--out", "rows.csv"]) == code
         cap = capsys.readouterr()
         assert cap.out == ""
         lines = cap.err.splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == error
         assert sorted(x.name for x in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("family, params, dim", [

@@ -46,6 +46,22 @@ def test_every_family_is_cptp(spec):
     assert rep.ok, f"{spec.family}: tp_slack={rep.tp_slack}"
 
 
+# the first spec of each family, for builds at other dimensions
+FIRST_SPECS = {spec.family: spec for spec in reversed(ALL_SPECS)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", genlib.FAMILIES)
+def test_every_family_at_small_d_is_cptp_or_refused(family, d):
+    spec = FIRST_SPECS[family]
+    try:
+        ch = genlib.make_channel(genlib.FamilySpec(family, d, spec.params, spec.seed))
+    except ParamOutOfRange:
+        return
+    rep = chn.validate_cptp(ch)
+    assert rep.ok, f"{family} at d = {d}: tp_slack={rep.tp_slack}"
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("d", [2, 3])
     def test_depolarizing_unitarity(self, d):

@@ -6,17 +6,29 @@ carries the wall clock) and its exit code with the files in
 ``tests/golden/``.  Regenerate them only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Before that, ``--diff`` regenerates every input and output into a temporary
+directory and prints, per golden file, the largest absolute change of each
+numeric field.  It exits 1 if an exit code or a non-numeric field changes,
+or if a number moves by more than ``DIFF_BOUND``:
+
+    PYTHONPATH=src python tests/test_golden.py --diff
 """
 
+import csv
 import hashlib
+import io
 import json
 import math
 import pathlib
+import sys
+import tempfile
+from dataclasses import fields
 
 import pytest
 
 from chanpolar import channel as chn
-from chanpolar import cli, genlib, matcore
+from chanpolar import cli, genlib, matcore, suites
 from chanpolar.cli import main
 from wire_format import choi_to_json, unitary_to_json
 
@@ -125,10 +137,102 @@ def _inputs() -> dict:
     }
 
 
-def _run(name: str, out: pathlib.Path) -> int:
+def _run(name: str, out: pathlib.Path, inputs: pathlib.Path = INPUTS) -> int:
     argv, _ = CASES[name]
-    argv = [a.replace("{inputs}", str(INPUTS)) for a in argv]
+    argv = [a.replace("{inputs}", str(inputs)) for a in argv]
     return main(argv + ["--out", str(out)])
+
+
+def _write_inputs(inputs: pathlib.Path):
+    inputs.mkdir(parents=True, exist_ok=True)
+    for fname, obj in _inputs().items():
+        (inputs / fname).write_text(json.dumps(obj, indent=1) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# the regenerate diff report
+# ---------------------------------------------------------------------------
+
+DIFF_BOUND = 1e-12  # absolute: cancellation gaps near 1e-9 move far more relatively
+# CSV columns written as 0/1 flags, compared as labels
+FLAG_COLUMNS = {f.name for rec in (matcore.BoundReport, suites.SweepRow, suites.SigmaProfile)
+                for f in fields(rec) if f.type == "bool"}
+
+
+def _json_fields(obj, path=""):
+    """(field, value) of every leaf; a field is its path of object keys, so
+    the entries of a list (matrices, [re, im] pairs, spectra) share one."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _json_fields(val, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for val in obj:
+            yield from _json_fields(val, path)
+    else:
+        yield path, obj
+
+
+def _csv_fields(text: str):
+    """(column, cell) of every cell after a header field; a cell is a float
+    where it parses as one, outside the flag columns."""
+    header, *rows = csv.reader(io.StringIO(text))
+    yield "header", ",".join(header)
+    for row in rows:
+        for col, cell in zip(header, row):
+            try:
+                yield col, cell if col in FLAG_COLUMNS else float(cell)
+            except ValueError:
+                yield col, cell
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def compare_fields(old, new) -> tuple[dict, list]:
+    """``({field: largest |new - old|}, [fields whose non-numeric value
+    changed])`` of two ``(field, value)`` sequences; a different field
+    layout is reported as the change ``"layout"``."""
+    old, new = list(old), list(new)
+    if [f for f, _ in old] != [f for f, _ in new]:
+        return {}, ["layout"]
+    moves, changed = {}, []
+    for (name, a), (_, b) in zip(old, new):
+        if _is_number(a) and _is_number(b):
+            move = 0.0 if a == b or (math.isnan(a) and math.isnan(b)) else abs(a - b)
+            moves[name] = max(moves.get(name, 0.0), math.inf if math.isnan(move) else move)
+        elif type(a) is not type(b) or a != b:
+            changed.append(name)
+    return moves, changed
+
+
+def _file_fields(path: pathlib.Path):
+    text = path.read_text()
+    return _csv_fields(text) if path.suffix == ".csv" else _json_fields(json.loads(text))
+
+
+def diff_report() -> int:
+    """Print the regenerate diff report; 1 if any change is out of bounds."""
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        _write_inputs(tmp / "inputs")
+        pairs = [(f"inputs/{f}", None, None) for f in sorted(_inputs())]
+        for name in sorted(CASES):
+            code = _run(name, tmp / name, tmp / "inputs")
+            pairs.append((name, code, CASES[name][1]))
+        for name, code, expected in pairs:
+            moves, changed = compare_fields(_file_fields(GOLDEN / name),
+                                            _file_fields(tmp / name))
+            if code != expected:
+                changed.insert(0, f"exit code {expected} -> {code}")
+            bad = changed + [f for f, m in moves.items() if not m <= DIFF_BOUND]
+            failed = failed or bool(bad)
+            print(f"{name}: {'CHANGED ' + ', '.join(bad) if bad else 'ok'}")
+            for field, move in moves.items():
+                print(f"  {field}: {move:.3g}")
+    print("FAIL" if failed else f"every golden within {DIFF_BOUND:g}")
+    return int(failed)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -178,10 +282,40 @@ def test_verify_benchmark_units(seed, ordered, tmp_path, capsys, monkeypatch):
     assert calls == [9] * ordered
 
 
+class TestDiffComparator:
+    """The field comparator of the ``--diff`` report on synthetic pairs."""
+
+    OLD = {"phi": 0.5, "pairs": [[1.0, -0.0], [0.25, 1e-9]], "holds": True, "label": "A"}
+
+    def compare(self, **changes):
+        return compare_fields(_json_fields(self.OLD), _json_fields(dict(self.OLD, **changes)))
+
+    def test_move_within_the_bound(self):
+        moves, changed = self.compare(pairs=[[1.0, 0.0], [0.25, 1e-9 + 5e-13]])
+        assert changed == [] and moves["phi"] == 0.0
+        assert 0.0 < moves["pairs"] <= DIFF_BOUND
+
+    def test_move_over_the_bound(self):
+        moves, changed = self.compare(phi=0.5 + 2e-12)
+        assert changed == [] and moves["phi"] > DIFF_BOUND
+
+    def test_flipped_bool(self):
+        assert self.compare(holds=False)[1] == ["holds"]
+        assert self.compare(holds=1)[1] == ["holds"]  # not a number: its type moved
+
+    def test_changed_label_and_layout(self):
+        assert self.compare(label="B")[1] == ["label"]
+        assert self.compare(pairs=[[1.0, 0.0]])[1] == ["layout"]
+
+    def test_csv_flags_compare_as_labels(self):
+        text = "case_id,observed,holds\nx,0.5,1\n"
+        moves, changed = compare_fields(_csv_fields(text),
+                                        _csv_fields(text.replace(",1\n", ",0\n")))
+        assert changed == ["holds"] and moves == {"observed": 0.0}
+
+
 def regenerate():
-    INPUTS.mkdir(parents=True, exist_ok=True)
-    for fname, obj in _inputs().items():
-        (INPUTS / fname).write_text(json.dumps(obj, indent=1) + "\n")
+    _write_inputs(INPUTS)
     for name in sorted(CASES):
         out = GOLDEN / name
         code = _run(name, out)
@@ -192,4 +326,6 @@ def regenerate():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        raise SystemExit(diff_report())
     regenerate()
