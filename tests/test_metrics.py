@@ -232,6 +232,88 @@ class TestMonteCarlo:
             metrics.haar_fidelity_mc(genlib.identity_channel(2), n_samples=10, seed=0)
 
 
+# Kraus counts 1, 4, d^2 and d; amplitude damping is checked against a
+# non-identity target.
+MC_FAMILIES = {
+    "unitary_error": (lambda d: genlib.random_unitary_error(d, 0.3, 5), False),
+    "cptp_rank4": (lambda d: genlib.random_cptp(d, 4, 6, 0.3), False),
+    "depolarizing": (lambda d: genlib.depolarizing(d, 0.9), False),
+    "amplitude_damping": (lambda d: genlib.amplitude_damping(d, 0.19), True),
+}
+
+# float.hex of (fidelity estimate, its stderr, unitarity estimate, its
+# stderr) at n_samples=2000, seed=20
+MC_PINS = {
+    ("unitary_error", 2): ("0x1.ea7ed9f59c6acp-1", "0x1.bdb791cafc9b6p-12",
+                           "0x1.0000000000004p+0", "0x1.7105b48f051a1p-57"),
+    ("unitary_error", 3): ("0x1.ec3d0da0cb093p-1", "0x1.984b23c109b64p-12",
+                           "0x1.fffffffffffeep-1", "0x1.b6b8a72afb9edp-57"),
+    ("unitary_error", 8): ("0x1.f0d76e10fac56p-1", "0x1.e2fbaa11422aap-13",
+                           "0x1.0000000000000p+0", "0x1.8c1a93aa172f9p-56"),
+    ("cptp_rank4", 2): ("0x1.f8f2d7aa31106p-1", "0x1.14ea6ead1d92cp-13",
+                        "0x1.ea7dead96893cp-1", "0x1.fe7a8ebdea055p-13"),
+    ("cptp_rank4", 3): ("0x1.f66067e4bf617p-1", "0x1.19b8c55f206d5p-13",
+                        "0x1.efd92c5a5c84ep-1", "0x1.83e61fc26de6bp-13"),
+    ("cptp_rank4", 8): ("0x1.f3834ba2b97d9p-1", "0x1.a3c7468a74536p-14",
+                        "0x1.eac8819c3a851p-1", "0x1.7b57adfbaf023p-13"),
+    ("depolarizing", 2): ("0x1.e666666666666p-1", "0x1.17f14897ca2d2p-57",
+                          "0x1.9eb851eb851eep-1", "0x1.1c1fa0ae9337bp-57"),
+    ("depolarizing", 3): ("0x1.ddddddddddddfp-1", "0x1.2bd6e8ecd6b55p-57",
+                          "0x1.9eb851eb851ecp-1", "0x1.1d3c8988c2437p-57"),
+    ("depolarizing", 8): ("0x1.d333333333333p-1", "0x1.8bf0de95daac7p-57",
+                          "0x1.9eb851eb851eep-1", "0x1.37fc886a2e5eap-57"),
+    ("amplitude_damping", 2): ("0x1.1f48b277701eep-1", "0x1.07d40db4f70d8p-8",
+                               "0x1.8b62884d664d6p-1", "0x1.07715a73c3b82p-10"),
+    ("amplitude_damping", 3): ("0x1.48035cae14c7dp-2", "0x1.05325c2925f5bp-8",
+                               "0x1.7bec3ebe5c23cp-1", "0x1.991a9ede1cc92p-11"),
+    ("amplitude_damping", 8): ("0x1.efab53b6b75e4p-4", "0x1.0c25b4da0574ep-9",
+                               "0x1.63f8ff78412e1p-1", "0x1.20b6e00e3d51cp-11"),
+}
+
+# the same four values for amplitude_damping(2, 0.19) without a target,
+# at n_samples=2000, for every form of seed that Philox takes
+MC_SEED_PINS = {
+    "int": (3, ("0x1.df5b3b4081d0cp-1", "0x1.48c4247752463p-10",
+                "0x1.8a9d3bd35be71p-1", "0x1.0eff3e7c68d4dp-10")),
+    "np.int64": (np.int64(3), ("0x1.df5b3b4081d0cp-1", "0x1.48c4247752463p-10",
+                               "0x1.8a9d3bd35be71p-1", "0x1.0eff3e7c68d4dp-10")),
+    "float": (3.0, ("0x1.df5b3b4081d0cp-1", "0x1.48c4247752463p-10",
+                    "0x1.8a9d3bd35be71p-1", "0x1.0eff3e7c68d4dp-10")),
+    "2**70": (2**70, ("0x1.dfdae59f23214p-1", "0x1.459ea614e3626p-10",
+                      "0x1.8ab05cfb5a959p-1", "0x1.0d2801f4ad133p-10")),
+    "list": ([1, 2], ("0x1.ddea373778246p-1", "0x1.4c720af9a5a26p-10",
+                      "0x1.8ac9044ccf792p-1", "0x1.0a13c7ead9555p-10")),
+}
+
+
+def _mc_hex(ch, target, seed, n_samples=2000):
+    f = metrics.haar_fidelity_mc(ch, target, n_samples=n_samples, seed=seed)
+    u = metrics.haar_unitarity_mc(ch, n_samples=n_samples, seed=seed)
+    return (f.estimate.hex(), f.stderr.hex(), u.estimate.hex(), u.stderr.hex())
+
+
+def _mc_case(name, d):
+    build, targeted = MC_FAMILIES[name]
+    return build(d), genlib.random_unitary(d, 9) if targeted else None
+
+
+class TestMonteCarloBits:
+    """The estimators' bits, recorded before the Haar-state memo existed."""
+
+    @pytest.mark.parametrize("name, d", MC_PINS, ids=[f"{n}-{d}" for n, d in MC_PINS])
+    def test_estimates_pinned(self, name, d):
+        assert _mc_hex(*_mc_case(name, d), seed=20) == MC_PINS[name, d]
+
+    @pytest.mark.parametrize("seed, pins", MC_SEED_PINS.values(), ids=MC_SEED_PINS)
+    def test_seed_forms_pinned(self, seed, pins):
+        assert _mc_hex(genlib.amplitude_damping(2, 0.19), None, seed) == pins
+
+    @pytest.mark.parametrize("call", [metrics.haar_fidelity_mc, metrics.haar_unitarity_mc])
+    def test_negative_seed_refused_by_philox(self, call):
+        with pytest.raises(ValueError, match="key must be positive"):
+            call(genlib.identity_channel(2), n_samples=100, seed=-1)
+
+
 REFUSALS = {
     "target shape": (
         lambda: metrics.phi(genlib.identity_channel(2), np.eye(3)),
