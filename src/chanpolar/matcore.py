@@ -252,8 +252,8 @@ def polar_decompose(a) -> MatrixPolar:
             um, _, vmh = np.linalg.svd(wn.conj().T @ un)
             np.matmul(ui[:, :r], wh[i][:r, :], out=v[i])
             v[i] += un @ (um @ vmh).conj().T @ wn.conj().T
-    psd = (w * s[..., None, :]) @ np.conj(w).swapaxes(-1, -2)
-    psd = (psd + np.conj(psd).swapaxes(-1, -2)) / 2.0
+    psd = (w * s[..., None, :]) @ wh  # wh holds W^dag's values in its C layout
+    np.divide(np.add(psd, np.conj(psd).swapaxes(-1, -2), out=psd), 2.0, out=psd)
     phase, fixed = _trace_phase(v)
     np.multiply(v, np.conj(phase)[..., None, None], out=v, where=fixed[..., None, None])
     if a.ndim == 2:

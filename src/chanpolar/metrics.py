@@ -9,6 +9,7 @@ just the canonical one) gives the same value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -188,19 +189,27 @@ class McEstimate:
     seed: int
 
 
-def _haar_states(d: int, n: int, seed: int) -> np.ndarray:
-    """n Haar-random pure states as rows.
+def _philox_key(seed) -> tuple:
+    """Philox's two key words for ``seed``: hashable for every seed it takes."""
+    return tuple(np.random.Philox(key=seed).state["state"]["key"].tolist())
+
+
+@functools.lru_cache(maxsize=1)
+def _haar_states(d: int, n: int, key: tuple) -> np.ndarray:
+    """n Haar-random pure states as rows, read-only.
 
     Row i is built from normals 2d*i to 2d*i + 2d - 1 of a Philox stream
     keyed by the seed, drawn in order, so it depends only on (seed, d, i).
     It does not sit at a fixed counter offset: the ziggurat sampler uses a
     variable number of random words per normal (400,000 normals advance
-    the counter by 102,205 four-word blocks, not 100,000).
+    the counter by 102,205 four-word blocks, not 100,000).  The memo keeps
+    the last n x d array, so consecutive calls with one key share a draw.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.standard_normal((n, 2 * d))
+    z = np.random.Generator(np.random.Philox(key=key)).standard_normal((n, 2 * d))
     psi = z[:, :d] + 1j * z[:, d:]
-    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    psi.setflags(write=False)
+    return psi
 
 
 def haar_fidelity_mc(
@@ -209,18 +218,16 @@ def haar_fidelity_mc(
     """Monte Carlo average gate fidelity over Haar-random pure states.
 
     The per-sample statistic is f_{|psi><psi|}(A, U); its Haar mean is the
-    average gate fidelity F by definition.
+    average gate fidelity F by definition.  It shares its Haar states with
+    the previous estimator call of the same d, n_samples and seed.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     d = ch.dim
     u = _check_target(target, d)
-    psi = _haar_states(d, n_samples, seed)
-    ref = psi @ u.T  # rows are U|psi>
-    tot = np.zeros(n_samples)
-    for a in ch.kraus:
-        amp = np.einsum("nj,nj->n", ref.conj(), psi @ a.T)
-        tot += np.abs(amp) ** 2
+    psi = _haar_states(d, n_samples, _philox_key(seed))
+    ref = (psi @ u.T).conj()  # rows are <psi|U^dag
+    tot = sum(np.abs(np.einsum("nj,nj->n", ref, psi @ a.T)) ** 2 for a in ch.kraus)
     est = float(tot.mean())
     stderr = float(tot.std(ddof=1) / np.sqrt(n_samples))
     return McEstimate(estimate=est, stderr=stderr, n_samples=n_samples, seed=seed)
@@ -236,14 +243,17 @@ def haar_unitarity_mc(
     captures the unital block only, so the exact non-unital contribution
     ||A(I) - I||^2 / (d (d^2 - 1)) is added as a constant offset; the
     estimator's expectation then equals (d^2 Upsilon^2 - 1)/(d^2 - 1)
-    for every channel (the offset vanishes for unital ones).
+    for every channel (the offset vanishes for unital ones).  It shares its
+    Haar states with the previous estimator call of the same d, n_samples
+    and seed; like :func:`unitarity`, it refuses d = 1.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     d = ch.dim
+    unitarity(1.0, d)  # refuses d = 1 before any state is drawn
     k = ch.kraus
-    psi = _haar_states(d, n_samples, seed)
-    imgs = np.stack([psi @ a.T for a in k])  # (k, n, d)
+    psi = _haar_states(d, n_samples, _philox_key(seed))
+    imgs = np.matmul(psi, k.swapaxes(1, 2))  # (k, n, d)
     out = np.einsum("kni,knj->nij", imgs, imgs.conj())
     a_id = np.einsum("kij,klj->il", k, k.conj())  # A(I)
     out -= a_id[np.newaxis, :, :] / d

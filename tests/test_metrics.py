@@ -1,11 +1,12 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from chanpolar import channel as chn
 from chanpolar import genlib, metrics, suites
-from chanpolar.errors import TargetNotUnitary
+from chanpolar.errors import DimensionMismatch, TargetNotUnitary
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -312,6 +313,54 @@ class TestMonteCarloBits:
     def test_negative_seed_refused_by_philox(self, call):
         with pytest.raises(ValueError, match="key must be positive"):
             call(genlib.identity_channel(2), n_samples=100, seed=-1)
+
+    @pytest.mark.parametrize("name, d", [("cptp_rank4", 3), ("amplitude_damping", 8)])
+    @pytest.mark.parametrize("order", ["fu", "uf"])
+    def test_memo_cold_or_warm_in_either_order(self, name, d, order):
+        ch, target = _mc_case(name, d)
+        calls = {
+            "f": (lambda: metrics.haar_fidelity_mc(ch, target, n_samples=2000, seed=20), 0),
+            "u": (lambda: metrics.haar_unitarity_mc(ch, n_samples=2000, seed=20), 2),
+        }
+        metrics._haar_states.cache_clear()
+        for kind in order + order:  # the first call is cold, the rest warm
+            call, at = calls[kind]
+            est = call()
+            assert (est.estimate.hex(), est.stderr.hex()) == MC_PINS[name, d][at:at + 2]
+        assert metrics._haar_states.cache_info().misses == 1
+
+    def test_memo_serves_only_its_own_key(self):
+        key = metrics._philox_key(20)
+        cached = metrics._haar_states(3, 2000, key)
+        for d, n, seed in ((2, 2000, 20), (3, 2001, 20), (3, 2000, 21), (3, 2000, [20, 1])):
+            got = metrics._haar_states(d, n, metrics._philox_key(seed))
+            fresh = metrics._haar_states.__wrapped__(d, n, metrics._philox_key(seed))
+            assert got is not cached and got.shape == (n, d)
+            assert got.tobytes() == fresh.tobytes()
+            cached = got
+
+    def test_equal_seed_forms_share_one_draw(self):
+        metrics._haar_states.cache_clear()
+        states = [metrics._haar_states(2, 2000, metrics._philox_key(s))
+                  for s in (3, np.int64(3), 3.0, [3, 0])]
+        assert all(s is states[0] for s in states)
+        assert metrics._haar_states.cache_info().misses == 1
+
+    def test_states_are_read_only(self):
+        psi = metrics._haar_states(2, 100, metrics._philox_key(0))
+        with pytest.raises(ValueError, match="read-only"):
+            psi[0, 0] = 0.0
+
+    def test_unitarity_refuses_d1_before_drawing(self):
+        ch = genlib.identity_channel(1)
+        metrics._haar_states.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch) as info:
+                metrics.haar_unitarity_mc(ch, n_samples=100, seed=0)
+            assert str(info.value) == "unitarity needs d >= 2 (d^2 - 1 = 0 at d = 1)"
+            assert metrics._haar_states.cache_info().misses == 0
+            assert metrics.haar_fidelity_mc(ch, n_samples=100, seed=0).estimate == 1.0
 
 
 REFUSALS = {
