@@ -409,13 +409,13 @@ def _thm8_terms(s_star, phi_vstar, sum_cross, gamma_d, gamma_c, phi_v, pert_sum)
     """The five summands t1..t5 of the Thm 8 envelope and their sum, added
     left to right: S*^2/2, (1 - Phi(V A*)) S*, sum_cross,
     2 gamma_d gamma_c (1 - sqrt Phi(V)) P and gamma_d^2 P^2, where P is the
-    summed per-element perturbation."""
+    summed per-element perturbation; all but gamma_d may be 1-d arrays."""
     terms = (
-        0.5 * s_star**2,
+        0.5 * matcore._squares(s_star),
         (1.0 - phi_vstar) * s_star,
         sum_cross,
         2.0 * gamma_d * gamma_c * (1.0 - np.sqrt(phi_v)) * pert_sum,
-        gamma_d**2 * pert_sum**2,
+        gamma_d**2 * matcore._squares(pert_sum),
     )
     t1, t2, t3, t4, t5 = terms
     return terms, t1 + t2 + t3 + t4 + t5
@@ -537,9 +537,8 @@ def coherent_envelope(
     x, arcs = _envelope_angles(ratios, d)
     ups_prod = float(np.prod(upsilons)) if upsilons is not None else 1.0
     lower, capped = _envelope_lower(float(np.sum(arcs)), d)
-    return EnvelopeBounds(
-        lower=lower * ups_prod, upper=ups_prod, clipped=bool(np.any(x > 1.0)) or capped
-    )
+    return EnvelopeBounds(lower=float(lower) * ups_prod, upper=ups_prod,
+                          clipped=bool(np.any(x > 1.0)) or capped)
 
 
 def _envelope_angles(ratios, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -557,17 +556,16 @@ def _envelope_angles(ratios, d: int) -> tuple[np.ndarray, np.ndarray]:
     return x, np.arccos(root if d % 2 == 0 else (d * root - 1.0) / (d - 1.0))
 
 
-def _envelope_lower(total: float, d: int) -> tuple[float, bool]:
+def _envelope_lower(total, d: int):
     """(lower envelope before the Upsilon product, whether it was clamped)
-    of an angle total; a total at or past the angle where the envelope
-    reaches zero is clamped to that angle."""
+    of an angle total or a 1-d array of them; a total at or past the angle
+    where the envelope reaches zero is clamped to that angle."""
     cap = np.pi / 2.0 if d % 2 == 0 else float(np.arccos(-1.0 / (d - 1.0)))
     capped = total >= cap
-    if capped:
-        total = cap
+    total = np.minimum(total, cap)
     if d % 2 == 0:
-        return float(np.cos(total) ** 2), capped
-    return float(((d - 1.0) * np.cos(total) + 1.0) ** 2 / d**2), capped
+        return matcore._squares(np.cos(total)), capped
+    return matcore._squares((d - 1.0) * np.cos(total) + 1.0) / d**2, capped
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import operator
+import re
 import sys
 import time
 import traceback
@@ -188,38 +188,50 @@ def _write_manifest(out_path: str, command: str, config: dict, seed, notes, t0: 
         fh.write("\n")
 
 
-def _csv(header, rows) -> str:
-    """CSV text of a header row and rows of formatted cells."""
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search  # csv.writer quotes no other cell
+
+
+def _quoted(cell: str) -> str:
+    """A str cell as csv.writer writes it next to other cells."""
+    if not _NEEDS_QUOTES(cell):
+        return cell
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow((cell, ""))
+    return buf.getvalue()[:-2]
 
 
-# {declared field type: column formatter}, each cell equal to its _fmt
+def _csv(header, formats, rows) -> str:
+    """CSV text of a header row and rows of cells, the bytes csv.writer
+    writes: a row's cells fill the columns' %-formats, its str cells already
+    through :func:`_quoted`."""
+    line = ",".join(formats) + "\n"
+    body = map(line.__mod__, rows)
+    if line == "%s\n":  # csv.writer quotes a row's lone empty cell
+        body = ('""\n' if r == "\n" else r for r in body)
+    return ",".join(map(_quoted, header)) + "\n" + "".join(body)
+
+
+# {declared field type: (%-format, column conversion)}, each cell equal to
+# its _fmt ('%.17g' % x is format(x, '.17g'), '%d' % n is str(n))
 _COLUMN_FORMATS = {
-    "str": lambda col: col,
-    "bool": lambda col: map("01".__getitem__, map(bool, col)),
-    "int": lambda col: map(str, map(int, col)),
-    "float": lambda col: map(format, map(float, col), itertools.repeat(".17g")),
+    "str": ("%s", lambda col: map(_quoted, col)),
+    "bool": ("%d", lambda col: map(bool, col)),
+    "int": ("%d", lambda col: map(int, col)),
+    "float": ("%.17g", lambda col: map(float, col)),
 }
+_ANY_FORMAT = ("%s", lambda col: map(_quoted, map(_fmt, col)))
 
 
 def _records_csv(record_type, columns, records) -> str:
     """CSV text with one row per record, each cell the named field's value.
 
-    Each column's formatter is picked once, from the field's declared type
+    Each column's format is picked once, from the field's declared type
     (:func:`_fmt` for any other type), and the rows are formatted lazily as
-    the writer takes them, never as a whole table."""
+    the text is joined, never as a whole table of cells."""
     kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(record_type)}
-    cols = (
-        _COLUMN_FORMATS.get(kinds[c], lambda col: map(_fmt, col))(
-            map(operator.attrgetter(c), records)
-        )
-        for c in columns
-    )
-    return _csv(columns, zip(*cols))
+    formats, convs = zip(*(_COLUMN_FORMATS.get(kinds[c], _ANY_FORMAT) for c in columns))
+    cols = (conv(map(operator.attrgetter(c), records)) for c, conv in zip(columns, convs))
+    return _csv(columns, formats, zip(*cols))
 
 
 def _emit(payload: str, out_path: str | None):
@@ -402,10 +414,11 @@ def _cmd_sweep(args) -> _Result:
             element, args.kappa if args.kappa is not None else float(val["kappa"])
         )
         summary = [_fmt(getattr(prof, c)) for c in _PROFILE_SUMMARY]
-        table = [["sigma", str(i), _fmt(x)] + [""] * len(summary)
+        table = [("sigma", str(i), _fmt(x)) + ("",) * len(summary)
                  for i, x in enumerate(prof.sigma)]
-        table.append(["summary", "", ""] + summary)
-        return _Result(_csv(_PROFILE_COLUMNS, table), cfg, fam.seed, notes)
+        table.append(("summary", "", "", *summary))  # no cell needs csv quotes
+        payload = _csv(_PROFILE_COLUMNS, ("%s",) * len(_PROFILE_COLUMNS), table)
+        return _Result(payload, cfg, fam.seed, notes)
     rows = suites.composition_sweep(element, val["max_depth"])
     columns = _SWEEP_COLUMNS
     if val["metrics"] is not None:  # depth, then the named columns in table order

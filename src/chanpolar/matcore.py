@@ -21,12 +21,14 @@ single path used ``abs()`` a stack uses ``np.hypot(re, im)``, and where it
 used ``np.abs`` (the column phases of :func:`hermitian_eig`) it keeps
 ``np.abs``, which ``hypot`` does not match; ``np.linalg.norm(...,
 axis=(-2, -1))`` differs from each matrix's norm, so the Hermiticity check
-(like Upsilon in ``metrics``) keeps one norm per matrix.
+(like Upsilon in ``metrics``) keeps one norm per matrix.  A scalar's ``** 2``
+is libm ``pow`` and an array's x * x, so :func:`_squares` squares an array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -84,6 +86,11 @@ def _hermitian_part_spectrum(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part (A + A^dag) / 2 over the
     leading axes."""
     return np.linalg.eigvalsh((a + np.conj(a).swapaxes(-1, -2)) / 2.0)
+
+
+def _squares(x):
+    """``x ** 2`` of a scalar, or of each item of a 1-d array as a scalar."""
+    return x**2 if np.ndim(x) == 0 else np.array(list(map(pow, x.tolist(), repeat(2))))
 
 
 def _expi_eig(w: np.ndarray, v: np.ndarray, scale) -> np.ndarray:

@@ -10,6 +10,7 @@ so results are independent of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -333,14 +334,18 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
     are still emitted and flagged.
 
     The envelope's checks run once, before any row: a d = 1 element raises
-    here.  Its angles are built once (the elements are identical), and
-    depth m sums the first m of them.  The depths run in blocks of 256:
-    only S^m = S S^(m-1) and the P^m chain (the conjugated decoherent
-    factors) step one depth at a time, and the block's V^m, its coherence
-    constants and the traces of V^m and V^m P^m are stacked numpy calls.
-    Each row's scalars are then Python float arithmetic that rounds like
-    the one-depth-at-a-time formulas, so the rows are bit for bit theirs.
-    The working memory is O(256 d^2 + d^4) besides the rows.
+    here.  Its angles are built once (the elements are identical).  The
+    depths run in blocks of 256, and per depth only three matrix chains
+    step, V^m = V V^(m-1) and P^m (the conjugated decoherent factors) into
+    the block's stacks and S^m = S S^(m-1) into a buffer of at most 1 MB
+    of powers (256 at d <= 4, 16 at d = 8) but at least two, so that no
+    power overwrites its factor; and depth m sums the first m angles.  All
+    else is numpy arrays over the block: the coherence constants, the
+    traces of V^m, V^m P^m and S^m, the norms of S^m and every row scalar.
+    Each array operation rounds like the scalar one of the per-depth
+    formulas (squares and powers go through libm ``pow``, as Python floats
+    do), so the rows are bit for bit theirs.  The working memory is
+    O(256 d^2 + d^4) besides the rows.
     """
     d = element.dim
     pol = channel_polar(element)
@@ -350,7 +355,7 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
     if ratio > 0.5:
         arcs = bounds._envelope_angles(np.full(max_depth, ratio), d)[1]
         # multiply-reduce is sequential: entry m - 1 is np.prod of m copies
-        ups_prods = np.cumprod(np.full(max_depth, ups_e)).tolist()
+        ups_prods = np.cumprod(np.full(max_depth, ups_e))
     w1 = element.w1
     sigma = pol.singular_values
     mean_sigma = float(np.mean(sigma))
@@ -366,12 +371,14 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
     rows = []
     # V^m for the depths of one block, overwritten block after block
     v_buf = np.empty((min(_SWEEP_BLOCK, max_depth), d, d), dtype=np.complex128)
+    n_s = min(max(2, 2**20 // s_el.nbytes), _SWEEP_BLOCK, max_depth)  # S^m per 1 MB
     for start in range(0, max_depth, _SWEEP_BLOCK):
         n = min(_SWEEP_BLOCK, max_depth - start)
+        ms = range(start + 1, start + n + 1)
         v_pows = v_buf[:n]
         for v_k in v_pows:
             v_m = np.matmul(v, v_m, out=v_k)
-        gammas_c = bounds._wse_coh_constant(v_pows).tolist()
+        gamma_c = bounds._wse_coh_constant(v_pows)
         # V^m† P V^m, each then overwritten by P^m; the stack is dropped
         # before the next block's coherence constants, so that the peak
         # memory stays theirs
@@ -379,46 +386,40 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
         for p_k in p_pows:
             p_m = np.matmul(p_k, p_m, out=p_k)
         p_m = p_m.copy()
-        # |tr| by np.hypot rounds like abs() of a complex scalar, and a
-        # Python float's ** 2 like a numpy scalar's (an array's may not)
         tr_v = np.trace(v_pows, axis1=-2, axis2=-1)
         tr_vp = np.trace(v_pows @ p_pows, axis1=-2, axis2=-1)
-        del p_pows
-        abs_v = np.hypot(tr_v.real, tr_v.imag).tolist()
-        abs_vp = np.hypot(tr_vp.real, tr_vp.imag).tolist()
-        for m, gamma_c, t_v, t_vp in zip(
-            range(start + 1, start + n + 1), gammas_c, abs_v, abs_vp
-        ):
-            s_m = s_el @ s_m
-            phi_m = float(s_m.trace().real) / d**2
-            flat = s_m.ravel()  # np.linalg.norm(s_m), in its own dot form
-            re, im = flat.real, flat.imag
-            ups_m = float(np.sqrt(re.dot(re) + im.dot(im))) / d
-            phi_vm = t_v**2 / d**2
-            centre = phi_vm * phi_d**m
-            s_star = m * (1.0 - w1)
-            pert_sum = m * (1.0 - mean_sigma)
-            band = bounds._thm8_terms(
-                s_star, t_vp**2 / d**2, s_star * (1.0 - phi_d),
-                gamma_d, gamma_c, phi_vm, pert_sum,
-            )[1]
-            coh_lower = 0.0
-            if ratio > 0.5:
-                coh_lower = bounds._envelope_lower(float(arcs[:m].sum()), d)[0]
-                coh_lower *= ups_prods[m - 1]
-            rows.append(
-                SweepRow(
-                    depth=m,
-                    phi=phi_m,
-                    upsilon_envelope=ups_e**m,
-                    thm8_centre=centre,
-                    thm8_lower=centre - band,
-                    thm8_upper=centre + band,
-                    coherent_lower=coh_lower,
-                    non_catastrophic=bool(metrics._nc_regime(phi_m, ups_m)),
-                    contained=bool(abs(phi_m - centre) <= band + matcore.HOLDS_TOL),
-                )
-            )
+        del p_pows, p_k
+        # |tr| by np.hypot rounds like abs() of a complex scalar
+        phi_v = matcore._squares(np.hypot(tr_v.real, tr_v.imag)) / d**2
+        phi_vstar = matcore._squares(np.hypot(tr_vp.real, tr_vp.imag)) / d**2
+        phi_m, ups_m = np.empty(n), np.empty(n)
+        s_buf = np.empty((n_s,) + s_el.shape, dtype=np.complex128)
+        for at in range(0, n, n_s):
+            s_pows = s_buf[:min(n_s, n - at)]
+            for s_k in s_pows:
+                s_m = np.matmul(s_el, s_m, out=s_k)
+            phi_m[at:at + n_s] = np.trace(s_pows, axis1=-2, axis2=-1).real / d**2
+            flat = s_pows.reshape(len(s_pows), -1)  # each np.linalg.norm(S^m)
+            re, im = flat.real, flat.imag  # in its own dot form
+            ups_m[at:at + n_s] = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)) / d
+        s_m = s_m.copy()  # like P^m: the buffer goes before the next block's stacks
+        del s_buf, s_pows, s_k, flat, re, im
+        centre = phi_v * np.array(list(map(pow, repeat(phi_d), ms)))
+        s_star = np.array(ms) * (1.0 - w1)
+        pert_sum = np.array(ms) * (1.0 - mean_sigma)
+        band = bounds._thm8_terms(
+            s_star, phi_vstar, s_star * (1.0 - phi_d), gamma_d, gamma_c, phi_v, pert_sum
+        )[1]
+        coh_lower = np.zeros(n)
+        if ratio > 0.5:  # each prefix by numpy's pairwise sum, as a single call
+            totals = np.array([arcs[:m].sum() for m in ms])
+            coh_lower = bounds._envelope_lower(totals, d)[0] * ups_prods[start:start + n]
+        rows += map(  # the fields in SweepRow order
+            SweepRow, ms, phi_m.tolist(), map(pow, repeat(ups_e), ms), centre.tolist(),
+            (centre - band).tolist(), (centre + band).tolist(), coh_lower.tolist(),
+            map(metrics._nc_regime, phi_m.tolist(), ups_m.tolist()),
+            (np.abs(phi_m - centre) <= band + matcore.HOLDS_TOL).tolist(),
+        )
     return rows
 
 

@@ -481,6 +481,20 @@ class TestLindblad:
                     worst = max(worst, abs(ip) / denom)
             assert st.worst_overlap == worst
 
+    def test_overlapping_terms_are_not_orthogonal(self):
+        # below unit norm the traceless check allows |tr L| up to 1e-9 in
+        # absolute terms, which is large next to a 1e-6 operator: the trace
+        # 9e-10 i makes the Hamiltonian and jump terms overlap by about 6e-4
+        lop = 1e-6 * Z + 4.5e-10j * I2
+        st = bounds.lindblad_structure(
+            bounds.LindbladSpec(dim=2, hamiltonian=Z, lindblad_ops=[lop])
+        )
+        assert not st.orthogonal
+        assert st.worst_overlap > 1e-9
+        assert abs(st.inner_products["hamiltonian.jump"]) > 1e-9 * (
+            np.linalg.norm(st.term_hamiltonian) * np.linalg.norm(st.term_jump)
+        )
+
     def test_traceful_rejected(self):
         spec = bounds.LindbladSpec(dim=2, hamiltonian=Z, lindblad_ops=[np.eye(2)])
         with pytest.raises(NotTraceless):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import warnings
 from pathlib import Path
@@ -409,10 +410,15 @@ class _Cells:
 _CellsTyped = dataclasses.make_dataclass(  # field types as classes, not strings
     "_CellsTyped", [("name", str), ("count", int), ("value", float), ("flag", bool)]
 )
+_CellsAny = dataclasses.make_dataclass(  # types without a column format: _fmt
+    "_CellsAny", [("name", object), ("count", "int | None"), ("value", object),
+                  ("flag", object)]
+)
 
 
 class TestRecordsCsv:
-    """The column-wise CSV writer equals one _fmt call per cell."""
+    """The %-format CSV writer equals one _fmt call per cell written by
+    csv.writer."""
 
     RECORDS = [
         ("a", 3, 0.1, True),
@@ -423,17 +429,27 @@ class TestRecordsCsv:
         ("1e5", True, np.float64(1.0) / 3.0, True),
         ("n", 2, 7, np.False_),  # an int in a float column
         ("m", 4, True, False),  # a bool in a float column
+        ("cr\rlf\n", np.int64(2**62), float("-inf"), np.bool_(True)),
+        ("\r", -(2**70), 5e-324, False),
+        ("\n", 0, 1.7976931348623157e308, True),
+        ('","', np.int64(-1), np.float64(-0.0), np.True_),
+        ("100%s", 1, np.float64(np.nan), False),
+        ("", np.int64(5), np.int64(-3), np.bool_(False)),  # numpy ints and bools
+        (" ", 6, np.bool_(True), True),  # in the float column
     ]
 
     @staticmethod
     def _per_cell(columns, records):
-        return cli._csv(
-            columns, ([cli._fmt(getattr(r, c)) for c in columns] for r in records)
-        )
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([cli._fmt(getattr(r, c)) for c in columns] for r in records)
+        return buf.getvalue()
 
-    @pytest.mark.parametrize("record_type", [_Cells, _CellsTyped])
+    @pytest.mark.parametrize("record_type", [_Cells, _CellsTyped, _CellsAny])
     @pytest.mark.parametrize("columns", [
         ("name", "count", "value", "flag"), ("flag", "value"), ("count",),
+        ("name",), ("value",), ("flag",), ("value", "name"),
     ])
     def test_equals_per_cell_fmt(self, record_type, columns):
         records = [record_type(*cells) for cells in self.RECORDS]
@@ -441,8 +457,32 @@ class TestRecordsCsv:
             columns, records
         )
 
+    @pytest.mark.parametrize("x", [
+        float("inf"), float("-inf"), float("nan"), -0.0, 0.0, 5e-324, -5e-324,
+        2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3, 1e16, 1e17,
+        123456789012345680.0, np.float64(2.5e-300), np.int64(-7), np.bool_(True),
+    ])
+    def test_float_cell_format(self, x):
+        assert "%.17g" % float(x) == format(float(x), ".17g") == cli._fmt(float(x))
+
     def test_no_records_is_the_header(self):
         assert cli._records_csv(_Cells, ("name", "value"), []) == "name,value\n"
+
+    def test_profile_table_is_csv_writer_bytes(self, tmp_path):
+        # the sigma-profile rows take the same writer, through str cells
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "sigma_profile", "family": {
+            "family": "extremal_dephaser", "dim": 4,
+            "params": {"base_scale": 2.5e-3, "n_outliers": 1, "outlier_depth": 0.02},
+        }}))
+        out = tmp_path / "prof.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert out.read_text() == buf.getvalue()
+        assert rows[0] == list(cli._PROFILE_COLUMNS) and rows[-1][0] == "summary"
 
 
 class TestSweepConfigTypes:

@@ -249,10 +249,14 @@ def test_golden_output(name, tmp_path, capsys):
 )
 def test_golden_csv_per_cell_route(name, tmp_path, capsys, monkeypatch):
     """The verify and composition-sweep goldens are also the bytes of one
-    ``_fmt`` call per cell, the route the column-wise formatter replaced."""
+    ``_fmt`` call per cell written by ``csv.writer``, the route the
+    %-format writer replaced."""
     def per_cell(record_type, columns, records):
-        return cli._csv(columns, ([cli._fmt(getattr(r, c)) for c in columns]
-                                  for r in records))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([cli._fmt(getattr(r, c)) for c in columns] for r in records)
+        return buf.getvalue()
 
     monkeypatch.setattr(cli, "_records_csv", per_cell)
     out = tmp_path / name

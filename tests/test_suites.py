@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,36 +232,77 @@ class TestRecords:
                 assert c.slack == min(c.observed - c.lower, c.upper - c.observed)
 
 
+def row_bits(rows):
+    """Each row's fields, a float by ``float.hex``: -0.0 and 0.0 differ, as
+    they do in the CSV ("-0" and "0")."""
+    return [tuple(float.hex(x) if isinstance(x, float) else x
+                  for x in dataclasses.astuple(r)) for r in rows]
+
+
+EDGES = (1, 255, 256, 257)  # across the 256-depth blocks
+
+
 class TestCompositionSweep:
     @pytest.mark.parametrize(
-        "element, max_depth",
+        "element, depths",
         [
-            (genlib.coherence_mix(1e-4, 0.5), 600),  # even-d envelope
-            (genlib.rotation(2, np.pi / 6), 600),  # V^m traceless at m = 3 (mod 6)
-            (genlib.psd_lk_decoherent(5, 0.02, seed=3), 600),  # odd-d envelope
-            (genlib.random_cptp(3, 3, seed=4, strength=0.05), 600),
+            (genlib.coherence_mix(1e-4, 0.5), EDGES + (600,)),  # even-d envelope
+            # V^m traceless at m = 3 (mod 6)
+            (genlib.rotation(2, np.pi / 6), EDGES + (600,)),
+            (genlib.psd_lk_decoherent(5, 0.02, seed=3), EDGES + (600,)),  # odd-d envelope
+            (genlib.random_cptp(3, 3, seed=4, strength=0.05), EDGES + (600,)),
             (chn.compose([
                 genlib.psd_lk_decoherent(3, 0.02, seed=5),
                 chn.KrausChannel(dim=3, kraus=PHASES_D3[np.newaxis]),
-            ]), 600),
-            (genlib.psd_lk_decoherent(4, 0.02, seed=6), 600),
-            (genlib.stochastic_weyl(8, 0.998, seed=7), 600),
-            (genlib.random_cptp(8, 3, seed=8, strength=0.05), 600),
-            (genlib.coherence_mix(1e-4, 0.01), 2000),  # a figure-3 curve
+            ]), EDGES + (600,)),
+            (genlib.psd_lk_decoherent(4, 0.02, seed=6), EDGES + (600,)),
+            (genlib.stochastic_weyl(8, 0.998, seed=7), EDGES + (600,)),
+            (genlib.random_cptp(8, 3, seed=8, strength=0.05), EDGES + (600,)),
+            (genlib.coherence_mix(1e-4, 0.01), EDGES + (2000,)),  # a figure-3 curve
+            # the odd-d angle total reaches its cap at depth 160
+            (genlib.psd_lk_decoherent(5, 0.3, seed=3), EDGES + (300,)),
+            # Phi/Upsilon = cos^2(1) <= 1/2: no envelope, coherent_lower 0.0
+            (genlib.rotation(2, 1.0), (1, 2, 40)),
+            (genlib.random_cptp(16, 2, seed=9, strength=0.05), (1, 2, 12)),
+            # around the 16-matrix S^m sub-blocks of d = 8 and past two blocks
+            (genlib.random_cptp(8, 2, seed=10, strength=0.05), (15, 16, 17, 257, 513)),
+            # leaves the non-catastrophic regime at depth 275, mid-block
+            (genlib.depolarizing(2, 0.998), (274, 275, 400)),
         ],
         ids=["coherence_mix-d2", "rotation-d2", "psd_lk_decoherent-d5",
              "random_cptp-d3", "traceless-cube-d3", "psd_lk_decoherent-d4",
-             "stochastic_weyl-d8", "random_cptp-d8", "coherence_mix-d2-depth2000"],
+             "stochastic_weyl-d8", "random_cptp-d8", "coherence_mix-d2-depth2000",
+             "psd_lk_decoherent-d5-capped", "rotation-d2-ratio-below-half",
+             "random_cptp-d16", "random_cptp-d8-sub-blocks", "depolarizing-d2-leaves-regime"],
     )
-    def test_rows_equal_per_depth_route(self, element, max_depth):
+    def test_rows_equal_per_depth_route(self, element, depths):
         # gamma_coh is 0 for every d = 2 unitary; the d = 3 elements give
         # it weight, and the traceless-cube one has a traceless V^m whenever
         # 3 divides m and 9 does not; d = 4 and 8 take numpy's unrolled
         # pairwise sums in the traces of the d^2 x d^2 powers (and d = 8 in
-        # those of V^m); the depths reach across the 256-depth blocks
-        ref = composition_sweep_per_depth(element, max_depth)
-        for depth in (1, 255, 256, 257, max_depth):
-            assert suites.composition_sweep(element, depth) == ref[:depth]
+        # those of V^m); d = 16 steps S^m in a one-matrix buffer
+        ref = row_bits(composition_sweep_per_depth(element, max(depths)))
+        for depth in depths:
+            assert row_bits(suites.composition_sweep(element, depth)) == ref[:depth]
+
+    def test_edge_cases_reach_their_regimes(self):
+        capped = suites.composition_sweep(genlib.psd_lk_decoherent(5, 0.3, seed=3), 300)
+        assert capped[158].coherent_lower > 1e-30 > capped[159].coherent_lower
+        low = suites.composition_sweep(genlib.rotation(2, 1.0), 40)
+        assert {float.hex(r.coherent_lower) for r in low} == {float.hex(0.0)}
+        dep = suites.composition_sweep(genlib.depolarizing(2, 0.998), 400)
+        assert [r.depth for r in dep if not r.non_catastrophic][0] == 275
+
+    def test_superoperator_powers_take_at_most_a_megabyte(self):
+        # a (256, 64, 64) stack of S^m would be 16 MB at d = 8 (256 MB at d = 16)
+        el = genlib.psd_lk_decoherent(8, 0.02, seed=6)
+        tracemalloc.start()
+        try:
+            suites.composition_sweep(el, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_d1_raises_before_any_row(self, monkeypatch):
         # the coherent envelope needs d >= 2; its checks run before the
