@@ -105,10 +105,8 @@ class _CircuitData:
         canons = [chn.canonical(c) for c in circuit.channels]
         w1 = np.array([c.w1 for c in canons])  # Upsilon(A_i*)
         self.s_star = float(np.sum(1.0 - w1))  # S* = sum_i (1 - Upsilon(A_i*))
-        self.ups = np.array([metrics.upsilon(c) for c in canons])
-        self.phis = np.array(  # the targets were checked by CircuitSpec
-            [metrics._phi(c, t) for c, t in zip(canons, circuit.targets)]
-        )
+        self.ups = metrics._upsilons(canons)
+        self.phis = metrics._phis(canons, circuit.targets)  # checked by CircuitSpec
         # the (m, d) LK singular values; each row's statistics have the bits
         # of a call on that row alone
         sigmas = np.stack([p.singular_values for p in polars])

@@ -41,10 +41,10 @@ class KrausChannel:
     ``kraus`` has shape (k, d, d).  The trace-preserving condition
     sum_i A_i^dag A_i = I is *not* enforced at construction: the LK map
     of :func:`lk` is not TP, and deliberately broken inputs can be fed to
-    :func:`validate_cptp`.
-    Instances are treated as immutable; the canonical view returned by
-    :func:`canonical` is cached on the instance, and the canonical
-    quantities below read that view.
+    :func:`validate_cptp`.  Instances are treated as immutable; the
+    canonical view returned by :func:`canonical` (the one kind that carries
+    ``_weights``) is cached on the instance, and the canonical quantities
+    below read that view.
     """
 
     dim: int
@@ -58,12 +58,9 @@ class KrausChannel:
             )
         if k.shape[0] == 0:
             raise ValueError("channel needs at least one Kraus operator")
-        if not np.all(np.isfinite(k)):
+        if not np.isfinite(k).all():
             raise ValueError("Kraus operators contain non-finite entries")
-        self.kraus = k
-        self._canonical = None
-        self._weights = None  # set only on canonical views
-        self._polar = None
+        self.__dict__.update(kraus=k, _canonical=None, _weights=None, _polar=None)
 
     @classmethod
     def from_ops(cls, ops: Sequence[np.ndarray]) -> "KrausChannel":
@@ -135,32 +132,42 @@ def validate_cptp(ch: KrausChannel) -> CptpValidation:
 def to_choi(ch: KrausChannel) -> np.ndarray:
     """Choi matrix sum_ij E_ij (x) A(E_ij) of a channel, the d^2 x d^2
     ndarray sum over Kraus of col(A) col(A)^dag."""
-    k = ch.kraus
-    d = ch.dim
-    cols = np.transpose(k, (0, 2, 1)).reshape(k.shape[0], d * d)  # rows are col(A_i)
-    return cols.T @ cols.conj()
+    return _chois(ch.kraus[np.newaxis])[0]
+
+
+def _chois(kraus: np.ndarray) -> np.ndarray:
+    """:func:`to_choi` of each family of an (N, k, d, d) stack, by one matmul."""
+    n, k, d = kraus.shape[:3]
+    cols = np.swapaxes(kraus, -1, -2).reshape(n, k, d * d)  # rows are col(A_i)
+    return cols.swapaxes(-1, -2) @ cols.conj()
+
+
+def _unchecked(dim: int, kraus: np.ndarray, weights=None) -> KrausChannel:
+    """A channel over a stack that passes the constructor's checks, unchecked."""
+    ch = object.__new__(KrausChannel)
+    ch.__dict__.update(dim=dim, kraus=kraus, _canonical=None, _weights=weights, _polar=None)
+    return ch
 
 
 def _canonical_views(ops: np.ndarray, weights: np.ndarray, counts) -> list:
-    """Channels over operators already in canonical order, the i-th over
-    the next ``counts[i]`` operators and weights, with the phase convention
-    applied: the largest-magnitude entry of each operator is real positive,
-    except that the leading one prefers tr A_1 real positive.  The
-    operators are stored C-contiguous, which fixes the summation order of
+    """Channels over operators already in canonical order, the i-th over the
+    next ``counts[i]`` operators and weights (none raises :class:`NotCP`), with
+    the phase convention applied: the largest-magnitude entry of each operator
+    is real positive, except that the leading one prefers tr A_1 real positive.
+    The operators are stored C-contiguous, which fixes the summation order of
     the einsum-based figures of merit."""
+    if not all(counts):
+        raise NotCP("Choi matrix is numerically zero")
     bounds = [0, *itertools.accumulate(counts)]
-    starts = [start for start, stop in zip(bounds, bounds[1:]) if stop > start]
     fixed = matcore.fix_entry_phase(ops)
     phase, ok = matcore._trace_phase(ops)
     lead = np.zeros(len(ops), dtype=bool)
-    lead[starts] = ok[starts]
+    lead[bounds[:-1]] = ok[bounds[:-1]]
     np.multiply(ops, np.conj(phase)[:, None, None], out=fixed, where=lead[:, None, None])
-    views = []
-    for start, stop in zip(bounds, bounds[1:]):
-        view = KrausChannel(dim=ops.shape[-1], kraus=fixed[start:stop])
-        view._weights = weights[start:stop]
-        views.append(view)
-    return views
+    if not np.isfinite(fixed).all():
+        raise ValueError("Kraus operators contain non-finite entries")
+    return [_unchecked(ops.shape[-1], fixed[start:stop], weights[start:stop])
+            for start, stop in zip(bounds, bounds[1:])]
 
 
 def from_choi(choi: np.ndarray):
@@ -194,8 +201,6 @@ def from_choi(choi: np.ndarray):
         raise NotCP(f"Choi eigenvalue {float(vals[i, -1]) * root[i]**2:.3e} below CP floor")
     keep = vals > (floor / root**2)[:, None]
     counts = keep.sum(axis=1)
-    if not counts.all():
-        raise NotCP("Choi matrix is numerically zero")
     vals = vals[keep]
     root = np.repeat(root, counts)
     # each kept column v as the matrix M with col(M) = v
@@ -208,8 +213,9 @@ def from_choi(choi: np.ndarray):
 
 
 def _gram(k: np.ndarray) -> np.ndarray:
-    flat = k.reshape(k.shape[0], -1)
-    return flat.conj() @ flat.T
+    """The Gram matrix tr(A_i^dag A_j) of a Kraus family, over leading axes."""
+    flat = k.reshape(k.shape[:-2] + (-1,))
+    return flat.conj() @ flat.swapaxes(-1, -2)
 
 
 def canonical(ch: KrausChannel) -> KrausChannel:
@@ -231,41 +237,52 @@ def canonical(ch: KrausChannel) -> KrausChannel:
     return ch._canonical
 
 
+def _by_shape(channels, *per_channel):
+    """(indices, Kraus stack, stack of each ``per_channel`` list) per Kraus shape;
+    a channel whose arrays are not C-contiguous is a group of one, of views."""
+    lists = ([ch.kraus for ch in channels], *per_channel)
+    groups = {}
+    for i, k in enumerate(lists[0]):
+        c = k.flags.c_contiguous and all(x[i].flags.c_contiguous for x in per_channel)
+        groups.setdefault(k.shape if c else i, []).append(i)
+    for idx in groups.values():
+        yield idx, *[x[idx[0]][None] if len(idx) == 1 else np.array([x[i] for i in idx])
+                     for x in lists]
+
+
 def _canonicalize(channels) -> list:
     """The canonical views of channels of one dimension, each cached as by
-    :func:`canonical`: the orthogonal families phase-fixed together, the
-    others from one stacked :func:`from_choi`."""
-    gram, choi = [], []
-    for ch in dict.fromkeys(channels):
-        if ch._weights is not None or ch._canonical is not None:
-            continue
-        k = ch.kraus
-        d = ch.dim
-        g = _gram(k)
-        off = g - np.diag(np.diag(g))
-        if k.shape[0] == 1 or np.max(np.abs(off)) <= GRAM_ORTHO_TOL * d:
-            norms2 = np.diag(g).real
-            order = np.argsort(-norms2, kind="stable")
-            order = order[norms2[order] > CHOI_DROP_TOL * d]  # the stable order of the kept
-            gram.append((ch, k[order], norms2[order] / d))
-        elif d > MAX_EIGENSOLVER_DIM:
-            raise DimensionMismatch(
-                f"canonicalization of non-orthogonal Kraus families above "
-                f"d={MAX_EIGENSOLVER_DIM} requires a Choi eigendecomposition "
-                "that is out of range; supply an orthogonal family"
-            )
-        else:
-            choi.append(ch)
-    done, views = [], []
-    if gram:
-        done, ops, weights = map(list, zip(*gram))
-        ops = ops[0] if len(ops) == 1 else np.concatenate(ops)
-        views = _canonical_views(ops, np.concatenate(weights), [len(w) for w in weights])
+    :func:`canonical` and with the bits of its single call: one stacked Gram
+    test per Kraus shape, the orthogonal families sorted and phase-fixed
+    together, the others' Choi matrices to one stacked :func:`from_choi`."""
+    todo = [ch for ch in dict.fromkeys(channels) if ch._weights is None and ch._canonical is None]
+    gram, views, choi, chois = [], [], [], []
+    for idx, kraus in _by_shape(todo):
+        n, k, d = kraus.shape[:3]
+        g = _gram(kraus).reshape(n, k * k)  # the diagonal is every (k + 1)-th entry
+        off = np.abs(g)  # each |G - diag(G)|, as the matrix difference
+        off[:, ::k + 1] = np.abs(g[:, ::k + 1] - g[:, ::k + 1]) if k > 1 else 0.0
+        orth = off.max(axis=1) <= GRAM_ORTHO_TOL * d
+        if not orth.all():
+            if d > MAX_EIGENSOLVER_DIM:
+                raise DimensionMismatch(
+                    f"canonicalization of non-orthogonal Kraus families above d="
+                    f"{MAX_EIGENSOLVER_DIM} requires a Choi eigendecomposition that "
+                    "is out of range; supply an orthogonal family")
+            choi += [todo[i] for i, o in zip(idx, orth) if not o]
+            chois.append(_chois(kraus[~orth]))
+        if orth.any():
+            rows = np.flatnonzero(orth)[:, None]
+            norms2 = g[rows[:, 0], ::k + 1].real
+            order = np.argsort(-norms2, axis=1, kind="stable")
+            norms2 = norms2[np.arange(len(rows))[:, None], order]
+            keep = norms2 > CHOI_DROP_TOL * d  # the stable order of the kept
+            gram += [todo[i] for i, o in zip(idx, orth) if o]
+            ops = kraus[np.broadcast_to(rows, keep.shape)[keep], order[keep]]  # one copy
+            views += _canonical_views(ops, norms2[keep] / d, keep.sum(axis=1).tolist())
     if choi:
-        chois = [to_choi(ch) for ch in choi]
-        views += from_choi(np.stack(chois) if len(chois) > 1 else chois[0][np.newaxis])
-        done += choi
-    for ch, view in zip(done, views):
+        views += from_choi(chois[0] if len(chois) == 1 else np.concatenate(chois))
+    for ch, view in zip(gram + choi, views):
         ch._canonical = view
     return [c if c._weights is not None else c._canonical for c in channels]
 
@@ -324,13 +341,13 @@ def _compose_circuits(circuits) -> list:
     d = circuits[0][0].dim
     accs = [circuit[0] for circuit in circuits]
     for j in range(1, max(map(len, circuits))):
-        big = []
-        for i, circuit in enumerate(circuits):
-            if j < len(circuit):
-                prod = np.einsum("aij,bjk->abik", circuit[j].kraus, accs[i].kraus)
-                accs[i] = KrausChannel(dim=d, kraus=prod.reshape(-1, d, d))
-                if accs[i].n_kraus > d * d:
-                    big.append(i)
+        step = [i for i, circuit in enumerate(circuits) if j < len(circuit)]
+        prods = [np.einsum("aij,bjk->abik", circuits[i][j].kraus, accs[i].kraus) for i in step]
+        if not all(np.isfinite(prod).all() for prod in prods):
+            raise ValueError("Kraus operators contain non-finite entries")
+        for i, prod in zip(step, prods):
+            accs[i] = _unchecked(d, prod.reshape(-1, d, d))
+        big = [i for i in step if accs[i].n_kraus > d * d]
         for i, view in zip(big, _canonicalize([accs[i] for i in big])):
             accs[i] = view
     return accs

@@ -46,12 +46,12 @@ EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
 # a composition sweep holds every row in memory and steps the d^2 x d^2
-# superoperator power one depth at a time.  On a 2-core Xeon a depth-2*10^4
-# sweep takes 1.7 s end to end at d = 2 (10^5: 9 s), and a depth costs
-# 0.12 ms at d = 8, 2 ms at d = 16 and 0.1 s at d = 32, where building the
-# superoperator of a d^2-operator family takes 7.5 s (it grows as d^6).  So
-# with the dim cap at 16, 10^5 keeps one run to minutes where 10^6 or d = 32
-# would take hours.
+# superoperator power one depth at a time.  On a 2-core Xeon a d = 2 sweep
+# takes 0.6 s end to end to depth 2*10^4 (10^5: 3.7 s), and a depth costs
+# 0.075 ms at d = 8, 1.4 ms at d = 16 and 0.05 s at d = 32, where building
+# the superoperator of a d^2-operator family takes 4 s (it grows as d^6).  So
+# with the dim cap at 16, 10^5 keeps one run to minutes where 10^6 (its angle
+# prefix sums are quadratic in depth) or d = 32 would take hours.
 MAX_SWEEP_DEPTH = 10**5
 _MAX_SWEEP_DIM = 16
 

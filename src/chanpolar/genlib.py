@@ -28,12 +28,16 @@ def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-random unitary: QR of a complex Ginibre matrix with the
     phase-of-diagonal correction."""
     _require(d >= 1, "dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    return _haar_unitaries(d, [seed])[0]
+
+
+def _haar_unitaries(d: int, seeds) -> np.ndarray:
+    """The :func:`random_unitary` of each seed, from one stacked QR."""
+    z = np.array([(r.standard_normal((d, d)) + 1j * r.standard_normal((d, d))) / np.sqrt(2.0)
+                  for r in map(np.random.default_rng, seeds)]).reshape(-1, d, d)
     q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    ph = diag / np.abs(diag)
-    return q * ph
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 # ---------------------------------------------------------------------------

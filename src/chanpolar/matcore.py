@@ -14,15 +14,15 @@ largest singular value.
 Stacks: :func:`hermitian_eig`, :func:`polar_decompose` and
 :func:`fix_entry_phase` take leading stack axes; a single matrix is the
 N = 1 case, and a stack has the bits of N single calls.  Measured on numpy
-2.4.6 at n = 2 ... 16: stacked ``eigh``, ``eigvalsh``, ``svd``, ``matmul``
-and ``trace`` equal the per-matrix calls; ``np.abs`` of a complex array
-differs in the last bit from Python ``abs()`` of its scalars, so where a
-single path used ``abs()`` a stack uses ``np.hypot(re, im)``, and where it
-used ``np.abs`` (the column phases of :func:`hermitian_eig`) it keeps
-``np.abs``, which ``hypot`` does not match; ``np.linalg.norm(...,
-axis=(-2, -1))`` differs from each matrix's norm, so the Hermiticity check
-(like Upsilon in ``metrics``) keeps one norm per matrix.  A scalar's ``** 2``
-is libm ``pow`` and an array's x * x, so :func:`_squares` squares an array.
+2.4.6 at n = 2 ... 16: stacked ``eigh``, ``eigvalsh``, ``svd``, ``qr``,
+``matmul`` and ``trace`` equal the per-matrix calls; ``np.abs`` of a complex
+array differs in the last bit from Python ``abs()`` of its scalars, so where a
+single path used ``abs()`` a stack uses ``np.hypot(re, im)`` (which ``np.abs``
+does not match); ``np.linalg.norm(..., axis=(-2, -1))`` differs from each
+matrix's norm, but its dot form :func:`_norms` does not, so the Hermiticity
+check and Upsilon in ``metrics`` take the norms of a stack together.  A
+scalar's ``** 2`` is libm ``pow`` and an array's x * x, so :func:`_squares`
+squares an array.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def as_complex_matrix(m, name: str = "matrix", stacked: bool = False) -> np.ndar
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 and not (stacked and a.ndim > 2):
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -120,27 +120,18 @@ class HermitianEig:
 
 
 def _lex_key(col: np.ndarray):
-    r = np.round(col.real, ENTRY_ROUND_DECIMALS) + 0.0  # kill -0.0
-    i = np.round(col.imag, ENTRY_ROUND_DECIMALS) + 0.0
-    out = np.empty(2 * col.size)
-    out[0::2] = r
-    out[1::2] = i
-    return tuple(out)
+    parts = np.stack((col.real, col.imag), axis=-1)  # re, im of each entry in turn
+    return tuple((np.round(parts, ENTRY_ROUND_DECIMALS) + 0.0).ravel())  # + 0.0 kills -0.0
 
 
 def _order_blocks(w: list, v: np.ndarray, drop_floor: float):
     """Sort in place the columns ``v`` of each degenerate block of the
     descending eigenvalues ``w`` whose top lies above ``drop_floor``."""
-    n = len(w)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and w[stop - 1] - w[stop] < DEGENERACY_TOL:
-            stop += 1
+    cuts = [j for j in range(1, len(w)) if not w[j - 1] - w[j] < DEGENERACY_TOL]
+    for start, stop in zip([0, *cuts], [*cuts, len(w)]):
         if stop - start > 1 and w[start] > drop_floor:
             order = sorted(range(start, stop), key=lambda j: _lex_key(v[:, j]))
             v[:, start:stop] = v[:, order]
-        start = stop
 
 
 def _tamed(a: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -157,13 +148,27 @@ def _tamed(a: np.ndarray) -> tuple[np.ndarray, float, int]:
     return a, float(np.linalg.norm(a)), e
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Each matrix's ``np.linalg.norm`` in its dot form, sqrt(re.re + im.im)
+    over the entries in C order: its bits for a C-contiguous matrix."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
 def _require_hermitian(a: np.ndarray, name: str):
-    """``||A - A^dag||_2 > HERMITICITY_RTOL ||A||_2`` raises for any matrix A of
-    a stack; near the top of the float range both norms are of :func:`_tamed` A."""
-    for item in a.reshape((-1,) + a.shape[-2:]):
-        item, size, _ = _tamed(item)
-        if np.linalg.norm(item - item.conj().T) > HERMITICITY_RTOL * max(size, 1e-300):
-            raise NotHermitian(f"{name} is not Hermitian within tolerance")
+    """``||A - A^dag||_2 > HERMITICITY_RTOL ||A||_2`` raises for any matrix A of a
+    stack, the norms by :func:`_norms` for a C-contiguous stack up to 256 x 256 (where
+    tests pin the bits), else, or where ``||A||_2`` reaches 2^1000, of :func:`_tamed` A."""
+    items = a.reshape((-1,) + a.shape[-2:])
+    size, skew = np.full((2, len(items)), np.inf)
+    if items.flags.c_contiguous and items.shape[-1] <= 256:
+        with np.errstate(over="ignore"):
+            size[:], skew[:] = _norms(items), _norms(items - np.conj(items).swapaxes(-1, -2))
+    for i in np.flatnonzero(~(size < 2.0**1000)):
+        item, size[i], _ = _tamed(items[i])
+        skew[i] = np.linalg.norm(item - item.conj().T)
+    if (skew > HERMITICITY_RTOL * np.maximum(size, 1e-300)).any():
+        raise NotHermitian(f"{name} is not Hermitian within tolerance")
 
 
 def hermitian_eig(m, drop_floor: float = -np.inf) -> HermitianEig:
@@ -173,8 +178,8 @@ def hermitian_eig(m, drop_floor: float = -np.inf) -> HermitianEig:
     passes that floor: degenerate blocks lying entirely at or below it are
     then left in solver order.  A block that straddles the floor is still
     ordered whole, so the columns above it are the same as without the
-    floor.  ``m`` may carry leading stack axes: one stacked solver call
-    then serves every matrix, and the block ordering runs matrix by matrix.
+    floor.  ``m`` may carry leading stack axes: one stacked solver call then
+    serves every matrix, and only those with a small gap have blocks ordered.
 
     Raises
     ------
@@ -196,14 +201,15 @@ def hermitian_eig(m, drop_floor: float = -np.inf) -> HermitianEig:
 
     # per-column phase convention
     piv = v[np.arange(len(v))[:, None], np.argmax(np.abs(v), axis=1), np.arange(n)]
-    nz = np.abs(piv) > 0
-    phases = np.ones_like(piv)
-    phases[nz] = np.conj(piv[nz]) / np.abs(piv[nz])
-    v = v * phases[:, None, :]
+    size = np.abs(piv)
+    v = v * np.divide(np.conj(piv), size, out=np.ones_like(piv), where=size > 0)[:, None, :]
 
-    # deterministic order inside degenerate blocks, matrix by matrix
-    for i, values in enumerate(w.reshape(-1, n).tolist()):
-        _order_blocks(values, v[i], drop_floor)
+    # deterministic order inside degenerate blocks, in the matrices with a
+    # gap below the tolerance under a value above the floor (inf - inf is none)
+    with np.errstate(invalid="ignore"):
+        gap = w[..., :-1] - w[..., 1:] < DEGENERACY_TOL
+    for i in np.flatnonzero(np.any(gap & (w[..., :-1] > drop_floor), axis=-1)):
+        _order_blocks(w.reshape(-1, n)[i].tolist(), v[i], drop_floor)
     return HermitianEig(values=w, vectors=v.reshape(a.shape))
 
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import channel as chn
+from . import channel as chn, matcore
 from .errors import DimensionMismatch, TargetNotUnitary
 from .matcore import make_report
 
@@ -41,8 +41,16 @@ def phi(ch: chn.KrausChannel, target=None) -> float:
 
 def _phi(ch: chn.KrausChannel, u: np.ndarray) -> float:
     """:func:`phi` against a target that :func:`_check_target` returned."""
-    traces = np.einsum("kij,ij->k", ch.kraus, u.conj())  # tr(U^dag A_k)
-    return float(np.sum(np.abs(traces) ** 2) / ch.dim**2)
+    return _phis([ch], [u]).item()
+
+
+def _phis(channels, targets) -> np.ndarray:
+    """:func:`_phi` of each channel against its target, one einsum per shape."""
+    out = np.empty(len(channels))
+    for idx, kraus, us in chn._by_shape(channels, targets):
+        traces = np.einsum("nkij,nij->nk", kraus, us.conj())  # tr(U^dag A_k)
+        out[idx] = np.sum(np.abs(traces) ** 2, axis=-1) / kraus.shape[-1] ** 2
+    return out
 
 
 def _phi_with_prefix(m: np.ndarray, kraus: np.ndarray) -> float:
@@ -73,7 +81,15 @@ def upsilon(ch: chn.KrausChannel) -> float:
 
     Over the canonical decomposition this reduces to sqrt(sum_i w_i^2).
     """
-    return float(np.linalg.norm(chn._gram(ch.kraus)) / ch.dim)
+    return _upsilons([ch]).item()
+
+
+def _upsilons(channels) -> np.ndarray:
+    """:func:`upsilon` of each channel, one Gram stack per Kraus shape."""
+    out = np.empty(len(channels))
+    for idx, kraus in chn._by_shape(channels):
+        out[idx] = matcore._norms(chn._gram(kraus)) / kraus.shape[-1]
+    return out
 
 
 def unitarity(upsilon_value: float, d: int) -> float:

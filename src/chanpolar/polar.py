@@ -123,8 +123,8 @@ def channel_polars(channels) -> list[ChannelPolar]:
 
 def _polarize(canons: list):
     """Cache on each canonical view its polar factors, from one stacked SVD."""
-    for canon in canons:
-        if metrics.upsilon(canon) ** 2 <= metrics.NC_THRESHOLD:
+    for ups in metrics._upsilons(canons).tolist():
+        if ups**2 <= metrics.NC_THRESHOLD:
             warnings.warn(
                 "channel is catastrophic (Upsilon^2 <= 1/2); polar factors may "
                 "be discontinuous in the input",

@@ -48,35 +48,35 @@ def element_for_infidelity(d: int, r_target, draws, decoherent: bool = False):
     quadratically in the strength, so one correction step lands within a
     few percent) from the same seed, so the second draw reuses the first
     one's GUE eigendecomposition.  The elements of one rank share one
-    stacked generator eigendecomposition; each has the bits of its own
-    ``genlib.random_cptp`` (or, decoherent, ``genlib.psd_lk_decoherent``)
-    calls.
+    stacked generator eigendecomposition, the decoherent ones of a draw one
+    :func:`channel_polars`; each has the bits of its own ``genlib.random_cptp``
+    (or, decoherent, ``genlib.psd_lk_decoherent``) calls.
     """
-    r_t = np.asarray(r_target, dtype=np.float64)
     ks = np.minimum([rank for rank, _ in draws], d * d)
-    out = [None] * len(r_t)
+    order = np.argsort(ks, kind="stable")  # the elements rank by rank
+    r_t = np.asarray(r_target, dtype=np.float64)[order]
+    ranks = sorted(set(ks.tolist()))  # np.unique would import numpy.ma
+    starts = np.searchsorted(ks[order], ranks)[1:]
+    eigs = [genlib._gue_eig(d * k, [draws[i][1] for i in order[ks[order] == k]]) for k in ranks]
 
-    def gen(w, v, k, eps):
+    def gen(mask, eps):  # the elements of ``order`` where mask, at strengths eps
         if decoherent:  # psd_lk_decoherent(d, min(eps, 0.3), seed, kraus_rank=k)
             eps = np.minimum(eps, 0.3)
-        iso = matcore._expi_eig(w, v, -eps)[..., :d]  # random_cptp(d, k, seed, strength=eps)
-        chs = [chn.KrausChannel(dim=d, kraus=x.reshape(k, d, d).copy()) for x in iso]
+        chs = []  # random_cptp(d, k, seed, strength=eps), from the finite columns of a unitary
+        for k, (w, v), m, e in zip(ranks, eigs, np.split(mask, starts), np.split(eps, starts)):
+            iso = matcore._expi_eig(w[m], v[m], -e[m])[..., :d]
+            chs += map(chn._unchecked, repeat(d), iso.reshape(len(iso), k, d, d).copy())
         return [p.decoherent_left for p in channel_polars(chs)] if decoherent else chs
 
-    for k in sorted(set(ks.tolist())):  # np.unique would import numpy.ma
-        idx = np.flatnonzero(ks == k)
-        w, v = genlib._gue_eig(d * k, [draws[i][1] for i in idx])
-        eps0 = np.sqrt(2.0 * r_t[idx])
-        chs = gen(w, v, k, eps0)
-        r0 = np.array([metrics.infidelity(metrics.phi(ch), d) for ch in chs])
-        redo = np.flatnonzero(r0 > 1e-12)
-        if redo.size:
-            eps1 = eps0[redo] * np.sqrt(r_t[idx][redo] / r0[redo])
-            for j, ch in zip(redo, gen(w[redo], v[redo], k, eps1)):
-                chs[j] = ch
-        for i, ch in zip(idx, chs):
-            out[i] = ch
-    return out
+    eps = np.sqrt(2.0 * r_t)
+    chs = gen(np.ones(len(order), dtype=bool), eps)
+    r0 = metrics.infidelity(metrics._phis(chs, [np.eye(d, dtype=np.complex128)] * len(chs)), d)
+    redo = r0 > 1e-12
+    if redo.any():
+        eps[redo] *= np.sqrt(r_t[redo] / r0[redo])
+        for j, ch in zip(np.flatnonzero(redo), gen(redo, eps)):
+            chs[j] = ch
+    return [chs[j] for j in np.argsort(order).tolist()]  # back in target order
 
 
 def sample_noncatastrophic(d: int, rng: np.random.Generator):
@@ -162,12 +162,13 @@ def _build_circuits(d: int, drawn: list, decoherent=False) -> list:
         d, [r for r_ts, _, _ in drawn for r in r_ts],
         [x for _, draws, _ in drawn for x in draws], decoherent=decoherent,
     ))
+    unitaries = iter(genlib._haar_unitaries(d, [s for _, _, ts in drawn for s in ts or ()]))
     out = []
     for r_ts, _, target_seeds in drawn:
         els = [next(channels) for _ in r_ts]
         targets = None
         if target_seeds is not None:
-            targets = [genlib.random_unitary(d, seed) for seed in target_seeds]
+            targets = [next(unitaries) for _ in target_seeds]
             els = [chn.KrausChannel(dim=d, kraus=np.einsum("kij,jl->kil", el.kraus, u))
                    for el, u in zip(els, targets)]
         out.append(bounds.CircuitSpec(els, targets))
@@ -278,8 +279,8 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Bou
 
 SUITES = ("lemmas", "theorems", "appendix", "all")
 # The largest d of each capped suite.  Theorem cases grow steeply in cost
-# with d: five theorem-suite cells at d = 16 take about 12 s on a 2-core VM,
-# most of it in composition and element canonical forms.
+# with d: five theorem-suite cells at d = 16 take about 10 s on a 2-core VM,
+# most of it in the Choi eigensolver of composition and element canonical forms.
 DIM_CAPS = {"theorem": 8, "Lindblad": 8}
 
 
@@ -399,11 +400,9 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
             for s_k in s_pows:
                 s_m = np.matmul(s_el, s_m, out=s_k)
             phi_m[at:at + n_s] = np.trace(s_pows, axis1=-2, axis2=-1).real / d**2
-            flat = s_pows.reshape(len(s_pows), -1)  # each np.linalg.norm(S^m)
-            re, im = flat.real, flat.imag  # in its own dot form
-            ups_m[at:at + n_s] = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)) / d
+            ups_m[at:at + n_s] = matcore._norms(s_pows) / d  # each np.linalg.norm(S^m)
         s_m = s_m.copy()  # like P^m: the buffer goes before the next block's stacks
-        del s_buf, s_pows, s_k, flat, re, im
+        del s_buf, s_pows, s_k
         centre = phi_v * np.array(list(map(pow, repeat(phi_d), ms)))
         s_star = np.array(ms) * (1.0 - w1)
         pert_sum = np.array(ms) * (1.0 - mean_sigma)

@@ -296,6 +296,54 @@ class TestStackedCanonical:
             fresh = chn.KrausChannel(dim=d, kraus=ch.kraus.copy())
             assert_same_view(canon, chn.canonical(fresh))
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_canonicalize_batch_equals_single_calls(self, d):
+        """Kraus counts from 1 to past d^2 on both routes, several of one
+        count on each, with a repeat and a view, canonicalized in one batch:
+        each view has the bytes of a single call on a fresh copy."""
+        choi_route, gram_route = [], []
+        for k in range(1, d * d + 3):
+            if k <= d * d:
+                choi_route.append(genlib.random_cptp(d, k, seed=10 * d + k))
+                probs = np.linspace(2.0, 1.0, k) / np.linspace(2.0, 1.0, k).sum()
+                gram_route.append(weyl_mixture(d, probs))
+            else:  # a mixture of two draws; an orthogonal family padded with zeros
+                a, b = (genlib.random_cptp(d, n, seed=k + n) for n in (d * d, k - d * d))
+                kraus = np.concatenate([np.sqrt(0.7) * a.kraus, np.sqrt(0.3) * b.kraus])
+                choi_route.append(chn.KrausChannel(dim=d, kraus=kraus))
+                pad = np.zeros((k - d * d, d, d))
+                gram_route.append(chn.KrausChannel(
+                    dim=d, kraus=np.concatenate([genlib.depolarizing(d, 0.8).kraus, pad])))
+        chans = choi_route + gram_route + [remixed(genlib.depolarizing(d, 0.9), seed=d)]
+        view = chn.canonical(genlib.random_cptp(d, 2, seed=99))
+        listed = chans + [chans[2], view, chans[-1]]
+        canons = chn._canonicalize(listed)
+        assert canons[-3] is canons[2] and canons[-2] is view and canons[-1] is canons[len(chans) - 1]
+        # the Gram route keeps 1 to d^2 operators, and drops the zero padding
+        gram_counts = [c.n_kraus for c in canons[d * d + 2:2 * d * d + 4]]
+        assert gram_counts == list(range(1, d * d + 1)) + [d * d, d * d]
+        for ch, canon in zip(chans, canons):
+            assert chn.canonical(ch) is canon
+            assert_same_view(canon, chn.canonical(chn.KrausChannel(dim=d, kraus=ch.kraus.copy())))
+
+
+@pytest.mark.parametrize("kraus", [
+    np.zeros((1, 2, 2)), np.zeros((2, 2, 2)), 1e-14 * np.stack([I2, I2]),
+], ids=["one zero", "two zeros", "two tiny"])
+def test_numerically_zero_family_is_not_cp(kraus):
+    """A family that keeps no operator is refused as not CP on the Gram route
+    (here: off-diagonal Gram entries below the tolerance), alone and in a
+    batch, as on the Choi route, where every eigenvalue is below the floor."""
+    zero = chn.KrausChannel(dim=2, kraus=kraus)
+    with pytest.raises(NotCP, match="^Choi matrix is numerically zero$"):
+        chn.canonical(zero)
+    with pytest.raises(NotCP, match="^Choi matrix is numerically zero$"):
+        chn._canonicalize([genlib.random_cptp(2, 3, seed=1), zero])
+    chois = np.stack([chn.to_choi(genlib.depolarizing(2, 0.5)), chn.to_choi(zero)])
+    with pytest.raises(NotCP, match="^Choi matrix is numerically zero$"):
+        chn.from_choi(chois)
+    assert zero._canonical is None
+
 
 class TestLk:
     def test_unitary_channel(self):
@@ -581,6 +629,10 @@ REFUSALS = {
     "compose nothing": (
         lambda: chn.compose([]),
         ValueError, "need at least one channel",
+    ),
+    "overflowing product": (
+        lambda: chn.compose([chn.KrausChannel(dim=2, kraus=1e200 * np.stack([I2, X]))] * 2),
+        ValueError, "Kraus operators contain non-finite entries",
     ),
 }
 

@@ -157,6 +157,21 @@ class TestRandomUnitary:
             u = genlib.random_unitary(3, seed=seed)
             assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+    def test_stacked_draws_equal_single_calls(self, d):
+        """One stacked QR gives each seed the bits of its own draw, and the
+        single call keeps those of the per-seed formula."""
+        seeds = [0, 1, 7, 2**62 + 3, [4, d], 123456789]
+        stack = genlib._haar_unitaries(d, seeds)
+        for u, seed in zip(stack, seeds, strict=True):
+            single = genlib.random_unitary(d, seed)
+            assert u.tobytes() == single.tobytes() and single.flags.c_contiguous
+            rng = np.random.default_rng(seed)
+            z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            assert single.tobytes() == (q * (np.diag(r) / np.abs(np.diag(r)))).tobytes()
+        assert genlib._haar_unitaries(d, []).shape == (0, d, d)
+
     def test_haar_trace_moment(self):
         # E |tr U|^2 = 1 for Haar
         n = 10000

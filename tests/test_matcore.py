@@ -209,6 +209,65 @@ class TestStackedKernels:
         with pytest.raises(NotHermitian):
             matcore.hermitian_eig(ms)
 
+    def test_norms_have_the_bits_of_linalg_norm(self):
+        """The dot form has the bits of np.linalg.norm at every size up to
+        256 x 256, the sizes where the Hermiticity check takes it, for a
+        matrix and its skew part A - A^dag."""
+        rng = np.random.default_rng(11)
+        for n in range(1, 257):
+            ms = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+            ms *= np.array([1.0, 1e-150, 1e150])[:, None, None]
+            for stack in (ms, ms - np.conj(ms).swapaxes(-1, -2)):
+                want = np.array([np.linalg.norm(m) for m in stack])
+                assert matcore._norms(stack).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape, layout, per_matrix", [
+        ((2, 256, 256), "C", 0), ((2, 257, 257), "C", 2), ((3, 4, 4), "F", 3),
+        ((4, 4), "F", 1), ((3, 4, 4), "C", 0),
+    ])
+    def test_hermiticity_norms_per_matrix_outside_the_pinned_sizes(
+            self, shape, layout, per_matrix, monkeypatch):
+        m = np.zeros(shape, dtype=complex)
+        m[..., 0, 0] = 1.0
+        if layout == "F":
+            m = np.asfortranarray(m)
+        calls = []
+        tamed = matcore._tamed
+        monkeypatch.setattr(matcore, "_tamed", lambda a: calls.append(1) or tamed(a))
+        matcore._require_hermitian(m, "M")
+        assert len(calls) == per_matrix
+
+    def test_hermiticity_verdict_at_the_tolerance(self):
+        """Matrices H + tK (K anti-Hermitian) on both sides of the last float
+        t where ||A - A^dag|| <= HERMITICITY_RTOL ||A||: a matrix is refused,
+        alone or in a stack, exactly where the per-matrix formula refuses it."""
+        rng = np.random.default_rng(5)
+
+        def refused(a):
+            size = max(np.linalg.norm(a), 1e-300)
+            return np.linalg.norm(a - a.conj().T) > matcore.HERMITICITY_RTOL * size
+
+        for n in (1, 2, 3, 9, 16, 64):
+            h, k = random_hermitian(n, rng), 1j * random_hermitian(n, rng)
+            lo, hi = 0.0, 1e-6  # refused(h + lo k) is False, refused(h + hi k) True
+            while np.nextafter(lo, hi) != hi:
+                mid = (lo + hi) / 2.0
+                lo, hi = (mid, hi) if not refused(h + mid * k) else (lo, mid)
+            ts = [np.nextafter(lo, 0.0), lo, hi, np.nextafter(hi, 1.0)]
+            stack = np.stack([h + t * k for t in ts])
+            verdicts = [refused(a) for a in stack]
+            assert verdicts == [False, False, True, True]
+            for a, bad in zip(stack, verdicts):
+                if bad:
+                    with pytest.raises(NotHermitian):
+                        matcore._require_hermitian(a, "M")
+                else:
+                    matcore._require_hermitian(a, "M")
+            matcore._require_hermitian(stack[:2], "M")
+            for bad in (stack[1:3], stack[2:], stack[::-1]):
+                with pytest.raises(NotHermitian):
+                    matcore._require_hermitian(bad, "M")
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_polar_decompose(self, n):
         rng = np.random.default_rng([5, n])

@@ -130,6 +130,40 @@ class TestUpsilon:
         assert post == pytest.approx(pre, abs=1e-9)
 
 
+class TestStackedFigures:
+    """Phi and Upsilon of a list of channels, one stack per Kraus shape, have
+    the bits of the single calls and of the per-channel formulas they
+    replace, for operators and targets in any memory layout."""
+
+    def test_equal_single_calls(self):
+        d = 3
+        chans = [genlib.random_cptp(d, k, seed=k) for k in (1, 2, 3, 3, 4, 9)]
+        chans += [chn.canonical(chans[3]), genlib.depolarizing(d, 0.7),
+                  chn.KrausChannel(dim=d, kraus=np.asfortranarray(chans[2].kraus)),
+                  chn.KrausChannel(dim=d, kraus=chans[4].kraus.transpose(0, 2, 1))]
+        targets = [genlib.random_unitary(d, seed=s + 20) for s in range(len(chans))]
+        targets[1] = np.asfortranarray(targets[1])
+        targets[4] = targets[4].T
+        self.check(chans, targets)
+
+    def test_equal_single_calls_past_the_pairwise_block(self):
+        """256 operators, past numpy's blocks of 128 in the pairwise sum of
+        Phi, and Gram matrices of 256 x 256 and more, in one stack."""
+        chans = [genlib.depolarizing(16, p) for p in (0.9, 0.5)]
+        chans += [genlib.stochastic_weyl(24, 0.8, seed=1)]
+        self.check(chans, [genlib.random_unitary(c.dim, seed=i) for i, c in enumerate(chans)])
+
+    @staticmethod
+    def check(chans, targets):
+        ups = metrics._upsilons(chans)
+        phis = metrics._phis(chans, targets)
+        for ch, u, up, ph in zip(chans, targets, ups.tolist(), phis.tolist(), strict=True):
+            d = ch.dim
+            assert up == metrics.upsilon(ch) == float(np.linalg.norm(chn._gram(ch.kraus)) / d)
+            traces = np.einsum("kij,ij->k", ch.kraus, u.conj())
+            assert ph == metrics.phi(ch, u) == float(np.sum(np.abs(traces) ** 2) / d**2)
+
+
 class TestNonCatastrophic:
     def test_identity(self):
         assert metrics.non_catastrophic(genlib.identity_channel(2))

@@ -180,6 +180,27 @@ class TestSamplers:
                 for got, want in zip(circ.targets, targets, strict=True):
                     assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("decoherent", [False, True])
+    def test_mixed_ranks_equal_per_rank_and_single_calls(self, d, decoherent):
+        """One call over mixed Kraus ranks (one capped at d^2) gives each
+        element the bytes of a call per rank and of a call per element."""
+        rng = np.random.default_rng([d, decoherent])
+        ranks = [2, 3, 4, 2, 4, 3, 2, d * d + 1]
+        r_ts = [float(10 ** rng.uniform(-4.5, -2.0)) for _ in ranks]
+        draws = [(k, suites._subseed(rng)) for k in ranks]
+        els = suites.element_for_infidelity(d, r_ts, draws, decoherent)
+        for k in {min(k, d * d) for k in ranks}:
+            idx = [i for i, rank in enumerate(ranks) if min(rank, d * d) == k]
+            per_rank = suites.element_for_infidelity(
+                d, [r_ts[i] for i in idx], [draws[i] for i in idx], decoherent)
+            for i, el in zip(idx, per_rank, strict=True):
+                assert els[i].kraus.tobytes() == el.kraus.tobytes()
+        for i, el in enumerate(els):
+            one = suites.element_for_infidelity(d, [r_ts[i]], [draws[i]], decoherent)[0]
+            assert one.kraus.shape == el.kraus.shape
+            assert one.kraus.tobytes() == el.kraus.tobytes()
+
     def test_sample_noncatastrophic(self):
         for t in range(20):
             rng = np.random.default_rng([5, t])
