@@ -15,6 +15,7 @@ is the maximum over the elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +61,11 @@ class CircuitSpec:
         else:
             if len(self.targets) != len(self.channels):
                 raise DimensionMismatch("one target per channel required")
-            self.targets = [metrics._check_target(t, d) for t in self.targets]
+            ts = [np.asarray(t, dtype=np.complex128) for t in self.targets]
+            if any(t is None for t in self.targets) or {t.shape for t in ts} != {(d, d)}:
+                ts = [metrics._check_target(t, d) for t in self.targets]  # first bad one raises
+            self.targets = ts
+            metrics._check_target(np.array(ts), d, stacked=True)  # all d x d: one stacked test
         self._data = None
         self._decoherent = False  # set by the first passed decoherence check
 
@@ -94,62 +99,52 @@ def _circuit_product(mats, d: int) -> np.ndarray:
     return acc
 
 
-class _CircuitData:
-    """Per-element and composite quantities shared by the evaluators, from
-    the elements' polar factors and the composite (see :func:`_prime`)."""
-
-    def __init__(self, circuit: CircuitSpec, polars: list, composite: chn.KrausChannel):
-        d = circuit.dim
-        self.d = d
-        self.polars = polars
-        canons = [chn.canonical(c) for c in circuit.channels]
-        w1 = np.array([c.w1 for c in canons])  # Upsilon(A_i*)
-        self.s_star = float(np.sum(1.0 - w1))  # S* = sum_i (1 - Upsilon(A_i*))
-        self.ups = metrics._upsilons(canons)
-        self.phis = metrics._phis(canons, circuit.targets)  # checked by CircuitSpec
-        # the (m, d) LK singular values; each row's statistics have the bits
-        # of a call on that row alone
-        sigmas = np.stack([p.singular_values for p in polars])
-        self.mean_sigma = np.mean(sigmas, axis=-1)
-        self.pert = 1.0 - self.mean_sigma  # 1 - sqrt(Phi(D_i*, I))
-        # scalars that several evaluators share
-        self.pert_sum = float(np.sum(self.pert))
-        self.half_s_star_sq = 0.5 * self.s_star**2
-        self.gamma_max = float(np.max(_spectrum_constants(sigmas)[1]))
-        self.prod_ups = float(np.prod(self.ups))
-        self.sum_w1_sq = float(np.sum((1.0 - w1) ** 2))
-        self.sum_cross = float(np.sum((1.0 - w1) * (1.0 - self.phis)))
-        self.composite = composite
-        u_c = _circuit_product(circuit.targets, d)
-        self.phi_c = metrics.phi(self.composite, u_c)
-        self.ups_c = metrics.upsilon(self.composite)
-        # A*_{m:1}, the composed LK maps, is the one-operator map of a1_c
-        self.a1_c = _circuit_product([c.a1 for c in canons], d)
-        self.ups_star_c = float(np.linalg.norm(self.a1_c) ** 2 / d)  # Upsilon(A*_{m:1})
-        self.phi_star_c = metrics._overlap(u_c.conj().T @ self.a1_c)  # Phi(A*, U_{m:1})
-        self.element_nc = bool(np.all(metrics._nc_regime(self.phis, self.ups)))
-        self.composite_nc = bool(metrics._nc_regime(self.phi_c, self.ups_c))
-
-
 def _prime(circuits) -> None:
-    """Set ``_data`` on each circuit, all of one dimension: one
-    :func:`channel_polars` over all their elements (one stacked canonical
-    form and polar factorization) and one :func:`chn._compose_circuits`
-    for the composites."""
-    polars = iter(channel_polars([ch for c in circuits for ch in c.channels]))
+    """Set ``_data`` on each circuit, all of one dimension, to the per-element and composite
+    quantities the evaluators share, from one stack of each: :func:`channel_polars`,
+    :func:`chn._compose_circuits`, the composite targets' unitarity test, Phi and Upsilon
+    and the LK spectrum constants; a circuit's sums and products run over its slice."""
+    d, n = circuits[0].dim, sum(len(c.channels) for c in circuits)
+    els = [ch for c in circuits for ch in c.channels]
+    polars = channel_polars(els)
     composites = chn._compose_circuits([c.channels for c in circuits])
-    for circuit, composite in zip(circuits, composites):
-        els = [next(polars) for _ in circuit.channels]
-        circuit._data = _CircuitData(circuit, els, composite)
+    canons = chn._canonicalize(els)
+    u_cs = metrics._check_target(
+        np.array([_circuit_product(c.targets, d) for c in circuits]), d, stacked=True)
+    ups = metrics._upsilons(canons + composites)
+    phis = metrics._phis(canons + composites, [t for c in circuits for t in c.targets] + [*u_cs])
+    # the (n, d) LK singular values; a row's statistics have the bits of a call on it alone
+    sigmas = np.array([p.singular_values for p in polars])
+    mean_sigma, gammas = np.mean(sigmas, axis=-1), _spectrum_constants(sigmas)[1]
+    one_minus_w1 = 1.0 - np.array([c.w1 for c in canons])  # 1 - Upsilon(A_i*)
+    nc = metrics._nc_regime(phis, ups)
+    cuts = np.cumsum([0] + [len(c.channels) for c in circuits]).tolist()
+    # A*_{m:1}, the composed LK maps, is the one-operator map of a1_c
+    a1_cs = np.array([_circuit_product([c.a1 for c in canons[a:b]], d)
+                      for a, b in zip(cuts, cuts[1:])])
+    ups_star = (matcore._squares(matcore._norms(a1_cs)) / d).tolist()  # Upsilon(A*_{m:1})
+    phi_star = metrics._overlap(np.conj(u_cs).swapaxes(-1, -2) @ a1_cs)  # Phi(A*, U_{m:1})
+    for i, (circuit, a, b) in enumerate(zip(circuits, cuts, cuts[1:])):
+        s_star = float(np.sum(one_minus_w1[a:b]))  # S* = sum_i (1 - Upsilon(A_i*))
+        pert = 1.0 - mean_sigma[a:b]  # 1 - sqrt(Phi(D_i*, I))
+        phi_c, ups_c = phis[n + i].item(), ups[n + i].item()
+        circuit._data = SimpleNamespace(
+            d=d, polars=polars[a:b], composite=composites[i], ups=ups[a:b], phis=phis[a:b],
+            mean_sigma=mean_sigma[a:b], pert=pert, s_star=s_star, pert_sum=float(np.sum(pert)),
+            half_s_star_sq=0.5 * s_star**2, gamma_max=float(np.max(gammas[a:b])),
+            prod_ups=float(np.prod(ups[a:b])), sum_w1_sq=float(np.sum(one_minus_w1[a:b] ** 2)),
+            sum_cross=float(np.sum(one_minus_w1[a:b] * (1.0 - phis[a:b]))), phi_c=phi_c,
+            ups_c=ups_c, a1_c=a1_cs[i], ups_star_c=ups_star[i], phi_star_c=phi_star[i],
+            element_nc=bool(np.all(nc[a:b])), composite_nc=bool(metrics._nc_regime(phi_c, ups_c)))
 
 
-def _data(circuit: CircuitSpec) -> _CircuitData:
+def _data(circuit: CircuitSpec) -> SimpleNamespace:
     if circuit._data is None:
         _prime([circuit])
     return circuit._data
 
 
-def _require_nc(data: _CircuitData):
+def _require_nc(data: SimpleNamespace):
     if not (data.element_nc and data.composite_nc):
         raise NotNonCatastrophic(
             "every element and the composition must satisfy Phi > 1/2 and "
@@ -231,11 +226,10 @@ def thm2_fid_evo(circuit: CircuitSpec) -> BoundReport:
 def _require_decoherent(circuit: CircuitSpec):
     if circuit._decoherent:  # a passed check holds for the circuit's lifetime
         return
-    d = circuit.dim
-    eye = np.eye(d)
+    eye, tol = np.eye(circuit.dim), 1e-9 * np.sqrt(circuit.dim)
     chn._canonicalize(circuit.channels)  # one batch for the checks below
     for i, (c, t) in enumerate(zip(circuit.channels, circuit.targets)):
-        if np.linalg.norm(t - eye) > 1e-9 * np.sqrt(d):
+        if matcore._norms(t - eye) > tol:
             raise TargetNotUnitary(
                 "decoherent-composition bounds are identity-target statements; "
                 f"element {i} carries a non-identity target"
@@ -377,30 +371,29 @@ def thm7_max_correction(ch: chn.KrausChannel, target=None) -> BoundReport:
     the ascent's start on the input ones with prefix U^dag U V^dag, and the
     ascent never falls below its own start.
     """
-    d = ch.dim
-    u = metrics._check_target(target, d)
-    ups = metrics.upsilon(ch)
-    if not metrics._nc_regime(metrics._phi(ch, u), ups):
-        raise NotNonCatastrophic("channel must be non-catastrophic")
-    pol = channel_polar(ch)
-    observed = metrics._phi_with_prefix(pol.unitary.conj().T, chn.canonical(ch).kraus)
-    gap = 1.0 - ups**2
-    lower = ups**2 - gap**2
-    upper = ups + 1.5 * gap**2
-    gamma = _spectrum_constants(pol.singular_values)[1]
-    lower_wse = ups - (1.0 + gamma**2) * gap**2
-    opt = _optimize_correction(ch, u)
-    terms = {
-        "upsilon": ups,
-        "lower_wse": lower_wse,
-        "gamma_decoh": gamma,
-        "phi_w0": observed,
-        "phi_optimized": opt.phi_achieved,
-        "optimizer_improvement": opt.phi_achieved - observed,
-    }
-    rep = make_report("thm7", observed, lower, upper, terms=terms)
-    rep.holds = bool(rep.holds and opt.phi_achieved <= upper + HOLDS_TOL)
-    return rep
+    return next(_thm7_reports([ch], [metrics._check_target(target, ch.dim)]))
+
+
+def _thm7_reports(channels, us):
+    """:func:`thm7_max_correction` of each channel (one dimension) against its checked
+    target: Phi, Upsilon, polar factors and gammas stacked, the ascent one by one."""
+    ups = metrics._upsilons(channels).tolist()
+    for phi_value, y in zip(metrics._phis(channels, us).tolist(), ups):
+        if not metrics._nc_regime(phi_value, y):
+            raise NotNonCatastrophic("channel must be non-catastrophic")
+    pols = channel_polars(channels)
+    gammas = _spectrum_constants(np.array([p.singular_values for p in pols]))[1].tolist()
+    for ch, u, y, pol, gamma in zip(channels, us, ups, pols, gammas):
+        observed = metrics._phi_with_prefix(pol.unitary.conj().T, chn.canonical(ch).kraus)
+        gap = 1.0 - y**2
+        lower, upper = y**2 - gap**2, y + 1.5 * gap**2
+        opt = _optimize_correction(ch, u)
+        terms = {"upsilon": y, "lower_wse": y - (1.0 + gamma**2) * gap**2, "gamma_decoh": gamma,
+                 "phi_w0": observed, "phi_optimized": opt.phi_achieved,
+                 "optimizer_improvement": opt.phi_achieved - observed}
+        rep = make_report("thm7", observed, lower, upper, terms=terms)
+        rep.holds = bool(rep.holds and opt.phi_achieved <= upper + HOLDS_TOL)
+        yield rep
 
 
 def _thm8_terms(s_star, phi_vstar, sum_cross, gamma_d, gamma_c, phi_v, pert_sum):
@@ -428,8 +421,7 @@ def thm8_equable_composition(v, circuit: CircuitSpec) -> BoundReport:
     d = data.d
     v = metrics._check_target(v, d)
     phi_tot = metrics._phi_with_prefix(v, data.composite.kraus)
-    ups_tot = metrics.upsilon(data.composite)  # v does not change Upsilon
-    nc_tot = bool(metrics._nc_regime(phi_tot, ups_tot))
+    nc_tot = bool(metrics._nc_regime(phi_tot, data.ups_c))  # v does not change Upsilon
     if not data.element_nc or not nc_tot:
         raise NotNonCatastrophic(
             "elements and the prefixed composition must be non-catastrophic"

@@ -191,18 +191,16 @@ def from_choi(choi: np.ndarray):
     floor = CHOI_DROP_TOL * d
     eig = matcore.hermitian_eig(stack, drop_floor=floor)
     vals, vecs = eig.values, eig.vectors
-    root = np.ones(len(vals))  # the square root of the factor each C was divided by
     big = vals[:, 0] == np.inf
+    root = np.where(big, 2.0**256, 1.0)  # the square root of the factor each C was divided by
     if big.any():
-        root[big] = 2.0**256
         eig = matcore.hermitian_eig(stack[big] / 2.0**512, drop_floor=floor / 2.0**512)
         vals[big], vecs[big] = eig.values, eig.vectors
-    for i in np.flatnonzero(vals[:, -1] < -CP_EIG_TOL * np.maximum(d, vals[:, 0]))[:1]:
+    for i in (vals[:, -1] < -CP_EIG_TOL * np.maximum(d, vals[:, 0])).nonzero()[0][:1]:
         raise NotCP(f"Choi eigenvalue {float(vals[i, -1]) * root[i]**2:.3e} below CP floor")
     keep = vals > (floor / root**2)[:, None]
     counts = keep.sum(axis=1)
-    vals = vals[keep]
-    root = np.repeat(root, counts)
+    vals, root = vals[keep], root.repeat(counts)
     # each kept column v as the matrix M with col(M) = v
     cols = vecs.swapaxes(1, 2)[keep].reshape(-1, d, d).swapaxes(1, 2)
     ops = (np.sqrt(vals) * root)[:, None, None] * cols
@@ -237,17 +235,18 @@ def canonical(ch: KrausChannel) -> KrausChannel:
     return ch._canonical
 
 
-def _by_shape(channels, *per_channel):
+def _by_shape(channels, *per_channel) -> list:
     """(indices, Kraus stack, stack of each ``per_channel`` list) per Kraus shape;
     a channel whose arrays are not C-contiguous is a group of one, of views."""
     lists = ([ch.kraus for ch in channels], *per_channel)
+    if len(channels) == 1:  # a group of one, of views, whatever its layout
+        return [([0], *[x[0][None] for x in lists])]
     groups = {}
-    for i, k in enumerate(lists[0]):
-        c = k.flags.c_contiguous and all(x[i].flags.c_contiguous for x in per_channel)
-        groups.setdefault(k.shape if c else i, []).append(i)
-    for idx in groups.values():
-        yield idx, *[x[idx[0]][None] if len(idx) == 1 else np.array([x[i] for i in idx])
-                     for x in lists]
+    for i, arrays in enumerate(zip(*lists)):
+        c = all([a.flags.c_contiguous for a in arrays])
+        groups.setdefault(arrays[0].shape if c else i, []).append(i)
+    return [(idx, *[x[idx[0]][None] if len(idx) == 1 else np.array([x[i] for i in idx])
+                    for x in lists]) for idx in groups.values()]
 
 
 def _canonicalize(channels) -> list:
@@ -260,26 +259,28 @@ def _canonicalize(channels) -> list:
     for idx, kraus in _by_shape(todo):
         n, k, d = kraus.shape[:3]
         g = _gram(kraus).reshape(n, k * k)  # the diagonal is every (k + 1)-th entry
-        off = np.abs(g)  # each |G - diag(G)|, as the matrix difference
-        off[:, ::k + 1] = np.abs(g[:, ::k + 1] - g[:, ::k + 1]) if k > 1 else 0.0
-        orth = off.max(axis=1) <= GRAM_ORTHO_TOL * d
-        if not orth.all():
+        off = np.abs(g)  # each |G - diag(G)|: on the diagonal |g| * 0, NaN where not finite
+        off[:, ::k + 1] *= 0.0
+        orth = (off.max(axis=1) <= GRAM_ORTHO_TOL * d) | (k == 1)
+        flags = orth.tolist()
+        if not all(flags):
             if d > MAX_EIGENSOLVER_DIM:
                 raise DimensionMismatch(
                     f"canonicalization of non-orthogonal Kraus families above d="
                     f"{MAX_EIGENSOLVER_DIM} requires a Choi eigendecomposition that "
                     "is out of range; supply an orthogonal family")
-            choi += [todo[i] for i, o in zip(idx, orth) if not o]
-            chois.append(_chois(kraus[~orth]))
-        if orth.any():
-            rows = np.flatnonzero(orth)[:, None]
-            norms2 = g[rows[:, 0], ::k + 1].real
-            order = np.argsort(-norms2, axis=1, kind="stable")
+            choi += [todo[i] for i, o in zip(idx, flags) if not o]
+            chois.append(_chois(kraus[~orth] if any(flags) else kraus))
+        if any(flags):
+            rows = orth.nonzero()[0]
+            norms2 = g[rows, ::k + 1].real
+            order = (-norms2).argsort(axis=1, kind="stable")
             norms2 = norms2[np.arange(len(rows))[:, None], order]
             keep = norms2 > CHOI_DROP_TOL * d  # the stable order of the kept
-            gram += [todo[i] for i, o in zip(idx, orth) if o]
-            ops = kraus[np.broadcast_to(rows, keep.shape)[keep], order[keep]]  # one copy
-            views += _canonical_views(ops, norms2[keep] / d, keep.sum(axis=1).tolist())
+            counts = keep.sum(axis=1)
+            gram += [todo[i] for i, o in zip(idx, flags) if o]
+            ops = kraus[rows.repeat(counts), order[keep]]  # one copy
+            views += _canonical_views(ops, norms2[keep] / d, counts.tolist())
     if choi:
         views += from_choi(chois[0] if len(chois) == 1 else np.concatenate(chois))
     for ch, view in zip(gram + choi, views):
@@ -381,7 +382,7 @@ def _pairs_to_matrix(pairs, rows: int, cols: int, name: str) -> np.ndarray:
             f"{name} must be a flat row-major list of {rows * cols} [re, im] pairs"
         )
     # the float64 conversion also reads numeric strings and booleans
-    if not all(type(x) in (int, float) for pair in pairs for x in pair):
+    if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
         raise ValueError(f"{name} entries must be JSON numbers")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")

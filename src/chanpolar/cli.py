@@ -472,6 +472,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()  # built once: parse_args reads it and fills a new namespace
 _COMMANDS = {
     "decompose": _cmd_decompose,
     "metrics": _cmd_metrics,
@@ -487,7 +488,7 @@ def main(argv=None) -> int:
     exit code and error line."""
     t0 = time.time()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         res = _COMMANDS[args.command](args)
         if res.error is not None:
             _error_json("domain", res.error)

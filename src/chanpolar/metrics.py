@@ -22,14 +22,16 @@ UNITARY_TOL = 1e-9
 NC_THRESHOLD = 0.5
 
 
-def _check_target(u, d: int) -> np.ndarray:
+def _check_target(u, d: int, stacked: bool = False) -> np.ndarray:
+    """A d x d unitary target (I for None), or if ``stacked`` an (N, d, d) stack."""
     if u is None:
         return np.eye(d, dtype=np.complex128)
     u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (d, d):
+    if u.shape[-2:] != (d, d) or u.ndim != 2 + stacked:
         raise TargetNotUnitary(f"target must be {d} x {d}, got {u.shape}")
     # "not <=" also refuses a NaN deviation (a non-finite target)
-    if not np.linalg.norm(u.conj().T @ u - np.eye(d)) <= UNITARY_TOL * np.sqrt(d):
+    dev = matcore._norms(np.conj(u).swapaxes(-1, -2) @ u - np.eye(d))
+    if not (dev <= UNITARY_TOL * np.sqrt(d)).all():
         raise TargetNotUnitary("target is not unitary within tolerance")
     return u
 
@@ -49,7 +51,7 @@ def _phis(channels, targets) -> np.ndarray:
     out = np.empty(len(channels))
     for idx, kraus, us in chn._by_shape(channels, targets):
         traces = np.einsum("nkij,nij->nk", kraus, us.conj())  # tr(U^dag A_k)
-        out[idx] = np.sum(np.abs(traces) ** 2, axis=-1) / kraus.shape[-1] ** 2
+        out[idx] = (np.abs(traces) ** 2).sum(axis=-1) / kraus.shape[-1] ** 2
     return out
 
 
@@ -60,10 +62,13 @@ def _phi_with_prefix(m: np.ndarray, kraus: np.ndarray) -> float:
     return float(np.sum(np.abs(traces) ** 2) / m.shape[0] ** 2)
 
 
-def _overlap(m: np.ndarray) -> float:
+def _overlap(m: np.ndarray):
     """|tr M|^2 / d^2 of a d x d matrix M: Phi of the one-operator map
-    M . M^dag against the identity."""
-    return float(abs(np.trace(m)) ** 2 / m.shape[0] ** 2)
+    M . M^dag against the identity; of an (N, d, d) stack, the list of each's."""
+    if m.ndim == 2:
+        return float(abs(np.trace(m)) ** 2 / m.shape[0] ** 2)
+    t = m.trace(axis1=-2, axis2=-1)
+    return (matcore._squares(np.hypot(t.real, t.imag)) / m.shape[-1] ** 2).tolist()
 
 
 def avg_fidelity(phi_value: float, d: int) -> float:
@@ -165,29 +170,24 @@ def lk_gap_bounds(ch: chn.KrausChannel, target=None):
     whose upper side requires the channel to be non-catastrophic; when it
     is not, that side is reported as inapplicable (upper = +inf).
     """
-    rep = report(ch, target)
-    ups2 = rep.upsilon**2
-    r1 = make_report(
-        theorem="lemma1",
-        observed=ups2 - rep.lk_upsilon**2,
-        lower=0.0,
-        upper=(1.0 - ups2) ** 2,
-        terms={"upsilon2": ups2, "w1": rep.lk_upsilon},
-    )
-    applicable = rep.non_catastrophic
-    upper = (1.0 - ups2) * (1.0 - rep.phi) if applicable else float("inf")
-    r2 = make_report(
-        theorem="lemma2",
-        observed=rep.phi - rep.lk_phi,
-        lower=0.0,
-        upper=upper,
-        terms={
-            "phi": rep.phi,
-            "lk_phi": rep.lk_phi,
-            "applicable": 1.0 if applicable else 0.0,
-        },
-    )
-    return r1, r2
+    return next(_lk_gaps([ch], _check_target(target, ch.dim)[None]))
+
+
+def _lk_gaps(channels, us):
+    """:func:`lk_gap_bounds` of each channel (one dimension) against its checked target
+    (an (N, d, d) stack), the canonical forms, Phi, Upsilon and LK Phi stacked."""
+    canons = chn._canonicalize(channels)
+    lk_phis = _overlap(np.conj(us).swapaxes(-1, -2) @ np.array([c.a1 for c in canons]))
+    for p, ups, lk_phi, c in zip(_phis(canons, [*us]).tolist(), _upsilons(canons).tolist(),
+                                 lk_phis, canons):
+        ups2 = ups**2
+        r1 = make_report("lemma1", ups2 - c.w1**2, 0.0, (1.0 - ups2) ** 2,
+                         terms={"upsilon2": ups2, "w1": c.w1})
+        applicable = bool(_nc_regime(p, ups))
+        upper = (1.0 - ups2) * (1.0 - p) if applicable else float("inf")
+        r2 = make_report("lemma2", p - lk_phi, 0.0, upper, terms={
+            "phi": p, "lk_phi": lk_phi, "applicable": 1.0 if applicable else 0.0})
+        yield r1, r2
 
 
 # ---------------------------------------------------------------------------

@@ -130,16 +130,18 @@ def _polarize(canons: list):
                 "be discontinuous in the input",
                 stacklevel=3,
             )
-    lead = [c.kraus[0] for c in canons]
-    pol = matcore.polar_decompose(np.stack(lead) if len(lead) > 1 else lead[0][np.newaxis])
-    for i, canon in enumerate(canons):
+    lead = [c.kraus[0] for c in canons]  # a lone operator stays a view, not a d x d copy
+    pol = matcore.polar_decompose(np.array(lead) if len(lead) > 1 else lead[0][np.newaxis])
+    full = (pol.rank == canons[0].dim).tolist()
+    for canon, v, p, fixed, s, f in zip(canons, pol.unitary, pol.psd, pol.phase_fixed.tolist(),
+                                        pol.singular_values, full):
         canon._polar = ChannelPolar(
             dim=canon.dim,
-            unitary=pol.unitary[i],
-            psd=pol.psd[i],
-            phase_fixed=bool(pol.phase_fixed[i]),
-            singular_values=pol.singular_values[i],
-            unique=bool(pol.rank[i] == canon.dim) and not canon.degenerate_leading,
+            unitary=v,
+            psd=p,
+            phase_fixed=fixed,
+            singular_values=s,
+            unique=f and not canon.degenerate_leading,
             _kraus=canon.kraus,
         )
 
@@ -148,7 +150,7 @@ def is_decoherent(ch: chn.KrausChannel) -> bool:
     """True iff the leading Kraus operator is positive semi-definite
     (Hermitian within ``DECOHERENT_TOL``, smallest eigenvalue >= -tol)."""
     a1 = ch.a1
-    if np.linalg.norm(a1 - a1.conj().T) > DECOHERENT_TOL:
+    if matcore._norms(a1 - a1.conj().T) > DECOHERENT_TOL:
         return False
     return bool(matcore._hermitian_part_spectrum(a1)[0] >= -DECOHERENT_TOL)
 

@@ -20,7 +20,7 @@ from .polar import _spectrum_constants, channel_polar, channel_polars
 
 REGIME_CAP = 0.1  # theorem_suite circuits keep m^2 r^2 <= this
 THEOREM_DEPTHS = (2, 4, 8, 16, 32)  # circuit depths of theorem_suite
-_THEOREM_CHUNK = 64  # (d, m, t) cells per batch of theorem_suite
+_THEOREM_CHUNK = 64  # (d, m, t) cells per batch of theorem_suite, trials of lemma/Thm 7
 _SWEEP_BLOCK = 256  # depths per stacked eigvalsh in composition_sweep
 
 
@@ -82,12 +82,26 @@ def element_for_infidelity(d: int, r_target, draws, decoherent: bool = False):
 def sample_noncatastrophic(d: int, rng: np.random.Generator):
     """(channel, target) pair: a random unitary target followed by
     near-identity noise, non-catastrophic by construction."""
-    strength = float(rng.uniform(0.02, 0.3))
-    rank = int(rng.integers(2, 5))
-    noise = genlib.random_cptp(d, min(rank, d * d), _subseed(rng), strength=strength)
-    target = genlib.random_unitary(d, _subseed(rng))
-    kraus = np.einsum("kij,jl->kil", noise.kraus, target)
-    return chn.KrausChannel(dim=d, kraus=kraus), target
+    chs, targets = _noncatastrophic(d, [rng])
+    return chs[0], targets[0]
+
+
+def _noncatastrophic(d: int, rngs) -> tuple[list, np.ndarray]:
+    """The channels and (N, d, d) targets of :func:`sample_noncatastrophic` for each
+    generator, its numbers drawn in order (strength, rank, noise seed, target seed);
+    the noise of a rank from one stacked :func:`genlib._gue_eig`, the targets' QR stacked."""
+    eps, ks, seeds, target_seeds = zip(*[
+        (float(rng.uniform(0.02, 0.3)), min(int(rng.integers(2, 5)), d * d),
+         _subseed(rng), _subseed(rng)) for rng in rngs])
+    noise = {}
+    for k in set(ks):
+        idx = [i for i, x in enumerate(ks) if x == k]
+        w, v = genlib._gue_eig(d * k, [seeds[i] for i in idx])
+        iso = matcore._expi_eig(w, v, -np.array(eps)[idx])[..., :d]
+        noise.update(zip(idx, iso.reshape(len(idx), k, d, d).copy()))
+    targets = genlib._haar_unitaries(d, target_seeds)
+    return [chn.KrausChannel(dim=d, kraus=np.einsum("kij,jl->kil", noise[i], u))
+            for i, u in enumerate(targets)], targets
 
 
 # ---------------------------------------------------------------------------
@@ -95,29 +109,32 @@ def sample_noncatastrophic(d: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
-def _trials(dims, trials: int, seed: int):
-    """(d, t, rng) for each dimension and trial index, the generator seeded
-    by [seed, d, t]: the per-trial stream of the single-channel suites."""
+def _trials(dims, trials: int, seed: int, chunk: int = 1):
+    """(d, trial indices, generators) per dimension and run of at most ``chunk``
+    trials, trial t's generator seeded by [seed, d, t]: a stream of its own."""
     for d in dims:
-        for t in range(trials):
-            yield d, t, np.random.default_rng([seed, d, t])
+        for at in range(0, trials, chunk):
+            ts = range(at, min(at + chunk, trials))
+            yield d, ts, [np.random.default_rng([seed, d, t]) for t in ts]
 
 
 def lemma_suite(dims=(2, 3, 4, 8), trials: int = 1000, seed: int = 0) -> list[BoundReport]:
-    """LK gap sandwiches on random non-catastrophic channels."""
+    """LK gap sandwiches on random non-catastrophic channels, each run of
+    :func:`_trials` of ``_THEOREM_CHUNK`` sampled and evaluated as stacks."""
     out = []
-    for d, t, rng in _trials(dims, trials, seed):
-        ch, target = sample_noncatastrophic(d, rng)
-        r1, r2 = metrics.lk_gap_bounds(ch, target)
-        out.append(_case(f"lemma1/d{d}/t{t}", r1))
-        out.append(_case(f"lemma2/d{d}/t{t}", r2))
+    for d, ts, rngs in _trials(dims, trials, seed, _THEOREM_CHUNK):
+        chs, targets = _noncatastrophic(d, rngs)
+        us = metrics._check_target(targets, d, stacked=True)
+        for t, (r1, r2) in zip(ts, metrics._lk_gaps(chs, us)):
+            out.append(_case(f"lemma1/d{d}/t{t}", r1))
+            out.append(_case(f"lemma2/d{d}/t{t}", r2))
     return out
 
 
 def appendix_suite(dims=(2, 3, 5), trials: int = 1000, seed: int = 0) -> list[BoundReport]:
     """Trace, flavored Von Neumann, and norm inequality sweeps."""
     out = []
-    for d, t, rng in _trials(dims, trials, seed):
+    for d, (t,), (rng,) in _trials(dims, trials, seed):
 
         def herm():
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -144,10 +161,10 @@ def _draw_circuit(d: int, m: int, rng, with_targets=False) -> tuple:
 
     The infidelities are log-uniform in [3e-5, min(1e-2, 0.8 sqrt(REGIME_CAP) / m)].
     """
-    r_cap = min(1e-2, np.sqrt(REGIME_CAP) * 0.8 / m)
+    log_r = np.log10(3e-5), np.log10(min(1e-2, np.sqrt(REGIME_CAP) * 0.8 / m))
     r_ts, draws, target_seeds = [], [], []
     for _ in range(m):
-        r_ts.append(float(10 ** rng.uniform(np.log10(3e-5), np.log10(r_cap))))
+        r_ts.append(float(10 ** rng.uniform(*log_r)))
         draws.append((int(rng.integers(2, 5)), _subseed(rng)))  # rank, then seed
         if with_targets:
             target_seeds.append(_subseed(rng))
@@ -205,13 +222,14 @@ def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundRe
             circs = _build_circuits(d, general)
             dcircs = _build_circuits(d, decoh, decoherent=True)
             bounds._prime(circs + dcircs)
-            for (m, t), circ, dcirc, (strength, v_seed) in zip(chunk, circs, dcircs, vs):
+            strengths, v_seeds = zip(*vs)  # genlib.random_unitary_error of each, stacked
+            us = matcore._expi_eig(*genlib._gue_eig(d, v_seeds), -np.array(strengths))
+            for (m, t), circ, dcirc, v in zip(chunk, circs, dcircs, us):
                 tag = f"d{d}/m{m}/t{t}"
                 out.append(_case(f"thm1/{tag}", bounds.thm1_uni_evo(circ)))
                 out.append(_case(f"thm2/{tag}", bounds.thm2_fid_evo(circ)))
                 out.append(_case(f"thm5/{tag}", bounds.thm5_unitarity_decay(circ)))
                 out.append(_case(f"thm9/{tag}", bounds.thm9_max_correction_multi(circ)))
-                v = genlib.random_unitary_error(d, strength, v_seed).kraus[0]
                 mono, sub = bounds.thm4_decoherent_features(dcirc, v)
                 out.append(_case(f"thm4a/{tag}", mono))
                 out.append(_case(f"thm4b/{tag}", sub))
@@ -224,11 +242,14 @@ def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundRe
 
 def thm7_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundReport]:
     """Single-channel quasi-maximal correction sweep, each case with the
-    polar-ascent cross-check of :func:`bounds.thm7_max_correction`."""
+    polar-ascent cross-check of :func:`bounds.thm7_max_correction`, each run
+    of :func:`_trials` of ``_THEOREM_CHUNK`` sampled and evaluated as stacks."""
     out = []
-    for d, t, rng in _trials(dims, trials, seed):
-        ch, target = sample_noncatastrophic(d, rng)
-        out.append(_case(f"thm7/d{d}/t{t}", bounds.thm7_max_correction(ch, target)))
+    for d, ts, rngs in _trials(dims, trials, seed, _THEOREM_CHUNK):
+        chs, targets = _noncatastrophic(d, rngs)
+        us = metrics._check_target(targets, d, stacked=True)
+        for t, rep in zip(ts, bounds._thm7_reports(chs, [*us])):
+            out.append(_case(f"thm7/d{d}/t{t}", rep))
     return out
 
 
@@ -240,7 +261,7 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Bou
     ``holds`` is the structure's relative orthogonality test (each pairwise
     |<T_a, T_b>| <= 1e-9 |T_a| |T_b|), or ``observed <= 1e-9``."""
     out = []
-    for d, t, rng in _trials(dims, trials, seed):
+    for d, (t,), (rng,) in _trials(dims, trials, seed):
 
         def op():
             return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -278,9 +299,9 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Bou
 
 
 SUITES = ("lemmas", "theorems", "appendix", "all")
-# The largest d of each capped suite.  Theorem cases grow steeply in cost
-# with d: five theorem-suite cells at d = 16 take about 10 s on a 2-core VM,
-# most of it in the Choi eigensolver of composition and element canonical forms.
+# The largest d of each capped suite.  Theorem cases grow steeply in cost with d:
+# five theorem-suite cells at d = 16 take 9.7-10.7 s and 361 MB peak RSS on a 2-core
+# Xeon, most of it in the Choi eigensolver of composition and element canonical forms.
 DIM_CAPS = {"theorem": 8, "Lindblad": 8}
 
 

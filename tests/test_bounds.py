@@ -359,6 +359,82 @@ class TestCircuitData:
         assert data.gamma_max == max(_spectrum_constants(s)[1] for s in sigmas)
 
 
+    def test_stacked_data_equal_single_circuit_calls(self):
+        """_prime over circuits of mixed depths, Kraus counts and targets
+        gives each circuit the bytes of priming it alone, every field."""
+        def circuits():
+            rng = np.random.default_rng(21)
+            drawn = [suites._draw_circuit(3, m, rng, with_targets=m % 2 == 0) for m in (1, 2, 3, 5)]
+            dec = [suites._draw_circuit(3, m, rng) for m in (2, 4)]
+            return suites._build_circuits(3, drawn) + suites._build_circuits(3, dec, True)
+
+        stacked, singles = circuits(), circuits()
+        assert len({ch.n_kraus for c in stacked for ch in c.channels}) > 1
+        bounds._prime(stacked)
+        for a, b in zip(stacked, singles, strict=True):
+            got, want = vars(a._data), vars(bounds._data(b))
+            assert got.keys() == want.keys()
+            for key, value in got.items():
+                other = want[key]
+                if key == "polars":
+                    for p, q in zip(value, other, strict=True):
+                        assert p.unitary.tobytes() == q.unitary.tobytes()
+                        assert p.singular_values.tobytes() == q.singular_values.tobytes()
+                elif key == "composite":
+                    assert value.kraus.tobytes() == other.kraus.tobytes()
+                elif isinstance(value, np.ndarray):
+                    assert value.tobytes() == other.tobytes(), key
+                else:
+                    assert type(value) is type(other) and value == other, key
+
+    def test_stacked_composite_target_test_refuses_any_item(self):
+        u = genlib.random_unitary(2, 1)
+        stack = np.stack([u, u @ u, 1.001 * u])
+        metrics._check_target(stack[:2], 2, stacked=True)
+        with pytest.raises(TargetNotUnitary, match="^target is not unitary within tolerance$"):
+            metrics._check_target(stack, 2, stacked=True)
+        with pytest.raises(TargetNotUnitary, match=r"^target must be 2 x 2, got \(2, 2\)$"):
+            metrics._check_target(u, 2, stacked=True)
+
+
+class TestCircuitTargets:
+    """A circuit tests its d x d targets as one stack, with the errors and
+    target arrays of one test per target."""
+
+    def test_targets_kept_and_refused_as_one_by_one(self):
+        chans = [genlib.rotation(2, 0.1)] * 3
+        u = genlib.random_unitary(2, 4)
+        circ = bounds.CircuitSpec(chans, [u, None, genlib.rotation_matrix(2, 0.3).real.tolist()])
+        assert circ.targets[0] is u
+        assert np.array_equal(circ.targets[1], I2)
+        assert circ.targets[2].dtype == np.complex128
+        for targets, message in (
+            ([u, 2 * u, np.eye(3)], "target is not unitary within tolerance"),
+            ([u, np.eye(3), 2 * u], "target must be 2 x 2, got (3, 3)"),
+            ([u, u, 2 * u], "target is not unitary within tolerance"),
+        ):
+            with pytest.raises(TargetNotUnitary, match=f"^{re.escape(message)}$"):
+                bounds.CircuitSpec(chans, targets)
+
+
+class TestThm7Stack:
+    def test_stack_equals_single_calls(self):
+        """Mixed Kraus counts and targets, one stacked call against one call each."""
+        chs, us = [], []
+        for t in range(6):
+            ch, u = suites.sample_noncatastrophic(2 + t % 2, np.random.default_rng([2, t]))
+            if ch.dim == 2:
+                chs.append(ch)
+                us.append(u)
+        chs.append(rot_deph(0.1, 0.01))
+        us.append(genlib.rotation_matrix(2, 0.1))
+        assert len({ch.n_kraus for ch in chs}) > 1
+        fresh = [chn.KrausChannel(dim=2, kraus=ch.kraus.copy()) for ch in chs]
+        stacked = bounds._thm7_reports(chs, us)
+        for rep, ch, u in zip(stacked, fresh, us, strict=True):
+            assert repr(rep) == repr(bounds.thm7_max_correction(ch, u))
+
+
 class TestCoherentEnvelope:
     def test_all_ratios_one(self):
         env = bounds.coherent_envelope([1.0, 1.0], 2, upsilons=[0.9, 0.8])
@@ -494,6 +570,17 @@ class TestLindblad:
         assert abs(st.inner_products["hamiltonian.jump"]) > 1e-9 * (
             np.linalg.norm(st.term_hamiltonian) * np.linalg.norm(st.term_jump)
         )
+
+    def test_millinorm_jump_with_a_nanoscale_trace_is_not_orthogonal(self):
+        # a jump operator of norm 1e-3 whose trace 9e-10 i passes the absolute
+        # 1e-9 traceless floor: the Hamiltonian and jump terms overlap
+        lop = 1e-3 / np.sqrt(2.0) * Z + 4.5e-10j * I2
+        assert np.linalg.norm(lop) < 1.0 and abs(np.trace(lop)) < 1e-9
+        st = bounds.lindblad_structure(
+            bounds.LindbladSpec(dim=2, hamiltonian=Z, lindblad_ops=[lop])
+        )
+        assert not st.orthogonal
+        assert 1e-9 < st.worst_overlap < 1e-5
 
     def test_traceful_rejected(self):
         spec = bounds.LindbladSpec(dim=2, hamiltonian=Z, lindblad_ops=[np.eye(2)])

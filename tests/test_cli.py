@@ -211,6 +211,22 @@ class TestVerifyCmd:
         assert header == [f.name for f in dataclasses.fields(BoundReport)][:7]
 
 
+class TestParserState:
+    def test_consecutive_calls_share_no_state(self, tmp_path, monkeypatch):
+        """The parser is built once per process; each call still parses into
+        a namespace of its own, with the defaults of a fresh parser."""
+        seen = []
+        monkeypatch.setattr(cli, "_COMMANDS", dict(
+            cli._COMMANDS, verify=lambda args: seen.append(args) or cli._Result("", {})))
+        first = ["verify", "--suite", "lemmas", "--dims", "2,3", "--trials", "3", "--seed", "5"]
+        second = ["verify", "--out", str(tmp_path / "v.csv")]
+        assert main(first) == 0 and main(second) == 0
+        assert seen[0] is not seen[1]
+        assert (seen[0].seed, seen[0].trials, seen[0].dims, seen[0].out) == (5, 3, (2, 3), None)
+        for args, argv in zip(seen, (first, second)):
+            assert vars(args) == vars(cli._build_parser().parse_args(argv))
+
+
 class TestSweepCmd:
     def _config(self, tmp_path, family, max_depth=3, mode="composition"):
         cfg = {

@@ -221,6 +221,24 @@ class TestStackedKernels:
                 want = np.array([np.linalg.norm(m) for m in stack])
                 assert matcore._norms(stack).tobytes() == want.tobytes()
 
+    def test_norms_of_one_matrix_have_the_bits_of_linalg_norm(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 65):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for a in (m, 1e-150 * m, 1e150 * m, m - m.conj().T):
+                assert matcore._norms(a).tobytes() == np.linalg.norm(a).tobytes()
+
+    def test_slice_reductions_have_the_bits_of_a_copy(self):
+        """np.sum (pairwise) and np.prod over a contiguous slice at any
+        offset of a longer array equal those over a fresh copy of it."""
+        rng = np.random.default_rng(13)
+        x = 1.0 - rng.random(300) * 1e-3
+        for n in range(1, 140):
+            for at in (0, 1, 3, 7, 160 - n % 9):
+                part = x[at:at + n]
+                assert np.sum(part) == np.sum(part.copy())
+                assert np.prod(part) == np.prod(part.copy())
+
     @pytest.mark.parametrize("shape, layout, per_matrix", [
         ((2, 256, 256), "C", 0), ((2, 257, 257), "C", 2), ((3, 4, 4), "F", 3),
         ((4, 4), "F", 1), ((3, 4, 4), "C", 0),

@@ -225,6 +225,44 @@ class TestLkGapBounds:
             assert r2.slack >= -1e-10
 
 
+class TestLkGapStack:
+    def reports(self, ch, target):
+        """The gap reports from the figures of :func:`metrics.report`: the
+        route the stacked and single calls must match bit for bit."""
+        rep = metrics.report(ch, target)
+        ups2 = rep.upsilon**2
+        nc = rep.non_catastrophic
+        return (
+            metrics.make_report("lemma1", ups2 - rep.lk_upsilon**2, 0.0, (1.0 - ups2) ** 2,
+                                terms={"upsilon2": ups2, "w1": rep.lk_upsilon}),
+            metrics.make_report("lemma2", rep.phi - rep.lk_phi, 0.0,
+                                (1.0 - ups2) * (1.0 - rep.phi) if nc else float("inf"),
+                                terms={"phi": rep.phi, "lk_phi": rep.lk_phi,
+                                       "applicable": 1.0 if nc else 0.0}),
+        )
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stack_equals_single_calls_and_report_route(self, d):
+        chs, us = [], []
+        for t in range(8):
+            ch, u = suites.sample_noncatastrophic(d, np.random.default_rng([31, d, t]))
+            chs.append(ch)
+            us.append(u)
+        chs.append(genlib.depolarizing(d, 0.0))  # catastrophic: the Phi upper side is open
+        us.append(np.eye(d, dtype=complex))
+        assert len({ch.n_kraus for ch in chs}) > 1
+        fresh = [chn.KrausChannel(dim=d, kraus=ch.kraus.copy()) for ch in chs]
+        stacked = metrics._lk_gaps(chs, np.array(us))
+        for pair, ch, u in zip(stacked, fresh, us, strict=True):
+            assert repr(pair) == repr(metrics.lk_gap_bounds(ch, u))
+            assert repr(pair) == repr(self.reports(ch, u))
+
+    def test_identity_target_is_the_no_target_route(self):
+        for ch in (genlib.depolarizing(2, 0.9), genlib.amplitude_damping(3, 0.2),
+                   suites.sample_noncatastrophic(3, np.random.default_rng(4))[0]):
+            assert repr(metrics.lk_gap_bounds(ch)) == repr(self.reports(ch, None))
+
+
 class TestMonteCarlo:
     def test_identity_exact(self):
         est = metrics.haar_fidelity_mc(genlib.identity_channel(2), n_samples=1000, seed=0)

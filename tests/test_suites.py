@@ -111,6 +111,31 @@ def circuit_per_element(d, m, rng, with_targets=False, decoherent=False):
     return channels, targets
 
 
+def noncatastrophic_per_trial(d, rng):
+    """One trial from its own genlib generator calls: the reference route
+    that :func:`suites._noncatastrophic` must match bit for bit."""
+    strength = float(rng.uniform(0.02, 0.3))
+    rank = int(rng.integers(2, 5))
+    noise = genlib.random_cptp(d, min(rank, d * d), int(rng.integers(0, 2**63 - 1)), strength)
+    target = genlib.random_unitary(d, int(rng.integers(0, 2**63 - 1)))
+    return chn.KrausChannel(dim=d, kraus=np.einsum("kij,jl->kil", noise.kraus, target)), target
+
+
+def single_channel_suites_per_trial(dims, trials, seed):
+    """The lemma and Thm 7 suites one trial at a time, each channel sampled
+    by :func:`noncatastrophic_per_trial` and evaluated by the public
+    single-channel calls."""
+    lemmas, thm7 = [], []
+    for d in dims:
+        for t in range(trials):
+            ch, target = noncatastrophic_per_trial(d, np.random.default_rng([seed, d, t]))
+            r1, r2 = metrics.lk_gap_bounds(ch, target)
+            lemmas += [suites._case(f"lemma1/d{d}/t{t}", r1), suites._case(f"lemma2/d{d}/t{t}", r2)]
+            ch, target = noncatastrophic_per_trial(d, np.random.default_rng([seed, d, t]))
+            thm7.append(suites._case(f"thm7/d{d}/t{t}", bounds.thm7_max_correction(ch, target)))
+    return lemmas, thm7
+
+
 def theorem_suite_per_cell(dims, trials, seed):
     """One (d, m, t) cell at a time, its circuits from
     :func:`circuit_per_element` and each one's data computed on its own:
@@ -234,6 +259,40 @@ class TestTheoremSuite:
         assert len(got) == len(want) == 2 * 10 * 8
         for a, b in zip(got, want):
             assert repr(dataclasses.asdict(a)) == repr(dataclasses.asdict(b))
+
+
+class TestSingleChannelSuites:
+    def test_noncatastrophic_stack_equals_per_trial_route(self):
+        """One stacked sampler call over trials of mixed Kraus ranks (rank 4
+        capped at d^2 = 4 at d = 2) draws the same numbers and builds the same
+        channels and targets as one trial at a time."""
+        for d in (2, 3):
+            rngs = [np.random.default_rng([8, d, t]) for t in range(12)]
+            refs = [np.random.default_rng([8, d, t]) for t in range(12)]
+            chs, targets = suites._noncatastrophic(d, rngs)
+            assert len({ch.n_kraus for ch in chs}) > 1
+            for ch, target, rng, ref in zip(chs, targets, rngs, refs, strict=True):
+                want_ch, want_target = noncatastrophic_per_trial(d, ref)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert ch.kraus.shape == want_ch.kraus.shape
+                assert ch.kraus.tobytes() == want_ch.kraus.tobytes()
+                assert target.tobytes() == want_target.tobytes()
+            one = suites.sample_noncatastrophic(d, np.random.default_rng([8, d, 0]))
+            assert one[0].kraus.tobytes() == chs[0].kraus.tobytes()
+            assert one[1].tobytes() == targets[0].tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 10**6], ids=["1", "3", "whole"])
+    def test_chunks_equal_per_trial_route(self, chunk, monkeypatch):
+        """Every field of every lemma and Thm 7 report is the same at any
+        chunk size as one trial at a time through the public calls."""
+        monkeypatch.setattr(suites, "_THEOREM_CHUNK", chunk)
+        got = (suites.lemma_suite(dims=(2, 3), trials=7, seed=3),
+               suites.thm7_suite(dims=(2, 3), trials=7, seed=3))
+        want = single_channel_suites_per_trial(dims=(2, 3), trials=7, seed=3)
+        for g, w, n in zip(got, want, (2 * 2 * 7, 2 * 7)):
+            assert len(g) == len(w) == n
+            for a, b in zip(g, w):
+                assert repr(dataclasses.asdict(a)) == repr(dataclasses.asdict(b))
 
 
 class TestRecords:
