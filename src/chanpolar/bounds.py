@@ -61,11 +61,7 @@ class CircuitSpec:
         else:
             if len(self.targets) != len(self.channels):
                 raise DimensionMismatch("one target per channel required")
-            ts = [np.asarray(t, dtype=np.complex128) for t in self.targets]
-            if any(t is None for t in self.targets) or {t.shape for t in ts} != {(d, d)}:
-                ts = [metrics._check_target(t, d) for t in self.targets]  # first bad one raises
-            self.targets = ts
-            metrics._check_target(np.array(ts), d, stacked=True)  # all d x d: one stacked test
+            self.targets = [metrics._check_target(t, d) for t in self.targets]
         self._data = None
         self._decoherent = False  # set by the first passed decoherence check
 
@@ -109,10 +105,9 @@ def _prime(circuits) -> None:
     polars = channel_polars(els)
     composites = chn._compose_circuits([c.channels for c in circuits])
     canons = chn._canonicalize(els)
-    u_cs = metrics._check_target(
-        np.array([_circuit_product(c.targets, d) for c in circuits]), d, stacked=True)
+    u_cs = metrics._check_targets(np.array([_circuit_product(c.targets, d) for c in circuits]), d)
     ups = metrics._upsilons(canons + composites)
-    phis = metrics._phis(canons + composites, [t for c in circuits for t in c.targets] + [*u_cs])
+    phis = metrics._phis(canons + composites, [*(t for c in circuits for t in c.targets), *u_cs])
     # the (n, d) LK singular values; a row's statistics have the bits of a call on it alone
     sigmas = np.array([p.singular_values for p in polars])
     mean_sigma, gammas = np.mean(sigmas, axis=-1), _spectrum_constants(sigmas)[1]
@@ -123,7 +118,7 @@ def _prime(circuits) -> None:
     a1_cs = np.array([_circuit_product([c.a1 for c in canons[a:b]], d)
                       for a, b in zip(cuts, cuts[1:])])
     ups_star = (matcore._squares(matcore._norms(a1_cs)) / d).tolist()  # Upsilon(A*_{m:1})
-    phi_star = metrics._overlap(np.conj(u_cs).swapaxes(-1, -2) @ a1_cs)  # Phi(A*, U_{m:1})
+    phi_star = metrics._overlaps(np.conj(u_cs).swapaxes(-1, -2) @ a1_cs)  # Phi(A*, U_{m:1})
     for i, (circuit, a, b) in enumerate(zip(circuits, cuts, cuts[1:])):
         s_star = float(np.sum(one_minus_w1[a:b]))  # S* = sum_i (1 - Upsilon(A_i*))
         pert = 1.0 - mean_sigma[a:b]  # 1 - sqrt(Phi(D_i*, I))
@@ -371,19 +366,18 @@ def thm7_max_correction(ch: chn.KrausChannel, target=None) -> BoundReport:
     the ascent's start on the input ones with prefix U^dag U V^dag, and the
     ascent never falls below its own start.
     """
-    return next(_thm7_reports([ch], [metrics._check_target(target, ch.dim)]))
+    return next(_thm7_reports([ch], metrics._check_target(target, ch.dim)[None]))
 
 
-def _thm7_reports(channels, us):
-    """:func:`thm7_max_correction` of each channel (one dimension) against its checked
-    target: Phi, Upsilon, polar factors and gammas stacked, the ascent one by one."""
-    ups = metrics._upsilons(channels).tolist()
-    for phi_value, y in zip(metrics._phis(channels, us).tolist(), ups):
-        if not metrics._nc_regime(phi_value, y):
-            raise NotNonCatastrophic("channel must be non-catastrophic")
+def _thm7_reports(channels, us: np.ndarray):
+    """:func:`thm7_max_correction` of each channel (one dimension) against its checked target
+    (an (N, d, d) stack): Phi, Upsilon, polar factors and gammas stacked, the ascent one by one."""
+    ups = metrics._upsilons(channels)
+    if not metrics._nc_regime(metrics._phis(channels, us), ups).all():
+        raise NotNonCatastrophic("channel must be non-catastrophic")
     pols = channel_polars(channels)
     gammas = _spectrum_constants(np.array([p.singular_values for p in pols]))[1].tolist()
-    for ch, u, y, pol, gamma in zip(channels, us, ups, pols, gammas):
+    for ch, u, y, pol, gamma in zip(channels, us, ups.tolist(), pols, gammas):
         observed = metrics._phi_with_prefix(pol.unitary.conj().T, chn.canonical(ch).kraus)
         gap = 1.0 - y**2
         lower, upper = y**2 - gap**2, y + 1.5 * gap**2

@@ -169,8 +169,15 @@ def _gue_eig(n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
 def random_unitary_error(d: int, strength: float, seed) -> chn.KrausChannel:
     """exp(-i strength H) with H a seeded GUE draw normalized to unit
     spectral radius; strength is then the largest rotation angle."""
-    _require(strength >= 0.0, "strength must be non-negative")
-    return chn.KrausChannel(dim=d, kraus=matcore._expi_eig(*_gue_eig(d, [seed]), -strength))
+    return random_cptp(d, 1, seed, strength=strength)
+
+
+def _near_identity_kraus(d: int, k: int, eig, strengths) -> np.ndarray:
+    """The (N, k, d, d) Kraus stacks of ``random_cptp(d, k, seed, strength)`` of N
+    seeds' ``_gue_eig(d * k, seeds)`` and N strengths, one stacked exponential."""
+    _require(bool((np.asarray(strengths) >= 0.0).all()), "strength must be non-negative")
+    iso = matcore._expi_eig(*eig, -np.asarray(strengths))[..., :d]
+    return iso.reshape(len(iso), k, d, d).copy()
 
 
 def random_cptp(
@@ -190,14 +197,11 @@ def random_cptp(
     n = d * kraus_rank
     _require(n <= chn.MAX_EIGENSOLVER_DIM**2,
              f"d * kraus_rank must be at most {chn.MAX_EIGENSOLVER_DIM**2}")
-    if strength is None:
-        u = random_unitary(n, seed)
-        iso = u[:, :d]
-    else:
-        _require(strength >= 0.0, "strength must be non-negative")
-        iso = matcore._expi_eig(*_gue_eig(n, [seed]), -strength)[0, :, :d]
-    kraus = iso.reshape(kraus_rank, d, d)
-    return chn.KrausChannel(dim=d, kraus=kraus.copy())
+    if strength is not None:
+        kraus = _near_identity_kraus(d, kraus_rank, _gue_eig(n, [seed]), [strength])[0]
+        return chn.KrausChannel(dim=d, kraus=kraus)
+    iso = random_unitary(n, seed)[:, :d]
+    return chn.KrausChannel(dim=d, kraus=iso.reshape(kraus_rank, d, d).copy())
 
 
 def psd_lk_decoherent(

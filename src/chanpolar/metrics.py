@@ -10,6 +10,7 @@ just the canonical one) gives the same value.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,18 +23,22 @@ UNITARY_TOL = 1e-9
 NC_THRESHOLD = 0.5
 
 
-def _check_target(u, d: int, stacked: bool = False) -> np.ndarray:
-    """A d x d unitary target (I for None), or if ``stacked`` an (N, d, d) stack."""
+def _check_target(u, d: int) -> np.ndarray:
+    """A d x d unitary target (I for None)."""
     if u is None:
         return np.eye(d, dtype=np.complex128)
     u = np.asarray(u, dtype=np.complex128)
-    if u.shape[-2:] != (d, d) or u.ndim != 2 + stacked:
+    if u.shape != (d, d):
         raise TargetNotUnitary(f"target must be {d} x {d}, got {u.shape}")
-    # "not <=" also refuses a NaN deviation (a non-finite target)
-    dev = matcore._norms(np.conj(u).swapaxes(-1, -2) @ u - np.eye(d))
-    if not (dev <= UNITARY_TOL * np.sqrt(d)).all():
+    return _check_targets(u, d)
+
+
+def _check_targets(us: np.ndarray, d: int) -> np.ndarray:
+    """A d x d target or an (N, d, d) stack, refused unless each is unitary within tolerance."""
+    dev = matcore._norms(np.conj(us).swapaxes(-1, -2) @ us - np.eye(d))
+    if not dev.max() <= UNITARY_TOL * math.sqrt(d):  # "not <=" also refuses a NaN
         raise TargetNotUnitary("target is not unitary within tolerance")
-    return u
+    return us
 
 
 def phi(ch: chn.KrausChannel, target=None) -> float:
@@ -62,13 +67,15 @@ def _phi_with_prefix(m: np.ndarray, kraus: np.ndarray) -> float:
     return float(np.sum(np.abs(traces) ** 2) / m.shape[0] ** 2)
 
 
-def _overlap(m: np.ndarray):
-    """|tr M|^2 / d^2 of a d x d matrix M: Phi of the one-operator map
-    M . M^dag against the identity; of an (N, d, d) stack, the list of each's."""
-    if m.ndim == 2:
-        return float(abs(np.trace(m)) ** 2 / m.shape[0] ** 2)
-    t = m.trace(axis1=-2, axis2=-1)
-    return (matcore._squares(np.hypot(t.real, t.imag)) / m.shape[-1] ** 2).tolist()
+def _overlap(m: np.ndarray) -> float:
+    """|tr M|^2 / d^2 of a d x d matrix M: Phi of the map M . M^dag against I."""
+    return _overlaps(m[None])[0]
+
+
+def _overlaps(ms: np.ndarray) -> list:
+    """:func:`_overlap` of each matrix of an (N, d, d) stack."""
+    t = ms.trace(axis1=-2, axis2=-1)
+    return (matcore._squares(np.hypot(t.real, t.imag)) / ms.shape[-1] ** 2).tolist()
 
 
 def avg_fidelity(phi_value: float, d: int) -> float:
@@ -170,15 +177,16 @@ def lk_gap_bounds(ch: chn.KrausChannel, target=None):
     whose upper side requires the channel to be non-catastrophic; when it
     is not, that side is reported as inapplicable (upper = +inf).
     """
-    return next(_lk_gaps([ch], _check_target(target, ch.dim)[None]))
+    return next(_lk_gaps([chn.canonical(ch)], _check_target(target, ch.dim)[None]))
 
 
-def _lk_gaps(channels, us):
+def _lk_gaps(channels, us: np.ndarray):
     """:func:`lk_gap_bounds` of each channel (one dimension) against its checked target
     (an (N, d, d) stack), the canonical forms, Phi, Upsilon and LK Phi stacked."""
     canons = chn._canonicalize(channels)
-    lk_phis = _overlap(np.conj(us).swapaxes(-1, -2) @ np.array([c.a1 for c in canons]))
-    for p, ups, lk_phi, c in zip(_phis(canons, [*us]).tolist(), _upsilons(canons).tolist(),
+    unitarity(1.0, us.shape[-1])  # refuses d = 1, as report() does
+    lk_phis = _overlaps(np.conj(us).swapaxes(-1, -2) @ np.array([c.a1 for c in canons]))
+    for p, ups, lk_phi, c in zip(_phis(canons, us).tolist(), _upsilons(canons).tolist(),
                                  lk_phis, canons):
         ups2 = ups**2
         r1 = make_report("lemma1", ups2 - c.w1**2, 0.0, (1.0 - ups2) ** 2,

@@ -62,10 +62,10 @@ def element_for_infidelity(d: int, r_target, draws, decoherent: bool = False):
     def gen(mask, eps):  # the elements of ``order`` where mask, at strengths eps
         if decoherent:  # psd_lk_decoherent(d, min(eps, 0.3), seed, kraus_rank=k)
             eps = np.minimum(eps, 0.3)
-        chs = []  # random_cptp(d, k, seed, strength=eps), from the finite columns of a unitary
+        chs = []  # random_cptp(d, k, seed, strength=eps)
         for k, (w, v), m, e in zip(ranks, eigs, np.split(mask, starts), np.split(eps, starts)):
-            iso = matcore._expi_eig(w[m], v[m], -e[m])[..., :d]
-            chs += map(chn._unchecked, repeat(d), iso.reshape(len(iso), k, d, d).copy())
+            kraus = genlib._near_identity_kraus(d, k, (w[m], v[m]), e[m])
+            chs += map(chn._unchecked, repeat(d), kraus)
         return [p.decoherent_left for p in channel_polars(chs)] if decoherent else chs
 
     eps = np.sqrt(2.0 * r_t)
@@ -87,19 +87,17 @@ def sample_noncatastrophic(d: int, rng: np.random.Generator):
 
 
 def _noncatastrophic(d: int, rngs) -> tuple[list, np.ndarray]:
-    """The channels and (N, d, d) targets of :func:`sample_noncatastrophic` for each
-    generator, its numbers drawn in order (strength, rank, noise seed, target seed);
-    the noise of a rank from one stacked :func:`genlib._gue_eig`, the targets' QR stacked."""
+    """:func:`sample_noncatastrophic` of each generator (strength, rank, noise seed, target
+    seed in turn): one :func:`genlib._gue_eig` per rank, one QR and unitarity test."""
     eps, ks, seeds, target_seeds = zip(*[
         (float(rng.uniform(0.02, 0.3)), min(int(rng.integers(2, 5)), d * d),
          _subseed(rng), _subseed(rng)) for rng in rngs])
     noise = {}
     for k in set(ks):
         idx = [i for i, x in enumerate(ks) if x == k]
-        w, v = genlib._gue_eig(d * k, [seeds[i] for i in idx])
-        iso = matcore._expi_eig(w, v, -np.array(eps)[idx])[..., :d]
-        noise.update(zip(idx, iso.reshape(len(idx), k, d, d).copy()))
-    targets = genlib._haar_unitaries(d, target_seeds)
+        eig = genlib._gue_eig(d * k, [seeds[i] for i in idx])
+        noise.update(zip(idx, genlib._near_identity_kraus(d, k, eig, [eps[i] for i in idx])))
+    targets = metrics._check_targets(genlib._haar_unitaries(d, target_seeds), d)
     return [chn.KrausChannel(dim=d, kraus=np.einsum("kij,jl->kil", noise[i], u))
             for i, u in enumerate(targets)], targets
 
@@ -113,19 +111,18 @@ def _trials(dims, trials: int, seed: int, chunk: int = 1):
     """(d, trial indices, generators) per dimension and run of at most ``chunk``
     trials, trial t's generator seeded by [seed, d, t]: a stream of its own."""
     for d in dims:
-        for at in range(0, trials, chunk):
-            ts = range(at, min(at + chunk, trials))
+        run = max(1, min(chunk, 2**18 // d**4))  # d^2 x d^2 Choi matrices: 4 MiB a run
+        for at in range(0, trials, run):
+            ts = range(at, min(at + run, trials))
             yield d, ts, [np.random.default_rng([seed, d, t]) for t in ts]
 
 
 def lemma_suite(dims=(2, 3, 4, 8), trials: int = 1000, seed: int = 0) -> list[BoundReport]:
-    """LK gap sandwiches on random non-catastrophic channels, each run of
-    :func:`_trials` of ``_THEOREM_CHUNK`` sampled and evaluated as stacks."""
+    """LK gap sandwiches on random non-catastrophic channels, a run of trials per stack."""
     out = []
     for d, ts, rngs in _trials(dims, trials, seed, _THEOREM_CHUNK):
         chs, targets = _noncatastrophic(d, rngs)
-        us = metrics._check_target(targets, d, stacked=True)
-        for t, (r1, r2) in zip(ts, metrics._lk_gaps(chs, us)):
+        for t, (r1, r2) in zip(ts, metrics._lk_gaps(chs, targets)):
             out.append(_case(f"lemma1/d{d}/t{t}", r1))
             out.append(_case(f"lemma2/d{d}/t{t}", r2))
     return out
@@ -223,7 +220,7 @@ def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundRe
             dcircs = _build_circuits(d, decoh, decoherent=True)
             bounds._prime(circs + dcircs)
             strengths, v_seeds = zip(*vs)  # genlib.random_unitary_error of each, stacked
-            us = matcore._expi_eig(*genlib._gue_eig(d, v_seeds), -np.array(strengths))
+            us = genlib._near_identity_kraus(d, 1, genlib._gue_eig(d, v_seeds), strengths)[:, 0]
             for (m, t), circ, dcirc, v in zip(chunk, circs, dcircs, us):
                 tag = f"d{d}/m{m}/t{t}"
                 out.append(_case(f"thm1/{tag}", bounds.thm1_uni_evo(circ)))
@@ -241,14 +238,12 @@ def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundRe
 
 
 def thm7_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundReport]:
-    """Single-channel quasi-maximal correction sweep, each case with the
-    polar-ascent cross-check of :func:`bounds.thm7_max_correction`, each run
-    of :func:`_trials` of ``_THEOREM_CHUNK`` sampled and evaluated as stacks."""
+    """Single-channel quasi-maximal correction sweep, a run of trials per stack, each case
+    with the polar-ascent cross-check of :func:`bounds.thm7_max_correction`."""
     out = []
     for d, ts, rngs in _trials(dims, trials, seed, _THEOREM_CHUNK):
         chs, targets = _noncatastrophic(d, rngs)
-        us = metrics._check_target(targets, d, stacked=True)
-        for t, rep in zip(ts, bounds._thm7_reports(chs, [*us])):
+        for t, rep in zip(ts, bounds._thm7_reports(chs, targets)):
             out.append(_case(f"thm7/d{d}/t{t}", rep))
     return out
 

@@ -390,16 +390,15 @@ class TestCircuitData:
     def test_stacked_composite_target_test_refuses_any_item(self):
         u = genlib.random_unitary(2, 1)
         stack = np.stack([u, u @ u, 1.001 * u])
-        metrics._check_target(stack[:2], 2, stacked=True)
+        head = stack[:2]
+        assert metrics._check_targets(head, 2) is head
         with pytest.raises(TargetNotUnitary, match="^target is not unitary within tolerance$"):
-            metrics._check_target(stack, 2, stacked=True)
-        with pytest.raises(TargetNotUnitary, match=r"^target must be 2 x 2, got \(2, 2\)$"):
-            metrics._check_target(u, 2, stacked=True)
+            metrics._check_targets(stack, 2)
 
 
 class TestCircuitTargets:
-    """A circuit tests its d x d targets as one stack, with the errors and
-    target arrays of one test per target."""
+    """A circuit tests its targets one by one: the first bad one raises, and
+    a kept target is its input array when that is already complex."""
 
     def test_targets_kept_and_refused_as_one_by_one(self):
         chans = [genlib.rotation(2, 0.1)] * 3
@@ -430,7 +429,7 @@ class TestThm7Stack:
         us.append(genlib.rotation_matrix(2, 0.1))
         assert len({ch.n_kraus for ch in chs}) > 1
         fresh = [chn.KrausChannel(dim=2, kraus=ch.kraus.copy()) for ch in chs]
-        stacked = bounds._thm7_reports(chs, us)
+        stacked = bounds._thm7_reports(chs, np.array(us))
         for rep, ch, u in zip(stacked, fresh, us, strict=True):
             assert repr(rep) == repr(bounds.thm7_max_correction(ch, u))
 

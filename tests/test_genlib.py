@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chanpolar import channel as chn
-from chanpolar import genlib, metrics, polar
+from chanpolar import genlib, matcore, metrics, polar
 from chanpolar.errors import ParamOutOfRange
 
 ALL_SPECS = [
@@ -216,6 +216,32 @@ class TestRandomCptp:
                     genlib.random_cptp(d, k, seed=0, strength=strength)
         with pytest.raises(ParamOutOfRange, match="at most 4096"):
             genlib.psd_lk_decoherent(64, 0.1, seed=0, kraus_rank=4096)
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (2, 4), (3, 2)])
+    def test_near_identity_stack_equals_single_calls(self, d, k):
+        """One stacked exponential gives each seed the Kraus bits of its own
+        random_cptp call (at k = 1 also of random_unitary_error), the first d
+        columns of exp(-i strength H) cut into k blocks."""
+        seeds, strengths = [0, 5, [3, d]], [0.0, 0.05, 0.3]
+        stack = genlib._near_identity_kraus(d, k, genlib._gue_eig(d * k, seeds), strengths)
+        assert stack.shape == (3, k, d, d)
+        for kraus, seed, eps in zip(stack, seeds, strengths, strict=True):
+            ch = genlib.random_cptp(d, k, seed, strength=eps)
+            assert kraus.tobytes() == ch.kraus.tobytes() and ch.kraus.flags.c_contiguous
+            iso = matcore._expi_eig(*genlib._gue_eig(d * k, [seed]), -eps)[0, :, :d]
+            assert kraus.tobytes() == iso.reshape(k, d, d).tobytes()
+            if k == 1:
+                assert kraus.tobytes() == genlib.random_unitary_error(d, eps, seed).kraus.tobytes()
+
+    def test_negative_or_nan_strength_refused_in_a_stack(self):
+        eig = genlib._gue_eig(2, [0, 1])
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ParamOutOfRange, match="^strength must be non-negative$"):
+                genlib._near_identity_kraus(2, 1, eig, [0.1, bad])
+            for call in (lambda: genlib.random_cptp(2, 2, 0, strength=bad),
+                         lambda: genlib.random_unitary_error(2, bad, 0)):
+                with pytest.raises(ParamOutOfRange, match="^strength must be non-negative$"):
+                    call()
 
 
 class TestPsdLkDecoherent:

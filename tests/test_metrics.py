@@ -257,6 +257,25 @@ class TestLkGapStack:
             assert repr(pair) == repr(metrics.lk_gap_bounds(ch, u))
             assert repr(pair) == repr(self.reports(ch, u))
 
+    def test_d1_refused_as_by_report(self):
+        """The unitarity is undefined at d = 1, so report() refuses there, and
+        with it the gap sandwiches, single or through the lemma suite."""
+        for call in (metrics.report, metrics.lk_gap_bounds):
+            with pytest.raises(DimensionMismatch, match="^unitarity needs d >= 2"):
+                call(genlib.identity_channel(1))
+        with pytest.raises(DimensionMismatch, match="^unitarity needs d >= 2"):
+            suites.lemma_suite(dims=(1,), trials=2)
+
+    def test_channel_refused_before_target(self):
+        """With both at fault, the channel's refusal comes first, as in report()."""
+        eye = np.eye(65, dtype=complex)
+        ch = chn.KrausChannel.from_ops([np.sqrt(0.5) * eye, np.sqrt(0.5) * eye])
+        for call in (metrics.report, metrics.lk_gap_bounds):
+            with pytest.raises(DimensionMismatch, match="above d=64"):
+                call(ch, np.eye(3))
+        with pytest.raises(TargetNotUnitary, match=r"got \(3, 3\)"):
+            metrics.lk_gap_bounds(genlib.identity_channel(2), np.eye(3))
+
     def test_identity_target_is_the_no_target_route(self):
         for ch in (genlib.depolarizing(2, 0.9), genlib.amplitude_damping(3, 0.2),
                    suites.sample_noncatastrophic(3, np.random.default_rng(4))[0]):

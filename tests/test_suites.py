@@ -281,6 +281,15 @@ class TestSingleChannelSuites:
             assert one[0].kraus.tobytes() == chs[0].kraus.tobytes()
             assert one[1].tobytes() == targets[0].tobytes()
 
+    def test_runs_hold_at_most_2_18_choi_entries(self):
+        """A run of trials stacks at most 2^18 Choi entries (4 MiB a copy):
+        whole chunks to d = 8, 4 trials at d = 16, one trial from d = 32."""
+        runs = {}
+        for d, ts, rngs in suites._trials((2, 8, 16, 32, 64), 70, 0, suites._THEOREM_CHUNK):
+            assert len(rngs) == len(ts) and ts[0] == sum(runs.get(d, []))
+            runs.setdefault(d, []).append(len(ts))
+        assert runs == {2: [64, 6], 8: [64, 6], 16: [4] * 17 + [2], 32: [1] * 70, 64: [1] * 70}
+
     @pytest.mark.parametrize("chunk", [1, 3, 10**6], ids=["1", "3", "whole"])
     def test_chunks_equal_per_trial_route(self, chunk, monkeypatch):
         """Every field of every lemma and Thm 7 report is the same at any
