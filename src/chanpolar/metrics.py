@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import channel as chn, matcore
-from .errors import DimensionMismatch, TargetNotUnitary
+from .errors import DimensionMismatch, ParamOutOfRange, TargetNotUnitary
 from .matcore import make_report
 
 UNITARY_TOL = 1e-9
@@ -218,6 +218,17 @@ def _philox_key(seed) -> tuple:
     return tuple(np.random.Philox(key=seed).state["state"]["key"].tolist())
 
 
+def _block(row_bytes: int) -> int:
+    return max(1, 2**20 // row_bytes)  # rows per block of about 1 MiB, as the sweep's S^m
+
+
+def _check_samples(n_samples) -> None:
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+        raise ParamOutOfRange(f"n_samples must be an integer, got {n_samples!r}")
+    if n_samples < 100:
+        raise ValueError("n_samples must be at least 100")
+
+
 @functools.lru_cache(maxsize=1)
 def _haar_states(d: int, n: int, key: tuple) -> np.ndarray:
     """n Haar-random pure states as rows, read-only.
@@ -226,12 +237,17 @@ def _haar_states(d: int, n: int, key: tuple) -> np.ndarray:
     keyed by the seed, drawn in order, so it depends only on (seed, d, i).
     It does not sit at a fixed counter offset: the ziggurat sampler uses a
     variable number of random words per normal (400,000 normals advance
-    the counter by 102,205 four-word blocks, not 100,000).  The memo keeps
-    the last n x d array, so consecutive calls with one key share a draw.
+    the counter by 102,205 four-word blocks, not 100,000).  Rows are drawn
+    and normalized a :func:`_block` at a time into the one n-sized array; the
+    memo keeps the last one, so consecutive calls with one key share a draw.
     """
-    z = np.random.Generator(np.random.Philox(key=key)).standard_normal((n, 2 * d))
-    psi = z[:, :d] + 1j * z[:, d:]
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    psi = np.empty((n, d), dtype=np.complex128)
+    b = _block(psi.itemsize * d)
+    for blk in np.split(psi, range(b, n, b)):  # views of psi
+        z = gen.standard_normal((len(blk), 2 * d))
+        np.add(z[:, :d], 1j * z[:, d:], out=blk)
+        blk /= np.linalg.norm(blk, axis=1, keepdims=True)
     psi.setflags(write=False)
     return psi
 
@@ -245,16 +261,13 @@ def haar_fidelity_mc(
     average gate fidelity F by definition.  It shares its Haar states with
     the previous estimator call of the same d, n_samples and seed.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
-    d = ch.dim
-    u = _check_target(target, d)
-    psi = _haar_states(d, n_samples, _philox_key(seed))
+    _check_samples(n_samples)
+    u = _check_target(target, ch.dim)
+    psi = _haar_states(ch.dim, n_samples, _philox_key(seed))
     ref = (psi @ u.T).conj()  # rows are <psi|U^dag
     tot = sum(np.abs(np.einsum("nj,nj->n", ref, psi @ a.T)) ** 2 for a in ch.kraus)
-    est = float(tot.mean())
     stderr = float(tot.std(ddof=1) / np.sqrt(n_samples))
-    return McEstimate(estimate=est, stderr=stderr, n_samples=n_samples, seed=seed)
+    return McEstimate(float(tot.mean()), stderr, n_samples, seed)
 
 
 def haar_unitarity_mc(
@@ -269,21 +282,21 @@ def haar_unitarity_mc(
     estimator's expectation then equals (d^2 Upsilon^2 - 1)/(d^2 - 1)
     for every channel (the offset vanishes for unital ones).  It shares its
     Haar states with the previous estimator call of the same d, n_samples
-    and seed; like :func:`unitarity`, it refuses d = 1.
+    and seed, and refuses d = 1.  Memory: one (k, n, d) image array, and
+    O(1 MiB) per :func:`_block` of samples, which it takes samples innermost.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
+    _check_samples(n_samples)
     d = ch.dim
     unitarity(1.0, d)  # refuses d = 1 before any state is drawn
-    k = ch.kraus
-    psi = _haar_states(d, n_samples, _philox_key(seed))
-    imgs = np.matmul(psi, k.swapaxes(1, 2))  # (k, n, d)
-    out = np.einsum("kni,knj->nij", imgs, imgs.conj())
-    a_id = np.einsum("kij,klj->il", k, k.conj())  # A(I)
-    out -= a_id[np.newaxis, :, :] / d
-    ratios = np.sum(np.abs(out) ** 2, axis=(1, 2)) / (1.0 - 1.0 / d)
+    imgs = np.matmul(_haar_states(d, n_samples, _philox_key(seed)), ch.kraus.swapaxes(1, 2))
+    a_id = np.einsum("kij,klj->il", ch.kraus, ch.kraus.conj())  # A(I)
+    ratios = np.empty(n_samples)
+    b = _block(imgs.itemsize * d * max(len(imgs), d))  # len(imgs) = k
+    for at in range(0, n_samples, b):  # summed in C (b, d, d) order, as one whole-array sum
+        cols = np.ascontiguousarray(imgs[:, at:at + b].transpose(0, 2, 1))  # (k, d, b)
+        out = np.einsum("kin,kjn->ijn", cols, cols.conj()) - (a_id / d)[:, :, np.newaxis]
+        ratios[at:at + b] = (np.abs(out.transpose(2, 0, 1), order="C") ** 2).sum(axis=(1, 2))
+    ratios /= 1.0 - 1.0 / d
     offset = float(np.linalg.norm(a_id - np.eye(d)) ** 2 / (d * (d * d - 1)))
-    est = float(ratios.mean()) + offset
     stderr = float(ratios.std(ddof=1) / np.sqrt(n_samples))
-    return McEstimate(estimate=est, stderr=stderr, n_samples=n_samples, seed=seed)
-
+    return McEstimate(float(ratios.mean()) + offset, stderr, n_samples, seed)

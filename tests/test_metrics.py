@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from chanpolar import channel as chn
 from chanpolar import genlib, metrics, suites
-from chanpolar.errors import DimensionMismatch, TargetNotUnitary
+from chanpolar.errors import DimensionMismatch, ParamOutOfRange, TargetNotUnitary
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -507,6 +508,32 @@ class TestMonteCarloBits:
         with pytest.raises(ValueError, match="read-only"):
             psi[0, 0] = 0.0
 
+    @pytest.mark.parametrize("call", [metrics.haar_fidelity_mc, metrics.haar_unitarity_mc])
+    @pytest.mark.parametrize("n", [2000.0, np.bool_(True), None])
+    def test_non_integer_samples_refused_before_drawing(self, call, n):
+        metrics._haar_states.cache_clear()
+        with pytest.raises(ParamOutOfRange, match="^n_samples must be an integer, got "):
+            call(genlib.amplitude_damping(2, 0.19), n_samples=n, seed=20)
+        assert metrics._haar_states.cache_info().misses == 0
+
+    def test_numpy_integer_samples_take_the_int_bits(self):
+        ch, target = _mc_case("cptp_rank4", 3)
+        assert _mc_hex(ch, target, 20, n_samples=np.int64(2000)) == MC_PINS["cptp_rank4", 3]
+
+    def test_unitarity_holds_one_image_array_and_blocks(self):
+        """The (k, n, d) images, the states and about 1 MiB per block of samples."""
+        ch = genlib.depolarizing(8, 0.9)  # k = 64
+        n = 5000
+        metrics._haar_states.cache_clear()  # the states count too
+        tracemalloc.start()
+        try:
+            metrics.haar_unitarity_mc(ch, n_samples=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        images = 64 * n * 8 * 16
+        assert peak <= images + 8 * 2**20
+
     def test_unitarity_refuses_d1_before_drawing(self):
         ch = genlib.identity_channel(1)
         metrics._haar_states.cache_clear()
@@ -527,6 +554,22 @@ REFUSALS = {
     "too few MC samples": (
         lambda: metrics.haar_unitarity_mc(genlib.identity_channel(2), n_samples=99),
         ValueError, "n_samples must be at least 100",
+    ),
+    "float MC samples": (
+        lambda: metrics.haar_unitarity_mc(genlib.identity_channel(2), n_samples=1e5),
+        ParamOutOfRange, "n_samples must be an integer, got 100000.0",
+    ),
+    "fractional MC samples": (
+        lambda: metrics.haar_fidelity_mc(genlib.identity_channel(2), n_samples=2000.5),
+        ParamOutOfRange, "n_samples must be an integer, got 2000.5",
+    ),
+    "string MC samples": (
+        lambda: metrics.haar_unitarity_mc(genlib.identity_channel(2), n_samples="2000"),
+        ParamOutOfRange, "n_samples must be an integer, got '2000'",
+    ),
+    "bool MC samples": (
+        lambda: metrics.haar_fidelity_mc(genlib.identity_channel(2), n_samples=True),
+        ParamOutOfRange, "n_samples must be an integer, got True",
     ),
 }
 
