@@ -332,6 +332,7 @@ MC_FAMILIES = {
     "cptp_rank4": (lambda d: genlib.random_cptp(d, 4, 6, 0.3), False),
     "depolarizing": (lambda d: genlib.depolarizing(d, 0.9), False),
     "amplitude_damping": (lambda d: genlib.amplitude_damping(d, 0.19), True),
+    "cptp_d2": (lambda d: genlib.random_cptp(d, d * d, 6, 0.3), False),
 }
 
 # float.hex of (fidelity estimate, its stderr, unitarity estimate, its
@@ -383,19 +384,15 @@ MC_SEED_PINS = {
 # estimators' block of b = 2**20 // (16 d max(k, d)) samples, and at 100 000.
 # Recorded before the estimators worked in blocks: the same four values at
 # seed=20, without a target.
-MC_BLOCK_FAMILIES = {
-    "unitary": lambda d: genlib.random_unitary_error(d, 0.3, 5),
-    "cptp_d2": lambda d: genlib.random_cptp(d, d * d, 6, 0.3),
-}
 MC_BLOCK_PINS = {
-    ("unitary", 2, 16383): ("0x1.ea87f0068227fp-1", "0x1.34a7eecf52afap-13",
-                           "0x1.0000000000004p+0", "0x1.f961fe9671f5dp-59"),
-    ("unitary", 2, 16385): ("0x1.ea885b409f638p-1", "0x1.34a7fa9f056eep-13",
-                           "0x1.0000000000004p+0", "0x1.f9533703f5a88p-59"),
-    ("unitary", 2, 32769): ("0x1.ea820a66da767p-1", "0x1.b46a27bff6836p-14",
-                           "0x1.0000000000004p+0", "0x1.66d1ee1d35d63p-59"),
-    ("unitary", 2, 100000): ("0x1.ea804316059c9p-1", "0x1.f38d36acd2d62p-15",
-                            "0x1.0000000000004p+0", "0x1.9c62627902cedp-60"),
+    ("unitary_error", 2, 16383): ("0x1.ea87f0068227fp-1", "0x1.34a7eecf52afap-13",
+                                 "0x1.0000000000004p+0", "0x1.f961fe9671f5dp-59"),
+    ("unitary_error", 2, 16385): ("0x1.ea885b409f638p-1", "0x1.34a7fa9f056eep-13",
+                                 "0x1.0000000000004p+0", "0x1.f9533703f5a88p-59"),
+    ("unitary_error", 2, 32769): ("0x1.ea820a66da767p-1", "0x1.b46a27bff6836p-14",
+                                 "0x1.0000000000004p+0", "0x1.66d1ee1d35d63p-59"),
+    ("unitary_error", 2, 100000): ("0x1.ea804316059c9p-1", "0x1.f38d36acd2d62p-15",
+                                  "0x1.0000000000004p+0", "0x1.9c62627902cedp-60"),
     ("cptp_d2", 2, 8191): ("0x1.f8efef6a58abcp-1", "0x1.124f76c0e8d41p-14",
                           "0x1.ea9e81f686ecfp-1", "0x1.faf347d7fe1bcp-14"),
     ("cptp_d2", 2, 8193): ("0x1.f8ef90362417ap-1", "0x1.125fa0203c8a4p-14",
@@ -404,14 +401,14 @@ MC_BLOCK_PINS = {
                            "0x1.ea8bee096e740p-1", "0x1.655c5a267e57cp-14"),
     ("cptp_d2", 2, 100000): ("0x1.f8e95d80200dap-1", "0x1.3aec617bb596ap-16",
                             "0x1.ea955fb2292dep-1", "0x1.1fa926ef5efa9p-15"),
-    ("unitary", 3, 7280): ("0x1.ec3d784c3ba96p-1", "0x1.abde764ef79ffp-13",
-                          "0x1.fffffffffffeep-1", "0x1.ca28c58ec5a93p-58"),
-    ("unitary", 3, 7282): ("0x1.ec3e1c6fcd2a6p-1", "0x1.abd1e45ee1bdcp-13",
-                          "0x1.fffffffffffeep-1", "0x1.ca0a53201fa5ap-58"),
-    ("unitary", 3, 14563): ("0x1.ec4fd226ce70cp-1", "0x1.2cebb30c27ab0p-13",
-                           "0x1.fffffffffffeep-1", "0x1.438225d8fb144p-58"),
-    ("unitary", 3, 100000): ("0x1.ec1fffd1bcc79p-1", "0x1.c968c4a3350d6p-15",
-                            "0x1.fffffffffffeep-1", "0x1.f16c09a72881fp-60"),
+    ("unitary_error", 3, 7280): ("0x1.ec3d784c3ba96p-1", "0x1.abde764ef79ffp-13",
+                                "0x1.fffffffffffeep-1", "0x1.ca28c58ec5a93p-58"),
+    ("unitary_error", 3, 7282): ("0x1.ec3e1c6fcd2a6p-1", "0x1.abd1e45ee1bdcp-13",
+                                "0x1.fffffffffffeep-1", "0x1.ca0a53201fa5ap-58"),
+    ("unitary_error", 3, 14563): ("0x1.ec4fd226ce70cp-1", "0x1.2cebb30c27ab0p-13",
+                                 "0x1.fffffffffffeep-1", "0x1.438225d8fb144p-58"),
+    ("unitary_error", 3, 100000): ("0x1.ec1fffd1bcc79p-1", "0x1.c968c4a3350d6p-15",
+                                  "0x1.fffffffffffeep-1", "0x1.f16c09a72881fp-60"),
     ("cptp_d2", 3, 2426): ("0x1.f82485e90bfdbp-1", "0x1.614b8cacd3ea1p-15",
                           "0x1.ed0bc85fd272bp-1", "0x1.8ce4b3073359dp-14"),
     ("cptp_d2", 3, 2428): ("0x1.f8244464e469ep-1", "0x1.6133722f87f01p-15",
@@ -420,14 +417,14 @@ MC_BLOCK_PINS = {
                           "0x1.ed10f5bf87e90p-1", "0x1.1bbc359a8b5c0p-14"),
     ("cptp_d2", 3, 100000): ("0x1.f82596533c3e9p-1", "0x1.b5e69e9a6968bp-18",
                             "0x1.ed116f822b9d6p-1", "0x1.f2e07defedda5p-17"),
-    ("unitary", 8, 1023): ("0x1.f0ac4aaae5311p-1", "0x1.52f4577c632e8p-12",
-                          "0x1.0000000000000p+0", "0x1.1373de8a73dfcp-55"),
-    ("unitary", 8, 1025): ("0x1.f0ac8d00b6473p-1", "0x1.524c0a9e86ab0p-12",
-                          "0x1.0000000000000p+0", "0x1.1306940963a69p-55"),
-    ("unitary", 8, 2049): ("0x1.f0d508f6d6be5p-1", "0x1.ddd06ce08186cp-13",
-                          "0x1.0000000000000p+0", "0x1.87d8d14e52c2ep-56"),
-    ("unitary", 8, 100000): ("0x1.f0b6b08ba31bfp-1", "0x1.0a451574a531dp-15",
-                            "0x1.0000000000000p+0", "0x1.bd0e3c129ac4bp-59"),
+    ("unitary_error", 8, 1023): ("0x1.f0ac4aaae5311p-1", "0x1.52f4577c632e8p-12",
+                                "0x1.0000000000000p+0", "0x1.1373de8a73dfcp-55"),
+    ("unitary_error", 8, 1025): ("0x1.f0ac8d00b6473p-1", "0x1.524c0a9e86ab0p-12",
+                                "0x1.0000000000000p+0", "0x1.1306940963a69p-55"),
+    ("unitary_error", 8, 2049): ("0x1.f0d508f6d6be5p-1", "0x1.ddd06ce08186cp-13",
+                                "0x1.0000000000000p+0", "0x1.87d8d14e52c2ep-56"),
+    ("unitary_error", 8, 100000): ("0x1.f0b6b08ba31bfp-1", "0x1.0a451574a531dp-15",
+                                  "0x1.0000000000000p+0", "0x1.bd0e3c129ac4bp-59"),
     ("cptp_d2", 8, 127): ("0x1.f5da2f6234b99p-1", "0x1.4774a69670fd9p-14",
                          "0x1.e96978ed74089p-1", "0x1.33bddd7cf6c03p-13"),
     ("cptp_d2", 8, 129): ("0x1.f5db00782c61cp-1", "0x1.4903bb618b341p-14",
@@ -463,8 +460,7 @@ class TestMonteCarloBits:
     @pytest.mark.parametrize("name, d, n", MC_BLOCK_PINS,
                              ids=[f"{m}-{d}-{n}" for m, d, n in MC_BLOCK_PINS])
     def test_block_seams_pinned(self, name, d, n):
-        ch = MC_BLOCK_FAMILIES[name](d)
-        assert _mc_hex(ch, None, seed=20, n_samples=n) == MC_BLOCK_PINS[name, d, n]
+        assert _mc_hex(*_mc_case(name, d), seed=20, n_samples=n) == MC_BLOCK_PINS[name, d, n]
 
     @pytest.mark.parametrize("call", [metrics.haar_fidelity_mc, metrics.haar_unitarity_mc])
     def test_negative_seed_refused_by_philox(self, call):
