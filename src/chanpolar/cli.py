@@ -20,12 +20,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import math
 import operator
-import re
 import sys
 import time
 import traceback
@@ -158,7 +155,7 @@ def _seed(text: str) -> int:
 
 
 def _dims(text: str) -> tuple:
-    """argparse type of ``--dims``: comma-separated integers in [2, 64]
+    """argparse type of ``--dims``: distinct comma-separated integers in [2, 64]
     (random channels above d = 64 would need a refused Choi eigensolve)."""
     try:
         dims = tuple(int(x) for x in text.split(","))
@@ -170,6 +167,8 @@ def _dims(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"each dimension must lie in [2, {chn.MAX_EIGENSOLVER_DIM}], got {text!r}"
         )
+    if len(set(dims)) < len(dims):
+        raise argparse.ArgumentTypeError(f"a dimension is repeated in {text!r}")
     return dims
 
 
@@ -188,49 +187,33 @@ def _write_manifest(out_path: str, command: str, config: dict, seed, notes, t0: 
         fh.write("\n")
 
 
-_NEEDS_QUOTES = re.compile('[,"\r\n]').search  # csv.writer quotes no other cell
-
-
-def _quoted(cell: str) -> str:
-    """A str cell as csv.writer writes it next to other cells."""
-    if not _NEEDS_QUOTES(cell):
-        return cell
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((cell, ""))
-    return buf.getvalue()[:-2]
-
-
 def _csv(header, formats, rows) -> str:
-    """CSV text of a header row and rows of cells, the bytes csv.writer
-    writes: a row's cells fill the columns' %-formats, its str cells already
-    through :func:`_quoted`."""
+    """CSV text of a header row and rows of cells filling the columns'
+    %-formats: csv.writer's bytes, as no cell the program writes needs CSV
+    quoting (none holds ',', '"', CR or LF, and no table is one str column)."""
     line = ",".join(formats) + "\n"
-    body = map(line.__mod__, rows)
-    if line == "%s\n":  # csv.writer quotes a row's lone empty cell
-        body = ('""\n' if r == "\n" else r for r in body)
-    return ",".join(map(_quoted, header)) + "\n" + "".join(body)
+    return ",".join(header) + "\n" + "".join(map(line.__mod__, rows))
 
 
 # {declared field type: (%-format, column conversion)}, each cell equal to
 # its _fmt ('%.17g' % x is format(x, '.17g'), '%d' % n is str(n))
 _COLUMN_FORMATS = {
-    "str": ("%s", lambda col: map(_quoted, col)),
-    "bool": ("%d", lambda col: map(bool, col)),
-    "int": ("%d", lambda col: map(int, col)),
-    "float": ("%.17g", lambda col: map(float, col)),
+    "str": ("%s", str),
+    "bool": ("%d", bool),
+    "int": ("%d", int),
+    "float": ("%.17g", float),
 }
-_ANY_FORMAT = ("%s", lambda col: map(_quoted, map(_fmt, col)))
 
 
 def _records_csv(record_type, columns, records) -> str:
     """CSV text with one row per record, each cell the named field's value.
 
     Each column's format is picked once, from the field's declared type
-    (:func:`_fmt` for any other type), and the rows are formatted lazily as
-    the text is joined, never as a whole table of cells."""
+    (str, bool, int or float), and the rows are formatted lazily as the
+    text is joined, never as a whole table of cells."""
     kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(record_type)}
-    formats, convs = zip(*(_COLUMN_FORMATS.get(kinds[c], _ANY_FORMAT) for c in columns))
-    cols = (conv(map(operator.attrgetter(c), records)) for c, conv in zip(columns, convs))
+    formats, convs = zip(*(_COLUMN_FORMATS[kinds[c]] for c in columns))
+    cols = (map(conv, map(operator.attrgetter(c), records)) for c, conv in zip(columns, convs))
     return _csv(columns, formats, zip(*cols))
 
 

@@ -274,9 +274,10 @@ def extremal_unitary(d: int) -> chn.KrausChannel:
     return chn.KrausChannel(dim=d, kraus=v[np.newaxis])
 
 
-def spiral(alpha: float) -> chn.KrausChannel:
-    """The two-Kraus d = 3 channel whose unital action spirals: its polar
-    unitary carries a lone conjugate phase pair exp(+/- i alpha^3 / 2)."""
+def spiral(alpha: float, d: int = 3) -> chn.KrausChannel:
+    """The two-Kraus channel at d = 3 (the only ``d`` accepted) whose unital action
+    spirals: its polar unitary carries a lone conjugate phase pair exp(+/- i alpha^3 / 2)."""
+    _require(d == 3, "spiral is a d = 3 construction")
     _require(0.0 < alpha < np.pi / 2, "spiral alpha must be in (0, pi/2)")
     ph = np.exp(1j * alpha**3 / 2.0)
     a1 = np.diag(
@@ -327,11 +328,6 @@ def coherence_mix(infidelity: float, level: float, d: int = 2) -> chn.KrausChann
 # ---------------------------------------------------------------------------
 
 
-def _spiral(d: int, alpha: float) -> chn.KrausChannel:
-    _require(d == 3, "spiral is a d = 3 construction")
-    return spiral(alpha)
-
-
 # {family name: builder}; a family's params are its builder's parameters
 BUILDERS = {
     "identity": identity_channel,
@@ -345,7 +341,7 @@ BUILDERS = {
     "psd_lk_decoherent": psd_lk_decoherent,
     "extremal_dephaser": extremal_dephaser,
     "extremal_unitary": extremal_unitary,
-    "spiral": _spiral,
+    "spiral": spiral,
     "coherence_mix": coherence_mix,
 }
 FAMILIES = tuple(BUILDERS)

@@ -20,7 +20,7 @@ from .polar import _spectrum_constants, channel_polar, channel_polars
 
 REGIME_CAP = 0.1  # theorem_suite circuits keep m^2 r^2 <= this
 THEOREM_DEPTHS = (2, 4, 8, 16, 32)  # circuit depths of theorem_suite
-_THEOREM_CHUNK = 64  # (d, m, t) cells per batch of theorem_suite, trials of lemma/Thm 7
+_THEOREM_CHUNK = 64  # (m, t) cells per run of theorem_suite, trials of lemma/Thm 7
 _SWEEP_BLOCK = 256  # depths per stacked eigvalsh in composition_sweep
 
 
@@ -107,22 +107,24 @@ def _noncatastrophic(d: int, rngs) -> tuple[list, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _trials(dims, trials: int, seed: int, chunk: int = 1):
-    """(d, trial indices, generators) per dimension and run of at most ``chunk``
-    trials, trial t's generator seeded by [seed, d, t]: a stream of its own."""
+def _trials(dims, keys, seed: int, chunk: int = 1):
+    """(d, keys, generators) per dimension and run of at most ``chunk`` keys,
+    key k's generator seeded by [seed, d, *k]: a stream of its own.  The keys
+    are tuples, a trial index (t,) or a theorem-suite cell (m, t); a run
+    stacks at most 2^18 Choi matrix entries (64 keys at d <= 8, 4 at d = 16)."""
     for d in dims:
         run = max(1, min(chunk, 2**18 // d**4))  # d^2 x d^2 Choi matrices: 4 MiB a run
-        for at in range(0, trials, run):
-            ts = range(at, min(at + run, trials))
-            yield d, ts, [np.random.default_rng([seed, d, t]) for t in ts]
+        for at in range(0, len(keys), run):
+            ks = keys[at:at + run]
+            yield d, ks, [np.random.default_rng([seed, d, *k]) for k in ks]
 
 
 def lemma_suite(dims=(2, 3, 4, 8), trials: int = 1000, seed: int = 0) -> list[BoundReport]:
     """LK gap sandwiches on random non-catastrophic channels, a run of trials per stack."""
     out = []
-    for d, ts, rngs in _trials(dims, trials, seed, _THEOREM_CHUNK):
+    for d, ks, rngs in _trials(dims, [(t,) for t in range(trials)], seed, _THEOREM_CHUNK):
         chs, targets = _noncatastrophic(d, rngs)
-        for t, (r1, r2) in zip(ts, metrics._lk_gaps(chs, targets)):
+        for (t,), (r1, r2) in zip(ks, metrics._lk_gaps(chs, targets)):
             out.append(_case(f"lemma1/d{d}/t{t}", r1))
             out.append(_case(f"lemma2/d{d}/t{t}", r2))
     return out
@@ -131,7 +133,7 @@ def lemma_suite(dims=(2, 3, 4, 8), trials: int = 1000, seed: int = 0) -> list[Bo
 def appendix_suite(dims=(2, 3, 5), trials: int = 1000, seed: int = 0) -> list[BoundReport]:
     """Trace, flavored Von Neumann, and norm inequality sweeps."""
     out = []
-    for d, (t,), (rng,) in _trials(dims, trials, seed):
+    for d, [(t,)], [rng] in _trials(dims, [(t,) for t in range(trials)], seed):
 
         def herm():
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -196,44 +198,39 @@ def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundRe
     depth of ``THEOREM_DEPTHS``; element infidelities stay below 1e-2 and
     within m^2 r^2 <= 0.1.
 
-    The (d, m, t) cells of a dimension run in chunks of at most
-    ``_THEOREM_CHUNK``: each cell draws its random numbers from its own
-    stream, then the chunk's general and decoherent elements are built by
-    one batched sampler call each, all its circuits are primed together
-    (:func:`bounds._prime`), and the cases are evaluated cell by cell.  So
-    the results do not depend on the chunk size, and the working memory is
-    O(chunk) at any ``trials``.
+    The (m, t) cells of a dimension run in the runs of :func:`_trials`, at
+    most ``_THEOREM_CHUNK`` cells (fewer above d = 8): each cell draws its
+    random numbers from its own stream, seeded by [seed, d, m, t], then the
+    run's general and decoherent elements are built by one batched sampler
+    call each, all its circuits are primed together (:func:`bounds._prime`),
+    and the cases are evaluated cell by cell.  So the results do not depend
+    on the run length, and the working memory is O(run) at any ``trials``.
     """
     out = []
     per = max(1, trials // len(THEOREM_DEPTHS))
-    for d in dims:
-        cells = [(m, t) for m in THEOREM_DEPTHS for t in range(per)]
-        for at in range(0, len(cells), _THEOREM_CHUNK):
-            chunk = cells[at:at + _THEOREM_CHUNK]
-            general, decoh, vs = [], [], []
-            for m, t in chunk:
-                rng = np.random.default_rng([seed, d, m, t])
-                general.append(_draw_circuit(d, m, rng, with_targets=(t % 2 == 0)))
-                decoh.append(_draw_circuit(d, m, rng))
-                vs.append((float(rng.uniform(0.0, 0.15)), _subseed(rng)))
-            circs = _build_circuits(d, general)
-            dcircs = _build_circuits(d, decoh, decoherent=True)
-            bounds._prime(circs + dcircs)
-            strengths, v_seeds = zip(*vs)  # genlib.random_unitary_error of each, stacked
-            us = genlib._near_identity_kraus(d, 1, genlib._gue_eig(d, v_seeds), strengths)[:, 0]
-            for (m, t), circ, dcirc, v in zip(chunk, circs, dcircs, us):
-                tag = f"d{d}/m{m}/t{t}"
-                out.append(_case(f"thm1/{tag}", bounds.thm1_uni_evo(circ)))
-                out.append(_case(f"thm2/{tag}", bounds.thm2_fid_evo(circ)))
-                out.append(_case(f"thm5/{tag}", bounds.thm5_unitarity_decay(circ)))
-                out.append(_case(f"thm9/{tag}", bounds.thm9_max_correction_multi(circ)))
-                mono, sub = bounds.thm4_decoherent_features(dcirc, v)
-                out.append(_case(f"thm4a/{tag}", mono))
-                out.append(_case(f"thm4b/{tag}", sub))
-                out.append(_case(f"thm6/{tag}", bounds.thm6_fidelity_decay(dcirc)))
-                out.append(
-                    _case(f"thm8/{tag}", bounds.thm8_equable_composition(v, dcirc))
-                )
+    cells = [(m, t) for m in THEOREM_DEPTHS for t in range(per)]
+    for d, run, rngs in _trials(dims, cells, seed, _THEOREM_CHUNK):
+        general, decoh, vs = [], [], []
+        for (m, t), rng in zip(run, rngs):
+            general.append(_draw_circuit(d, m, rng, with_targets=(t % 2 == 0)))
+            decoh.append(_draw_circuit(d, m, rng))
+            vs.append((float(rng.uniform(0.0, 0.15)), _subseed(rng)))
+        circs = _build_circuits(d, general)
+        dcircs = _build_circuits(d, decoh, decoherent=True)
+        bounds._prime(circs + dcircs)
+        strengths, v_seeds = zip(*vs)  # genlib.random_unitary_error of each, stacked
+        us = genlib._near_identity_kraus(d, 1, genlib._gue_eig(d, v_seeds), strengths)[:, 0]
+        for (m, t), circ, dcirc, v in zip(run, circs, dcircs, us):
+            tag = f"d{d}/m{m}/t{t}"
+            out.append(_case(f"thm1/{tag}", bounds.thm1_uni_evo(circ)))
+            out.append(_case(f"thm2/{tag}", bounds.thm2_fid_evo(circ)))
+            out.append(_case(f"thm5/{tag}", bounds.thm5_unitarity_decay(circ)))
+            out.append(_case(f"thm9/{tag}", bounds.thm9_max_correction_multi(circ)))
+            mono, sub = bounds.thm4_decoherent_features(dcirc, v)
+            out.append(_case(f"thm4a/{tag}", mono))
+            out.append(_case(f"thm4b/{tag}", sub))
+            out.append(_case(f"thm6/{tag}", bounds.thm6_fidelity_decay(dcirc)))
+            out.append(_case(f"thm8/{tag}", bounds.thm8_equable_composition(v, dcirc)))
     return out
 
 
@@ -241,9 +238,9 @@ def thm7_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundRepor
     """Single-channel quasi-maximal correction sweep, a run of trials per stack, each case
     with the polar-ascent cross-check of :func:`bounds.thm7_max_correction`."""
     out = []
-    for d, ts, rngs in _trials(dims, trials, seed, _THEOREM_CHUNK):
+    for d, ks, rngs in _trials(dims, [(t,) for t in range(trials)], seed, _THEOREM_CHUNK):
         chs, targets = _noncatastrophic(d, rngs)
-        for t, rep in zip(ts, bounds._thm7_reports(chs, targets)):
+        for (t,), rep in zip(ks, bounds._thm7_reports(chs, targets)):
             out.append(_case(f"thm7/d{d}/t{t}", rep))
     return out
 
@@ -251,12 +248,12 @@ def thm7_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundRepor
 def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[BoundReport]:
     """Orthogonality of the three generator terms (traceless draws) and
     generator preservation under traceless canonicalization (traceful
-    draws).  Both records are built here, not by ``make_report``: ``slack``
-    is ``1e-9 - observed``, not the distance to the nearer side, and
-    ``holds`` is the structure's relative orthogonality test (each pairwise
-    |<T_a, T_b>| <= 1e-9 |T_a| |T_b|), or ``observed <= 1e-9``."""
+    draws).  Both records come from ``make_report`` on [0, 1e-9]; this suite
+    then sets ``slack`` to ``1e-9 - observed``, not the distance to the
+    nearer side, and ``holds`` to the structure's relative orthogonality test
+    (each pairwise |<T_a, T_b>| <= 1e-9 |T_a| |T_b|), or ``observed <= 1e-9``."""
     out = []
-    for d, (t,), (rng,) in _trials(dims, trials, seed):
+    for d, [(t,)], [rng] in _trials(dims, [(t,) for t in range(trials)], seed):
 
         def op():
             return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -270,26 +267,17 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Bou
             traceless.append(l - np.trace(l) / d * np.eye(d))
         spec = bounds.LindbladSpec(dim=d, hamiltonian=h, lindblad_ops=traceless)
         st = bounds.lindblad_structure(spec)
-        worst = st.worst_overlap
-        out.append(
-            BoundReport(
-                case_id=f"lind_orth/d{d}/t{t}", theorem="lindblad_orthogonality",
-                observed=worst, lower=0.0, upper=1e-9, slack=1e-9 - worst,
-                holds=st.orthogonal,
-            )
-        )
+        orth = matcore.make_report("lindblad_orthogonality", st.worst_overlap, 0.0, 1e-9)
+        orth.slack, orth.holds = 1e-9 - orth.observed, st.orthogonal
+        out.append(_case(f"lind_orth/d{d}/t{t}", orth))
         traceful = [op() for _ in range(n_ops)]
         spec2 = bounds.LindbladSpec(dim=d, hamiltonian=h, lindblad_ops=traceful)
         before = bounds.lindblad_superop(spec2)
         after = bounds.lindblad_superop(bounds.canonicalize_lindblad(spec2))
-        err = float(np.linalg.norm(before - after) / max(np.linalg.norm(before), 1.0))
-        out.append(
-            BoundReport(
-                case_id=f"lind_canon/d{d}/t{t}", theorem="lindblad_canonicalize",
-                observed=err, lower=0.0, upper=1e-9, slack=1e-9 - err,
-                holds=err <= 1e-9,
-            )
-        )
+        err = np.linalg.norm(before - after) / max(np.linalg.norm(before), 1.0)
+        canon = matcore.make_report("lindblad_canonicalize", err, 0.0, 1e-9)
+        canon.slack, canon.holds = 1e-9 - canon.observed, canon.observed <= 1e-9
+        out.append(_case(f"lind_canon/d{d}/t{t}", canon))
     return out
 
 

@@ -260,6 +260,22 @@ class TestTheoremSuite:
         for a, b in zip(got, want):
             assert repr(dataclasses.asdict(a)) == repr(dataclasses.asdict(b))
 
+    def test_cells_take_their_own_streams_in_runs(self):
+        """Over theorem-suite cells, cell (m, t) at dimension d draws from
+        default_rng([seed, d, m, t]), in runs of 64 cells to d = 8 and of 4
+        at d = 16 (2^18 Choi entries a run)."""
+        cells = [(m, t) for m in suites.THEOREM_DEPTHS for t in range(20)]
+        runs = {}
+        for d, ks, rngs in suites._trials((2, 8, 16), cells, 5, suites._THEOREM_CHUNK):
+            at = sum(runs.get(d, []))
+            assert list(ks) == cells[at:at + len(ks)]
+            for (m, t), rng in zip(ks, rngs, strict=True):
+                want = np.random.default_rng([5, d, m, t])
+                assert rng.bit_generator.state == want.bit_generator.state
+                assert rng.integers(0, 2**63 - 1) == want.integers(0, 2**63 - 1)
+            runs.setdefault(d, []).append(len(ks))
+        assert runs == {2: [64, 36], 8: [64, 36], 16: [4] * 25}
+
 
 class TestSingleChannelSuites:
     def test_noncatastrophic_stack_equals_per_trial_route(self):
@@ -285,9 +301,10 @@ class TestSingleChannelSuites:
         """A run of trials stacks at most 2^18 Choi entries (4 MiB a copy):
         whole chunks to d = 8, 4 trials at d = 16, one trial from d = 32."""
         runs = {}
-        for d, ts, rngs in suites._trials((2, 8, 16, 32, 64), 70, 0, suites._THEOREM_CHUNK):
-            assert len(rngs) == len(ts) and ts[0] == sum(runs.get(d, []))
-            runs.setdefault(d, []).append(len(ts))
+        trials = [(t,) for t in range(70)]
+        for d, ks, rngs in suites._trials((2, 8, 16, 32, 64), trials, 0, suites._THEOREM_CHUNK):
+            assert len(rngs) == len(ks) and ks[0] == (sum(runs.get(d, [])),)
+            runs.setdefault(d, []).append(len(ks))
         assert runs == {2: [64, 6], 8: [64, 6], 16: [4] * 17 + [2], 32: [1] * 70, 64: [1] * 70}
 
     @pytest.mark.parametrize("chunk", [1, 3, 10**6], ids=["1", "3", "whole"])
