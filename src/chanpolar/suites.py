@@ -283,8 +283,9 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Bou
 
 SUITES = ("lemmas", "theorems", "appendix", "all")
 # The largest d of each capped suite.  Theorem cases grow steeply in cost with d:
-# five theorem-suite cells at d = 16 take 9.7-10.7 s and 361 MB peak RSS on a 2-core
-# Xeon, most of it in the Choi eigensolver of composition and element canonical forms.
+# five theorem-suite cells at d = 16 (40 cases) take 5.0-5.1 s and 243-259 MB peak
+# RSS, one process alone on a 2-core Xeon at commit 2e6c2d0, over half of it in the
+# Choi eigensolver (eigh of 256 x 256 Choi matrices) of element and composite forms.
 DIM_CAPS = {"theorem": 8, "Lindblad": 8}
 
 
@@ -340,17 +341,20 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
 
     The envelope's checks run once, before any row: a d = 1 element raises
     here.  Its angles are built once (the elements are identical).  The
-    depths run in blocks of 256, and per depth only three matrix chains
-    step, V^m = V V^(m-1) and P^m (the conjugated decoherent factors) into
-    the block's stacks and S^m = S S^(m-1) into a buffer of at most 1 MB
-    of powers (256 at d <= 4, 16 at d = 8) but at least two, so that no
-    power overwrites its factor; and depth m sums the first m angles.  All
-    else is numpy arrays over the block: the coherence constants, the
-    traces of V^m, V^m P^m and S^m, the norms of S^m and every row scalar.
-    Each array operation rounds like the scalar one of the per-depth
-    formulas (squares and powers go through libm ``pow``, as Python floats
-    do), so the rows are bit for bit theirs.  The working memory is
-    O(256 d^2 + d^4) besides the rows.
+    depths run in blocks of 256, and per depth two matmuls run.  One is a
+    (2, d, d) stack: V V^(m+255) gives the next block's V^(m+256) (block 0's
+    powers are stepped alone first) and (V^m† P V^m) P^(m-1) gives P^m, the
+    conjugated decoherent factors; a stack has the bits of its single calls.
+    The other steps S^m = S S^(m-1) into a buffer of at most 1 MB of powers
+    (256 at d <= 4, 16 at d = 8) but at least two, so that no power
+    overwrites its factor.  Depth m also sums the first m angles.  All else
+    is numpy arrays over the block: the coherence constants, the traces of
+    V^m, V^m P^m and S^m, the norms of S^m and every row scalar.  Each array
+    operation rounds like the scalar one of the per-depth formulas (squares
+    and powers go through libm ``pow``, as Python floats do), so the rows
+    are bit for bit theirs.  The working memory is O(256 d^2 + d^4) besides
+    the rows: four (256, d, d) stacks while V^m and P^m step, then V^m, S,
+    S^m and the S^m buffer.
     """
     d = element.dim
     pol = channel_polar(element)
@@ -374,26 +378,32 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
     v_m = np.eye(d, dtype=np.complex128)
     p_m = np.eye(d, dtype=np.complex128)
     rows = []
-    # V^m for the depths of one block, overwritten block after block
+    # V^m of one block: block 0's are stepped here, each later block's by the one before
     v_buf = np.empty((min(_SWEEP_BLOCK, max_depth), d, d), dtype=np.complex128)
+    for v_k in v_buf:
+        v_m = np.matmul(v, v_m, out=v_k)
     n_s = min(max(2, 2**20 // s_el.nbytes), _SWEEP_BLOCK, max_depth)  # S^m per 1 MB
     for start in range(0, max_depth, _SWEEP_BLOCK):
         n = min(_SWEEP_BLOCK, max_depth - start)
         ms = range(start + 1, start + n + 1)
         v_pows = v_buf[:n]
-        for v_k in v_pows:
-            v_m = np.matmul(v, v_m, out=v_k)
         gamma_c = bounds._wse_coh_constant(v_pows)
-        # V^m† P V^m, each then overwritten by P^m; the stack is dropped
-        # before the next block's coherence constants, so that the peak
-        # memory stays theirs
-        p_pows = np.swapaxes(v_pows.conj(), -1, -2) @ psd @ v_pows
-        for p_k in p_pows:
-            p_m = np.matmul(p_k, p_m, out=p_k)
-        p_m = p_m.copy()
+        # one (2, d, d) matmul per depth: (V, V^m† P V^m) in pairs[k + 2] takes (V^(m+n-1),
+        # P^(m-1)) in pairs[k] to (V^(m+n), P^m) in pairs[k + 1], a left factor already
+        # used; V^m† and V^m† P go through the free slots first
+        pairs = np.empty((n + 2, 2, d, d), dtype=np.complex128)
+        pairs[0, 0], pairs[0, 1] = v_pows[-1], p_m
+        np.conjugate(v_pows, out=pairs[2:, 1])
+        np.matmul(np.swapaxes(pairs[2:, 1], -1, -2), psd, out=pairs[2:, 0])
+        np.matmul(pairs[2:, 0], v_pows, out=pairs[2:, 1])
+        pairs[2:, 0] = v
+        for left, right, out in zip(pairs[2:], pairs, pairs[1:]):
+            np.matmul(left, right, out=out)
+        p_m = pairs[n, 1].copy()
         tr_v = np.trace(v_pows, axis1=-2, axis2=-1)
-        tr_vp = np.trace(v_pows @ p_pows, axis1=-2, axis2=-1)
-        del p_pows, p_k
+        tr_vp = np.trace(v_pows @ pairs[1:n + 1, 1], axis1=-2, axis2=-1)
+        v_buf[:n] = pairs[1:n + 1, 0]  # the next block's V^m
+        del pairs, left, right, out  # freed before the S^m buffer, which sets the peak
         # |tr| by np.hypot rounds like abs() of a complex scalar
         phi_v = matcore._squares(np.hypot(tr_v.real, tr_v.imag)) / d**2
         phi_vstar = matcore._squares(np.hypot(tr_vp.real, tr_vp.imag)) / d**2

@@ -426,6 +426,11 @@ class _Cells:
 _CellsTyped = dataclasses.make_dataclass(  # field types as classes, not strings
     "_CellsTyped", [("name", str), ("count", int), ("value", float), ("flag", bool)]
 )
+# field types as strings, as BoundReport's and SweepRow's are in modules
+# that import annotations from __future__ (this module does not)
+_CellsNamed = dataclasses.make_dataclass(
+    "_CellsNamed", [("name", "str"), ("count", "int"), ("value", "float"), ("flag", "bool")]
+)
 
 
 class TestRecordsCsv:
@@ -459,7 +464,7 @@ class TestRecordsCsv:
         writer.writerows([cli._fmt(getattr(r, c)) for c in columns] for r in records)
         return buf.getvalue()
 
-    @pytest.mark.parametrize("record_type", [_Cells, _CellsTyped])
+    @pytest.mark.parametrize("record_type", [_Cells, _CellsTyped, _CellsNamed])
     @pytest.mark.parametrize("columns", [
         ("name", "count", "value", "flag"), ("flag", "value"), ("count",),
         ("name",), ("value",), ("flag",), ("value", "name"),
@@ -477,6 +482,12 @@ class TestRecordsCsv:
     ])
     def test_float_cell_format(self, x):
         assert "%.17g" % float(x) == format(float(x), ".17g") == cli._fmt(float(x))
+
+    def test_field_types_take_both_branches(self):
+        assert {f.type for f in dataclasses.fields(_Cells)} == {str, int, float, bool}
+        assert {f.type for f in dataclasses.fields(_CellsNamed)} == {
+            "str", "int", "float", "bool"}
+        assert {type(f.type) for f in dataclasses.fields(suites.SweepRow)} == {str}
 
     def test_no_records_is_the_header(self):
         assert cli._records_csv(_Cells, ("name", "value"), []) == "name,value\n"

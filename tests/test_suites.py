@@ -346,13 +346,15 @@ def row_bits(rows):
 
 
 EDGES = (1, 255, 256, 257)  # across the 256-depth blocks
+# across the next two block seams, where V^m comes from the block before
+SEAMS = EDGES + (511, 512, 513, 600, 769)
 
 
 class TestCompositionSweep:
     @pytest.mark.parametrize(
         "element, depths",
         [
-            (genlib.coherence_mix(1e-4, 0.5), EDGES + (600,)),  # even-d envelope
+            (genlib.coherence_mix(1e-4, 0.5), SEAMS),  # even-d envelope
             # V^m traceless at m = 3 (mod 6)
             (genlib.rotation(2, np.pi / 6), EDGES + (600,)),
             (genlib.psd_lk_decoherent(5, 0.02, seed=3), EDGES + (600,)),  # odd-d envelope
@@ -360,8 +362,8 @@ class TestCompositionSweep:
             (chn.compose([
                 genlib.psd_lk_decoherent(3, 0.02, seed=5),
                 chn.KrausChannel(dim=3, kraus=PHASES_D3[np.newaxis]),
-            ]), EDGES + (600,)),
-            (genlib.psd_lk_decoherent(4, 0.02, seed=6), EDGES + (600,)),
+            ]), SEAMS),
+            (genlib.psd_lk_decoherent(4, 0.02, seed=6), SEAMS),
             (genlib.stochastic_weyl(8, 0.998, seed=7), EDGES + (600,)),
             (genlib.random_cptp(8, 3, seed=8, strength=0.05), EDGES + (600,)),
             (genlib.coherence_mix(1e-4, 0.01), EDGES + (2000,)),  # a figure-3 curve
@@ -409,6 +411,19 @@ class TestCompositionSweep:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_working_memory_at_d16(self):
+        # S, S^m and a two-power S^m buffer are 4 MiB at d = 16, a (256, d, d)
+        # stack 1 MiB; the V^m and P^m chains never hold more than four stacks
+        # and are freed before the S^m buffer is made (6.1 MiB measured)
+        el = genlib.psd_lk_decoherent(16, 0.02, seed=6)
+        tracemalloc.start()
+        try:
+            suites.composition_sweep(el, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
 
     def test_d1_raises_before_any_row(self, monkeypatch):
         # the coherent envelope needs d >= 2; its checks run before the
