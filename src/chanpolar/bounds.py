@@ -32,7 +32,7 @@ from .errors import (
     TargetNotUnitary,
 )
 from .matcore import HOLDS_TOL, BoundReport, make_report
-from .polar import _spectrum_constants, channel_polar, channel_polars, is_decoherent
+from .polar import _decoherent, _spectrum_constants, channel_polar, channel_polars
 
 _CORRECTION_MAX_STEPS = 50  # polar-ascent steps of optimize_unitary_correction
 
@@ -219,17 +219,21 @@ def thm2_fid_evo(circuit: CircuitSpec) -> BoundReport:
 
 
 def _require_decoherent(circuit: CircuitSpec):
+    """Raise for the first element, in circuit order, with a non-identity target
+    (checked first) or a leading operator that is not decoherent; one stacked
+    test of each per circuit, and none once a check has passed."""
     if circuit._decoherent:  # a passed check holds for the circuit's lifetime
         return
-    eye, tol = np.eye(circuit.dim), 1e-9 * np.sqrt(circuit.dim)
-    chn._canonicalize(circuit.channels)  # one batch for the checks below
-    for i, (c, t) in enumerate(zip(circuit.channels, circuit.targets)):
-        if matcore._norms(t - eye) > tol:
+    d = circuit.dim
+    off = (matcore._norms(np.array(circuit.targets) - np.eye(d)) > 1e-9 * np.sqrt(d)).tolist()
+    decoh = _decoherent(np.array([c.kraus[0] for c in chn._canonicalize(circuit.channels)]))
+    for i, (o, dc) in enumerate(zip(off, decoh)):
+        if o:
             raise TargetNotUnitary(
                 "decoherent-composition bounds are identity-target statements; "
                 f"element {i} carries a non-identity target"
             )
-        if not is_decoherent(c):
+        if not dc:
             raise NotDecoherent(f"circuit element {i} is not decoherent")
     circuit._decoherent = True
 

@@ -235,11 +235,12 @@ def canonical(ch: KrausChannel) -> KrausChannel:
     return ch._canonical
 
 
-def _by_shape(channels, *per_channel) -> list:
-    """(indices, Kraus stack, stack of each ``per_channel`` list) per Kraus shape;
-    a channel whose arrays are not C-contiguous is a group of one, of views."""
-    lists = ([ch.kraus for ch in channels], *per_channel)
-    if len(channels) == 1:  # a group of one, of views, whatever its layout
+def _by_shape(kraus, *per_channel) -> list:
+    """(indices, stack of ``kraus``, stack of each ``per_channel`` list) per shape of
+    the Kraus stacks ``kraus``, one per channel; a channel whose arrays are not
+    C-contiguous is a group of one, of views."""
+    lists = (kraus, *per_channel)
+    if len(kraus) == 1:  # a group of one, of views, whatever its layout
         return [([0], *[x[0][None] for x in lists])]
     groups = {}
     for i, arrays in enumerate(zip(*lists)):
@@ -249,6 +250,20 @@ def _by_shape(channels, *per_channel) -> list:
                     for x in lists]) for idx in groups.values()]
 
 
+def _channels_by_shape(f, kraus, *per_channel) -> list:
+    """One channel per Kraus stack of ``kraus``, over the i-th (k, d, d) family of
+    ``f(Kraus stack, *stacks)`` of its :func:`_by_shape` group; refused as by the
+    constructor if an entry is not finite (the shapes pass its checks)."""
+    out = [None] * len(kraus)
+    for idx, *stacks in _by_shape(kraus, *per_channel):
+        ops = f(*stacks)
+        if not np.isfinite(ops).all():
+            raise ValueError("Kraus operators contain non-finite entries")
+        for i, k in zip(idx, ops):
+            out[i] = _unchecked(ops.shape[-1], k)
+    return out
+
+
 def _canonicalize(channels) -> list:
     """The canonical views of channels of one dimension, each cached as by
     :func:`canonical` and with the bits of its single call: one stacked Gram
@@ -256,7 +271,7 @@ def _canonicalize(channels) -> list:
     together, the others' Choi matrices to one stacked :func:`from_choi`."""
     todo = [ch for ch in dict.fromkeys(channels) if ch._weights is None and ch._canonical is None]
     gram, views, choi, chois = [], [], [], []
-    for idx, kraus in _by_shape(todo):
+    for idx, kraus in _by_shape([ch.kraus for ch in todo]):
         n, k, d = kraus.shape[:3]
         g = _gram(kraus).reshape(n, k * k)  # the diagonal is every (k + 1)-th entry
         off = np.abs(g)  # each |G - diag(G)|: on the diagonal |g| * 0, NaN where not finite

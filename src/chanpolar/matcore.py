@@ -11,10 +11,10 @@ Norm conventions: ``||.||_2`` written in docstrings means the Schatten
 2-norm (Frobenius); the spectral radius of a general matrix means its
 largest singular value.
 
-Stacks: :func:`hermitian_eig`, :func:`polar_decompose` and
-:func:`fix_entry_phase` take leading stack axes; a single matrix is the
-N = 1 case, and a stack has the bits of N single calls.  Measured on numpy
-2.4.6 at n = 2 ... 16: stacked ``eigh``, ``eigvalsh``, ``svd``, ``qr``,
+Stacks: :func:`hermitian_eig`, :func:`polar_decompose`, :func:`fix_entry_phase`
+and the three inequality checks take leading stack axes; a single matrix (or
+pair) is the N = 1 case, and a stack has the bits of N single calls.  Measured
+on numpy 2.4.6 at n = 2 ... 16: stacked ``eigh``, ``eigvalsh``, ``svd``, ``qr``,
 ``matmul`` and ``trace`` equal the per-matrix calls, and ``sum``/``prod`` over a
 contiguous slice of a stack equal those over a copy; ``np.abs`` of a complex
 array differs in the last bit from Python ``abs()`` of its scalars, so where a
@@ -159,11 +159,12 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(dot(flat.real, flat.real) + dot(flat.imag, flat.imag))
 
 
-def _require_hermitian(a: np.ndarray, name: str) -> np.ndarray:
-    """``||A - A^dag||_2 > HERMITICITY_RTOL ||A||_2`` raises for any matrix A of a
-    stack, the norms by :func:`_norms` for a C-contiguous stack up to 256 x 256 (where
-    tests pin the bits), else, or where ``||A||_2`` reaches 2^1000, of :func:`_tamed` A.
-    Returns the (N, n, n) Hermitian parts A / 2 + A^dag / 2 (A + A^dag could overflow)."""
+def _require_hermitian(a: np.ndarray, names=("matrix",)) -> np.ndarray:
+    """``||A - A^dag||_2 > HERMITICITY_RTOL ||A||_2`` raises for the first such matrix A of a
+    stack, the i-th named ``names[i % len(names)]``; the norms by :func:`_norms` for a
+    C-contiguous stack up to 256 x 256 (where tests pin the bits), else, or where ``||A||_2``
+    reaches 2^1000, of :func:`_tamed` A.  Returns the (N, n, n) Hermitian parts
+    A / 2 + A^dag / 2 (A + A^dag could overflow)."""
     items = a.reshape((-1,) + a.shape[-2:])
     adj = np.conj(items).swapaxes(-1, -2)
     if items.flags.c_contiguous and items.shape[-1] <= 256:
@@ -174,8 +175,8 @@ def _require_hermitian(a: np.ndarray, name: str) -> np.ndarray:
     for i in (~(size < 2.0**1000)).nonzero()[0]:
         item, size[i], _ = _tamed(items[i])
         skew[i] = np.linalg.norm(item - item.conj().T)
-    if (skew > HERMITICITY_RTOL * np.maximum(size, 1e-300)).any():
-        raise NotHermitian(f"{name} is not Hermitian within tolerance")
+    for i in (skew > HERMITICITY_RTOL * np.maximum(size, 1e-300)).nonzero()[0][:1].tolist():
+        raise NotHermitian(f"{names[i % len(names)]} is not Hermitian within tolerance")
     return items / 2.0 + adj / 2.0
 
 
@@ -198,7 +199,7 @@ def hermitian_eig(m, drop_floor: float = -np.inf) -> HermitianEig:
     """
     a = _require_square(as_complex_matrix(m, "M", stacked=True), "M")
     try:
-        w, v = np.linalg.eigh(_require_hermitian(a, "matrix"))
+        w, v = np.linalg.eigh(_require_hermitian(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NoConvergence(str(exc)) from exc
     w, v = w[:, ::-1].copy(), v[..., ::-1]
@@ -334,73 +335,89 @@ def make_report(
     )
 
 
-def _square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """The operands of an inequality check as square matrices of one size."""
-    a = _require_square(as_complex_matrix(a, "A"), "A")
-    b = _require_square(as_complex_matrix(b, "B"), "B")
+def _square_pairs(a, b) -> np.ndarray:
+    """The operands of an inequality check, two square matrices of one size or two
+    equal stacks of them, as the C-contiguous (2N, d, d) stack A_1, B_1, A_2, B_2, ..."""
+    a = _require_square(as_complex_matrix(a, "A", stacked=True), "A")
+    b = _require_square(as_complex_matrix(b, "B", stacked=True), "B")
     if a.shape != b.shape:
         raise ValueError("A and B must share a dimension")
-    return a, b
+    return np.stack((a, b), axis=-3).reshape((-1,) + a.shape[-2:])
 
 
-def check_trace_inequality(a, b) -> BoundReport:
+def _reports(theorem: str, a, rows) -> BoundReport | list[BoundReport]:
+    """The report of each (observed, lower, upper) row, holding within ``INEQ_TOL``
+    of either side: the one report of a single pair ``a``, or the list of a stack's."""
+    reps = []
+    for observed, lower, upper in rows:
+        rep = make_report(theorem, observed, lower, upper)
+        rep.holds = lower - INEQ_TOL <= observed <= upper + INEQ_TOL
+        reps.append(rep)
+    return reps if np.ndim(a) > 2 else reps[0]
+
+
+def check_trace_inequality(a, b) -> BoundReport | list[BoundReport]:
     """tr(AB)/d against rho_B tr(A)/d + rho_A tr(B)/d - rho_A rho_B.
 
     A and B must be Hermitian; the eigenvalue caps rho are the largest
     (signed) eigenvalues.  The report's theorem is ``appendix_trace``,
     ``observed`` is tr(AB)/d, ``lower`` the right side and ``upper`` +inf;
     ``holds`` means observed >= lower - ``INEQ_TOL``.
+
+    Two equal stacks of operands give the list of their pairs' reports, from
+    one ``eigvalsh``, ``matmul`` and ``trace`` call each; each report has the
+    bits of its single call, and a non-Hermitian operand raises as the first
+    failing single call would.
     """
-    a, b = _square_pair(a, b)
-    _require_hermitian(a, "A")
-    _require_hermitian(b, "B")
-    d = a.shape[0]
-    rho_a, rho_b = (float(_hermitian_part_spectrum(m)[-1]) for m in (a, b))
-    lhs = float(np.trace(a @ b).real) / d
-    rhs = rho_b * float(np.trace(a).real) / d + rho_a * float(np.trace(b).real) / d - rho_a * rho_b
-    rep = make_report("appendix_trace", lhs, rhs, np.inf)
-    rep.holds = bool(lhs >= rhs - INEQ_TOL)
-    return rep
+    ab = _square_pairs(a, b)
+    _require_hermitian(ab, ("A", "B"))
+    d = ab.shape[-1]
+    rho = _hermitian_part_spectrum(ab)[:, -1].tolist()
+    tr = np.trace(ab, axis1=-2, axis2=-1).real.tolist()
+    tr_ab = np.trace(ab[0::2] @ ab[1::2], axis1=-2, axis2=-1).real.tolist()
+    return _reports("appendix_trace", a, [
+        (t / d, rho_b * tr_a / d + rho_a * tr_b / d - rho_a * rho_b, np.inf)
+        for rho_a, rho_b, tr_a, tr_b, t in zip(rho[0::2], rho[1::2], tr[0::2], tr[1::2], tr_ab)])
 
 
-def check_vn_inequality(a, b) -> BoundReport:
+def check_vn_inequality(a, b) -> BoundReport | list[BoundReport]:
     """|tr(AB)/d| against min(rho_B tr|A|/d, rho_A tr|B|/d).
 
     The spectral radii rho and the trace norms come from singular values.
     The report's theorem is ``appendix_vn``, ``observed`` is |tr(AB)/d|,
     ``lower`` -inf and ``upper`` the right side; ``holds`` means
-    observed <= upper + ``INEQ_TOL``.
+    observed <= upper + ``INEQ_TOL``.  Two equal stacks give the list of their
+    pairs' reports, from one ``svd``, ``matmul`` and ``trace`` call each, with the
+    bits of single calls.
     """
-    a, b = _square_pair(a, b)
-    d = a.shape[0]
-    sa = np.linalg.svd(a, compute_uv=False)
-    sb = np.linalg.svd(b, compute_uv=False)
-    lhs = abs(np.trace(a @ b)) / d
-    rhs = min(sb[0] * sa.sum() / d, sa[0] * sb.sum() / d)
-    rep = make_report("appendix_vn", lhs, -np.inf, rhs)
-    rep.holds = bool(lhs <= rhs + INEQ_TOL)
-    return rep
+    ab = _square_pairs(a, b)
+    d = ab.shape[-1]
+    s = np.linalg.svd(ab, compute_uv=False)
+    top, s_sum = s[:, 0].tolist(), s.sum(axis=-1).tolist()
+    t = np.trace(ab[0::2] @ ab[1::2], axis1=-2, axis2=-1)
+    return _reports("appendix_vn", a, [
+        (abs_t / d, -np.inf, min(top_b * sum_a / d, top_a * sum_b / d))
+        for abs_t, top_a, top_b, sum_a, sum_b in zip(
+            np.hypot(t.real, t.imag).tolist(), top[0::2], top[1::2], s_sum[0::2], s_sum[1::2])])
 
 
-def check_norm_inequality(a, b) -> BoundReport:
+def check_norm_inequality(a, b) -> BoundReport | list[BoundReport]:
     """||A||^2/d + ||B||^2/d - 1  <=  ||AB||^2/d  <=  min(||A||^2, ||B||^2)/d.
 
     Both operands must be contractions (largest singular value at most
     1 + 1e-10), else :class:`NotContraction` is raised.  The report's
     theorem is ``appendix_norm`` and ``observed`` is ||AB||^2/d; ``holds``
-    allows ``INEQ_TOL`` on either side.
+    allows ``INEQ_TOL`` on either side.  Two equal stacks give the list of
+    their pairs' reports, from one ``svd``, ``matmul`` and two :func:`_norms`
+    calls, with the bits of single calls; a stack raises as its first failing
+    single call would, with the same spectral radius.
     """
-    a, b = _square_pair(a, b)
-    d = a.shape[0]
-    for m, name in ((a, "A"), (b, "B")):
-        top = np.linalg.svd(m, compute_uv=False)[0]
-        if top > 1.0 + 1e-10:
-            raise NotContraction(f"{name} has spectral radius {top:.3e} > 1")
-    na = np.linalg.norm(a) ** 2 / d
-    nb = np.linalg.norm(b) ** 2 / d
-    nab = np.linalg.norm(a @ b) ** 2 / d
-    lower = na + nb - 1.0
-    upper = min(na, nb)
-    rep = make_report("appendix_norm", nab, lower, upper)
-    rep.holds = bool(lower - INEQ_TOL <= nab <= upper + INEQ_TOL)
-    return rep
+    ab = _square_pairs(a, b)
+    d = ab.shape[-1]
+    top = np.linalg.svd(ab, compute_uv=False)[:, 0]
+    for i in (top > 1.0 + 1e-10).nonzero()[0][:1].tolist():
+        raise NotContraction(f"{'AB'[i % 2]} has spectral radius {top[i]:.3e} > 1")
+    sq = [n**2 / d for n in _norms(ab).tolist()]  # ||A||^2/d and ||B||^2/d in turn
+    return _reports("appendix_norm", a, [
+        (n_ab**2 / d, na + nb - 1.0, min(na, nb))
+        for na, nb, n_ab in zip(sq[0::2], sq[1::2], _norms(ab[0::2] @ ab[1::2]).tolist())])

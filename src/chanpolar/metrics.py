@@ -54,7 +54,7 @@ def _phi(ch: chn.KrausChannel, u: np.ndarray) -> float:
 def _phis(channels, targets) -> np.ndarray:
     """:func:`_phi` of each channel against its target, one einsum per shape."""
     out = np.empty(len(channels))
-    for idx, kraus, us in chn._by_shape(channels, targets):
+    for idx, kraus, us in chn._by_shape([ch.kraus for ch in channels], targets):
         traces = np.einsum("nkij,nij->nk", kraus, us.conj())  # tr(U^dag A_k)
         out[idx] = (np.abs(traces) ** 2).sum(axis=-1) / kraus.shape[-1] ** 2
     return out
@@ -99,7 +99,7 @@ def upsilon(ch: chn.KrausChannel) -> float:
 def _upsilons(channels) -> np.ndarray:
     """:func:`upsilon` of each channel, one Gram stack per Kraus shape."""
     out = np.empty(len(channels))
-    for idx, kraus in chn._by_shape(channels):
+    for idx, kraus in chn._by_shape([ch.kraus for ch in channels]):
         out[idx] = matcore._norms(chn._gram(kraus)) / kraus.shape[-1]
     return out
 

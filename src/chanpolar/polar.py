@@ -62,11 +62,7 @@ class ChannelPolar:
 
     @cached_property
     def decoherent_left(self) -> chn.KrausChannel:
-        # a C-contiguous V^dag gives the same sums as the transposed view,
-        # only faster at large d
-        vh = np.ascontiguousarray(self.unitary.conj().T)
-        vk = np.einsum("ij,kjl->kil", vh, self._kraus)
-        return chn.KrausChannel(dim=self.dim, kraus=vk)
+        return _decoherent_lefts([self])[0]
 
     @cached_property
     def phi_decoherent(self) -> float:
@@ -121,6 +117,16 @@ def channel_polars(channels) -> list[ChannelPolar]:
     return [c._polar for c in canons]
 
 
+def _decoherent_lefts(polars) -> list:
+    """The ``decoherent_left`` of each polar factorization, uncached: the
+    operators V^dag A_k by one einsum per Kraus shape.  A C-contiguous V^dag
+    gives the same sums as the transposed view, only faster at large d."""
+    return chn._channels_by_shape(
+        lambda kraus, us: np.einsum(
+            "nij,nkjl->nkil", np.ascontiguousarray(np.conj(us).swapaxes(-1, -2)), kraus),
+        [p._kraus for p in polars], [p.unitary for p in polars])
+
+
 def _polarize(canons: list):
     """Cache on each canonical view its polar factors, from one stacked SVD."""
     for ups in metrics._upsilons(canons).tolist():
@@ -148,11 +154,22 @@ def _polarize(canons: list):
 
 def is_decoherent(ch: chn.KrausChannel) -> bool:
     """True iff the leading Kraus operator is positive semi-definite
-    (Hermitian within ``DECOHERENT_TOL``, smallest eigenvalue >= -tol)."""
-    a1 = ch.a1
-    if matcore._norms(a1 - a1.conj().T) > DECOHERENT_TOL:
-        return False
-    return bool(matcore._hermitian_part_spectrum(a1)[0] >= -DECOHERENT_TOL)
+    (Hermitian within ``DECOHERENT_TOL``, smallest eigenvalue >= -tol): the
+    N = 1 case of :func:`_decoherent`, on a view of A_1."""
+    return _decoherent(ch.a1[np.newaxis])[0]
+
+
+def _decoherent(a1s: np.ndarray) -> list:
+    """:func:`is_decoherent` of the leading operator of each channel, from their
+    (N, d, d) stack: one norm call, then one ``eigvalsh`` over the Hermitian ones
+    (over the stack itself when all are, with no copy)."""
+    out = (matcore._norms(a1s - np.conj(a1s).swapaxes(-1, -2)) <= DECOHERENT_TOL).tolist()
+    herm = [i for i, h in enumerate(out) if h]
+    if herm:
+        spec = matcore._hermitian_part_spectrum(a1s if len(herm) == len(out) else a1s[herm])
+        for i, psd in zip(herm, (spec[:, 0] >= -DECOHERENT_TOL).tolist()):
+            out[i] = psd
+    return out
 
 
 @dataclass

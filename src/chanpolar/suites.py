@@ -10,13 +10,14 @@ so results are independent of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
 
 from . import bounds, channel as chn, genlib, matcore, metrics
 from .matcore import BoundReport
-from .polar import _spectrum_constants, channel_polar, channel_polars
+from .polar import _decoherent_lefts, _spectrum_constants, channel_polar, channel_polars
 
 REGIME_CAP = 0.1  # theorem_suite circuits keep m^2 r^2 <= this
 THEOREM_DEPTHS = (2, 4, 8, 16, 32)  # circuit depths of theorem_suite
@@ -49,8 +50,9 @@ def element_for_infidelity(d: int, r_target, draws, decoherent: bool = False):
     few percent) from the same seed, so the second draw reuses the first
     one's GUE eigendecomposition.  The elements of one rank share one
     stacked generator eigendecomposition, the decoherent ones of a draw one
-    :func:`channel_polars`; each has the bits of its own ``genlib.random_cptp``
-    (or, decoherent, ``genlib.psd_lk_decoherent``) calls.
+    :func:`channel_polars` and one V^dag A einsum per Kraus shape; each has the
+    bits of its own ``genlib.random_cptp`` (or, decoherent,
+    ``genlib.psd_lk_decoherent``) calls.
     """
     ks = np.minimum([rank for rank, _ in draws], d * d)
     order = np.argsort(ks, kind="stable")  # the elements rank by rank
@@ -66,7 +68,7 @@ def element_for_infidelity(d: int, r_target, draws, decoherent: bool = False):
         for k, (w, v), m, e in zip(ranks, eigs, np.split(mask, starts), np.split(eps, starts)):
             kraus = genlib._near_identity_kraus(d, k, (w[m], v[m]), e[m])
             chs += map(chn._unchecked, repeat(d), kraus)
-        return [p.decoherent_left for p in channel_polars(chs)] if decoherent else chs
+        return _decoherent_lefts(channel_polars(chs)) if decoherent else chs
 
     eps = np.sqrt(2.0 * r_t)
     chs = gen(np.ones(len(order), dtype=bool), eps)
@@ -88,7 +90,8 @@ def sample_noncatastrophic(d: int, rng: np.random.Generator):
 
 def _noncatastrophic(d: int, rngs) -> tuple[list, np.ndarray]:
     """:func:`sample_noncatastrophic` of each generator (strength, rank, noise seed, target
-    seed in turn): one :func:`genlib._gue_eig` per rank, one QR and unitarity test."""
+    seed in turn): one :func:`genlib._gue_eig` per rank, one QR and unitarity test, and
+    one :func:`_after_targets`."""
     eps, ks, seeds, target_seeds = zip(*[
         (float(rng.uniform(0.02, 0.3)), min(int(rng.integers(2, 5)), d * d),
          _subseed(rng), _subseed(rng)) for rng in rngs])
@@ -98,8 +101,14 @@ def _noncatastrophic(d: int, rngs) -> tuple[list, np.ndarray]:
         eig = genlib._gue_eig(d * k, [seeds[i] for i in idx])
         noise.update(zip(idx, genlib._near_identity_kraus(d, k, eig, [eps[i] for i in idx])))
     targets = metrics._check_targets(genlib._haar_unitaries(d, target_seeds), d)
-    return [chn.KrausChannel(dim=d, kraus=np.einsum("kij,jl->kil", noise[i], u))
-            for i, u in enumerate(targets)], targets
+    return _after_targets([noise[i] for i in range(len(ks))], targets), targets
+
+
+def _after_targets(kraus, targets) -> list:
+    """The channel of each Kraus family ``kraus[i]`` applied after the unitary
+    ``targets[i]`` (operators A_k U): one einsum and finiteness check per Kraus
+    shape, each family with the bits of its single einsum."""
+    return chn._channels_by_shape(partial(np.einsum, "nkij,njl->nkil"), kraus, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -131,25 +140,26 @@ def lemma_suite(dims=(2, 3, 4, 8), trials: int = 1000, seed: int = 0) -> list[Bo
 
 
 def appendix_suite(dims=(2, 3, 5), trials: int = 1000, seed: int = 0) -> list[BoundReport]:
-    """Trace, flavored Von Neumann, and norm inequality sweeps."""
+    """Trace, flavored Von Neumann, and norm inequality sweeps.
+
+    Trial t draws six complex Ginibre matrices from its own stream (each the
+    real part, then the imaginary one): the Hermitian parts of two for the
+    trace check, and four contractions (singular values clipped at 1) for the
+    Von Neumann and norm checks.  A run of trials is checked as stacks, one
+    call of each check; each report has the bits of its single call.
+    """
     out = []
-    for d, [(t,)], [rng] in _trials(dims, [(t,) for t in range(trials)], seed):
-
-        def herm():
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            return (g + g.conj().T) / 2.0
-
-        def contraction():
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            u, s, vh = np.linalg.svd(g)
-            return (u * np.minimum(s, 1.0)) @ vh
-
-        tr = matcore.check_trace_inequality(herm(), herm())
-        out.append(_case(f"trace/d{d}/t{t}", tr))
-        vn = matcore.check_vn_inequality(contraction(), contraction())
-        out.append(_case(f"vn/d{d}/t{t}", vn))
-        nm = matcore.check_norm_inequality(contraction(), contraction())
-        out.append(_case(f"norm/d{d}/t{t}", nm))
+    for d, ks, rngs in _trials(dims, [(t,) for t in range(trials)], seed, _THEOREM_CHUNK):
+        g = np.array([[rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                       for _ in range(6)] for rng in rngs])
+        herm = (g[:, :2] + np.conj(g[:, :2]).swapaxes(-1, -2)) / 2.0
+        u, s, vh = np.linalg.svd(g[:, 2:])
+        con = (u * np.minimum(s, 1.0)[..., None, :]) @ vh
+        for (t,), tr, vn, nm in zip(ks, matcore.check_trace_inequality(herm[:, 0], herm[:, 1]),
+                                    matcore.check_vn_inequality(con[:, 0], con[:, 1]),
+                                    matcore.check_norm_inequality(con[:, 2], con[:, 3])):
+            out += [_case(f"trace/d{d}/t{t}", tr), _case(f"vn/d{d}/t{t}", vn),
+                    _case(f"norm/d{d}/t{t}", nm)]
     return out
 
 
@@ -173,22 +183,20 @@ def _draw_circuit(d: int, m: int, rng, with_targets=False) -> tuple:
 def _build_circuits(d: int, drawn: list, decoherent=False) -> list:
     """The circuits of :func:`_draw_circuit` results, all elements from one
     :func:`element_for_infidelity` call; with targets, each element applies
-    its Haar-random target unitary first."""
+    its Haar-random target unitary first, all of them by one
+    :func:`_after_targets` call."""
     channels = iter(element_for_infidelity(
         d, [r for r_ts, _, _ in drawn for r in r_ts],
         [x for _, draws, _ in drawn for x in draws], decoherent=decoherent,
     ))
+    circuits = [[next(channels) for _ in r_ts] for r_ts, _, _ in drawn]
     unitaries = iter(genlib._haar_unitaries(d, [s for _, _, ts in drawn for s in ts or ()]))
-    out = []
-    for r_ts, _, target_seeds in drawn:
-        els = [next(channels) for _ in r_ts]
-        targets = None
-        if target_seeds is not None:
-            targets = [next(unitaries) for _ in target_seeds]
-            els = [chn.KrausChannel(dim=d, kraus=np.einsum("kij,jl->kil", el.kraus, u))
-                   for el, u in zip(els, targets)]
-        out.append(bounds.CircuitSpec(els, targets))
-    return out
+    targets = [ts and [next(unitaries) for _ in ts] for _, _, ts in drawn]
+    targeted = iter(_after_targets(
+        [el.kraus for els, us in zip(circuits, targets) if us for el in els],
+        [u for us in targets if us for u in us]))
+    return [bounds.CircuitSpec([next(targeted) for _ in els] if us else els, us)
+            for els, us in zip(circuits, targets)]
 
 
 def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundReport]:

@@ -203,8 +203,8 @@ class TestThm7:
 
 
 class TestCheckCounts:
-    """The decoherence check runs once per circuit, the thm7 target check
-    once per call."""
+    """The decoherence check runs once per circuit, as one stacked test of its
+    elements, the thm7 target check once per call."""
 
     @staticmethod
     def counting(monkeypatch, owner, name):
@@ -219,7 +219,7 @@ class TestCheckCounts:
         return calls
 
     def test_one_decoherence_check_per_circuit(self, monkeypatch):
-        calls = self.counting(monkeypatch, bounds, "is_decoherent")
+        calls = self.counting(monkeypatch, bounds, "_decoherent")
         circ = bounds.CircuitSpec(
             [genlib.amplitude_damping(2, 0.1), genlib.dephasing(2, 0.02)] * 2
         )
@@ -227,10 +227,11 @@ class TestCheckCounts:
         bounds.thm6_fidelity_decay(circ)
         bounds.thm8_equable_composition(genlib.rotation_matrix(2, 0.05), circ)
         bounds.thm6_fidelity_decay(circ)
-        assert [c[0] for c in calls] == circ.channels
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], [c.a1 for c in circ.channels])
 
     def test_failed_check_repeats_with_first_failing_element(self, monkeypatch):
-        calls = self.counting(monkeypatch, bounds, "is_decoherent")
+        calls = self.counting(monkeypatch, bounds, "_decoherent")
         circ = bounds.CircuitSpec(
             [genlib.dephasing(2, 0.02), genlib.rotation(2, 0.1),
              genlib.rotation(2, 0.2)]
@@ -242,7 +243,19 @@ class TestCheckCounts:
         ):
             with pytest.raises(NotDecoherent, match="element 1 is not"):
                 evaluate(circ)
-        assert len(calls) == 3 * 2  # each call stops at element 1
+        assert [len(c[0]) for c in calls] == [3] * 3  # each call tests every element again
+
+    def test_target_error_of_an_earlier_element_comes_first(self):
+        # element 0 carries a rotation target, element 1 is not decoherent
+        circ = bounds.CircuitSpec(
+            [genlib.amplitude_damping(2, 0.1), genlib.rotation(2, 0.1)],
+            [genlib.rotation_matrix(2, 0.2), I2],
+        )
+        with pytest.raises(TargetNotUnitary, match="element 0 carries"):
+            bounds.thm6_fidelity_decay(circ)
+        circ.targets[0] = I2
+        with pytest.raises(NotDecoherent, match="element 1 is not"):
+            bounds.thm6_fidelity_decay(circ)
 
     def test_thm7_checks_target_once(self, monkeypatch):
         calls = self.counting(monkeypatch, metrics, "_check_target")

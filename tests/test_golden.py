@@ -266,13 +266,14 @@ def test_golden_csv_per_cell_route(name, tmp_path, capsys, monkeypatch):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("seed, ordered", [(0, 0), (1, 0), (219, 2)])
+@pytest.mark.parametrize("seed, ordered", [*((seed, 0) for seed in range(10)), (219, 2)])
 def test_verify_benchmark_units(seed, ordered, tmp_path, capsys, monkeypatch):
     """Exit code and SHA-256 of ``verify`` pool units against the
-    benchmark's committed reference, which this test only reads.  Pool
-    seed 219 holds a d = 3 Choi matrix with a degenerate block above the
-    drop floor (kept eigenvalues 1.25e-10 and 9.5e-11), so its stacked
-    canonical form sorts that block's two columns."""
+    benchmark's committed reference, which this test only reads: a moved bit
+    in any suite's rows fails here.  Pool seed 219 holds a d = 3 Choi matrix
+    with a degenerate block above the drop floor (kept eigenvalues 1.25e-10
+    and 9.5e-11), so its stacked canonical form sorts that block's two
+    columns."""
     code, digest = json.loads(BENCH_REFERENCE.read_text())["verify"][f"verify/{seed}"]
     calls = []
     lex_key = matcore._lex_key

@@ -440,6 +440,56 @@ class TestAppendixReports:
         assert rep.holds
 
 
+class TestStackedChecks:
+    """A stack of pairs gives each pair's single-call report, and raises as the
+    first failing single call."""
+
+    @pytest.mark.parametrize("check, make", [
+        (matcore.check_trace_inequality, random_hermitian),
+        (matcore.check_vn_inequality, random_contraction),
+        (matcore.check_norm_inequality, random_contraction),
+    ])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_stack_returns_each_single_report(self, check, make, d):
+        rng = np.random.default_rng(500 + d)
+        a, b = (np.array([make(d, rng) for _ in range(6)]) for _ in range(2))
+        reps = check(a, b)
+        assert isinstance(reps, list) and len(reps) == 6
+        for rep, x, y in zip(reps, a, b, strict=True):
+            assert repr(rep) == repr(check(x, y))
+        # leading axes (2, 3) give the same reports, in C order
+        assert repr(check(a.reshape(2, 3, d, d), b.reshape(2, 3, d, d))) == repr(reps)
+
+    @staticmethod
+    def single_error(check, a, b, exc):
+        for x, y in zip(a, b):
+            try:
+                check(x, y)
+            except exc as err:
+                return str(err)
+
+    @pytest.mark.parametrize("check, exc, bad", [
+        (matcore.check_trace_inequality, NotHermitian, np.array([[0, 1], [0, 0]])),
+        (matcore.check_norm_inequality, NotContraction, 3.0 * np.eye(2)),
+    ])
+    def test_stack_raises_as_first_failing_single_call(self, check, exc, bad):
+        good = random_hermitian(2, np.random.default_rng(6), 0.1)
+        worse = 2.0 * bad
+        for a, b in (
+            ([good, bad, good], [worse, good, good]),  # pair 0 fails at B
+            ([good, bad, worse], [good, good, good]),  # pair 1 at A, pair 2 at A
+            ([good, good, good], [good, worse, bad]),  # pair 1 at B
+        ):
+            message = self.single_error(check, a, b, exc)
+            assert message is not None
+            with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+                check(np.array(a, dtype=complex), np.array(b, dtype=complex))
+        assert self.single_error(check, [bad], [good], exc).startswith("A ")
+        if exc is NotContraction:  # the radius of the first failing operand, not of a later one
+            with pytest.raises(exc, match=r"^A has spectral radius 3\.000e\+00 > 1$"):
+                check(np.array([good, bad]), np.array([good, worse]))
+
+
 REFUSALS = {
     "non-finite entry": (
         lambda: matcore.as_complex_matrix([[1.0, np.inf], [0.0, 1.0]]),

@@ -305,6 +305,26 @@ class TestIsDecoherent:
         assert polar.is_decoherent(genlib.amplitude_damping(2, 0.19))
         assert not polar.is_decoherent(genlib.rotation(2, 0.3))
 
+    def test_stack_equals_single_calls(self):
+        """The stacked test on leading operators that are PSD, not Hermitian, and
+        Hermitian with a negative eigenvalue (A_1 = 0.9 Z)."""
+        z = np.diag([1.0, -1.0])
+        chans = [genlib.depolarizing(2, 0.9), genlib.rotation(2, 0.3),
+                 chn.KrausChannel.from_ops([0.9 * z, np.sqrt(0.19) * I2]),
+                 genlib.amplitude_damping(2, 0.19)]
+        a1s = np.array([ch.a1 for ch in chans])
+        assert polar._decoherent(a1s) == [True, False, False, True]
+        assert [polar.is_decoherent(ch) for ch in chans] == [True, False, False, True]
+        assert polar._decoherent(a1s[1:3]) == [False, False]
+
+    def test_single_call_takes_a_view_of_a1(self, monkeypatch):
+        seen = []
+        stacked = polar._decoherent
+        monkeypatch.setattr(polar, "_decoherent", lambda a1s: seen.append(a1s) or stacked(a1s))
+        ch = genlib.amplitude_damping(3, 0.1)
+        assert polar.is_decoherent(ch) is True
+        assert seen[0].shape == (1, 3, 3) and np.shares_memory(seen[0], ch.a1)
+
 
 class TestEquability:
     def test_depolarizing_constants(self):

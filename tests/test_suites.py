@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chanpolar import bounds, channel as chn, genlib, metrics, polar, suites
+from chanpolar import bounds, channel as chn, genlib, matcore, metrics, polar, suites
 from chanpolar.errors import DimensionMismatch, PhaseUndefined
 from chanpolar.matcore import BoundReport
 from chanpolar.polar import _spectrum_constants
@@ -134,6 +134,32 @@ def single_channel_suites_per_trial(dims, trials, seed):
             ch, target = noncatastrophic_per_trial(d, np.random.default_rng([seed, d, t]))
             thm7.append(suites._case(f"thm7/d{d}/t{t}", bounds.thm7_max_correction(ch, target)))
     return lemmas, thm7
+
+
+def appendix_suite_per_trial(dims, trials, seed):
+    """One trial at a time, the public single-pair checks on the trial's six
+    draws: the reference route that :func:`suites.appendix_suite` must match
+    bit for bit."""
+    out = []
+    for d in dims:
+        for t in range(trials):
+            rng = np.random.default_rng([seed, d, t])
+
+            def herm():
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                return (g + g.conj().T) / 2.0
+
+            def contraction():
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                u, s, vh = np.linalg.svd(g)
+                return (u * np.minimum(s, 1.0)) @ vh
+
+            tr = matcore.check_trace_inequality(herm(), herm())
+            vn = matcore.check_vn_inequality(contraction(), contraction())
+            nm = matcore.check_norm_inequality(contraction(), contraction())
+            out += [suites._case(f"trace/d{d}/t{t}", tr), suites._case(f"vn/d{d}/t{t}", vn),
+                    suites._case(f"norm/d{d}/t{t}", nm)]
+    return out
 
 
 def theorem_suite_per_cell(dims, trials, seed):
@@ -319,6 +345,32 @@ class TestSingleChannelSuites:
             assert len(g) == len(w) == n
             for a, b in zip(g, w):
                 assert repr(dataclasses.asdict(a)) == repr(dataclasses.asdict(b))
+
+
+class TestAppendixSuite:
+    @pytest.mark.parametrize("trials", [1, 5, 65])
+    def test_rows_equal_per_trial_route(self, trials):
+        """Every field of every row, floats by ``float.hex``, is the same as one
+        trial at a time; 65 trials cross a run of 64."""
+        got = suites.appendix_suite(dims=(2, 3, 5), trials=trials, seed=11)
+        want = appendix_suite_per_trial(dims=(2, 3, 5), trials=trials, seed=11)
+        assert len(got) == len(want) == 3 * 3 * trials
+
+        def fields(rep):
+            return [x.hex() if isinstance(x, float) else x
+                    for x in dataclasses.astuple(rep)]
+
+        for a, b in zip(got, want):
+            assert fields(a) == fields(b)
+
+    def test_one_call_of_each_check_per_run(self, monkeypatch):
+        calls = []
+        for name in ("check_trace_inequality", "check_vn_inequality", "check_norm_inequality"):
+            check = getattr(matcore, name)
+            monkeypatch.setattr(matcore, name, lambda a, b, check=check: calls.append(
+                len(a)) or check(a, b))
+        suites.appendix_suite(dims=(2, 3), trials=65, seed=0)
+        assert calls == [64] * 3 + [1] * 3 + [64] * 3 + [1] * 3
 
 
 class TestRecords:
