@@ -61,7 +61,14 @@ class CircuitSpec:
         else:
             if len(self.targets) != len(self.channels):
                 raise DimensionMismatch("one target per channel required")
-            self.targets = [metrics._check_target(t, d) for t in self.targets]
+            us = []
+            try:  # shapes one by one, then one unitarity test of all before a misshapen one
+                for t in self.targets:
+                    us.append(metrics._as_target(t, d))
+            finally:
+                if us:
+                    metrics._check_targets(np.array(us), d)
+            self.targets = us
         self._data = None
         self._decoherent = False  # set by the first passed decoherence check
 

@@ -41,10 +41,11 @@ class KrausChannel:
     ``kraus`` has shape (k, d, d).  The trace-preserving condition
     sum_i A_i^dag A_i = I is *not* enforced at construction: the LK map
     of :func:`lk` is not TP, and deliberately broken inputs can be fed to
-    :func:`validate_cptp`.  Instances are treated as immutable; the
-    canonical view returned by :func:`canonical` (the one kind that carries
-    ``_weights``) is cached on the instance, and the canonical quantities
-    below read that view.
+    :func:`validate_cptp`.  Each instance caches its canonical view (see
+    :func:`canonical`; a view is the one kind that carries ``_weights``), the
+    polar factors of :func:`polar.channel_polar` on that view and its own
+    Upsilon (:func:`metrics.upsilon`), so instances must not be mutated.  The
+    canonical quantities below read the cached view.
     """
 
     dim: int
@@ -60,7 +61,7 @@ class KrausChannel:
             raise ValueError("channel needs at least one Kraus operator")
         if not np.isfinite(k).all():
             raise ValueError("Kraus operators contain non-finite entries")
-        self.__dict__.update(kraus=k, _canonical=None, _weights=None, _polar=None)
+        self.__dict__.update(kraus=k, _canonical=None, _weights=None, _polar=None, _upsilon=None)
 
     @classmethod
     def from_ops(cls, ops: Sequence[np.ndarray]) -> "KrausChannel":
@@ -145,7 +146,8 @@ def _chois(kraus: np.ndarray) -> np.ndarray:
 def _unchecked(dim: int, kraus: np.ndarray, weights=None) -> KrausChannel:
     """A channel over a stack that passes the constructor's checks, unchecked."""
     ch = object.__new__(KrausChannel)
-    ch.__dict__.update(dim=dim, kraus=kraus, _canonical=None, _weights=weights, _polar=None)
+    ch.__dict__.update(dim=dim, kraus=kraus, _canonical=None, _weights=weights, _polar=None,
+                       _upsilon=None)
     return ch
 
 

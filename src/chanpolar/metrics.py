@@ -25,12 +25,17 @@ NC_THRESHOLD = 0.5
 
 def _check_target(u, d: int) -> np.ndarray:
     """A d x d unitary target (I for None)."""
+    return _as_target(u, d) if u is None else _check_targets(_as_target(u, d), d)
+
+
+def _as_target(u, d: int) -> np.ndarray:
+    """A d x d complex target (I for None), not yet tested for unitarity."""
     if u is None:
         return np.eye(d, dtype=np.complex128)
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (d, d):
         raise TargetNotUnitary(f"target must be {d} x {d}, got {u.shape}")
-    return _check_targets(u, d)
+    return u
 
 
 def _check_targets(us: np.ndarray, d: int) -> np.ndarray:
@@ -92,16 +97,19 @@ def upsilon(ch: chn.KrausChannel) -> float:
     """Upsilon = sqrt(sum_ij |tr(A_i^dag A_j)|^2) / d = ||Gram||_F / d.
 
     Over the canonical decomposition this reduces to sqrt(sum_i w_i^2).
+    Cached on the channel object: a repeat call computes nothing.
     """
     return _upsilons([ch]).item()
 
 
 def _upsilons(channels) -> np.ndarray:
-    """:func:`upsilon` of each channel, one Gram stack per Kraus shape."""
-    out = np.empty(len(channels))
-    for idx, kraus in chn._by_shape([ch.kraus for ch in channels]):
-        out[idx] = matcore._norms(chn._gram(kraus)) / kraus.shape[-1]
-    return out
+    """:func:`upsilon` of each channel, cached per object: one Gram stack per
+    Kraus shape over the channels without a cached value."""
+    todo = [ch for ch in dict.fromkeys(channels) if ch._upsilon is None]
+    for idx, kraus in chn._by_shape([ch.kraus for ch in todo]):
+        for i, ups in zip(idx, (matcore._norms(chn._gram(kraus)) / kraus.shape[-1]).tolist()):
+            todo[i]._upsilon = ups
+    return np.array([ch._upsilon for ch in channels])
 
 
 def unitarity(upsilon_value: float, d: int) -> float:
@@ -246,8 +254,12 @@ def _haar_states(d: int, n: int, key: tuple) -> np.ndarray:
     b = _block(psi.itemsize * d)
     for blk in np.split(psi, range(b, n, b)):  # views of psi
         z = gen.standard_normal((len(blk), 2 * d))
-        np.add(z[:, :d], 1j * z[:, d:], out=blk)
-        blk /= np.linalg.norm(blk, axis=1, keepdims=True)
+        blk.real, blk.imag = z[:, :d], z[:, d:]
+        # each row over its np.linalg.norm, with the bits of that division: numpy sums a
+        # row of fewer than 8 terms in order (here column by column, vectorized) and
+        # divides a complex by a real as a product with the real's reciprocal
+        s = (blk.conj() * blk).real
+        blk *= (1.0 / np.sqrt(functools.reduce(np.add, s.T) if d < 8 else s.sum(axis=1)))[:, None]
     psi.setflags(write=False)
     return psi
 

@@ -400,6 +400,26 @@ class TestCircuitData:
                 else:
                     assert type(value) is type(other) and value == other, key
 
+    def test_element_upsilon_taken_from_the_polar_cache(self, monkeypatch):
+        """_prime computes Gram rows only for the composites: the elements'
+        Upsilon were cached by channel_polars."""
+        upsilons, calls, rows = metrics._upsilons, [], []
+        gram = chn._gram
+        monkeypatch.setattr(chn, "_gram", lambda k: rows.append(len(k)) or gram(k))
+
+        def spy(channels):
+            uncached = [ch._upsilon is None for ch in channels]
+            rows.clear()
+            out = upsilons(channels)
+            calls.append((uncached, sum(rows)))
+            return out
+
+        monkeypatch.setattr(metrics, "_upsilons", spy)
+        circuits = [bounds.CircuitSpec([rot_deph(0.1 * i + 0.1 * j, 0.01) for j in range(3)])
+                    for i in range(2)]
+        bounds._prime(circuits)
+        assert calls == [([True] * 6, 6), ([False] * 6 + [True] * 2, 2)]
+
     def test_stacked_composite_target_test_refuses_any_item(self):
         u = genlib.random_unitary(2, 1)
         stack = np.stack([u, u @ u, 1.001 * u])
@@ -410,7 +430,8 @@ class TestCircuitData:
 
 
 class TestCircuitTargets:
-    """A circuit tests its targets one by one: the first bad one raises, and
+    """A circuit tests its targets' shapes one by one and their unitarity as one
+    stack, with the verdict of one-by-one tests: the first bad target raises, and
     a kept target is its input array when that is already complex."""
 
     def test_targets_kept_and_refused_as_one_by_one(self):
@@ -427,6 +448,32 @@ class TestCircuitTargets:
         ):
             with pytest.raises(TargetNotUnitary, match=f"^{re.escape(message)}$"):
                 bounds.CircuitSpec(chans, targets)
+
+    def test_one_stacked_unitarity_test_per_circuit(self, monkeypatch):
+        calls = TestCheckCounts.counting(monkeypatch, metrics, "_check_targets")
+        single = TestCheckCounts.counting(monkeypatch, metrics, "_check_target")
+        chans = [genlib.rotation(3, 0.1)] * 4
+        us = [genlib.random_unitary(3, s) for s in range(3)] + [None]
+        circ = bounds.CircuitSpec(chans, us)
+        bounds.CircuitSpec(chans)  # the default identities are not tested
+        assert single == [] and len(calls) == 1
+        assert calls[0][0].shape == (4, 3, 3) and calls[0][1] == 3
+        assert np.array_equal(calls[0][0], circ.targets)
+        assert all(t is u for t, u in zip(circ.targets[:3], us))
+
+    @pytest.mark.parametrize("where", [0, 3])
+    @pytest.mark.parametrize("bad", [lambda u: 1.001 * u, lambda u: np.full_like(u, np.nan)],
+                             ids=["scaled", "nan"])
+    def test_bad_first_or_last_target_refused(self, where, bad):
+        chans = [genlib.rotation(2, 0.1)] * 4
+        us = [genlib.random_unitary(2, s) for s in range(4)]
+        us[where] = bad(us[where])
+        with pytest.raises(TargetNotUnitary, match="^target is not unitary within tolerance$"):
+            bounds.CircuitSpec(chans, us)
+
+    def test_misshapen_first_target_names_its_shape(self):
+        with pytest.raises(TargetNotUnitary, match=re.escape("target must be 2 x 2, got (2,)")):
+            bounds.CircuitSpec([genlib.rotation(2, 0.1)] * 2, [[1.0, 0.0], I2])
 
 
 class TestThm7Stack:

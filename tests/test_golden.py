@@ -17,6 +17,7 @@ or if a number moves by more than ``DIFF_BOUND``:
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -27,6 +28,7 @@ from dataclasses import fields
 
 import pytest
 
+import chanpolar
 from chanpolar import channel as chn
 from chanpolar import cli, genlib, matcore, suites
 from chanpolar.cli import main
@@ -285,6 +287,26 @@ def test_verify_benchmark_units(seed, ordered, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     assert calls == [9] * ordered
+
+
+@pytest.mark.parametrize("unit", ["extremal_dephaser-d64/0", "extremal_dephaser-d64/1",
+                                  "depolarizing-d2/0", "random_unitary_error-d3/0", "spiral-d3/0"])
+def test_characterize_benchmark_units(unit, tmp_path, monkeypatch):
+    """SHA-256 of ``characterize`` pool units (the library quick tour on one
+    channel) against the benchmark's committed reference, through the
+    benchmark's own runner; both are only read.  The d = 32 units are left
+    out, since their digests follow the BLAS thread count, and so is the
+    1 s d = 1024 unit."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", BENCH_REFERENCE.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    slot, k = unit.split("/")
+    runner = workloads.Runner(chanpolar, "characterize", [(slot, int(k))], str(tmp_path))
+    outcome = runner.run(0)
+    want = json.loads(BENCH_REFERENCE.read_text())["characterize"][unit]
+    assert [outcome.code, outcome.digest] == want
 
 
 class TestDiffComparator:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chanpolar import channel as chn
-from chanpolar import genlib, metrics, suites
+from chanpolar import genlib, metrics, polar, suites
 from chanpolar.errors import DimensionMismatch, ParamOutOfRange, TargetNotUnitary
 
 I2 = np.eye(2, dtype=complex)
@@ -163,6 +163,76 @@ class TestStackedFigures:
             assert up == metrics.upsilon(ch) == float(np.linalg.norm(chn._gram(ch.kraus)) / d)
             traces = np.einsum("kij,ij->k", ch.kraus, u.conj())
             assert ph == metrics.phi(ch, u) == float(np.sum(np.abs(traces) ** 2) / d**2)
+
+
+class TestUpsilonCache:
+    """Upsilon is computed once per channel object and cached on it; a cached
+    value has the bits of an uncached computation over the same array."""
+
+    @staticmethod
+    def fresh(ch):
+        return chn.KrausChannel(dim=ch.dim, kraus=ch.kraus)  # a new object: empty caches
+
+    @staticmethod
+    def grams(monkeypatch):
+        calls = []
+        gram = chn._gram
+        monkeypatch.setattr(chn, "_gram", lambda k: calls.append(k.shape) or gram(k))
+        return calls
+
+    @pytest.mark.parametrize("ch", [
+        genlib.extremal_dephaser(8, base_scale=0.01, n_outliers=2, outlier_depth=0.3, seed=1),
+        genlib.random_cptp(3, 4, seed=5, strength=0.1),
+    ], ids=["gram-route", "choi-route"])
+    def test_tour_makes_three_grams(self, monkeypatch, ch):
+        """The library quick tour makes one Gram for the raw family's orthogonality
+        test, one for the canonical view's Upsilon and one for the raw channel's
+        (in is_decoherence_limited)."""
+        ch = self.fresh(ch)
+        calls = self.grams(monkeypatch)
+        metrics.report(ch)
+        polar.channel_polar(ch)
+        polar.equability(ch)
+        polar.infidelity_split(ch)
+        polar.classify(ch)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("ch", [genlib.dephasing(3, 0.1), genlib.random_cptp(3, 4, seed=6)],
+                             ids=["gram-route", "choi-route"])
+    def test_cached_equals_fresh(self, monkeypatch, ch):
+        raw = self.fresh(ch)
+        canon = chn.canonical(raw)
+        for c, uncached in ((raw, self.fresh(raw)), (canon, chn._unchecked(3, canon.kraus))):
+            ups = metrics.upsilon(c)
+            assert c._upsilon == ups
+            assert ups.hex() == metrics.upsilon(uncached).hex()
+        calls = self.grams(monkeypatch)
+        assert metrics.upsilon(raw) == raw._upsilon and metrics.upsilon(canon) == canon._upsilon
+        assert calls == []  # a repeat call computes nothing
+
+    def test_list_computes_only_the_uncached(self, monkeypatch):
+        chans = [self.fresh(genlib.random_cptp(3, k, seed=s))
+                 for k, s in ((2, 1), (4, 2), (2, 3), (4, 4), (2, 5))]
+        chans.append(chans[1])  # a repeated channel is computed once
+        metrics.upsilon(chans[0])
+        metrics.upsilon(chans[3])
+        want = metrics._upsilons([self.fresh(ch) for ch in chans])
+        calls = self.grams(monkeypatch)
+        got = metrics._upsilons(chans)
+        assert got.tobytes() == want.tobytes()
+        assert [ch._upsilon for ch in chans] == got.tolist()
+        assert sorted(calls) == [(1, 4, 3, 3), (2, 2, 3, 3)]  # channels 1, then 2 and 4
+
+    def test_new_views_start_uncached(self):
+        ch = genlib.random_cptp(3, 4, seed=7, strength=0.1)
+        metrics.upsilon(ch)
+        choi = chn.to_choi(ch)
+        assert chn.from_choi(choi)._upsilon is None
+        assert [v._upsilon for v in chn.from_choi(np.stack([choi, choi]))] == [None, None]
+        w = np.array([0.75, 0.25])
+        assert chn._canonical_views(genlib.dephasing(2, 0.25).kraus, w, [2])[0]._upsilon is None
+        assert chn.lk(ch)._upsilon is None
+        assert chn.canonical(ch)._upsilon is None and ch._upsilon is not None
 
 
 class TestNonCatastrophic:
@@ -498,6 +568,20 @@ class TestMonteCarloBits:
                   for s in (3, np.int64(3), 3.0, [3, 0])]
         assert all(s is states[0] for s in states)
         assert metrics._haar_states.cache_info().misses == 1
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_states_equal_the_norm_route(self, d):
+        """Each row over its np.linalg.norm, block by block, byte for byte: rows
+        of fewer than 8 and of 8 or more entries, and a block seam."""
+        n = metrics._block(16 * d) + 3
+        key = metrics._philox_key(17)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        want = np.empty((n, d), dtype=np.complex128)
+        for blk in np.split(want, [n - 3]):
+            z = gen.standard_normal((len(blk), 2 * d))
+            np.add(z[:, :d], 1j * z[:, d:], out=blk)
+            blk /= np.linalg.norm(blk, axis=1, keepdims=True)
+        assert metrics._haar_states.__wrapped__(d, n, key).tobytes() == want.tobytes()
 
     def test_states_are_read_only(self):
         psi = metrics._haar_states(2, 100, metrics._philox_key(0))
