@@ -227,7 +227,7 @@ def _philox_key(seed) -> tuple:
 
 
 def _block(row_bytes: int) -> int:
-    return max(1, 2**20 // row_bytes)  # rows per block of about 1 MiB, as the sweep's S^m
+    return max(2, 2**20 // row_bytes)  # about 1 MiB of rows, at least 2, as the sweep's S^m
 
 
 def _check_samples(n_samples) -> None:
@@ -255,13 +255,26 @@ def _haar_states(d: int, n: int, key: tuple) -> np.ndarray:
     for blk in np.split(psi, range(b, n, b)):  # views of psi
         z = gen.standard_normal((len(blk), 2 * d))
         blk.real, blk.imag = z[:, :d], z[:, d:]
-        # each row over its np.linalg.norm, with the bits of that division: numpy sums a
-        # row of fewer than 8 terms in order (here column by column, vectorized) and
-        # divides a complex by a real as a product with the real's reciprocal
+        # each row over its np.linalg.norm, with the bits of that division: numpy sums a row
+        # pairwise and divides a complex by a real as a product with the real's reciprocal
         s = (blk.conj() * blk).real
-        blk *= (1.0 / np.sqrt(functools.reduce(np.add, s.T) if d < 8 else s.sum(axis=1)))[:, None]
+        blk *= (1.0 / np.sqrt(_pairwise_sum(s.T)))[:, None]
     psi.setflags(write=False)
     return psi
+
+
+def _pairwise_sum(terms) -> np.ndarray:
+    """The m terms' sum, item by item, with the bits of np.add.reduce over m contiguous numbers:
+    in order below 8, in 8 running sums up to 128, and above that split at a multiple of 8."""
+    m = len(terms)
+    if m < 8:
+        return functools.reduce(np.add, terms)
+    if m > 128:
+        h = m // 2 - m // 2 % 8
+        return _pairwise_sum(terms[:h]) + _pairwise_sum(terms[h:])
+    r = functools.reduce(np.add, (terms[at:at + 8] for at in range(8, m - m % 8, 8)), terms[:8])
+    return functools.reduce(np.add, terms[m - m % 8:],
+                            r[0] + r[1] + (r[2] + r[3]) + (r[4] + r[5] + (r[6] + r[7])))
 
 
 def haar_fidelity_mc(
@@ -276,7 +289,7 @@ def haar_fidelity_mc(
     _check_samples(n_samples)
     u = _check_target(target, ch.dim)
     psi = _haar_states(ch.dim, n_samples, _philox_key(seed))
-    ref = (psi @ u.T).conj()  # rows are <psi|U^dag
+    ref = (psi if target is None else psi @ u.T).conj()  # rows are <psi|U^dag
     tot = sum(np.abs(np.einsum("nj,nj->n", ref, psi @ a.T)) ** 2 for a in ch.kraus)
     stderr = float(tot.std(ddof=1) / np.sqrt(n_samples))
     return McEstimate(float(tot.mean()), stderr, n_samples, seed)
@@ -294,21 +307,22 @@ def haar_unitarity_mc(
     estimator's expectation then equals (d^2 Upsilon^2 - 1)/(d^2 - 1)
     for every channel (the offset vanishes for unital ones).  It shares its
     Haar states with the previous estimator call of the same d, n_samples
-    and seed, and refuses d = 1.  Memory: one (k, n, d) image array, and
-    O(1 MiB) per :func:`_block` of samples, which it takes samples innermost.
+    and seed, and refuses d = 1.  Memory: the states and O(1 MiB), one :func:`_block`
+    of samples at a time, each block its own ``matmul`` (a one-row tail joins the
+    block before it: a one-row operand takes numpy's matrix-vector path, other bits).
     """
     _check_samples(n_samples)
     d = ch.dim
     unitarity(1.0, d)  # refuses d = 1 before any state is drawn
-    imgs = np.matmul(_haar_states(d, n_samples, _philox_key(seed)), ch.kraus.swapaxes(1, 2))
+    psi = _haar_states(d, n_samples, _philox_key(seed))
     a_id = np.einsum("kij,klj->il", ch.kraus, ch.kraus.conj())  # A(I)
-    ratios = np.empty(n_samples)
-    b = _block(imgs.itemsize * d * max(len(imgs), d))  # len(imgs) = k
-    for at in range(0, n_samples, b):  # summed in C (b, d, d) order, as one whole-array sum
-        cols = np.ascontiguousarray(imgs[:, at:at + b].transpose(0, 2, 1))  # (k, d, b)
+    b = _block(psi.itemsize * d * max(len(ch.kraus), d))
+    ratios = []
+    for blk in np.split(psi, range(b, n_samples - 1, b)):
+        cols = np.ascontiguousarray(np.matmul(blk, ch.kraus.swapaxes(1, 2)).transpose(0, 2, 1))
         out = np.einsum("kin,kjn->ijn", cols, cols.conj()) - (a_id / d)[:, :, np.newaxis]
-        ratios[at:at + b] = (np.abs(out.transpose(2, 0, 1), order="C") ** 2).sum(axis=(1, 2))
-    ratios /= 1.0 - 1.0 / d
+        ratios.append(_pairwise_sum((np.abs(out) ** 2).reshape(d * d, -1)))
+    ratios = np.concatenate(ratios) / (1.0 - 1.0 / d)
     offset = float(np.linalg.norm(a_id - np.eye(d)) ** 2 / (d * (d * d - 1)))
     stderr = float(ratios.std(ddof=1) / np.sqrt(n_samples))
     return McEstimate(float(ratios.mean()) + offset, stderr, n_samples, seed)

@@ -516,6 +516,29 @@ def _mc_case(name, d):
     return build(d), genlib.random_unitary(d, 9) if targeted else None
 
 
+def _fidelity_whole(ch, target, n_samples, seed):
+    """The fidelity estimator's reference route: one whole-array product with the
+    target, even the identity."""
+    u = metrics._check_target(target, ch.dim)
+    psi = metrics._haar_states(ch.dim, n_samples, metrics._philox_key(seed))
+    ref = (psi @ u.T).conj()
+    tot = sum(np.abs(np.einsum("nj,nj->n", ref, psi @ a.T)) ** 2 for a in ch.kraus)
+    return float(tot.mean()), float(tot.std(ddof=1) / np.sqrt(n_samples))
+
+
+def _unitarity_whole(ch, n_samples, seed):
+    """The unitarity estimator's reference route: one (k, n, d) image array from one
+    matmul, and one sum over a C-ordered (n, d, d) array of squared moduli."""
+    d = ch.dim
+    psi = metrics._haar_states(d, n_samples, metrics._philox_key(seed))
+    cols = np.ascontiguousarray(np.matmul(psi, ch.kraus.swapaxes(1, 2)).transpose(0, 2, 1))
+    a_id = np.einsum("kij,klj->il", ch.kraus, ch.kraus.conj())
+    out = np.einsum("kin,kjn->ijn", cols, cols.conj()) - (a_id / d)[:, :, np.newaxis]
+    ratios = (np.abs(out.transpose(2, 0, 1), order="C") ** 2).sum(axis=(1, 2)) / (1.0 - 1.0 / d)
+    offset = float(np.linalg.norm(a_id - np.eye(d)) ** 2 / (d * (d * d - 1)))
+    return float(ratios.mean()) + offset, float(ratios.std(ddof=1) / np.sqrt(n_samples))
+
+
 class TestMonteCarloBits:
     """The estimators' bits, recorded before the Haar-state memo existed."""
 
@@ -600,19 +623,58 @@ class TestMonteCarloBits:
         ch, target = _mc_case("cptp_rank4", 3)
         assert _mc_hex(ch, target, 20, n_samples=np.int64(2000)) == MC_PINS["cptp_rank4", 3]
 
-    def test_unitarity_holds_one_image_array_and_blocks(self):
-        """The (k, n, d) images, the states and about 1 MiB per block of samples."""
+    @pytest.mark.parametrize("d, k", [(d, k) for d in (2, 3, 5, 8, 12) for k in (1, 3, d * d)])
+    def test_block_seams_equal_the_whole_array_route(self, d, k):
+        """Both estimators, float.hex for float.hex against the whole-array route, at the
+        unitarity block seams j b - 1, j b, j b + 1 and (j + 1) b + 1, j the least that
+        keeps n at 100 or more (1 while b > 100); the fidelity with and without a target."""
+        ch = genlib.random_cptp(d, k, 6)
+        b = metrics._block(16 * d * max(k, d))
+        j = -(-101 // b)
+        for n in (j * b - 1, j * b, j * b + 1, (j + 1) * b + 1):
+            for target in (None, genlib.random_unitary(d, 9)):
+                est = metrics.haar_fidelity_mc(ch, target, n_samples=n, seed=20)
+                want = _fidelity_whole(ch, target, n, 20)
+                assert (est.estimate.hex(), est.stderr.hex()) == tuple(map(float.hex, want)), n
+            est = metrics.haar_unitarity_mc(ch, n_samples=n, seed=20)
+            want = _unitarity_whole(ch, n, 20)
+            assert (est.estimate.hex(), est.stderr.hex()) == tuple(map(float.hex, want)), n
+
+    def test_pairwise_sum_has_the_bits_of_add_reduce(self):
+        """In order below 8 terms, 8 running sums up to 128, split in halves above."""
+        rng = np.random.default_rng(29)
+        for m in range(1, 301):
+            rows = rng.standard_normal((7, m)) * 10.0 ** rng.uniform(-8, 8, (7, m))
+            want = np.array([np.add.reduce(row) for row in rows])
+            assert metrics._pairwise_sum(rows.T).tobytes() == want.tobytes(), m
+
+    @pytest.mark.parametrize("target, message", [
+        (np.eye(3), "target must be 2 x 2, got (3, 3)"),
+        (np.diag([1.0, 1.5]), "target is not unitary within tolerance"),
+    ])
+    def test_fidelity_refuses_target_before_drawing(self, target, message):
+        metrics._haar_states.cache_clear()
+        with pytest.raises(TargetNotUnitary, match=f"^{re.escape(message)}$"):
+            metrics.haar_fidelity_mc(genlib.amplitude_damping(2, 0.19), target, seed=20)
+        assert metrics._haar_states.cache_info().misses == 0
+
+    @pytest.mark.parametrize("call, n, extra", [
+        (metrics.haar_unitarity_mc, 100000, 0),
+        (lambda ch, n_samples: metrics.haar_fidelity_mc(ch, n_samples=n_samples), 20000, 2),
+    ], ids=["unitarity", "fidelity"])
+    def test_estimators_peak_within_their_states(self, call, n, extra):
+        """The n x d states plus 8 MiB at d = 8, k = 64: the unitarity estimator takes
+        O(1 MiB) blocks of samples; the fidelity estimator adds two whole n x d arrays
+        (one operator's images and the reference rows), 2.4 MiB each at this n."""
         ch = genlib.depolarizing(8, 0.9)  # k = 64
-        n = 5000
         metrics._haar_states.cache_clear()  # the states count too
         tracemalloc.start()
         try:
-            metrics.haar_unitarity_mc(ch, n_samples=n)
+            call(ch, n_samples=n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        images = 64 * n * 8 * 16
-        assert peak <= images + 8 * 2**20
+        assert peak <= (1 + extra) * n * 8 * 16 + 8 * 2**20
 
     def test_unitarity_refuses_d1_before_drawing(self):
         ch = genlib.identity_channel(1)
