@@ -51,7 +51,7 @@ class CircuitSpec:
 
     def __post_init__(self):
         if not self.channels:
-            raise ValueError("circuit needs at least one channel")
+            raise DimensionMismatch("circuit needs at least one channel")
         dims = {c.dim for c in self.channels}
         if len(dims) != 1:
             raise DimensionMismatch("circuit channels must share a dimension")
@@ -256,7 +256,7 @@ def thm4_decoherent_features(
     d = data.d
     v = metrics._check_target(v, d)
     phi_tot = metrics._phi_with_prefix(v, data.composite.kraus)
-    phi_vstar = metrics._overlap(v @ data.a1_c)
+    phi_vstar, phi_v = metrics._overlaps(np.array([v @ data.a1_c, v]))
     terms = {
         "min_phi_element": float(np.min(data.phis)),
         "half_sum_sq": data.half_s_star_sq,
@@ -266,7 +266,6 @@ def thm4_decoherent_features(
     mono = make_report(
         "thm4_quasi_monotonicity", phi_tot, 0.0, t1 + (t2 + t3), terms=terms
     )
-    phi_v = metrics._overlap(v)
     phi_star_els = data.mean_sigma**2  # Phi(D_i*, I)
     terms = {
         "one_minus_phi_v": 1.0 - phi_v,
@@ -431,13 +430,13 @@ def thm8_equable_composition(v, circuit: CircuitSpec) -> BoundReport:
         raise NotNonCatastrophic(
             "elements and the prefixed composition must be non-catastrophic"
         )
-    phi_v = metrics._overlap(v)
+    phi_vstar, phi_v = metrics._overlaps(np.array([v @ data.a1_c, v]))
     gamma_d = data.gamma_max
     gamma_c = _wse_coh_constant(v)
     centre = phi_v * float(np.prod(data.phis))
     observed = abs(phi_tot - centre)
     (t1, t2, t3, t4, t5), upper = _thm8_terms(
-        data.s_star, metrics._overlap(v @ data.a1_c), data.sum_cross,
+        data.s_star, phi_vstar, data.sum_cross,
         gamma_d, gamma_c, phi_v, data.pert_sum,
     )
     return make_report(
@@ -541,7 +540,7 @@ def _envelope_angles(ratios, d: int) -> tuple[np.ndarray, np.ndarray]:
     and their per-element angles, the terms of its arccos sum."""
     x = np.asarray(ratios, dtype=np.float64)
     if x.size == 0:
-        raise ValueError("need at least one ratio")
+        raise RatioOutOfRange("need at least one ratio")
     if d < 2:
         raise DimensionMismatch("the coherent envelope needs d >= 2")
     if not (np.min(x) > 0.5 and np.max(x) <= 1.0 + 1e-9):  # NaN fails too

@@ -58,7 +58,7 @@ class KrausChannel:
                 f"kraus must have shape (k, {self.dim}, {self.dim}), got {k.shape}"
             )
         if k.shape[0] == 0:
-            raise ValueError("channel needs at least one Kraus operator")
+            raise DimensionMismatch("channel needs at least one Kraus operator")
         if not np.isfinite(k).all():
             raise ValueError("Kraus operators contain non-finite entries")
         self.__dict__.update(kraus=k, _canonical=None, _weights=None, _polar=None, _upsilon=None)
@@ -353,7 +353,7 @@ def _compose_circuits(circuits) -> list:
     together by one :func:`_canonicalize`.  Each result has the bits of its
     single call."""
     if not all(circuits):
-        raise ValueError("need at least one channel")
+        raise DimensionMismatch("need at least one channel")
     if len({c.dim for circuit in circuits for c in circuit}) != 1:
         raise DimensionMismatch("composed channels must share a dimension")
     d = circuits[0][0].dim

@@ -29,8 +29,6 @@ import traceback
 from dataclasses import fields
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__, channel as chn, genlib, metrics, polar, suites
 from .errors import ChanPolarError, DimensionMismatch, ParamOutOfRange
 from .matcore import BoundReport
@@ -51,18 +49,6 @@ EXIT_INTERNAL = 70
 # prefix sums are quadratic in depth) or d = 32 would take hours.
 MAX_SWEEP_DEPTH = 10**5
 _MAX_SWEEP_DIM = 16
-
-
-def _fmt(x) -> str:
-    """CSV cell: a string as is, a number in fixed 17-significant-digit
-    decimal rendering."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
 
 
 class _UsageError(Exception):
@@ -195,8 +181,8 @@ def _csv(header, formats, rows) -> str:
     return ",".join(header) + "\n" + "".join(map(line.__mod__, rows))
 
 
-# {declared field type: (%-format, column conversion)}, each cell equal to
-# its _fmt ('%.17g' % x is format(x, '.17g'), '%d' % n is str(n))
+# {declared field type: (%-format, column conversion)}: a str as is, a bool
+# as 1 or 0, an int in decimal, a float in 17 significant digits
 _COLUMN_FORMATS = {
     "str": ("%s", str),
     "bool": ("%d", bool),
@@ -205,14 +191,20 @@ _COLUMN_FORMATS = {
 }
 
 
+def _column_formats(record_type, columns):
+    """Each named column's (%-format, conversion), by its field's declared type
+    (str, bool, int or float)."""
+    kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(record_type)}
+    return zip(*(_COLUMN_FORMATS[kinds[c]] for c in columns))
+
+
 def _records_csv(record_type, columns, records) -> str:
     """CSV text with one row per record, each cell the named field's value.
 
-    Each column's format is picked once, from the field's declared type
-    (str, bool, int or float), and the rows are formatted lazily as the
-    text is joined, never as a whole table of cells."""
-    kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(record_type)}
-    formats, convs = zip(*(_COLUMN_FORMATS[kinds[c]] for c in columns))
+    Each column's format is picked once, by :func:`_column_formats`, and the
+    rows are formatted lazily as the text is joined, never as a whole table
+    of cells."""
+    formats, convs = _column_formats(record_type, columns)
     cols = (map(conv, map(operator.attrgetter(c), records)) for c, conv in zip(columns, convs))
     return _csv(columns, formats, zip(*cols))
 
@@ -355,7 +347,7 @@ _SWEEP_FIELDS = {
 _MODE_FIELDS = {
     "composition": {"max_depth": (f"an integer in [1, {MAX_SWEEP_DEPTH}]", 1),
                     "metrics": ("a list of sweep column names", None)},
-    "sigma_profile": {"kappa": ("a finite JSON number", 0.1)},
+    "sigma_profile": {"kappa": ("a finite JSON number", polar.DEFAULT_KAPPA)},
 }
 _MODE_KEYS = {key for table in _MODE_FIELDS.values() for key in table}
 _SWEEP_KINDS = {
@@ -396,8 +388,9 @@ def _cmd_sweep(args) -> _Result:
         prof = suites.sigma_profile(
             element, args.kappa if args.kappa is not None else float(val["kappa"])
         )
-        summary = [_fmt(getattr(prof, c)) for c in _PROFILE_SUMMARY]
-        table = [("sigma", str(i), _fmt(x)) + ("",) * len(summary)
+        cells = zip(*_column_formats(suites.SigmaProfile, _PROFILE_SUMMARY), _PROFILE_SUMMARY)
+        summary = [fmt % conv(getattr(prof, c)) for fmt, conv, c in cells]
+        table = [("sigma", str(i), "%.17g" % x) + ("",) * len(summary)
                  for i, x in enumerate(prof.sigma)]
         table.append(("summary", "", "", *summary))  # no cell needs csv quotes
         payload = _csv(_PROFILE_COLUMNS, ("%s",) * len(_PROFILE_COLUMNS), table)
@@ -425,7 +418,7 @@ def _build_parser() -> _Parser:
     p_dec = sub.add_parser("decompose", help="canonical Kraus / LK / polar report")
     p_dec.add_argument("--in", dest="infile", required=True, metavar="PATH")
     p_dec.add_argument("--target", default=None, metavar="PATH")
-    p_dec.add_argument("--kappa", type=_finite, default=0.1)
+    p_dec.add_argument("--kappa", type=_finite, default=polar.DEFAULT_KAPPA)
     p_dec.add_argument("--strict-lk", action="store_true", dest="strict_lk")
 
     p_met = sub.add_parser("metrics", help="figures-of-merit report")

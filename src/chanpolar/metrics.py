@@ -48,16 +48,11 @@ def _check_targets(us: np.ndarray, d: int) -> np.ndarray:
 
 def phi(ch: chn.KrausChannel, target=None) -> float:
     """Average process fidelity Phi = sum_i |tr(U^dag A_i)|^2 / d^2."""
-    return _phi(ch, _check_target(target, ch.dim))
-
-
-def _phi(ch: chn.KrausChannel, u: np.ndarray) -> float:
-    """:func:`phi` against a target that :func:`_check_target` returned."""
-    return _phis([ch], [u]).item()
+    return _phis([ch], [_check_target(target, ch.dim)]).item()
 
 
 def _phis(channels, targets) -> np.ndarray:
-    """:func:`_phi` of each channel against its target, one einsum per shape."""
+    """:func:`phi` of each channel against its checked target, one einsum per shape."""
     out = np.empty(len(channels))
     for idx, kraus, us in chn._by_shape([ch.kraus for ch in channels], targets):
         traces = np.einsum("nkij,nij->nk", kraus, us.conj())  # tr(U^dag A_k)
@@ -72,13 +67,9 @@ def _phi_with_prefix(m: np.ndarray, kraus: np.ndarray) -> float:
     return float(np.sum(np.abs(traces) ** 2) / m.shape[0] ** 2)
 
 
-def _overlap(m: np.ndarray) -> float:
-    """|tr M|^2 / d^2 of a d x d matrix M: Phi of the map M . M^dag against I."""
-    return _overlaps(m[None])[0]
-
-
 def _overlaps(ms: np.ndarray) -> list:
-    """:func:`_overlap` of each matrix of an (N, d, d) stack."""
+    """|tr M|^2 / d^2 of each matrix M of an (N, d, d) stack: Phi of the map
+    M . M^dag against I."""
     t = ms.trace(axis1=-2, axis2=-1)
     return (matcore._squares(np.hypot(t.real, t.imag)) / ms.shape[-1] ** 2).tolist()
 
@@ -126,7 +117,7 @@ def _nc_regime(phi_value, upsilon_value):
 
 def non_catastrophic(ch: chn.KrausChannel, target=None) -> bool:
     """Phi(A, U) > 1/2 and Upsilon^2(A) > 1/2."""
-    return bool(_nc_regime(_phi(ch, _check_target(target, ch.dim)), upsilon(ch)))
+    return bool(_nc_regime(phi(ch, target), upsilon(ch)))
 
 
 @dataclass
@@ -159,9 +150,9 @@ def report(ch: chn.KrausChannel, target=None) -> MetricsReport:
     canon = chn.canonical(ch)
     d = canon.dim
     u = _check_target(target, d)
-    p = _phi(canon, u)
+    p = _phis([canon], [u]).item()
     ups = upsilon(canon)
-    lk_phi = _overlap(canon.a1 if target is None else u.conj().T @ canon.a1)
+    [lk_phi] = _overlaps((canon.a1 if target is None else u.conj().T @ canon.a1)[None])
     return MetricsReport(
         dim=d,
         phi=p,
@@ -227,7 +218,7 @@ def _philox_key(seed) -> tuple:
 
 
 def _block(row_bytes: int) -> int:
-    return max(2, 2**20 // row_bytes)  # about 1 MiB of rows, at least 2, as the sweep's S^m
+    return max(2, 2**20 // row_bytes)  # about 1 MiB of rows, at least 2 (also the sweep's S^m)
 
 
 def _check_samples(n_samples) -> None:

@@ -281,10 +281,10 @@ def infidelity_split(ch: chn.KrausChannel, target=None) -> InfidelitySplit:
     d = canon.dim
     u = metrics._check_target(target, d)
     pol = channel_polar(ch)
-    phi_total = metrics._phi(canon, u)
+    phi_total = metrics._phis([canon], [u]).item()
     r = metrics.infidelity(phi_total, d)
     v = pol.unitary
-    phi_v = metrics._overlap(v if target is None else u.conj().T @ v)
+    [phi_v] = metrics._overlaps((v if target is None else u.conj().T @ v)[None])
     r_coh = metrics.infidelity(phi_v, d)
     r_decoh = metrics.infidelity(pol.phi_decoherent, d)
     ups = metrics.upsilon(canon)

@@ -15,13 +15,13 @@ from itertools import repeat
 
 import numpy as np
 
-from . import bounds, channel as chn, genlib, matcore, metrics
+from . import bounds, channel as chn, genlib, matcore, metrics, polar
 from .matcore import BoundReport
 from .polar import _decoherent_lefts, _spectrum_constants, channel_polar, channel_polars
 
 REGIME_CAP = 0.1  # theorem_suite circuits keep m^2 r^2 <= this
 THEOREM_DEPTHS = (2, 4, 8, 16, 32)  # circuit depths of theorem_suite
-_THEOREM_CHUNK = 64  # (m, t) cells per run of theorem_suite, trials of lemma/Thm 7
+_THEOREM_CHUNK = 64  # (m, t) cells per run of theorem_suite, trials of the other suites
 _SWEEP_BLOCK = 256  # depths per stacked eigvalsh in composition_sweep
 
 
@@ -116,13 +116,13 @@ def _after_targets(kraus, targets) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _trials(dims, keys, seed: int, chunk: int = 1):
-    """(d, keys, generators) per dimension and run of at most ``chunk`` keys,
+def _trials(dims, keys, seed: int):
+    """(d, keys, generators) per dimension and run of at most ``_THEOREM_CHUNK`` keys,
     key k's generator seeded by [seed, d, *k]: a stream of its own.  The keys
     are tuples, a trial index (t,) or a theorem-suite cell (m, t); a run
     stacks at most 2^18 Choi matrix entries (64 keys at d <= 8, 4 at d = 16)."""
     for d in dims:
-        run = max(1, min(chunk, 2**18 // d**4))  # d^2 x d^2 Choi matrices: 4 MiB a run
+        run = max(1, min(_THEOREM_CHUNK, 2**18 // d**4))  # d^2 x d^2 Choi matrices: 4 MiB a run
         for at in range(0, len(keys), run):
             ks = keys[at:at + run]
             yield d, ks, [np.random.default_rng([seed, d, *k]) for k in ks]
@@ -131,7 +131,7 @@ def _trials(dims, keys, seed: int, chunk: int = 1):
 def lemma_suite(dims=(2, 3, 4, 8), trials: int = 1000, seed: int = 0) -> list[BoundReport]:
     """LK gap sandwiches on random non-catastrophic channels, a run of trials per stack."""
     out = []
-    for d, ks, rngs in _trials(dims, [(t,) for t in range(trials)], seed, _THEOREM_CHUNK):
+    for d, ks, rngs in _trials(dims, [(t,) for t in range(trials)], seed):
         chs, targets = _noncatastrophic(d, rngs)
         for (t,), (r1, r2) in zip(ks, metrics._lk_gaps(chs, targets)):
             out.append(_case(f"lemma1/d{d}/t{t}", r1))
@@ -149,7 +149,7 @@ def appendix_suite(dims=(2, 3, 5), trials: int = 1000, seed: int = 0) -> list[Bo
     call of each check; each report has the bits of its single call.
     """
     out = []
-    for d, ks, rngs in _trials(dims, [(t,) for t in range(trials)], seed, _THEOREM_CHUNK):
+    for d, ks, rngs in _trials(dims, [(t,) for t in range(trials)], seed):
         g = np.array([[rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                        for _ in range(6)] for rng in rngs])
         herm = (g[:, :2] + np.conj(g[:, :2]).swapaxes(-1, -2)) / 2.0
@@ -217,7 +217,7 @@ def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundRe
     out = []
     per = max(1, trials // len(THEOREM_DEPTHS))
     cells = [(m, t) for m in THEOREM_DEPTHS for t in range(per)]
-    for d, run, rngs in _trials(dims, cells, seed, _THEOREM_CHUNK):
+    for d, run, rngs in _trials(dims, cells, seed):
         general, decoh, vs = [], [], []
         for (m, t), rng in zip(run, rngs):
             general.append(_draw_circuit(d, m, rng, with_targets=(t % 2 == 0)))
@@ -246,7 +246,7 @@ def thm7_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundRepor
     """Single-channel quasi-maximal correction sweep, a run of trials per stack, each case
     with the polar-ascent cross-check of :func:`bounds.thm7_max_correction`."""
     out = []
-    for d, ks, rngs in _trials(dims, [(t,) for t in range(trials)], seed, _THEOREM_CHUNK):
+    for d, ks, rngs in _trials(dims, [(t,) for t in range(trials)], seed):
         chs, targets = _noncatastrophic(d, rngs)
         for (t,), rep in zip(ks, bounds._thm7_reports(chs, targets)):
             out.append(_case(f"thm7/d{d}/t{t}", rep))
@@ -261,31 +261,32 @@ def lindblad_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> list[Bou
     nearer side, and ``holds`` to the structure's relative orthogonality test
     (each pairwise |<T_a, T_b>| <= 1e-9 |T_a| |T_b|), or ``observed <= 1e-9``."""
     out = []
-    for d, [(t,)], [rng] in _trials(dims, [(t,) for t in range(trials)], seed):
+    for d, ks, rngs in _trials(dims, [(t,) for t in range(trials)], seed):
+        for (t,), rng in zip(ks, rngs):
 
-        def op():
-            return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            def op():
+                return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
-        h = op()
-        h = (h + h.conj().T) / 2.0
-        n_ops = int(rng.integers(1, 4))
-        traceless = []
-        for _ in range(n_ops):
-            l = op()
-            traceless.append(l - np.trace(l) / d * np.eye(d))
-        spec = bounds.LindbladSpec(dim=d, hamiltonian=h, lindblad_ops=traceless)
-        st = bounds.lindblad_structure(spec)
-        orth = matcore.make_report("lindblad_orthogonality", st.worst_overlap, 0.0, 1e-9)
-        orth.slack, orth.holds = 1e-9 - orth.observed, st.orthogonal
-        out.append(_case(f"lind_orth/d{d}/t{t}", orth))
-        traceful = [op() for _ in range(n_ops)]
-        spec2 = bounds.LindbladSpec(dim=d, hamiltonian=h, lindblad_ops=traceful)
-        before = bounds.lindblad_superop(spec2)
-        after = bounds.lindblad_superop(bounds.canonicalize_lindblad(spec2))
-        err = np.linalg.norm(before - after) / max(np.linalg.norm(before), 1.0)
-        canon = matcore.make_report("lindblad_canonicalize", err, 0.0, 1e-9)
-        canon.slack, canon.holds = 1e-9 - canon.observed, canon.observed <= 1e-9
-        out.append(_case(f"lind_canon/d{d}/t{t}", canon))
+            h = op()
+            h = (h + h.conj().T) / 2.0
+            n_ops = int(rng.integers(1, 4))
+            traceless = []
+            for _ in range(n_ops):
+                l = op()
+                traceless.append(l - np.trace(l) / d * np.eye(d))
+            spec = bounds.LindbladSpec(dim=d, hamiltonian=h, lindblad_ops=traceless)
+            st = bounds.lindblad_structure(spec)
+            orth = matcore.make_report("lindblad_orthogonality", st.worst_overlap, 0.0, 1e-9)
+            orth.slack, orth.holds = 1e-9 - orth.observed, st.orthogonal
+            out.append(_case(f"lind_orth/d{d}/t{t}", orth))
+            traceful = [op() for _ in range(n_ops)]
+            spec2 = bounds.LindbladSpec(dim=d, hamiltonian=h, lindblad_ops=traceful)
+            before = bounds.lindblad_superop(spec2)
+            after = bounds.lindblad_superop(bounds.canonicalize_lindblad(spec2))
+            err = np.linalg.norm(before - after) / max(np.linalg.norm(before), 1.0)
+            canon = matcore.make_report("lindblad_canonicalize", err, 0.0, 1e-9)
+            canon.slack, canon.holds = 1e-9 - canon.observed, canon.observed <= 1e-9
+            out.append(_case(f"lind_canon/d{d}/t{t}", canon))
     return out
 
 
@@ -390,7 +391,7 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
     v_buf = np.empty((min(_SWEEP_BLOCK, max_depth), d, d), dtype=np.complex128)
     for v_k in v_buf:
         v_m = np.matmul(v, v_m, out=v_k)
-    n_s = min(max(2, 2**20 // s_el.nbytes), _SWEEP_BLOCK, max_depth)  # S^m per 1 MB
+    n_s = min(metrics._block(s_el.nbytes), _SWEEP_BLOCK, max_depth)  # S^m per 1 MiB
     for start in range(0, max_depth, _SWEEP_BLOCK):
         n = min(_SWEEP_BLOCK, max_depth - start)
         ms = range(start + 1, start + n + 1)
@@ -458,7 +459,7 @@ class SigmaProfile:
     wse_decoh_ok: bool
 
 
-def sigma_profile(element: chn.KrausChannel, kappa: float = 0.1) -> SigmaProfile:
+def sigma_profile(element: chn.KrausChannel, kappa: float = polar.DEFAULT_KAPPA) -> SigmaProfile:
     """Summarize the LK singular-value spectrum of a channel."""
     sigma = np.sort(channel_polar(element).singular_values)[::-1]
     big, gam, thr, sse_ok, wse_ok = _spectrum_constants(sigma, kappa)

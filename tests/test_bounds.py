@@ -5,6 +5,7 @@ import pytest
 
 from chanpolar import bounds, channel as chn, genlib, metrics, suites
 from chanpolar.errors import (
+    ChanPolarError,
     DimensionMismatch,
     NotDecoherent,
     NotNonCatastrophic,
@@ -674,7 +675,7 @@ class TestLindblad:
 REFUSALS = {
     "empty circuit": (
         lambda: bounds.CircuitSpec([]),
-        ValueError, "circuit needs at least one channel",
+        DimensionMismatch, "circuit needs at least one channel",
     ),
     "mixed dimensions": (
         lambda: bounds.CircuitSpec([genlib.identity_channel(2), genlib.identity_channel(3)]),
@@ -686,7 +687,7 @@ REFUSALS = {
     ),
     "no ratios": (
         lambda: bounds.coherent_envelope([], 2),
-        ValueError, "need at least one ratio",
+        RatioOutOfRange, "need at least one ratio",
     ),
     "H shape": (
         lambda: bounds.LindbladSpec(dim=2, hamiltonian=np.eye(3), lindblad_ops=[X]),
@@ -708,3 +709,17 @@ def test_input_refused(call, exc, message):
     with pytest.raises(exc, match=f"^{re.escape(message)}$") as info:
         call()
     assert type(info.value) is exc
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chn.compose([]),
+    lambda: bounds.CircuitSpec([]),
+    lambda: bounds.coherent_envelope([], 2),
+    lambda: chn.KrausChannel(2, np.zeros((0, 2, 2))),
+], ids=["compose", "circuit", "envelope", "kraus"])
+def test_empty_input_raises_typed_error(call):
+    """An empty channel list, circuit, ratio list or Kraus stack is a typed
+    error, not a plain ValueError."""
+    with pytest.raises(ChanPolarError) as info:
+        call()
+    assert type(info.value) in (DimensionMismatch, RatioOutOfRange)

@@ -616,7 +616,7 @@ REFUSALS = {
     ),
     "no kraus operator": (
         lambda: chn.KrausChannel(dim=2, kraus=np.zeros((0, 2, 2))),
-        ValueError, "channel needs at least one Kraus operator",
+        DimensionMismatch, "channel needs at least one Kraus operator",
     ),
     "non-finite kraus": (
         lambda: chn.KrausChannel(dim=2, kraus=np.array([[[1.0, 0.0], [0.0, np.nan]]])),
@@ -628,7 +628,7 @@ REFUSALS = {
     ),
     "compose nothing": (
         lambda: chn.compose([]),
-        ValueError, "need at least one channel",
+        DimensionMismatch, "need at least one channel",
     ),
     "overflowing product": (
         lambda: chn.compose([chn.KrausChannel(dim=2, kraus=1e200 * np.stack([I2, X]))] * 2),

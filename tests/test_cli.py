@@ -12,7 +12,7 @@ from chanpolar import channel as chn
 from chanpolar import cli, genlib, polar, suites
 from chanpolar.cli import main
 from chanpolar.matcore import BoundReport
-from wire_format import choi_to_json, unitary_to_json
+from wire_format import choi_to_json, fmt_cell, per_cell_csv, unitary_to_json
 
 
 def write_channel(path, ch):
@@ -327,6 +327,21 @@ class TestSweepCmd:
         summary = [r for r in rows[1:] if r[0] == "summary"]
         assert len(sigma_rows) == 16 and len(summary) == 1
 
+    def test_sigma_profile_of_unperturbed_element(self, tmp_path):
+        """An unperturbed spectrum's summary has zero cells and an infinite
+        threshold; every cell equals the per-cell reference route."""
+        fam = {"family": "rotation", "dim": 2, "params": {"theta": 0.3}}
+        out = tmp_path / "prof.csv"
+        cfg = self._config(tmp_path, fam, mode="sigma_profile")
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[-1] == "summary,,,0.99999999999999978,0,0,0,inf,1,1"
+        prof = suites.sigma_profile(genlib.rotation(2, 0.3))
+        assert lines[-1] == "summary,,," + per_cell_csv(
+            cli._PROFILE_SUMMARY, [prof]).splitlines()[1]
+        blank = "," * len(cli._PROFILE_SUMMARY)
+        assert lines[1:-1] == [f"sigma,{i},{fmt_cell(x)}{blank}" for i, x in enumerate(prof.sigma)]
+
     def test_missing_family_exit_2(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"mode": "composition", "max_depth": 2}))
@@ -434,9 +449,9 @@ _CellsNamed = dataclasses.make_dataclass(
 
 
 class TestRecordsCsv:
-    """The %-format CSV writer equals one _fmt call per cell written by
-    csv.writer, for str, int, float and bool fields and str cells like the
-    program's: none holds a comma, a quote, CR or LF, and none is empty."""
+    """The %-format CSV writer equals the per-cell reference route, for str,
+    int, float and bool fields and str cells like the program's: none holds
+    a comma, a quote, CR or LF, and none is empty."""
 
     RECORDS = [
         ("a", 3, 0.1, True),
@@ -456,14 +471,6 @@ class TestRecordsCsv:
         (" ", 6, np.bool_(True), True),  # in the float column
     ]
 
-    @staticmethod
-    def _per_cell(columns, records):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([cli._fmt(getattr(r, c)) for c in columns] for r in records)
-        return buf.getvalue()
-
     @pytest.mark.parametrize("record_type", [_Cells, _CellsTyped, _CellsNamed])
     @pytest.mark.parametrize("columns", [
         ("name", "count", "value", "flag"), ("flag", "value"), ("count",),
@@ -471,9 +478,7 @@ class TestRecordsCsv:
     ])
     def test_equals_per_cell_fmt(self, record_type, columns):
         records = [record_type(*cells) for cells in self.RECORDS]
-        assert cli._records_csv(record_type, columns, records) == self._per_cell(
-            columns, records
-        )
+        assert cli._records_csv(record_type, columns, records) == per_cell_csv(columns, records)
 
     @pytest.mark.parametrize("x", [
         float("inf"), float("-inf"), float("nan"), -0.0, 0.0, 5e-324, -5e-324,
@@ -481,7 +486,7 @@ class TestRecordsCsv:
         123456789012345680.0, np.float64(2.5e-300), np.int64(-7), np.bool_(True),
     ])
     def test_float_cell_format(self, x):
-        assert "%.17g" % float(x) == format(float(x), ".17g") == cli._fmt(float(x))
+        assert "%.17g" % float(x) == format(float(x), ".17g") == fmt_cell(float(x))
 
     def test_field_types_take_both_branches(self):
         assert {f.type for f in dataclasses.fields(_Cells)} == {str, int, float, bool}

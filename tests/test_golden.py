@@ -32,7 +32,7 @@ import chanpolar
 from chanpolar import channel as chn
 from chanpolar import cli, genlib, matcore, suites
 from chanpolar.cli import main
-from wire_format import choi_to_json, unitary_to_json
+from wire_format import choi_to_json, per_cell_csv, unitary_to_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -250,17 +250,10 @@ def test_golden_output(name, tmp_path, capsys):
     "name", sorted(n for n in CASES if n.startswith(("verify-", "sweep-composition-")))
 )
 def test_golden_csv_per_cell_route(name, tmp_path, capsys, monkeypatch):
-    """The verify and composition-sweep goldens are also the bytes of one
-    ``_fmt`` call per cell written by ``csv.writer``, the route the
-    %-format writer replaced."""
-    def per_cell(record_type, columns, records):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([cli._fmt(getattr(r, c)) for c in columns] for r in records)
-        return buf.getvalue()
-
-    monkeypatch.setattr(cli, "_records_csv", per_cell)
+    """The verify and composition-sweep goldens are also the bytes of the
+    per-cell reference route, which the %-format writer replaced."""
+    monkeypatch.setattr(cli, "_records_csv", lambda _, columns, records: per_cell_csv(
+        columns, records))
     out = tmp_path / name
     code = _run(name, out)
     capsys.readouterr()

@@ -292,7 +292,7 @@ class TestTheoremSuite:
         at d = 16 (2^18 Choi entries a run)."""
         cells = [(m, t) for m in suites.THEOREM_DEPTHS for t in range(20)]
         runs = {}
-        for d, ks, rngs in suites._trials((2, 8, 16), cells, 5, suites._THEOREM_CHUNK):
+        for d, ks, rngs in suites._trials((2, 8, 16), cells, 5):
             at = sum(runs.get(d, []))
             assert list(ks) == cells[at:at + len(ks)]
             for (m, t), rng in zip(ks, rngs, strict=True):
@@ -328,7 +328,7 @@ class TestSingleChannelSuites:
         whole chunks to d = 8, 4 trials at d = 16, one trial from d = 32."""
         runs = {}
         trials = [(t,) for t in range(70)]
-        for d, ks, rngs in suites._trials((2, 8, 16, 32, 64), trials, 0, suites._THEOREM_CHUNK):
+        for d, ks, rngs in suites._trials((2, 8, 16, 32, 64), trials, 0):
             assert len(rngs) == len(ks) and ks[0] == (sum(runs.get(d, [])),)
             runs.setdefault(d, []).append(len(ks))
         assert runs == {2: [64, 6], 8: [64, 6], 16: [4] * 17 + [2], 32: [1] * 70, 64: [1] * 70}
@@ -345,6 +345,17 @@ class TestSingleChannelSuites:
             assert len(g) == len(w) == n
             for a, b in zip(g, w):
                 assert repr(dataclasses.asdict(a)) == repr(dataclasses.asdict(b))
+
+
+    def test_lindblad_runs_equal_per_trial_route(self, monkeypatch):
+        """The Lindblad suite's rows, floats by ``float.hex``, are the same in
+        runs of 64 trials as one trial at a time; 70 trials cross a run."""
+        got = suites.lindblad_suite(dims=(2, 3), trials=70, seed=6)
+        monkeypatch.setattr(suites, "_THEOREM_CHUNK", 1)
+        want = suites.lindblad_suite(dims=(2, 3), trials=70, seed=6)
+        assert len(got) == len(want) == 2 * 2 * 70
+        for a, b in zip(got, want):
+            assert repr(dataclasses.asdict(a)) == repr(dataclasses.asdict(b))
 
 
 class TestAppendixSuite:
