@@ -25,6 +25,7 @@ from . import matcore, metrics
 from .errors import (
     DimensionMismatch,
     NotDecoherent,
+    NotHermitian,
     NotNonCatastrophic,
     NotTraceless,
     PhaseUndefined,
@@ -44,7 +45,10 @@ _CORRECTION_MAX_STEPS = 50  # polar-ascent steps of optimize_unitary_correction
 
 @dataclass(eq=False)
 class CircuitSpec:
-    """Ordered channels (index 0 applied first) with unitary targets."""
+    """Ordered channels (index 0 applied first) with unitary targets, read-only after
+    the first evaluation, which caches in ``_data`` the composite, the per-element
+    quantities and the target and decoherence checks.  A refused decoherent evaluation
+    primes the circuit first, so a catastrophic element's warning can precede it."""
 
     channels: list
     targets: list | None = None
@@ -61,16 +65,9 @@ class CircuitSpec:
         else:
             if len(self.targets) != len(self.channels):
                 raise DimensionMismatch("one target per channel required")
-            us = []
-            try:  # shapes one by one, then one unitarity test of all before a misshapen one
-                for t in self.targets:
-                    us.append(metrics._as_target(t, d))
-            finally:
-                if us:
-                    metrics._check_targets(np.array(us), d)
-            self.targets = us
+            self.targets = [metrics._as_target(t, d) for t in self.targets]  # shapes one by one
+            metrics._check_targets(np.array(self.targets), d)  # then all unitarities at once
         self._data = None
-        self._decoherent = False  # set by the first passed decoherence check
 
     @property
     def dim(self) -> int:
@@ -104,17 +101,21 @@ def _circuit_product(mats, d: int) -> np.ndarray:
 
 def _prime(circuits) -> None:
     """Set ``_data`` on each circuit, all of one dimension, to the per-element and composite
-    quantities the evaluators share, from one stack of each: :func:`channel_polars`,
-    :func:`chn._compose_circuits`, the composite targets' unitarity test, Phi and Upsilon
-    and the LK spectrum constants; a circuit's sums and products run over its slice."""
+    quantities the evaluators share, each from one stack (a circuit's sums and products run
+    over its slice): :func:`channel_polars`, :func:`chn._compose_circuits`, Phi, Upsilon, the
+    LK constants and the tests of decoherence (A_1), identity targets and composite unitarity."""
     d, n = circuits[0].dim, sum(len(c.channels) for c in circuits)
     els = [ch for c in circuits for ch in c.channels]
+    targets = [t for c in circuits for t in c.targets]
     polars = channel_polars(els)
     composites = chn._compose_circuits([c.channels for c in circuits])
     canons = chn._canonicalize(els)
+    a1s = np.array([c.a1 for c in canons])
+    off = (matcore._norms(np.array(targets) - np.eye(d)) > 1e-9 * np.sqrt(d)).tolist()
+    decoh = _decoherent(a1s)
     u_cs = metrics._check_targets(np.array([_circuit_product(c.targets, d) for c in circuits]), d)
     ups = metrics._upsilons(canons + composites)
-    phis = metrics._phis(canons + composites, [*(t for c in circuits for t in c.targets), *u_cs])
+    phis = metrics._phis(canons + composites, targets + list(u_cs))
     # the (n, d) LK singular values; a row's statistics have the bits of a call on it alone
     sigmas = np.array([p.singular_values for p in polars])
     mean_sigma, gammas = np.mean(sigmas, axis=-1), _spectrum_constants(sigmas)[1]
@@ -122,8 +123,7 @@ def _prime(circuits) -> None:
     nc = metrics._nc_regime(phis, ups)
     cuts = np.cumsum([0] + [len(c.channels) for c in circuits]).tolist()
     # A*_{m:1}, the composed LK maps, is the one-operator map of a1_c
-    a1_cs = np.array([_circuit_product([c.a1 for c in canons[a:b]], d)
-                      for a, b in zip(cuts, cuts[1:])])
+    a1_cs = np.array([_circuit_product(a1s[a:b], d) for a, b in zip(cuts, cuts[1:])])
     ups_star = (matcore._squares(matcore._norms(a1_cs)) / d).tolist()  # Upsilon(A*_{m:1})
     phi_star = metrics._overlaps(np.conj(u_cs).swapaxes(-1, -2) @ a1_cs)  # Phi(A*, U_{m:1})
     for i, (circuit, a, b) in enumerate(zip(circuits, cuts, cuts[1:])):
@@ -137,7 +137,8 @@ def _prime(circuits) -> None:
             prod_ups=float(np.prod(ups[a:b])), sum_w1_sq=float(np.sum(one_minus_w1[a:b] ** 2)),
             sum_cross=float(np.sum(one_minus_w1[a:b] * (1.0 - phis[a:b]))), phi_c=phi_c,
             ups_c=ups_c, a1_c=a1_cs[i], ups_star_c=ups_star[i], phi_star_c=phi_star[i],
-            element_nc=bool(np.all(nc[a:b])), composite_nc=bool(metrics._nc_regime(phi_c, ups_c)))
+            element_nc=bool(np.all(nc[a:b])), composite_nc=bool(metrics._nc_regime(phi_c, ups_c)),
+            off_target=off[a:b], decoherent=decoh[a:b])
 
 
 def _data(circuit: CircuitSpec) -> SimpleNamespace:
@@ -225,16 +226,11 @@ def thm2_fid_evo(circuit: CircuitSpec) -> BoundReport:
     )
 
 
-def _require_decoherent(circuit: CircuitSpec):
+def _require_decoherent(data: SimpleNamespace):
     """Raise for the first element, in circuit order, with a non-identity target
-    (checked first) or a leading operator that is not decoherent; one stacked
-    test of each per circuit, and none once a check has passed."""
-    if circuit._decoherent:  # a passed check holds for the circuit's lifetime
-        return
-    d = circuit.dim
-    off = (matcore._norms(np.array(circuit.targets) - np.eye(d)) > 1e-9 * np.sqrt(d)).tolist()
-    decoh = _decoherent(np.array([c.kraus[0] for c in chn._canonicalize(circuit.channels)]))
-    for i, (o, dc) in enumerate(zip(off, decoh)):
+    (checked first) or a leading operator that is not decoherent, from the tests
+    that :func:`_prime` ran over the circuit's run."""
+    for i, (o, dc) in enumerate(zip(data.off_target, data.decoherent)):
         if o:
             raise TargetNotUnitary(
                 "decoherent-composition bounds are identity-target statements; "
@@ -242,7 +238,6 @@ def _require_decoherent(circuit: CircuitSpec):
             )
         if not dc:
             raise NotDecoherent(f"circuit element {i} is not decoherent")
-    circuit._decoherent = True
 
 
 def thm4_decoherent_features(
@@ -250,8 +245,8 @@ def thm4_decoherent_features(
 ) -> tuple[BoundReport, BoundReport]:
     """Quasi-monotonicity and quasi-subadditivity of decoherent
     compositions, optionally prefixed by a unitary v (defaults to I)."""
-    _require_decoherent(circuit)
     data = _data(circuit)
+    _require_decoherent(data)
     _require_nc(data)
     d = data.d
     v = metrics._check_target(v, d)
@@ -330,8 +325,8 @@ def thm5_unitarity_decay(circuit: CircuitSpec) -> BoundReport:
 def thm6_fidelity_decay(circuit: CircuitSpec) -> BoundReport:
     """Decay law |Phi(D_{m:1}, I) - prod Phi(D_i, I)| for decoherent
     compositions, with the four-term WSE envelope."""
-    _require_decoherent(circuit)
     data = _data(circuit)
+    _require_decoherent(data)
     _require_nc(data)
     gamma = data.gamma_max
     prod_phi = float(np.prod(data.phis))
@@ -420,8 +415,8 @@ def thm8_equable_composition(v, circuit: CircuitSpec) -> BoundReport:
     """|Phi(V o D_{m:1}, I) - Phi(V, I) prod Phi(D_i, I)| with the
     five-term WSE envelope.  The band centre Phi(V, I) prod Phi(D_i, I) is
     itemized for sweep overlays."""
-    _require_decoherent(circuit)
     data = _data(circuit)
+    _require_decoherent(data)
     d = data.d
     v = metrics._check_target(v, d)
     phi_tot = metrics._phi_with_prefix(v, data.composite.kraus)
@@ -633,7 +628,7 @@ class LindbladSpec:
         if h.shape != (self.dim, self.dim):
             raise DimensionMismatch("H dimension mismatch")
         if np.linalg.norm(h - h.conj().T) > 1e-9 * max(np.linalg.norm(h), 1.0):
-            raise ValueError("H must be Hermitian within 1e-9")
+            raise NotHermitian("H must be Hermitian within 1e-9")
         self.hamiltonian = h
         ops = [matcore.as_complex_matrix(l, "L") for l in self.lindblad_ops]
         for l in ops:

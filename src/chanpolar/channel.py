@@ -151,6 +151,14 @@ def _unchecked(dim: int, kraus: np.ndarray, weights=None) -> KrausChannel:
     return ch
 
 
+def _channels(ops: np.ndarray) -> list:
+    """One channel over each (k, d, d) family of the stack ``ops``, refused as by
+    the constructor if an entry is not finite (the shapes pass its checks)."""
+    if not np.isfinite(ops).all():
+        raise ValueError("Kraus operators contain non-finite entries")
+    return [_unchecked(ops.shape[-1], k) for k in ops]
+
+
 def _canonical_views(ops: np.ndarray, weights: np.ndarray, counts) -> list:
     """Channels over operators already in canonical order, the i-th over the
     next ``counts[i]`` operators and weights (none raises :class:`NotCP`), with
@@ -250,20 +258,6 @@ def _by_shape(kraus, *per_channel) -> list:
         groups.setdefault(arrays[0].shape if c else i, []).append(i)
     return [(idx, *[x[idx[0]][None] if len(idx) == 1 else np.array([x[i] for i in idx])
                     for x in lists]) for idx in groups.values()]
-
-
-def _channels_by_shape(f, kraus, *per_channel) -> list:
-    """One channel per Kraus stack of ``kraus``, over the i-th (k, d, d) family of
-    ``f(Kraus stack, *stacks)`` of its :func:`_by_shape` group; refused as by the
-    constructor if an entry is not finite (the shapes pass its checks)."""
-    out = [None] * len(kraus)
-    for idx, *stacks in _by_shape(kraus, *per_channel):
-        ops = f(*stacks)
-        if not np.isfinite(ops).all():
-            raise ValueError("Kraus operators contain non-finite entries")
-        for i, k in zip(idx, ops):
-            out[i] = _unchecked(ops.shape[-1], k)
-    return out
 
 
 def _canonicalize(channels) -> list:

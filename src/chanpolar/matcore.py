@@ -35,7 +35,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import NoConvergence, NotContraction, NotHermitian
+from .errors import DimensionMismatch, NoConvergence, NotContraction, NotHermitian
 
 HERMITICITY_RTOL = 1e-8
 DEGENERACY_TOL = 1e-10
@@ -49,7 +49,7 @@ def as_complex_matrix(m, name: str = "matrix", stacked: bool = False) -> np.ndar
     """A finite complex128 2-d array, or stack if ``stacked`` (no copy when possible)."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 and not (stacked and a.ndim > 2):
-        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+        raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
@@ -57,7 +57,7 @@ def as_complex_matrix(m, name: str = "matrix", stacked: bool = False) -> np.ndar
 
 def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if a.shape[-2] != a.shape[-1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
+        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     return a
 
 
@@ -341,7 +341,7 @@ def _square_pairs(a, b) -> np.ndarray:
     a = _require_square(as_complex_matrix(a, "A", stacked=True), "A")
     b = _require_square(as_complex_matrix(b, "B", stacked=True), "B")
     if a.shape != b.shape:
-        raise ValueError("A and B must share a dimension")
+        raise DimensionMismatch("A and B must share a dimension")
     return np.stack((a, b), axis=-3).reshape((-1,) + a.shape[-2:])
 
 

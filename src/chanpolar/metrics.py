@@ -225,7 +225,7 @@ def _check_samples(n_samples) -> None:
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
         raise ParamOutOfRange(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
+        raise ParamOutOfRange("n_samples must be at least 100")
 
 
 @functools.lru_cache(maxsize=1)

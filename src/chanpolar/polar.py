@@ -121,10 +121,11 @@ def _decoherent_lefts(polars) -> list:
     """The ``decoherent_left`` of each polar factorization, uncached: the
     operators V^dag A_k by one einsum per Kraus shape.  A C-contiguous V^dag
     gives the same sums as the transposed view, only faster at large d."""
-    return chn._channels_by_shape(
-        lambda kraus, us: np.einsum(
-            "nij,nkjl->nkil", np.ascontiguousarray(np.conj(us).swapaxes(-1, -2)), kraus),
-        [p._kraus for p in polars], [p.unitary for p in polars])
+    out = {}
+    for idx, kraus, us in chn._by_shape([p._kraus for p in polars], [p.unitary for p in polars]):
+        vh = np.ascontiguousarray(np.conj(us).swapaxes(-1, -2))
+        out.update(zip(idx, chn._channels(np.einsum("nij,nkjl->nkil", vh, kraus))))
+    return [out[i] for i in range(len(polars))]
 
 
 def _polarize(canons: list):

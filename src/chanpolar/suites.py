@@ -10,7 +10,6 @@ so results are independent of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -39,7 +38,7 @@ def _subseed(rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 
 
-def element_for_infidelity(d: int, r_target, draws, decoherent: bool = False):
+def element_for_infidelity(d: int, r_target, draws, decoherent: bool = False, targets=None):
     """Near-identity random elements, the i-th with infidelity close to
     ``r_target[i]``.
 
@@ -52,8 +51,10 @@ def element_for_infidelity(d: int, r_target, draws, decoherent: bool = False):
     stacked generator eigendecomposition, the decoherent ones of a draw one
     :func:`channel_polars` and one V^dag A einsum per Kraus shape; each has the
     bits of its own ``genlib.random_cptp`` (or, decoherent,
-    ``genlib.psd_lk_decoherent``) calls.
+    ``genlib.psd_lk_decoherent``) calls.  ``targets`` (general elements only) holds a
+    unitary U or None per element: A_k U by one einsum per rank, with the bits of one each.
     """
+    genlib._require(targets is None or not decoherent, "targets apply to general elements only")
     ks = np.minimum([rank for rank, _ in draws], d * d)
     order = np.argsort(ks, kind="stable")  # the elements rank by rank
     r_t = np.asarray(r_target, dtype=np.float64)[order]
@@ -61,24 +62,29 @@ def element_for_infidelity(d: int, r_target, draws, decoherent: bool = False):
     starts = np.searchsorted(ks[order], ranks)[1:]
     eigs = [genlib._gue_eig(d * k, [draws[i][1] for i in order[ks[order] == k]]) for k in ranks]
 
-    def gen(mask, eps):  # the elements of ``order`` where mask, at strengths eps
+    def gen(eps):  # (each rank's Kraus stack, the channels) of ``order`` at strengths eps
         if decoherent:  # psd_lk_decoherent(d, min(eps, 0.3), seed, kraus_rank=k)
             eps = np.minimum(eps, 0.3)
-        chs = []  # random_cptp(d, k, seed, strength=eps)
-        for k, (w, v), m, e in zip(ranks, eigs, np.split(mask, starts), np.split(eps, starts)):
-            kraus = genlib._near_identity_kraus(d, k, (w[m], v[m]), e[m])
-            chs += map(chn._unchecked, repeat(d), kraus)
-        return _decoherent_lefts(channel_polars(chs)) if decoherent else chs
+        ops = [genlib._near_identity_kraus(d, k, eig, e)  # random_cptp(d, k, seed, strength=e)
+               for k, eig, e in zip(ranks, eigs, np.split(eps, starts))]
+        chs = [chn._unchecked(d, kraus) for stack in ops for kraus in stack]
+        return ops, _decoherent_lefts(channel_polars(chs)) if decoherent else chs
 
     eps = np.sqrt(2.0 * r_t)
-    chs = gen(np.ones(len(order), dtype=bool), eps)
+    stacks, chs = gen(eps)
     r0 = metrics.infidelity(metrics._phis(chs, [np.eye(d, dtype=np.complex128)] * len(chs)), d)
     redo = r0 > 1e-12
-    if redo.any():
+    if redo.any():  # all again: an element that needs no redo keeps its strength, so its bits
         eps[redo] *= np.sqrt(r_t[redo] / r0[redo])
-        for j, ch in zip(np.flatnonzero(redo), gen(redo, eps)):
-            chs[j] = ch
-    return [chs[j] for j in np.argsort(order).tolist()]  # back in target order
+        stacks, chs = gen(eps)
+    has = np.array([targets is not None and targets[i] is not None for i in order], dtype=bool)
+    targeted = {}
+    for stack, idx, m in zip(stacks, np.split(order, starts), np.split(has, starts)):
+        if m.any():  # A_k U of the rank's elements with a target
+            ops = np.einsum("nkij,njl->nkil", stack[m], np.array([targets[i] for i in idx[m]]))
+            targeted.update(zip(idx[m].tolist(), chn._channels(ops)))
+    # back in target order
+    return [targeted.get(i, chs[j]) for i, j in enumerate(np.argsort(order).tolist())]
 
 
 def sample_noncatastrophic(d: int, rng: np.random.Generator):
@@ -90,25 +96,19 @@ def sample_noncatastrophic(d: int, rng: np.random.Generator):
 
 def _noncatastrophic(d: int, rngs) -> tuple[list, np.ndarray]:
     """:func:`sample_noncatastrophic` of each generator (strength, rank, noise seed, target
-    seed in turn): one :func:`genlib._gue_eig` per rank, one QR and unitarity test, and
-    one :func:`_after_targets`."""
+    seed in turn): one QR and unitarity test, then per rank one :func:`genlib._gue_eig` and
+    the operators A_k U by one einsum and finiteness check."""
     eps, ks, seeds, target_seeds = zip(*[
         (float(rng.uniform(0.02, 0.3)), min(int(rng.integers(2, 5)), d * d),
          _subseed(rng), _subseed(rng)) for rng in rngs])
-    noise = {}
+    targets = metrics._check_targets(genlib._haar_unitaries(d, target_seeds), d)
+    chs = {}
     for k in set(ks):
         idx = [i for i, x in enumerate(ks) if x == k]
         eig = genlib._gue_eig(d * k, [seeds[i] for i in idx])
-        noise.update(zip(idx, genlib._near_identity_kraus(d, k, eig, [eps[i] for i in idx])))
-    targets = metrics._check_targets(genlib._haar_unitaries(d, target_seeds), d)
-    return _after_targets([noise[i] for i in range(len(ks))], targets), targets
-
-
-def _after_targets(kraus, targets) -> list:
-    """The channel of each Kraus family ``kraus[i]`` applied after the unitary
-    ``targets[i]`` (operators A_k U): one einsum and finiteness check per Kraus
-    shape, each family with the bits of its single einsum."""
-    return chn._channels_by_shape(partial(np.einsum, "nkij,njl->nkil"), kraus, targets)
+        noise = genlib._near_identity_kraus(d, k, eig, [eps[i] for i in idx])
+        chs.update(zip(idx, chn._channels(np.einsum("nkij,njl->nkil", noise, targets[idx]))))
+    return [chs[i] for i in range(len(ks))], targets
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +182,16 @@ def _draw_circuit(d: int, m: int, rng, with_targets=False) -> tuple:
 
 def _build_circuits(d: int, drawn: list, decoherent=False) -> list:
     """The circuits of :func:`_draw_circuit` results, all elements from one
-    :func:`element_for_infidelity` call; with targets, each element applies
-    its Haar-random target unitary first, all of them by one
-    :func:`_after_targets` call."""
-    channels = iter(element_for_infidelity(
-        d, [r for r_ts, _, _ in drawn for r in r_ts],
-        [x for _, draws, _ in drawn for x in draws], decoherent=decoherent,
-    ))
-    circuits = [[next(channels) for _ in r_ts] for r_ts, _, _ in drawn]
+    :func:`element_for_infidelity` call, which applies each element's Haar-random
+    target first where its circuit has targets (all drawn by one stacked QR)."""
     unitaries = iter(genlib._haar_unitaries(d, [s for _, _, ts in drawn for s in ts or ()]))
     targets = [ts and [next(unitaries) for _ in ts] for _, _, ts in drawn]
-    targeted = iter(_after_targets(
-        [el.kraus for els, us in zip(circuits, targets) if us for el in els],
-        [u for us in targets if us for u in us]))
-    return [bounds.CircuitSpec([next(targeted) for _ in els] if us else els, us)
-            for els, us in zip(circuits, targets)]
+    per_element = [u for (r_ts, _, _), us in zip(drawn, targets) for u in us or [None] * len(r_ts)]
+    channels = iter(element_for_infidelity(
+        d, [r for r_ts, _, _ in drawn for r in r_ts], [x for _, draws, _ in drawn for x in draws],
+        decoherent, per_element if any(targets) else None))
+    return [bounds.CircuitSpec([next(channels) for _ in r_ts], us)
+            for (r_ts, _, _), us in zip(drawn, targets)]
 
 
 def theorem_suite(dims=(2, 3), trials: int = 500, seed: int = 0) -> list[BoundReport]:

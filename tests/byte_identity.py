@@ -9,7 +9,9 @@ or exit code, or a numeric field moved by more than 0.  It then runs
 ``perfbench/`` and lists each benchmark unit whose ``[exit code, sha256]``
 differs from the committed ``perfbench/reference.json`` (or is missing on
 one side).  It exits 1 on any difference, 0 otherwise, and writes nothing
-in the checkout.  The reference rewrite takes about a minute.
+in the checkout.  The reference rewrite takes about a minute.  Beside the
+verdict it prints the line count of the ``*.py`` files under ``src/``, the
+size measure that a byte-identical change is meant to lower.
 """
 
 import json
@@ -64,13 +66,18 @@ def reference_moves() -> list:
     return moved
 
 
+def src_lines() -> int:
+    """The number of lines of the ``*.py`` files under ``src/``."""
+    return sum(len(p.read_bytes().splitlines()) for p in (ROOT / "src").rglob("*.py"))
+
+
 def main() -> int:
     bad = golden_moves()
     print("goldens: " + (f"{len(bad)} difference(s)" if bad else "every field moved by 0"))
     bad += reference_moves()
     for line in bad:
         print(f"DIFF {line.strip()}")
-    print("FAIL" if bad else "byte-identical")
+    print(("FAIL" if bad else "byte-identical") + f" (src/: {src_lines():,} lines)")
     return int(bool(bad))
 
 

@@ -8,6 +8,7 @@ from chanpolar.errors import (
     ChanPolarError,
     DimensionMismatch,
     NotDecoherent,
+    NotHermitian,
     NotNonCatastrophic,
     NotTraceless,
     RatioOutOfRange,
@@ -204,8 +205,8 @@ class TestThm7:
 
 
 class TestCheckCounts:
-    """The decoherence check runs once per circuit, as one stacked test of its
-    elements, the thm7 target check once per call."""
+    """The decoherence check runs once per primed run of circuits, as one stacked
+    test of their elements, the thm7 target check once per call."""
 
     @staticmethod
     def counting(monkeypatch, owner, name):
@@ -244,19 +245,28 @@ class TestCheckCounts:
         ):
             with pytest.raises(NotDecoherent, match="element 1 is not"):
                 evaluate(circ)
-        assert [len(c[0]) for c in calls] == [3] * 3  # each call tests every element again
+        assert [len(c[0]) for c in calls] == [3]  # the primed verdicts are read again
+
+    def test_one_decoherence_check_per_primed_run(self, monkeypatch):
+        calls = self.counting(monkeypatch, bounds, "_decoherent")
+        circuits = [bounds.CircuitSpec([genlib.dephasing(2, 0.01 * m)] * m) for m in (1, 2, 3)]
+        circuits.append(bounds.CircuitSpec([genlib.dephasing(2, 0.02), genlib.rotation(2, 0.1)]))
+        bounds._prime(circuits)
+        for circ in circuits[:3]:
+            bounds.thm6_fidelity_decay(circ)
+        with pytest.raises(NotDecoherent, match="element 1 is not"):
+            bounds.thm6_fidelity_decay(circuits[3])
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], [c.a1 for circ in circuits for c in circ.channels])
 
     def test_target_error_of_an_earlier_element_comes_first(self):
         # element 0 carries a rotation target, element 1 is not decoherent
-        circ = bounds.CircuitSpec(
-            [genlib.amplitude_damping(2, 0.1), genlib.rotation(2, 0.1)],
-            [genlib.rotation_matrix(2, 0.2), I2],
-        )
+        chans = [genlib.amplitude_damping(2, 0.1), genlib.rotation(2, 0.1)]
+        circ = bounds.CircuitSpec(chans, [genlib.rotation_matrix(2, 0.2), I2])
         with pytest.raises(TargetNotUnitary, match="element 0 carries"):
             bounds.thm6_fidelity_decay(circ)
-        circ.targets[0] = I2
         with pytest.raises(NotDecoherent, match="element 1 is not"):
-            bounds.thm6_fidelity_decay(circ)
+            bounds.thm6_fidelity_decay(bounds.CircuitSpec(chans, [I2, I2]))
 
     def test_thm7_checks_target_once(self, monkeypatch):
         calls = self.counting(monkeypatch, metrics, "_check_target")
@@ -431,9 +441,9 @@ class TestCircuitData:
 
 
 class TestCircuitTargets:
-    """A circuit tests its targets' shapes one by one and their unitarity as one
-    stack, with the verdict of one-by-one tests: the first bad target raises, and
-    a kept target is its input array when that is already complex."""
+    """A circuit tests its targets' shapes one by one, the first misshapen one
+    raising, then their unitarity as one stack; a kept target is its input array
+    when that is already complex."""
 
     def test_targets_kept_and_refused_as_one_by_one(self):
         chans = [genlib.rotation(2, 0.1)] * 3
@@ -443,7 +453,7 @@ class TestCircuitTargets:
         assert np.array_equal(circ.targets[1], I2)
         assert circ.targets[2].dtype == np.complex128
         for targets, message in (
-            ([u, 2 * u, np.eye(3)], "target is not unitary within tolerance"),
+            ([u, 2 * u, np.eye(3)], "target must be 2 x 2, got (3, 3)"),
             ([u, np.eye(3), 2 * u], "target must be 2 x 2, got (3, 3)"),
             ([u, u, 2 * u], "target is not unitary within tolerance"),
         ):
@@ -695,7 +705,7 @@ REFUSALS = {
     ),
     "H not Hermitian": (
         lambda: bounds.LindbladSpec(dim=2, hamiltonian=(X + 1j * Y) / 2, lindblad_ops=[X]),
-        ValueError, "H must be Hermitian within 1e-9",
+        NotHermitian, "H must be Hermitian within 1e-9",
     ),
     "L shape": (
         lambda: bounds.LindbladSpec(dim=2, hamiltonian=Z, lindblad_ops=[X, np.eye(3)]),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chanpolar import matcore
-from chanpolar.errors import NotContraction, NotHermitian
+from chanpolar.errors import DimensionMismatch, NotContraction, NotHermitian
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -495,13 +495,17 @@ REFUSALS = {
         lambda: matcore.as_complex_matrix([[1.0, np.inf], [0.0, 1.0]]),
         ValueError, "matrix contains non-finite entries",
     ),
+    "not 2-dimensional": (
+        lambda: matcore.as_complex_matrix([1.0, 0.0], "rho"),
+        DimensionMismatch, "rho must be 2-dimensional, got shape (2,)",
+    ),
     "non-square": (
         lambda: matcore.check_vn_inequality(np.zeros((2, 3)), np.eye(2)),
-        ValueError, "A must be square, got shape (2, 3)",
+        DimensionMismatch, "A must be square, got shape (2, 3)",
     ),
     "pair size mismatch": (
         lambda: matcore.check_norm_inequality(np.eye(2), np.eye(3)),
-        ValueError, "A and B must share a dimension",
+        DimensionMismatch, "A and B must share a dimension",
     ),
 }
 

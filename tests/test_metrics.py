@@ -695,7 +695,7 @@ REFUSALS = {
     ),
     "too few MC samples": (
         lambda: metrics.haar_unitarity_mc(genlib.identity_channel(2), n_samples=99),
-        ValueError, "n_samples must be at least 100",
+        ParamOutOfRange, "n_samples must be at least 100",
     ),
     "float MC samples": (
         lambda: metrics.haar_unitarity_mc(genlib.identity_channel(2), n_samples=1e5),

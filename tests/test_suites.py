@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chanpolar import bounds, channel as chn, genlib, matcore, metrics, polar, suites
-from chanpolar.errors import DimensionMismatch, PhaseUndefined
+from chanpolar.errors import DimensionMismatch, ParamOutOfRange, PhaseUndefined
 from chanpolar.matcore import BoundReport
 from chanpolar.polar import _spectrum_constants
 
@@ -80,6 +80,21 @@ def composition_sweep_per_depth(element, max_depth):
     return rows
 
 
+def element_per_call(d, r_t, rank, seed, decoherent=False):
+    """One element of :func:`suites.element_for_infidelity` from its own genlib
+    generator calls: generated, measured and regenerated once."""
+
+    def gen(eps):
+        if decoherent:
+            return genlib.psd_lk_decoherent(d, min(eps, 0.3), seed, kraus_rank=min(rank, d * d))
+        return genlib.random_cptp(d, min(rank, d * d), seed, strength=eps)
+
+    eps0 = float(np.sqrt(2.0 * r_t))
+    el = gen(eps0)
+    r0 = metrics.infidelity(metrics.phi(el), d)
+    return gen(eps0 * float(np.sqrt(r_t / r0))) if r0 > 1e-12 else el
+
+
 def circuit_per_element(d, m, rng, with_targets=False, decoherent=False):
     """One element at a time, each from its own genlib generator call: the
     reference route that the batched sampler must match bit for bit."""
@@ -90,19 +105,7 @@ def circuit_per_element(d, m, rng, with_targets=False, decoherent=False):
         r_t = float(10 ** rng.uniform(np.log10(3e-5), np.log10(r_cap)))
         rank = int(rng.integers(2, 5))
         seed = int(rng.integers(0, 2**63 - 1))
-        eps0 = float(np.sqrt(2.0 * r_t))
-
-        def gen(eps):
-            if decoherent:
-                return genlib.psd_lk_decoherent(
-                    d, min(eps, 0.3), seed, kraus_rank=min(rank, d * d)
-                )
-            return genlib.random_cptp(d, min(rank, d * d), seed, strength=eps)
-
-        el = gen(eps0)
-        r0 = metrics.infidelity(metrics.phi(el), d)
-        if r0 > 1e-12:
-            el = gen(eps0 * float(np.sqrt(r_t / r0)))
+        el = element_per_call(d, r_t, rank, seed, decoherent)
         if with_targets:
             u = genlib.random_unitary(d, int(rng.integers(0, 2**63 - 1)))
             el = chn.KrausChannel(dim=d, kraus=np.einsum("kij,jl->kil", el.kraus, u))
@@ -235,7 +238,9 @@ class TestSamplers:
     @pytest.mark.parametrize("decoherent", [False, True])
     def test_mixed_ranks_equal_per_rank_and_single_calls(self, d, decoherent):
         """One call over mixed Kraus ranks (one capped at d^2) gives each
-        element the bytes of a call per rank and of a call per element."""
+        element the bytes of a call per rank and of a call per element; with a
+        target on some elements of each rank, the bytes of ``random_cptp`` and one
+        einsum A_k U per element, also when one element needs no redo."""
         rng = np.random.default_rng([d, decoherent])
         ranks = [2, 3, 4, 2, 4, 3, 2, d * d + 1]
         r_ts = [float(10 ** rng.uniform(-4.5, -2.0)) for _ in ranks]
@@ -251,6 +256,18 @@ class TestSamplers:
             one = suites.element_for_infidelity(d, [r_ts[i]], [draws[i]], decoherent)[0]
             assert one.kraus.shape == el.kraus.shape
             assert one.kraus.tobytes() == el.kraus.tobytes()
+        us = [None if i % 3 == 1 else genlib.random_unitary(d, i) for i in range(len(ranks))]
+        if decoherent:
+            with pytest.raises(ParamOutOfRange, match="^targets apply to general elements only$"):
+                suites.element_for_infidelity(d, r_ts, draws, decoherent, us)
+            return
+        r_ts[0] = 0.0  # strength 0, the identity: r measures below 1e-12, so no redo
+        targeted = suites.element_for_infidelity(d, r_ts, draws, targets=us)
+        for el, r_t, (k, seed), u in zip(targeted, r_ts, draws, us, strict=True):
+            one = element_per_call(d, r_t, k, seed).kraus
+            want = one if u is None else np.einsum("kij,jl->kil", one, u)
+            assert el.kraus.shape == want.shape
+            assert el.kraus.tobytes() == want.tobytes()
 
     def test_sample_noncatastrophic(self):
         for t in range(20):
