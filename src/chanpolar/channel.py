@@ -38,21 +38,21 @@ MAX_EIGENSOLVER_DIM = 64    # Choi eigendecompositions are refused above this
 class KrausChannel:
     """A channel as a stack of d x d complex Kraus matrices.
 
-    ``kraus`` has shape (k, d, d).  The trace-preserving condition
-    sum_i A_i^dag A_i = I is *not* enforced at construction: the LK map
-    of :func:`lk` is not TP, and deliberately broken inputs can be fed to
-    :func:`validate_cptp`.  Each instance caches its canonical view (see
-    :func:`canonical`; a view is the one kind that carries ``_weights``), the
-    polar factors of :func:`polar.channel_polar` on that view and its own
-    Upsilon (:func:`metrics.upsilon`), so instances must not be mutated.  The
-    canonical quantities below read the cached view.
+    ``kraus`` has shape (k, d, d) and is kept C-contiguous (copied if not).
+    The trace-preserving condition sum_i A_i^dag A_i = I is *not* enforced at
+    construction: the LK map of :func:`lk` is not TP, and deliberately broken
+    inputs can be fed to :func:`validate_cptp`.  Each instance caches its
+    canonical view (see :func:`canonical`; a view is the one kind that carries
+    ``_weights``), the polar factors of :func:`polar.channel_polar` on that
+    view and its own Upsilon (:func:`metrics.upsilon`), so instances must not
+    be mutated.  The canonical quantities below read the cached view.
     """
 
     dim: int
     kraus: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.kraus, dtype=np.complex128)
+        k = np.asarray(self.kraus, dtype=np.complex128, order="C")
         if k.ndim != 3 or k.shape[1] != self.dim or k.shape[2] != self.dim:
             raise DimensionMismatch(
                 f"kraus must have shape (k, {self.dim}, {self.dim}), got {k.shape}"
@@ -247,15 +247,12 @@ def canonical(ch: KrausChannel) -> KrausChannel:
 
 def _by_shape(kraus, *per_channel) -> list:
     """(indices, stack of ``kraus``, stack of each ``per_channel`` list) per shape of
-    the Kraus stacks ``kraus``, one per channel; a channel whose arrays are not
-    C-contiguous is a group of one, of views."""
+    the Kraus stacks ``kraus``, one per channel; a group of one is a stack of views.
+    Every array ``src/`` holds is C-contiguous, so a stack sums as each of its items."""
     lists = (kraus, *per_channel)
-    if len(kraus) == 1:  # a group of one, of views, whatever its layout
-        return [([0], *[x[0][None] for x in lists])]
     groups = {}
-    for i, arrays in enumerate(zip(*lists)):
-        c = all([a.flags.c_contiguous for a in arrays])
-        groups.setdefault(arrays[0].shape if c else i, []).append(i)
+    for i, k in enumerate(kraus):
+        groups.setdefault(k.shape, []).append(i)
     return [(idx, *[x[idx[0]][None] if len(idx) == 1 else np.array([x[i] for i in idx])
                     for x in lists]) for idx in groups.values()]
 

@@ -11,20 +11,20 @@ Norm conventions: ``||.||_2`` written in docstrings means the Schatten
 2-norm (Frobenius); the spectral radius of a general matrix means its
 largest singular value.
 
-Stacks: :func:`hermitian_eig`, :func:`polar_decompose`, :func:`fix_entry_phase`
-and the three inequality checks take leading stack axes; a single matrix (or
-pair) is the N = 1 case, and a stack has the bits of N single calls.  Measured
-on numpy 2.4.6 at n = 2 ... 16: stacked ``eigh``, ``eigvalsh``, ``svd``, ``qr``,
+Stacks: :func:`hermitian_eig`, :func:`polar_decompose`, :func:`fix_entry_phase` and the
+three inequality checks take leading stack axes; a single matrix (or pair) is the N = 1
+case, and a stack has the bits of N single calls.  Arrays enter C-contiguous (here, in
+``metrics._as_target`` and ``KrausChannel``), so results depend on values, not layout.
+Measured on numpy 2.4.6 at n = 2 ... 16: stacked ``eigh``, ``eigvalsh``, ``svd``, ``qr``,
 ``matmul`` and ``trace`` equal the per-matrix calls, and ``sum``/``prod`` over a
-contiguous slice of a stack equal those over a copy; ``np.abs`` of a complex
-array differs in the last bit from Python ``abs()`` of its scalars, so where a
-single path used ``abs()`` a stack uses ``np.hypot(re, im)`` (which ``np.abs``
-does not match); ``np.linalg.norm(..., axis=(-2, -1))`` differs from each
-matrix's norm, but its dot form :func:`_norms` does not, so the Hermiticity
-check and Upsilon in ``metrics`` take the norms of a stack together.  A
-scalar's ``** 2`` is libm ``pow`` and an array's x * x, so :func:`_squares`
-squares an array.  A one-row ``matmul`` operand takes numpy's matrix-vector
-path (other bits than in 2 to 64 rows); complex ``x.conj() * x`` is fused,
+contiguous slice of a stack equal those over a copy; ``np.abs`` of a complex array
+differs in the last bit from Python ``abs()`` of its scalars, so a stack uses
+``np.hypot(re, im)`` where a single path used ``abs()``; ``np.linalg.norm(..., axis=(-2,
+-1))`` differs from each matrix's norm, but its dot form :func:`_norms` has the bits of
+each C-contiguous matrix's norm, so the Hermiticity check and Upsilon take the norms of a
+stack together.  A scalar's ``** 2`` is libm ``pow`` and an array's x * x, so
+:func:`_squares` squares an array.  A one-row ``matmul`` operand takes numpy's
+matrix-vector path (other bits than in 2 to 64 rows); complex ``x.conj() * x`` is fused,
 fma(re, re, im * im), which ``re * re + im * im`` misses in about 16% of entries.
 """
 
@@ -46,8 +46,8 @@ ENTRY_ROUND_DECIMALS = 8
 
 
 def as_complex_matrix(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
-    """A finite complex128 2-d array, or stack if ``stacked`` (no copy when possible)."""
-    a = np.asarray(m, dtype=np.complex128)
+    """A finite complex128 2-d array, or stack if ``stacked``, C-contiguous (one copy if not)."""
+    a = np.asarray(m, dtype=np.complex128, order="C")
     if a.ndim != 2 and not (stacked and a.ndim > 2):
         raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -153,25 +153,20 @@ def _tamed(a: np.ndarray) -> tuple[np.ndarray, float, int]:
 
 def _norms(a: np.ndarray) -> np.ndarray:
     """Each matrix's ``np.linalg.norm`` in its dot form, sqrt(re.re + im.im)
-    over the entries in C order: its bits for a C-contiguous matrix."""
+    over the entries in C order: its bits for a C-contiguous matrix, one or a stack."""
     flat = a.reshape(a.shape[:-2] + (-1,))
-    dot = np.dot if a.ndim == 2 else np.vecdot  # one matrix: the dot that vecdot loops over
-    return np.sqrt(dot(flat.real, flat.real) + dot(flat.imag, flat.imag))
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def _require_hermitian(a: np.ndarray, names=("matrix",)) -> np.ndarray:
     """``||A - A^dag||_2 > HERMITICITY_RTOL ||A||_2`` raises for the first such matrix A of a
-    stack, the i-th named ``names[i % len(names)]``; the norms by :func:`_norms` for a
-    C-contiguous stack up to 256 x 256 (where tests pin the bits), else, or where ``||A||_2``
-    reaches 2^1000, of :func:`_tamed` A.  Returns the (N, n, n) Hermitian parts
+    stack, the i-th named ``names[i % len(names)]``; the norms by :func:`_norms`, or where
+    ``||A||_2`` reaches 2^1000 of :func:`_tamed` A.  Returns the (N, n, n) Hermitian parts
     A / 2 + A^dag / 2 (A + A^dag could overflow)."""
     items = a.reshape((-1,) + a.shape[-2:])
     adj = np.conj(items).swapaxes(-1, -2)
-    if items.flags.c_contiguous and items.shape[-1] <= 256:
-        with np.errstate(over="ignore"):
-            size, skew = _norms(items), _norms(items - adj)
-    else:
-        size, skew = np.full((2, len(items)), np.inf)
+    with np.errstate(over="ignore"):
+        size, skew = _norms(items), _norms(items - adj)
     for i in (~(size < 2.0**1000)).nonzero()[0]:
         item, size[i], _ = _tamed(items[i])
         skew[i] = np.linalg.norm(item - item.conj().T)

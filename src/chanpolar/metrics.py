@@ -29,10 +29,10 @@ def _check_target(u, d: int) -> np.ndarray:
 
 
 def _as_target(u, d: int) -> np.ndarray:
-    """A d x d complex target (I for None), not yet tested for unitarity."""
+    """A d x d C-contiguous complex target (I for None), not yet tested for unitarity."""
     if u is None:
         return np.eye(d, dtype=np.complex128)
-    u = np.asarray(u, dtype=np.complex128)
+    u = np.asarray(u, dtype=np.complex128, order="C")
     if u.shape != (d, d):
         raise TargetNotUnitary(f"target must be {d} x {d}, got {u.shape}")
     return u

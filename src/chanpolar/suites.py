@@ -404,13 +404,10 @@ def composition_sweep(element: chn.KrausChannel, max_depth: int) -> list[SweepRo
         for left, right, out in zip(pairs[2:], pairs, pairs[1:]):
             np.matmul(left, right, out=out)
         p_m = pairs[n, 1].copy()
-        tr_v = np.trace(v_pows, axis1=-2, axis2=-1)
-        tr_vp = np.trace(v_pows @ pairs[1:n + 1, 1], axis1=-2, axis2=-1)
+        phi_v = np.array(metrics._overlaps(v_pows))
+        phi_vstar = np.array(metrics._overlaps(v_pows @ pairs[1:n + 1, 1]))
         v_buf[:n] = pairs[1:n + 1, 0]  # the next block's V^m
         del pairs, left, right, out  # freed before the S^m buffer, which sets the peak
-        # |tr| by np.hypot rounds like abs() of a complex scalar
-        phi_v = matcore._squares(np.hypot(tr_v.real, tr_v.imag)) / d**2
-        phi_vstar = matcore._squares(np.hypot(tr_vp.real, tr_vp.imag)) / d**2
         phi_m, ups_m = np.empty(n), np.empty(n)
         s_buf = np.empty((n_s,) + s_el.shape, dtype=np.complex128)
         for at in range(0, n, n_s):

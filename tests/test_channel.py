@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chanpolar import channel as chn
-from chanpolar import genlib, matcore, metrics, polar
+from chanpolar import genlib, matcore, metrics, polar, suites
 from chanpolar.errors import DegenerateLeading, DimensionMismatch, NotCP
 from wire_format import choi_to_json
 
@@ -516,6 +516,48 @@ class TestCompose:
         for seed in range(5):
             canon = chn.canonical(genlib.random_cptp(3, 4, seed=seed))
             assert canon.weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestCContiguousKraus:
+    """Every channel the library builds holds a C-contiguous Kraus stack, and so does
+    its canonical view: ``channel._by_shape`` stacks channels by shape alone, which
+    sums as each single call only over C-contiguous operators."""
+
+    @staticmethod
+    def assert_c(channels):
+        for ch in channels:
+            assert ch.kraus.flags.c_contiguous
+            assert chn.canonical(ch).kraus.flags.c_contiguous
+
+    def test_sampler_elements(self):
+        rng = np.random.default_rng(5)
+        draws = [(k, suites._subseed(rng)) for k in (1, 2, 3, 4, 2, 10)]
+        r_ts = [1e-3, 2e-3, 0.0, 1e-4, 5e-3, 1e-3]
+        us = [None if i % 2 else genlib.random_unitary(3, i) for i in range(len(draws))]
+        self.assert_c(suites.element_for_infidelity(3, r_ts, draws))
+        self.assert_c(suites.element_for_infidelity(3, r_ts, draws, targets=us))
+        self.assert_c(suites.element_for_infidelity(3, r_ts, draws, decoherent=True))
+        self.assert_c(suites._noncatastrophic(3, [np.random.default_rng(s) for s in range(4)])[0])
+
+    def test_products_and_canonical_views(self):
+        a, b, c = (genlib.random_cptp(3, k, seed=k) for k in (2, 2, 3))
+        self.assert_c([chn.compose([a, b]), chn.compose([c, c, c]), chn.compose([a])])
+        self.assert_c(chn._compose_circuits([[a, b], [c, c, c], [b]]))
+        self.assert_c(chn._canonicalize([a, genlib.depolarizing(3, 0.7), genlib.rotation(3, 0.1)]))
+
+    def test_from_choi_views(self):
+        chans = [genlib.random_cptp(2, k, seed=k) for k in (1, 2, 4)]
+        chois = np.array([chn.to_choi(ch) for ch in chans])
+        self.assert_c([chn.from_choi(chois[1]), *chn.from_choi(chois)])
+        self.assert_c([chn.channel_from_json(choi_to_json(chois[2]))])
+
+    def test_polar_factors_and_lk(self):
+        chans = [genlib.random_cptp(3, 3, seed=4, strength=0.2), genlib.amplitude_damping(3, 0.1),
+                 genlib.extremal_dephaser(4)]
+        for ch in chans:
+            pol = polar.channel_polar(ch)
+            self.assert_c([pol.coherent, pol.decoherent_left, pol.decoherent_right, chn.lk(ch)])
+        self.assert_c(polar._decoherent_lefts(polar.channel_polars(chans[:2])))
 
 
 class TestApply:

@@ -46,6 +46,14 @@ def test_every_family_is_cptp(spec):
     assert rep.ok, f"{spec.family}: tp_slack={rep.tp_slack}"
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.family}-d{s.dim}")
+def test_every_family_holds_a_c_contiguous_stack(spec):
+    """``channel._by_shape`` stacks channels by shape alone, which relies on this."""
+    ch = genlib.make_channel(spec)
+    assert ch.kraus.flags.c_contiguous
+    assert chn.canonical(ch).kraus.flags.c_contiguous
+
+
 # the first spec of each family, for builds at other dimensions
 FIRST_SPECS = {spec.family: spec for spec in reversed(ALL_SPECS)}
 

@@ -222,11 +222,15 @@ class TestStackedKernels:
                 assert matcore._norms(stack).tobytes() == want.tobytes()
 
     def test_norms_of_one_matrix_have_the_bits_of_linalg_norm(self):
+        """One matrix, or a stack of them, at every size up to 64 and past 256, where
+        the Hermiticity check once left the dot form for per-matrix norms."""
         rng = np.random.default_rng(12)
-        for n in range(1, 65):
+        for n in [*range(1, 65), 255, 256, 257, 512, 1024]:
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for a in (m, 1e-150 * m, 1e150 * m, m - m.conj().T):
-                assert matcore._norms(a).tobytes() == np.linalg.norm(a).tobytes()
+            stack = np.stack((m, 1e-150 * m, 1e150 * m, m - m.conj().T))
+            want = [np.linalg.norm(a).tobytes() for a in stack]
+            assert [matcore._norms(a).tobytes() for a in stack] == want
+            assert [x.tobytes() for x in matcore._norms(stack)] == want
 
     def test_slice_reductions_have_the_bits_of_a_copy(self):
         """np.sum (pairwise) and np.prod over a contiguous slice at any
@@ -257,13 +261,17 @@ class TestStackedKernels:
             assert [m.tobytes() for m in buf[:2, 1]] == want
 
     @pytest.mark.parametrize("shape, layout, per_matrix", [
-        ((2, 256, 256), "C", 0), ((2, 257, 257), "C", 2), ((3, 4, 4), "F", 3),
-        ((4, 4), "F", 1), ((3, 4, 4), "C", 0),
+        ((2, 256, 256), "C", 0), ((2, 257, 257), "C", 0), ((3, 4, 4), "F", 0),
+        ((4, 4), "F", 0), ((3, 4, 4), "C", 0), ((2, 257, 257), "C", 1), ((3, 4, 4), "F", 2),
+        ((4, 4), "F", 1),
     ])
     def test_hermiticity_norms_per_matrix_outside_the_pinned_sizes(
             self, shape, layout, per_matrix, monkeypatch):
+        """Every size and layout takes the stacked norms; the per-matrix _tamed runs
+        only for the ``per_matrix`` leading matrices, whose norm reaches 2^1000."""
         m = np.zeros(shape, dtype=complex)
         m[..., 0, 0] = 1.0
+        m.reshape((-1,) + shape[-2:])[:per_matrix, 0, 0] = 1e308
         if layout == "F":
             m = np.asfortranarray(m)
         calls = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chanpolar import channel as chn
-from chanpolar import genlib, metrics, polar, suites
+from chanpolar import bounds, genlib, metrics, polar, suites
 from chanpolar.errors import DimensionMismatch, ParamOutOfRange, TargetNotUnitary
 
 I2 = np.eye(2, dtype=complex)
@@ -134,7 +134,8 @@ class TestUpsilon:
 class TestStackedFigures:
     """Phi and Upsilon of a list of channels, one stack per Kraus shape, have
     the bits of the single calls and of the per-channel formulas they
-    replace, for operators and targets in any memory layout."""
+    replace, for operators and targets in any memory layout: any layout
+    gives the bits of its C-contiguous copy."""
 
     def test_equal_single_calls(self):
         d = 3
@@ -159,10 +160,45 @@ class TestStackedFigures:
         ups = metrics._upsilons(chans)
         phis = metrics._phis(chans, targets)
         for ch, u, up, ph in zip(chans, targets, ups.tolist(), phis.tolist(), strict=True):
-            d = ch.dim
-            assert up == metrics.upsilon(ch) == float(np.linalg.norm(chn._gram(ch.kraus)) / d)
-            traces = np.einsum("kij,ij->k", ch.kraus, u.conj())
+            d, k, u = ch.dim, np.ascontiguousarray(ch.kraus), np.ascontiguousarray(u)
+            assert up == metrics.upsilon(ch) == float(np.linalg.norm(chn._gram(k)) / d)
+            traces = np.einsum("kij,ij->k", k, u.conj())
             assert ph == metrics.phi(ch, u) == float(np.sum(np.abs(traces) ** 2) / d**2)
+
+
+def layouts(a) -> list:
+    """C-ordered, Fortran-ordered and transposed-view copies of one array's values."""
+    return [np.array(a, order="C"), np.asfortranarray(a),
+            np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)]
+
+
+class TestLayoutInvariance:
+    """Results depend only on the values of a target or a Kraus stack: every memory
+    layout gives the bits of the C-contiguous copy, which is what ``src/`` keeps."""
+
+    @staticmethod
+    def figures(kraus, u, dec, v) -> list:
+        """Every figure under test, as reprs (equal reprs are equal bits)."""
+        d = u.shape[0]
+        ch = chn.KrausChannel(dim=d, kraus=kraus)
+        circ = bounds.CircuitSpec([chn.KrausChannel(dim=d, kraus=dec)] * 3)
+        return [repr(x) for x in (
+            metrics.phi(ch, u), metrics.upsilon(ch), metrics.report(ch, u).as_dict(),
+            polar.infidelity_split(ch, u).as_dict(),
+            polar.channel_polar(ch).singular_values.tolist(),
+            bounds.thm4_decoherent_features(circ, v)[0].observed,
+            bounds.thm8_equable_composition(v, circ).observed)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_every_layout_gives_the_bits_of_the_c_copy(self, d):
+        for seed in range(6):
+            kraus = genlib.random_cptp(d, 1 + seed % 4, seed=seed, strength=0.2).kraus
+            u = genlib.random_unitary(d, seed=100 + seed)
+            dec = genlib.psd_lk_decoherent(d, 0.08, seed=200 + seed).kraus
+            v = genlib.random_unitary_error(d, 0.1, seed=300 + seed).kraus[0]
+            want = self.figures(kraus, u, dec, v)
+            for args in zip(layouts(kraus), layouts(u), layouts(dec), layouts(v)):
+                assert self.figures(*args) == want
 
 
 class TestUpsilonCache:
