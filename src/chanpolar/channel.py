@@ -118,13 +118,12 @@ def validate_cptp(ch: KrausChannel) -> CptpValidation:
     A Kraus representation is CP by construction, so ``cp_slack`` (the most
     negative Choi eigenvalue) is exactly 0; a Choi matrix is checked for CP
     by :func:`from_choi`.  ``tp_slack`` is ``||sum A_i^dag A_i - I||_2``
-    and ``ok`` requires tp_slack <= 1e-9; it is +inf only where the norm
-    exceeds the float range.
+    and ``ok`` requires tp_slack <= 1e-9; it is +inf where the norm
+    overflows, NaN where an entry of the sum is inf - inf.
     """
-    k = ch.kraus
-    acc = np.einsum("kij,kil->jl", k.conj(), k)
-    _, size, e = matcore._tamed(acc - np.eye(ch.dim))
-    tp_slack = size * 2.0 ** (e - 1) * 2.0  # a Python float: overflows to inf
+    acc = np.einsum("kij,kil->jl", ch.kraus.conj(), ch.kraus)
+    with np.errstate(over="ignore"):
+        tp_slack = float(np.linalg.norm(acc - np.eye(ch.dim)))
     return CptpValidation(
         dim=ch.dim, cp_slack=0.0, tp_slack=tp_slack, ok=tp_slack <= TP_TOL
     )
@@ -187,9 +186,9 @@ def from_choi(choi: np.ndarray):
     another shape raises :class:`DimensionMismatch`.  Eigenvalues below
     ``1e-12*d`` are dropped as float noise; an eigenvalue below
     ``-1e-10*max(d, lambda_max)`` raises :class:`NotCP` (for a CPTP map
-    lambda_max <= tr C = d).  A spectrum beyond the float range is
-    decomposed as that of C/4^256, with the square roots scaled back and
-    the weights +inf.  A stack of Choi matrices gives the list of views.
+    lambda_max <= tr C = d).  A matrix whose norm overflows is refused
+    with :class:`ChanPolarError` by :func:`matcore.hermitian_eig`, so every
+    eigenvalue is finite.  A stack of Choi matrices gives the list of views.
     """
     m = matcore.as_complex_matrix(choi, "choi", stacked=True)
     d = math.isqrt(m.shape[-1])
@@ -197,26 +196,16 @@ def from_choi(choi: np.ndarray):
         raise DimensionMismatch(
             f"choi must be d^2 x d^2 for some d >= 1, got {m.shape}"
         )
-    stack = m.reshape((-1, d * d, d * d))
     floor = CHOI_DROP_TOL * d
-    eig = matcore.hermitian_eig(stack, drop_floor=floor)
+    eig = matcore.hermitian_eig(m.reshape((-1, d * d, d * d)), drop_floor=floor)
     vals, vecs = eig.values, eig.vectors
-    big = vals[:, 0] == np.inf
-    root = np.where(big, 2.0**256, 1.0)  # the square root of the factor each C was divided by
-    if big.any():
-        eig = matcore.hermitian_eig(stack[big] / 2.0**512, drop_floor=floor / 2.0**512)
-        vals[big], vecs[big] = eig.values, eig.vectors
     for i in (vals[:, -1] < -CP_EIG_TOL * np.maximum(d, vals[:, 0])).nonzero()[0][:1]:
-        raise NotCP(f"Choi eigenvalue {float(vals[i, -1]) * root[i]**2:.3e} below CP floor")
-    keep = vals > (floor / root**2)[:, None]
-    counts = keep.sum(axis=1)
-    vals, root = vals[keep], root.repeat(counts)
+        raise NotCP(f"Choi eigenvalue {float(vals[i, -1]):.3e} below CP floor")
+    keep = vals > floor
+    vals = vals[keep]
     # each kept column v as the matrix M with col(M) = v
     cols = vecs.swapaxes(1, 2)[keep].reshape(-1, d, d).swapaxes(1, 2)
-    ops = (np.sqrt(vals) * root)[:, None, None] * cols
-    with np.errstate(over="ignore"):
-        weights = vals / d * root**2
-    views = _canonical_views(ops, weights, counts.tolist())
+    views = _canonical_views(np.sqrt(vals)[:, None, None] * cols, vals / d, keep.sum(1).tolist())
     return views if m.ndim > 2 else views[0]
 
 

@@ -86,9 +86,9 @@ def _reading(path: str):
     A ``ParamOutOfRange`` from a family spec counts as unreadable input;
     every other ``ChanPolarError`` passes through as a domain error.
     ``OSError`` is an unreadable file, ``ValueError`` bad JSON or a field
-    its table refuses, ``TypeError`` a matrix entry that is an object and
+    its table refuses, ``TypeError`` a matrix entry that is an object,
     ``OverflowError`` an integer entry beyond the float range or a family
-    ``dim`` beyond the index range.
+    ``dim`` beyond the index range and ``RecursionError`` JSON nested too deep.
     """
     try:
         yield
@@ -96,7 +96,7 @@ def _reading(path: str):
         raise _ParseError(str(exc)) from exc
     except ChanPolarError:
         raise
-    except (OSError, ValueError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise _ParseError(f"cannot parse {path}: {exc}") from exc
 
 

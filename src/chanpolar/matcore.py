@@ -35,7 +35,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotContraction, NotHermitian
+from .errors import ChanPolarError, DimensionMismatch, NoConvergence, NotContraction, NotHermitian
 
 HERMITICITY_RTOL = 1e-8
 DEGENERACY_TOL = 1e-10
@@ -137,20 +137,6 @@ def _order_blocks(w: list, v: np.ndarray, drop_floor: float):
             v[:, start:stop] = v[:, order]
 
 
-def _tamed(a: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """``(A 2^-e, ||A 2^-e||_2, e)``: e is 0 while ``||A||_2`` is below
-    2^1000 or A holds a non-finite entry, else the exponent that brings
-    every entry below 1, so that no norm of the scaled matrix overflows
-    (the scaling is exact)."""
-    with np.errstate(over="ignore"):
-        size = float(np.linalg.norm(a))
-    if size < 2.0**1000 or not np.isfinite(a).all():
-        return a, size, 0
-    e = int(np.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1])
-    a = a * 2.0**-e
-    return a, float(np.linalg.norm(a)), e
-
-
 def _norms(a: np.ndarray) -> np.ndarray:
     """Each matrix's ``np.linalg.norm`` in its dot form, sqrt(re.re + im.im)
     over the entries in C order: its bits for a C-contiguous matrix, one or a stack."""
@@ -159,19 +145,20 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 
 def _require_hermitian(a: np.ndarray, names=("matrix",)) -> np.ndarray:
-    """``||A - A^dag||_2 > HERMITICITY_RTOL ||A||_2`` raises for the first such matrix A of a
-    stack, the i-th named ``names[i % len(names)]``; the norms by :func:`_norms`, or where
-    ``||A||_2`` reaches 2^1000 of :func:`_tamed` A.  Returns the (N, n, n) Hermitian parts
-    A / 2 + A^dag / 2 (A + A^dag could overflow)."""
+    """The first matrix A of a stack, the i-th named ``names[i % len(names)]``, that fails
+    raises: :class:`ChanPolarError` where ``||A||_2`` overflows, :class:`NotHermitian` where
+    ``||A - A^dag||_2 > HERMITICITY_RTOL ||A||_2``; the norms by :func:`_norms`.  Returns the
+    (N, n, n) Hermitian parts A / 2 + A^dag / 2."""
     items = a.reshape((-1,) + a.shape[-2:])
     adj = np.conj(items).swapaxes(-1, -2)
     with np.errstate(over="ignore"):
         size, skew = _norms(items), _norms(items - adj)
-    for i in (~(size < 2.0**1000)).nonzero()[0]:
-        item, size[i], _ = _tamed(items[i])
-        skew[i] = np.linalg.norm(item - item.conj().T)
-    for i in (skew > HERMITICITY_RTOL * np.maximum(size, 1e-300)).nonzero()[0][:1].tolist():
-        raise NotHermitian(f"{names[i % len(names)]} is not Hermitian within tolerance")
+    refused = (size == np.inf) | (skew > HERMITICITY_RTOL * np.maximum(size, 1e-300))
+    for i in refused.nonzero()[0][:1]:
+        name = names[i % len(names)]
+        if size[i] == np.inf:
+            raise ChanPolarError(f"{name} has a norm beyond the float range")
+        raise NotHermitian(f"{name} is not Hermitian within tolerance")
     return items / 2.0 + adj / 2.0
 
 
@@ -187,6 +174,8 @@ def hermitian_eig(m, drop_floor: float = -np.inf) -> HermitianEig:
 
     Raises
     ------
+    ChanPolarError
+        when ``||M||_2`` overflows (entries above about 1e154) for a matrix.
     NotHermitian
         when ``||M - M^dag||_2 > HERMITICITY_RTOL * ||M||_2`` for a matrix.
     NoConvergence
@@ -241,7 +230,8 @@ def polar_decompose(a) -> MatrixPolar:
     block so that it is closest (Frobenius) to the identity among all valid
     completions; this keeps the factor continuous with nearby full-rank
     inputs.  A stack takes one SVD call; rank-deficient matrices are completed
-    one by one.
+    one by one.  A matrix whose largest singular value s_1 exceeds the float maximum
+    over 2n raises :class:`ChanPolarError`: s_1 n 1e-12 or P + P^dag could overflow.
     """
     a = _require_square(as_complex_matrix(a, "A", stacked=True), "A")
     n = a.shape[-1]
@@ -249,6 +239,8 @@ def polar_decompose(a) -> MatrixPolar:
         u, s, wh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NoConvergence(str(exc)) from exc
+    if n and (s[..., 0] > np.finfo(float).max / (2 * n)).any():  # n = 0: no s_1
+        raise ChanPolarError("A has a norm beyond the float range")
     w = np.conj(wh).swapaxes(-1, -2)
     rank = np.sum(s > s[..., :1] * n * 1e-12, axis=-1)  # 0 for the zero matrix
     full = rank == n

@@ -210,7 +210,6 @@ def _spectrum_constants(values: np.ndarray, kappa: float = DEFAULT_KAPPA):
     ``np.mean``/``np.std`` can differ in the last bit on a reversed array,
     so every caller keeps the order in which it obtains its spectrum.
     """
-    values = np.asarray(values)
     mean_pert = np.mean(1.0 - values, axis=-1)
     zero = mean_pert <= _ZERO_PERTURBATION
     mean_pert = np.where(zero, 1.0, mean_pert)

@@ -531,6 +531,14 @@ class TestCoherentEnvelope:
         with pytest.raises(RatioOutOfRange):
             bounds.coherent_envelope([0.9, np.nan], d)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ratio_at_the_noise_allowance(self, d):
+        """1 + 1e-9 is the largest ratio read as float noise; the next float is refused."""
+        env = bounds.coherent_envelope([1.0 + 1e-9], d)
+        assert env.clipped and env.lower == 1.0
+        with pytest.raises(RatioOutOfRange, match=r"^each Phi/Upsilon ratio must lie in"):
+            bounds.coherent_envelope([np.nextafter(1.0 + 1e-9, 2.0)], d)
+
     def test_float_noise_clipped(self):
         env = bounds.coherent_envelope([1.0 + 5e-10], 2)
         assert env.clipped

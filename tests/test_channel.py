@@ -1,12 +1,13 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from chanpolar import channel as chn
 from chanpolar import genlib, matcore, metrics, polar, suites
-from chanpolar.errors import DegenerateLeading, DimensionMismatch, NotCP
+from chanpolar.errors import ChanPolarError, DegenerateLeading, DimensionMismatch, NotCP
 from wire_format import choi_to_json
 
 I2 = np.eye(2, dtype=complex)
@@ -56,6 +57,13 @@ class TestValidateCptp:
         rep = chn.validate_cptp(ch)
         assert not rep.ok
         assert rep.tp_slack == pytest.approx(np.sqrt(2.0))  # ||2I - I||_2 at d=2
+
+    @pytest.mark.parametrize("scale", [1e100, 1e200])
+    def test_overflowing_tp_slack_is_inf(self, scale):
+        """sum A^dag A - I has an overflowing norm at 1e100 and overflowing
+        entries at 1e200: tp_slack is +inf either way, without a warning."""
+        rep = chn.validate_cptp(chn.KrausChannel.from_ops([scale * I2]))
+        assert rep.tp_slack == np.inf and not rep.ok
 
 
 class TestChoiConversions:
@@ -140,6 +148,14 @@ class TestCanonical:
         ch = chn.KrausChannel.from_ops([X / np.sqrt(2.0), Y / np.sqrt(2.0)])
         canon = chn.canonical(ch)
         assert canon.degenerate_leading
+
+    def test_overflowing_trace_meets_the_non_finite_guard(self):
+        """The Gram route takes |A|^2 = inf and tr A = inf, so the phase fix
+        writes NaN, which the views' non-finite guard refuses."""
+        ch = chn.KrausChannel(2, [np.diag([1.5e308, 1.5e308])])
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="^Kraus operators contain non-finite entries$"):
+            chn.canonical(ch)
 
     def test_equals_from_choi_route(self):
         ch = genlib.random_cptp(2, 3, seed=12)
@@ -260,21 +276,33 @@ class TestStackedCanonical:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_from_choi_stack(self, d, monkeypatch):
         # Kraus counts 1 to d^2 keep 1 to d^2 operators; the remixed
-        # depolarizing channel has a degenerate Choi block above the floor;
-        # the last Choi matrix is scaled past the float range of its spectrum
+        # depolarizing channel has a degenerate Choi block above the floor
         chans = [genlib.random_cptp(d, k, seed=k) for k in range(1, d * d + 1)]
         chans.append(remixed(genlib.depolarizing(d, 0.9), seed=d))
-        chois = np.stack([chn.to_choi(c) for c in chans] + [chn.to_choi(chans[1]) * 1e308])
+        chois = np.stack([chn.to_choi(c) for c in chans])
         sorted_cols = []
         lex_key = matcore._lex_key
         monkeypatch.setattr(matcore, "_lex_key",
                             lambda col: sorted_cols.append(1) or lex_key(col))
         views = chn.from_choi(chois)
         assert len(sorted_cols) == d * d - 1  # the depolarizing block alone
-        assert [v.n_kraus for v in views[:-1]] == list(range(1, d * d + 1)) + [d * d]
-        assert np.linalg.eigvalsh(chois[-1])[-1] == np.inf
+        assert [v.n_kraus for v in views] == list(range(1, d * d + 1)) + [d * d]
         for choi, view in zip(chois, views):
             assert_same_view(view, chn.from_choi(choi))
+
+    @pytest.mark.parametrize("scale", [1e155, 1e308])
+    def test_from_choi_stack_refuses_an_overflowing_item(self, scale):
+        """A Choi matrix whose norm overflows is refused, alone or anywhere in a
+        stack, before any spectrum is taken; 1e153 is still decomposed."""
+        choi = chn.to_choi(genlib.random_cptp(2, 2, seed=1))
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(choi * 1e155) == np.inf > np.linalg.norm(choi * 1e153)
+        message = "^matrix has a norm beyond the float range$"
+        for chois in (choi * scale, np.stack([choi, choi * scale, choi])):
+            with pytest.raises(ChanPolarError, match=message) as info:
+                chn.from_choi(chois)
+            assert type(info.value) is ChanPolarError
+        assert chn.from_choi(choi * 1e153).weights[0] > 1e152
 
     def test_from_choi_stack_refuses_a_non_cp_item(self):
         chois = np.stack([chn.to_choi(genlib.depolarizing(2, 0.5)),
@@ -383,6 +411,20 @@ class TestLk:
         ch = chn.KrausChannel.from_ops([I2 / np.sqrt(2.0), X / np.sqrt(2.0)])
         with pytest.warns(UserWarning, match="catastrophic"):
             chn.lk(ch)
+
+    def test_warns_at_one_half_exactly(self):
+        """{|0><0|, |1><1|} has w_1 = 1/2 exactly and warns; one ulp above
+        1/2 (A_1 = diag(1, 2^-26), w_1 = (1 + 2^-52) / 2) does not."""
+        ch = chn.KrausChannel.from_ops([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        assert ch.w1 == 0.5
+        with pytest.warns(UserWarning, match=r"^leading Kraus weight 0\.5000 <= 1/2"):
+            chn.lk(ch)
+        lower = np.sqrt(1.0 - 2.0**-52) * np.array([[0.0, 1.0], [0.0, 0.0]])  # orthogonal to A_1
+        above = chn.KrausChannel.from_ops([np.diag([1.0, 2.0**-26]), lower])
+        assert above.w1 == np.nextafter(0.5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chn.lk(above)
 
     def test_strict_degenerate_raises(self):
         # lk reports a degenerate leading weight through the flag; the

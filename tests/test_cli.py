@@ -631,6 +631,13 @@ class TestSweepConfigTypes:
         assert f"'{key}'" in json.loads(cap.err)["detail"]
         assert cap.out == "" and files == ["cfg.json"]
 
+    def test_spiral_off_its_dimension_exit_2(self, tmp_path, monkeypatch, capsys):
+        fam = {"family": "spiral", "dim": 2, "params": {"alpha": 0.5}}
+        code, cap, files = self.run(tmp_path, monkeypatch, capsys, json.dumps({"family": fam}))
+        assert code == 2
+        assert json.loads(cap.err) == {"error": "parse", "detail": "spiral is a d = 3 construction"}
+        assert cap.out == "" and files == ["cfg.json"]
+
     @pytest.mark.parametrize("family", ["random_cptp", "psd_lk_decoherent"])
     def test_generator_beyond_the_eigensolver_size_exit_2(
             self, tmp_path, monkeypatch, capsys, family):
@@ -731,7 +738,8 @@ class TestChoiFileErrors:
 
     def test_overflowing_norms_still_not_hermitian(self, tmp_path, capsys):
         """An imaginary part of -1e308 on the last diagonal entry makes both
-        norms of the Hermiticity check overflow; the file is still refused."""
+        norms of the Hermiticity check overflow; the file is refused before the
+        Hermiticity verdict, as a matrix beyond the float range."""
         inputs = Path(__file__).parent / "golden" / "inputs"
         doc = json.loads((inputs / "random_cptp-d2-choi.json").read_text())
         doc["choi"][15][1] = -1e308
@@ -742,19 +750,20 @@ class TestChoiFileErrors:
             assert main(["decompose", "--in", str(p)]) == 3
         assert [str(w.message) for w in caught] == []
         assert json.loads(capsys.readouterr().err) == {
-            "error": "domain", "detail": "matrix is not Hermitian within tolerance",
+            "error": "domain", "detail": "matrix has a norm beyond the float range",
         }
 
 
     @pytest.mark.parametrize("scale, tp", [
-        (1e300, "1.414e+300"), (1e306, "1.414e+306"), (1e308, "1.414e+308"),
+        (1e150, "1.414e+150"), (1e300, "1.414e+300"), (1e306, "1.414e+306"),
+        (1e308, "1.414e+308"),
     ])
     def test_huge_finite_choi_is_not_trace_preserving(self, tmp_path, capsys,
                                                       scale, tp):
-        """A CPTP Choi file scaled near the top of the float range is refused
-        for trace preservation, without a numpy warning: its Hermitian part,
-        CP floor and tp_slack do not overflow, and at 1e308, where the top
-        eigenvalue does, the spectrum is taken scaled down."""
+        """A CPTP Choi file scaled by ``scale`` is ``tp`` away from trace
+        preserving.  It exits 3 without a numpy warning: for trace preservation
+        while its norm is finite (1e150), and above about 1e154, where the
+        norm overflows, as a matrix beyond the float range."""
         inputs = Path(__file__).parent / "golden" / "inputs"
         doc = json.loads((inputs / "random_cptp-d2-choi.json").read_text())
         doc["choi"] = [[re * scale, im * scale] for re, im in doc["choi"]]
@@ -764,10 +773,9 @@ class TestChoiFileErrors:
             warnings.simplefilter("always")
             assert main(["metrics", "--in", str(p)]) == 3
         assert [str(w.message) for w in caught] == []
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "domain",
-            "detail": f"{p} is not CPTP (cp_slack=0.000e+00, tp_slack={tp})",
-        }
+        detail = (f"{p} is not CPTP (cp_slack=0.000e+00, tp_slack={tp})" if scale < 1e154
+                  else "matrix has a norm beyond the float range")
+        assert json.loads(capsys.readouterr().err) == {"error": "domain", "detail": detail}
 
 
 class TestErrorPaths:
@@ -872,6 +880,22 @@ class TestErrorPaths:
             "family": {"family": "identity", "dim": 32},
         }))
         assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "p.csv")]) == 0
+
+    @pytest.mark.parametrize("flag", ["--in", "--target", "--config"])
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys, flag):
+        """json.load raises RecursionError on an array nested 200,000 deep:
+        the file is unreadable input, not an internal error."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        good = write_channel(tmp_path / "id.json", genlib.identity_channel(2))
+        argv = {"--in": ["metrics", "--in", str(deep)],
+                "--target": ["metrics", "--in", good, "--target", str(deep)],
+                "--config": ["sweep", "--config", str(deep)]}[flag]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "parse"
+        assert json.loads(err)["detail"].startswith(f"cannot parse {deep}: maximum recursion")
 
     def test_missing_input_file_exit_2(self, tmp_path, capsys):
         assert main(["metrics", "--in", str(tmp_path / "absent.json")]) == 2

@@ -315,11 +315,30 @@ class TestFamilySpec:
             (genlib.psd_lk_decoherent, (2, 0.5, 0)),
             (genlib.spiral, (2.0,)),
             (genlib.coherence_mix, (0.5, 0.5)),
+            (genlib.random_unitary, (0, 0)),
         ],
     )
     def test_param_out_of_range(self, fn, args):
         with pytest.raises(ParamOutOfRange):
             fn(*args)
+
+    @pytest.mark.parametrize("fn, args, inside, message", [
+        (genlib.extremal_dephaser, (4, 0.01, 0, 0.2, 1), (4, 0.01, 1, 0.2, 1),
+         r"n_outliers must be in \(0, d\)"),
+        (genlib.extremal_dephaser, (4, 0.01, 4, 0.2, 1), (4, 0.01, 3, 0.2, 1),
+         r"n_outliers must be in \(0, d\)"),
+        (genlib.spiral, (0.5, 2), (0.5, 3), "spiral is a d = 3 construction"),
+        (genlib.spiral, (0.5, 4), (0.5, 3), "spiral is a d = 3 construction"),
+        (genlib.coherence_mix, (1e-3, 0.5, 3), (1e-3, 0.5, 2),
+         "coherence_mix is a d = 2 construction"),
+    ], ids=["dephaser-0-outliers", "dephaser-d-outliers", "spiral-d2", "spiral-d4",
+            "coherence_mix-d3"])
+    def test_range_check_message(self, fn, args, inside, message):
+        """Each range check refuses with its own message, and the values one
+        step inside its range build a CPTP channel."""
+        with pytest.raises(ParamOutOfRange, match=f"^{message}$"):
+            fn(*args)
+        assert chn.validate_cptp(fn(*inside)).ok
 
 
 class TestClassificationLabels:

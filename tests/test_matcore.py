@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chanpolar import matcore
-from chanpolar.errors import DimensionMismatch, NotContraction, NotHermitian
+from chanpolar.errors import ChanPolarError, DimensionMismatch, NotContraction, NotHermitian
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -53,10 +53,25 @@ class TestHermitianEig:
             matcore.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_hermiticity_check_where_the_norms_overflow(self):
-        big = 1e308
-        matcore._require_hermitian(np.array([[big, 1j * big], [-1j * big, big]]), "M")
+        """A matrix whose norm overflows is refused whether or not it is
+        Hermitian; at 1e153 the norms are finite and the verdict is taken.  In a
+        stack, the first failing matrix decides which error is raised."""
+        message = "^M has a norm beyond the float range$"
+        for big in (1e155, 1e308):
+            hermitian = np.array([[big, 1j * big], [-1j * big, big]])
+            for m in (hermitian, np.diag([big, big - 1j * big])):
+                with pytest.raises(ChanPolarError, match=message) as info:
+                    matcore._require_hermitian(m, ("M",))
+                assert type(info.value) is ChanPolarError
+        big = 1e153
+        matcore._require_hermitian(np.array([[big, 1j * big], [-1j * big, big]]), ("M",))
         with pytest.raises(NotHermitian):
-            matcore._require_hermitian(np.diag([big, big - 1j * big]), "M")
+            matcore._require_hermitian(np.diag([big, big - 1j * big]), ("M",))
+        skew, huge = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1e308, 1.0])
+        with pytest.raises(NotHermitian, match="^B is not Hermitian"):
+            matcore._require_hermitian(np.stack([np.eye(2), skew, huge]), ("A", "B"))
+        with pytest.raises(ChanPolarError, match="^B has a norm beyond the float range$"):
+            matcore._require_hermitian(np.stack([np.eye(2), huge, skew]), ("A", "B"))
 
     def test_degenerate_flag_and_determinism(self):
         rng = np.random.default_rng(3)
@@ -117,6 +132,27 @@ class TestPolarDecompose:
         sv = pol.singular_values
         assert pol.rank == int(np.sum(sv > sv[0] * 3 * 1e-12))
         assert (pol.rank == 3) == bool(sv[-1] > sv[0] * 3 * 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_largest_accepted_singular_value(self, n):
+        """s_1 = max / 2n is decomposed, without a warning, and its next float is refused."""
+        top = np.finfo(float).max / (2 * n)
+        pol = matcore.polar_decompose(top * np.eye(n))
+        assert pol.rank == n and np.array_equal(pol.unitary, np.eye(n))
+        assert np.array_equal(pol.psd, top * np.eye(n))
+        with pytest.raises(ChanPolarError, match="^A has a norm beyond the float range$"):
+            matcore.polar_decompose(np.nextafter(top, np.inf) * np.eye(n))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+    def test_empty_matrices(self, shape):
+        pol = matcore.polar_decompose(np.zeros(shape))
+        assert pol.unitary.shape == pol.psd.shape == shape and np.all(pol.rank == 0)
+
+    def test_phase_is_one_where_the_trace_vanishes(self):
+        pol = matcore.polar_decompose(X)  # tr V = tr X = 0
+        assert not pol.phase_fixed and pol.phase == 1.0
+        assert np.array_equal(pol.unitary, X)
+
     def test_identity(self):
         pol = matcore.polar_decompose(np.eye(3))
         assert np.allclose(pol.unitary, np.eye(3), atol=1e-12)
@@ -266,19 +302,26 @@ class TestStackedKernels:
         ((4, 4), "F", 1),
     ])
     def test_hermiticity_norms_per_matrix_outside_the_pinned_sizes(
-            self, shape, layout, per_matrix, monkeypatch):
-        """Every size and layout takes the stacked norms; the per-matrix _tamed runs
-        only for the ``per_matrix`` leading matrices, whose norm reaches 2^1000."""
+            self, shape, layout, per_matrix):
+        """Every size and layout takes the stacked norms: the stack is refused at the
+        first of its ``per_matrix`` leading 1e308 matrices, each of which is refused
+        alone, and the Hermitian matrices after them pass."""
         m = np.zeros(shape, dtype=complex)
         m[..., 0, 0] = 1.0
         m.reshape((-1,) + shape[-2:])[:per_matrix, 0, 0] = 1e308
         if layout == "F":
             m = np.asfortranarray(m)
-        calls = []
-        tamed = matcore._tamed
-        monkeypatch.setattr(matcore, "_tamed", lambda a: calls.append(1) or tamed(a))
-        matcore._require_hermitian(m, "M")
-        assert len(calls) == per_matrix
+        items = m.reshape((-1,) + shape[-2:])
+        names = tuple(f"M{i}" for i in range(len(items)))
+        if per_matrix:
+            with pytest.raises(ChanPolarError, match="^M0 has a norm beyond the float range$"):
+                matcore._require_hermitian(m, names)
+        for item in items[:per_matrix]:
+            with pytest.raises(ChanPolarError, match="^M has a norm beyond the float range$"):
+                matcore._require_hermitian(item, ("M",))
+        if per_matrix < len(items):
+            parts = matcore._require_hermitian(items[per_matrix:], names)
+            assert np.array_equal(parts, items[per_matrix:])
 
     def test_hermiticity_verdict_at_the_tolerance(self):
         """Matrices H + tK (K anti-Hermitian) on both sides of the last float
@@ -434,6 +477,23 @@ class TestAppendixReports:
     """The three checks return the one verification record under their
     theorem names, with the slack to the nearer side."""
 
+    def test_report_fields_are_python_floats(self):
+        rep = matcore.make_report("t", np.float64(0.5), np.float32(0.25), np.float64(1.0))
+        for value in (rep.observed, rep.lower, rep.upper, rep.slack):
+            assert type(value) is float
+        assert (rep.observed, rep.lower, rep.upper, rep.slack) == (0.5, 0.25, 1.0, 0.25)
+
+    @pytest.mark.parametrize("observed, holds", [
+        (1.0 + 1e-10, True), (1.0 + 5e-10, False), (-1e-10, True), (-5e-10, False),
+    ])
+    def test_checks_hold_within_ineq_tol_not_holds_tol(self, observed, holds):
+        """The checks' rows hold within INEQ_TOL (1e-10) of [0, 1], tighter than
+        make_report's HOLDS_TOL (1e-9), which holds all four rows."""
+        assert matcore.INEQ_TOL < 5e-10 < matcore.HOLDS_TOL
+        rep = matcore._reports("t", np.eye(2), [(observed, 0.0, 1.0)])
+        assert rep.holds is holds
+        assert matcore.make_report("t", observed, 0.0, 1.0).holds
+
     @pytest.mark.parametrize("check, theorem", [
         (matcore.check_trace_inequality, "appendix_trace"),
         (matcore.check_vn_inequality, "appendix_vn"),
@@ -514,6 +574,25 @@ REFUSALS = {
     "pair size mismatch": (
         lambda: matcore.check_norm_inequality(np.eye(2), np.eye(3)),
         DimensionMismatch, "A and B must share a dimension",
+    ),
+    "eig of a norm beyond the float range": (
+        lambda: matcore.hermitian_eig(np.diag([1e155, 1.0])),
+        ChanPolarError, "matrix has a norm beyond the float range",
+    ),
+    # s_1 n overflows, so the rank threshold would be inf: the Hadamard
+    # matrix's polar factor would be completed to the identity at rank 0
+    "polar with s_1 n beyond the float range": (
+        lambda: matcore.polar_decompose(1.2e308 * np.array([[1.0, 1.0], [1.0, -1.0]])),
+        ChanPolarError, "A has a norm beyond the float range",
+    ),
+    # s_1 < max but s_1 2n > max: P + P^dag or the rank threshold would overflow
+    "polar with s_1 above max / 2n at n = 1": (
+        lambda: matcore.polar_decompose([[1.5e308]]),
+        ChanPolarError, "A has a norm beyond the float range",
+    ),
+    "polar with s_1 above max / 2n at n = 4, in a stack": (
+        lambda: matcore.polar_decompose(np.stack([np.eye(4), 1e308 * np.eye(4)])),
+        ChanPolarError, "A has a norm beyond the float range",
     ),
 }
 
