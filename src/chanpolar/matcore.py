@@ -144,21 +144,29 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def _require_hermitian(a: np.ndarray, names=("matrix",)) -> np.ndarray:
-    """The first matrix A of a stack, the i-th named ``names[i % len(names)]``, that fails
-    raises: :class:`ChanPolarError` where ``||A||_2`` overflows, :class:`NotHermitian` where
-    ``||A - A^dag||_2 > HERMITICITY_RTOL ||A||_2``; the norms by :func:`_norms`.  Returns the
-    (N, n, n) Hermitian parts A / 2 + A^dag / 2."""
-    items = a.reshape((-1,) + a.shape[-2:])
-    adj = np.conj(items).swapaxes(-1, -2)
+def _require_in_range(a: np.ndarray, names=("matrix",), adj=None) -> None:
+    """The float-range rule: the first failing matrix A of a stack, the i-th in C order
+    named ``names[i % len(names)]``, raises :class:`ChanPolarError` where ``||A||_2``
+    (:func:`_norms`) overflows, above about 1e154, or, given ``adj`` = A^dag,
+    :class:`NotHermitian` where ``||A - A^dag||_2 > HERMITICITY_RTOL ||A||_2``."""
     with np.errstate(over="ignore"):
-        size, skew = _norms(items), _norms(items - adj)
-    refused = (size == np.inf) | (skew > HERMITICITY_RTOL * np.maximum(size, 1e-300))
+        size = _norms(a).ravel()
+        refused = size == np.inf
+        if adj is not None:
+            refused |= _norms(a - adj) > HERMITICITY_RTOL * np.maximum(size, 1e-300)
     for i in refused.nonzero()[0][:1]:
         name = names[i % len(names)]
         if size[i] == np.inf:
             raise ChanPolarError(f"{name} has a norm beyond the float range")
         raise NotHermitian(f"{name} is not Hermitian within tolerance")
+
+
+def _require_hermitian(a: np.ndarray, names=("matrix",)) -> np.ndarray:
+    """The (N, n, n) Hermitian parts A / 2 + A^dag / 2 of a stack that passes
+    :func:`_require_in_range` with ``adj``."""
+    items = a.reshape((-1,) + a.shape[-2:])
+    adj = np.conj(items).swapaxes(-1, -2)
+    _require_in_range(items, names, adj)
     return items / 2.0 + adj / 2.0
 
 
@@ -230,17 +238,16 @@ def polar_decompose(a) -> MatrixPolar:
     block so that it is closest (Frobenius) to the identity among all valid
     completions; this keeps the factor continuous with nearby full-rank
     inputs.  A stack takes one SVD call; rank-deficient matrices are completed
-    one by one.  A matrix whose largest singular value s_1 exceeds the float maximum
-    over 2n raises :class:`ChanPolarError`: s_1 n 1e-12 or P + P^dag could overflow.
+    one by one.  A matrix whose ``||A||_2`` overflows raises :class:`ChanPolarError`
+    (:func:`_require_in_range`); s_1 <= ||A||_2 keeps s_1 n 1e-12 and P + P^dag finite.
     """
     a = _require_square(as_complex_matrix(a, "A", stacked=True), "A")
+    _require_in_range(a, ("A",))
     n = a.shape[-1]
     try:
         u, s, wh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NoConvergence(str(exc)) from exc
-    if n and (s[..., 0] > np.finfo(float).max / (2 * n)).any():  # n = 0: no s_1
-        raise ChanPolarError("A has a norm beyond the float range")
     w = np.conj(wh).swapaxes(-1, -2)
     rank = np.sum(s > s[..., :1] * n * 1e-12, axis=-1)  # 0 for the zero matrix
     full = rank == n
@@ -263,14 +270,8 @@ def polar_decompose(a) -> MatrixPolar:
     np.multiply(v, np.conj(phase)[..., None, None], out=v, where=fixed[..., None, None])
     if a.ndim == 2:
         fixed, phase, rank = fixed.item(), phase.item(), rank.item()
-    return MatrixPolar(
-        unitary=v,
-        psd=psd,
-        phase_fixed=fixed,
-        phase=phase,
-        singular_values=s,
-        rank=rank,
-    )
+    return MatrixPolar(unitary=v, psd=psd, phase_fixed=fixed, phase=phase,
+                       singular_values=s, rank=rank)
 
 
 @dataclass(kw_only=True)

@@ -1,6 +1,6 @@
 """Seeded mutation probe of ``src/chanpolar`` against tier-1.
 
-    python tests/mutate.py [--per-module N] [--seed S] [--modules a,b,...] [--timeout T]
+    python tests/mutate.py [--per-module N] [--seed S]
 
 Run from anywhere; it takes the checkout this file sits in.  It copies the
 checkout (without ``.git``) into a temporary directory and draws ``N`` mutants
@@ -16,8 +16,8 @@ a ``random.Random`` seeded with ``S`` and the module name.  A mutant is one of:
 Each mutant is written into the copy and run with ``pytest -x`` first against
 the test files that import its module, then, if they pass, against all of
 ``tests/``; the original module is restored after each run.  A mutant that
-passes both survives.  A run that exceeds ``--timeout`` seconds (default 600)
-counts as killed.  The script prints one line per mutant as it goes, then a
+passes both survives.  A run that exceeds ``TIMEOUT`` (600 s) counts as
+killed.  The script prints one line per mutant as it goes, then a
 table of the survivors, and exits 0.  It writes nothing in the checkout.
 """
 
@@ -36,6 +36,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = ("matcore", "channel", "metrics", "polar", "bounds", "suites", "genlib", "cli")
+TIMEOUT = 600.0
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
          ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 TOKENS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
@@ -120,12 +121,12 @@ def importers(tests: pathlib.Path) -> dict:
     return found
 
 
-def passes(work: pathlib.Path, targets: list, timeout: float) -> bool | None:
+def passes(work: pathlib.Path, targets: list) -> bool | None:
     """True if pytest passes on ``targets`` in ``work``, False if it fails, None on timeout."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *targets]
     try:
-        res = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=timeout)
+        res = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None
     return res.returncode == 0
@@ -135,8 +136,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--per-module", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--modules", default=",".join(MODULES))
-    ap.add_argument("--timeout", type=float, default=600.0)
     args = ap.parse_args(argv)
     survivors, total = [], 0
     with tempfile.TemporaryDirectory(prefix="chanpolar-mutate-") as tmp:
@@ -144,7 +143,7 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".bench_build"))
         users = importers(work / "tests")
-        for module in args.modules.split(","):
+        for module in MODULES:
             path = work / "src" / "chanpolar" / f"{module}.py"
             src = path.read_text(encoding="utf-8")
             rng = random.Random(f"{args.seed}:{module}")
@@ -159,9 +158,9 @@ def main(argv=None) -> int:
                 t0 = time.perf_counter()
                 verdict = "killed (own tests)"
                 try:
-                    ok = passes(work, users[module], args.timeout) if users[module] else True
+                    ok = passes(work, users[module]) if users[module] else True
                     if ok:
-                        ok = passes(work, ["tests"], args.timeout)
+                        ok = passes(work, ["tests"])
                         verdict = "killed (tier-1)"
                 finally:
                     path.write_text(src, encoding="utf-8")

@@ -134,9 +134,10 @@ class TestPolarDecompose:
         assert (pol.rank == 3) == bool(sv[-1] > sv[0] * 3 * 1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
-    def test_largest_accepted_singular_value(self, n):
-        """s_1 = max / 2n is decomposed, without a warning, and its next float is refused."""
-        top = np.finfo(float).max / (2 * n)
+    def test_largest_accepted_norm(self, n):
+        """x I_n with n x^2 = max (x = sqrt(max / n), ||x I_n||_2 finite) is decomposed,
+        without a warning; its next float is refused, though s_1 is far below max."""
+        top = np.sqrt(np.finfo(float).max / n)
         pol = matcore.polar_decompose(top * np.eye(n))
         assert pol.rank == n and np.array_equal(pol.unitary, np.eye(n))
         assert np.array_equal(pol.psd, top * np.eye(n))
@@ -579,19 +580,25 @@ REFUSALS = {
         lambda: matcore.hermitian_eig(np.diag([1e155, 1.0])),
         ChanPolarError, "matrix has a norm beyond the float range",
     ),
-    # s_1 n overflows, so the rank threshold would be inf: the Hadamard
-    # matrix's polar factor would be completed to the identity at rank 0
+    # polar_decompose refuses by the norm rule of hermitian_eig.  Here s_1 n
+    # overflows, so the rank threshold would be inf: the Hadamard matrix's
+    # polar factor would be completed to the identity at rank 0
     "polar with s_1 n beyond the float range": (
         lambda: matcore.polar_decompose(1.2e308 * np.array([[1.0, 1.0], [1.0, -1.0]])),
         ChanPolarError, "A has a norm beyond the float range",
     ),
-    # s_1 < max but s_1 2n > max: P + P^dag or the rank threshold would overflow
+    # s_1 < max but s_1 2n > max: P + P^dag would overflow
     "polar with s_1 above max / 2n at n = 1": (
         lambda: matcore.polar_decompose([[1.5e308]]),
         ChanPolarError, "A has a norm beyond the float range",
     ),
     "polar with s_1 above max / 2n at n = 4, in a stack": (
         lambda: matcore.polar_decompose(np.stack([np.eye(4), 1e308 * np.eye(4)])),
+        ChanPolarError, "A has a norm beyond the float range",
+    ),
+    # s_1 = 1e155 is finite, and so are s_1 n 1e-12 and P + P^dag, but the norm overflows
+    "polar of a norm beyond the float range": (
+        lambda: matcore.polar_decompose(np.diag([1e155, 1.0])),
         ChanPolarError, "A has a norm beyond the float range",
     ),
 }
