@@ -29,7 +29,7 @@ import traceback
 from dataclasses import fields
 from typing import NamedTuple
 
-from . import __version__, channel as chn, genlib, metrics, polar, suites
+from . import __version__, channel as chn, genlib, matcore, metrics, polar, suites
 from .errors import ChanPolarError, DimensionMismatch, ParamOutOfRange
 from .matcore import BoundReport
 
@@ -84,7 +84,7 @@ def _reading(path: str):
     """Re-raise what reading ``path`` raises as :class:`_ParseError`.
 
     A ``ParamOutOfRange`` from a family spec counts as unreadable input;
-    every other ``ChanPolarError`` passes through as a domain error.
+    every other ``ChanPolarError`` passes through, its message prefixed with ``path``.
     ``OSError`` is an unreadable file, ``ValueError`` bad JSON or a field
     its table refuses, ``TypeError`` a matrix entry that is an object,
     ``OverflowError`` an integer entry beyond the float range or a family
@@ -94,7 +94,8 @@ def _reading(path: str):
         yield
     except ParamOutOfRange as exc:
         raise _ParseError(str(exc)) from exc
-    except ChanPolarError:
+    except ChanPolarError as exc:
+        exc.args = (f"{path}: {exc}",)
         raise
     except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise _ParseError(f"cannot parse {path}: {exc}") from exc
@@ -107,8 +108,10 @@ def _read(path: str, parse=lambda obj: obj):
 
 
 def _load_channel(path: str) -> chn.KrausChannel:
-    """A CPTP channel from a Kraus or Choi file."""
+    """A CPTP channel from a Kraus or Choi file, its operators within the float range."""
     ch = _read(path, chn.channel_from_json)
+    with _reading(path):
+        matcore._require_in_range(ch.kraus, ("kraus operator",))
     val = chn.validate_cptp(ch)
     if not val.ok:
         raise ChanPolarError(

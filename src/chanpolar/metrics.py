@@ -236,22 +236,27 @@ def _haar_states(d: int, n: int, key: tuple) -> np.ndarray:
     keyed by the seed, drawn in order, so it depends only on (seed, d, i).
     It does not sit at a fixed counter offset: the ziggurat sampler uses a
     variable number of random words per normal (400,000 normals advance
-    the counter by 102,205 four-word blocks, not 100,000).  Rows are drawn
-    and normalized a :func:`_block` at a time into the one n-sized array; the
-    memo keeps the last one, so consecutive calls with one key share a draw.
+    the counter by 102,205 four-word blocks, not 100,000).  Rows are drawn and normalized
+    a :func:`_block` at a time in the float64 view of the one n-sized array; the memo keeps
+    the last one, so consecutive calls with one key share a draw.
     """
     gen = np.random.Generator(np.random.Philox(key=key))
     psi = np.empty((n, d), dtype=np.complex128)
-    b = _block(psi.itemsize * d)
-    for blk in np.split(psi, range(b, n, b)):  # views of psi
-        z = gen.standard_normal((len(blk), 2 * d))
-        blk.real, blk.imag = z[:, :d], z[:, d:]
+    for span in _spans(n, _block(psi.itemsize * d)):
+        blk, view = psi[span], psi[span].view(np.float64)  # view rows: re, im, re, ...
+        view.reshape(-1, d, 2)[:] = gen.standard_normal((len(blk), 2, d)).transpose(0, 2, 1)
         # each row over its np.linalg.norm, with the bits of that division: numpy sums a row
         # pairwise and divides a complex by a real as a product with the real's reciprocal
         s = (blk.conj() * blk).real
-        blk *= (1.0 / np.sqrt(_pairwise_sum(s.T)))[:, None]
+        view *= (1.0 / np.sqrt(_pairwise_sum(s.T)))[:, None]
     psi.setflags(write=False)
     return psi
+
+
+def _spans(n: int, b: int) -> list:
+    """Slices of b of n rows, a one-row tail joined to the block before it: a one-row
+    ``matmul`` operand takes numpy's matrix-vector path, which gives other bits."""
+    return [slice(i, n if i + b >= n - 1 else i + b) for i in range(0, max(n - 1, 1), b)]
 
 
 def _pairwise_sum(terms) -> np.ndarray:
@@ -275,13 +280,21 @@ def haar_fidelity_mc(
 
     The per-sample statistic is f_{|psi><psi|}(A, U); its Haar mean is the
     average gate fidelity F by definition.  It shares its Haar states with
-    the previous estimator call of the same d, n_samples and seed.
+    the previous estimator call of the same d, n_samples and seed.  Memory: the states, the n
+    statistics and O(1 MiB), one reused :func:`_block` of rows <psi|U^dag, A_k psi and overlaps.
     """
     _check_samples(n_samples)
     u = _check_target(target, ch.dim)
     psi = _haar_states(ch.dim, n_samples, _philox_key(seed))
-    ref = (psi if target is None else psi @ u.T).conj()  # rows are <psi|U^dag
-    tot = sum(np.abs(np.einsum("nj,nj->n", ref, psi @ a.T)) ** 2 for a in ch.kraus)
+    spans = _spans(n_samples, _block(psi.itemsize * ch.dim))
+    ref, img = np.empty((2, max(s.stop - s.start for s in spans), ch.dim), psi.dtype)
+    ovl, sq, tot = np.empty(len(ref), psi.dtype), np.empty(len(ref)), np.zeros(n_samples)
+    for span in spans:
+        blk, m = psi[span], span.stop - span.start  # rows of ref: <psi|U^dag
+        np.conjugate(blk if target is None else np.matmul(blk, u.T, out=ref[:m]), out=ref[:m])
+        for a in ch.kraus:
+            np.einsum("nj,nj->n", ref[:m], np.matmul(blk, a.T, out=img[:m]), out=ovl[:m])
+            tot[span] += np.square(np.abs(ovl[:m], out=sq[:m]), out=sq[:m])
     stderr = float(tot.std(ddof=1) / np.sqrt(n_samples))
     return McEstimate(float(tot.mean()), stderr, n_samples, seed)
 
@@ -299,21 +312,25 @@ def haar_unitarity_mc(
     for every channel (the offset vanishes for unital ones).  It shares its
     Haar states with the previous estimator call of the same d, n_samples
     and seed, and refuses d = 1.  Memory: the states and O(1 MiB), one :func:`_block`
-    of samples at a time, each block its own ``matmul`` (a one-row tail joins the
-    block before it: a one-row operand takes numpy's matrix-vector path, other bits).
+    of samples at a time, each its own ``matmul`` (:func:`_spans`).  Of the Hermitian
+    sum_k A_k psi (A_k psi)^dag - A(I)/d it forms the entries i <= j and sums each squared
+    modulus as the (j, i) term too: einsum's complex product is unfused, so the (j, i) product,
+    its sum over k and A(I)'s entry are the (i, j) ones with the imaginary part negated exactly.
     """
     _check_samples(n_samples)
     d = ch.dim
     unitarity(1.0, d)  # refuses d = 1 before any state is drawn
     psi = _haar_states(d, n_samples, _philox_key(seed))
     a_id = np.einsum("kij,klj->il", ch.kraus, ch.kraus.conj())  # A(I)
-    b = _block(psi.itemsize * d * max(len(ch.kraus), d))
-    ratios = []
-    for blk in np.split(psi, range(b, n_samples - 1, b)):
-        cols = np.ascontiguousarray(np.matmul(blk, ch.kraus.swapaxes(1, 2)).transpose(0, 2, 1))
-        out = np.einsum("kin,kjn->ijn", cols, cols.conj()) - (a_id / d)[:, :, np.newaxis]
-        ratios.append(_pairwise_sum((np.abs(out) ** 2).reshape(d * d, -1)))
-    ratios = np.concatenate(ratios) / (1.0 - 1.0 / d)
+    ratios, kraus_t, a_d = np.empty(n_samples), ch.kraus.swapaxes(1, 2), a_id / d
+    for span in _spans(n_samples, _block(psi.itemsize * d * max(len(ch.kraus), d))):
+        cols = np.ascontiguousarray(np.matmul(psi[span], kraus_t).transpose(0, 2, 1))
+        conj, sq = cols.conj(), []
+        for i in range(d):  # the squared moduli of row i from column i on
+            row = np.einsum("kn,kjn->jn", cols[:, i], conj[:, i:]) - a_d[i, i:, None]
+            sq.append(np.abs(row) ** 2)
+        ratios[span] = _pairwise_sum([sq[min(i, j)][abs(i - j)] for i, j in np.ndindex(d, d)])
+    ratios /= 1.0 - 1.0 / d
     offset = float(np.linalg.norm(a_id - np.eye(d)) ** 2 / (d * (d * d - 1)))
     stderr = float(ratios.std(ddof=1) / np.sqrt(n_samples))
     return McEstimate(float(ratios.mean()) + offset, stderr, n_samples, seed)

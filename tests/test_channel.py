@@ -133,6 +133,14 @@ class TestCanonical:
         assert np.allclose(canon.kraus[0], np.sqrt(0.9) * I2, atol=1e-9)
         assert np.allclose(canon.kraus[1], np.sqrt(0.1) * X, atol=1e-9)
 
+    def test_orthogonal_family_sorted_with_its_weights(self):
+        """The Gram route sorts an orthogonal family by weight, each weight staying
+        with its operator."""
+        ch = chn.KrausChannel.from_ops([np.sqrt(0.1) * X, np.sqrt(0.9) * I2])
+        canon = chn.canonical(ch)
+        assert np.allclose(canon.weights, [0.9, 0.1], atol=1e-12)
+        assert np.allclose(canon.kraus, [np.sqrt(0.9) * I2, np.sqrt(0.1) * X], atol=1e-9)
+
     def test_depolarizing_from_mixed_representation(self):
         # same depolarizing channel, Kraus family scrambled by a unitary mix
         ch = genlib.depolarizing(2, 0.9)

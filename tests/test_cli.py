@@ -720,10 +720,10 @@ class TestChoiFileErrors:
 
     @pytest.mark.parametrize("case, code, detail", [
         ("nan", 2, "cannot parse {p}: choi contains non-finite entries"),
-        ("non_hermitian", 3, "matrix is not Hermitian within tolerance"),
+        ("non_hermitian", 3, "{p}: matrix is not Hermitian within tolerance"),
         ("wrong_size", 2,
          "cannot parse {p}: choi must be a flat row-major list of 16 [re, im] pairs"),
-        ("zero", 3, "Choi matrix is numerically zero"),
+        ("zero", 3, "{p}: Choi matrix is numerically zero"),
         ("not_tp", 3, "{p} is not CPTP (cp_slack=0.000e+00, tp_slack=1.414e+00)"),
     ])
     def test_exit_code_and_message(self, tmp_path, capsys, case, code, detail):
@@ -739,7 +739,8 @@ class TestChoiFileErrors:
     def test_overflowing_norms_still_not_hermitian(self, tmp_path, capsys):
         """An imaginary part of -1e308 on the last diagonal entry makes both
         norms of the Hermiticity check overflow; the file is refused before the
-        Hermiticity verdict, as a matrix beyond the float range."""
+        Hermiticity verdict, as a matrix beyond the float range, in a message that
+        names the file."""
         inputs = Path(__file__).parent / "golden" / "inputs"
         doc = json.loads((inputs / "random_cptp-d2-choi.json").read_text())
         doc["choi"][15][1] = -1e308
@@ -750,7 +751,7 @@ class TestChoiFileErrors:
             assert main(["decompose", "--in", str(p)]) == 3
         assert [str(w.message) for w in caught] == []
         assert json.loads(capsys.readouterr().err) == {
-            "error": "domain", "detail": "matrix has a norm beyond the float range",
+            "error": "domain", "detail": f"{p}: matrix has a norm beyond the float range",
         }
 
 
@@ -763,7 +764,8 @@ class TestChoiFileErrors:
         """A CPTP Choi file scaled by ``scale`` is ``tp`` away from trace
         preserving.  It exits 3 without a numpy warning: for trace preservation
         while its norm is finite (1e150), and above about 1e154, where the
-        norm overflows, as a matrix beyond the float range."""
+        norm overflows, as a matrix beyond the float range.  Both messages name
+        the file."""
         inputs = Path(__file__).parent / "golden" / "inputs"
         doc = json.loads((inputs / "random_cptp-d2-choi.json").read_text())
         doc["choi"] = [[re * scale, im * scale] for re, im in doc["choi"]]
@@ -774,8 +776,26 @@ class TestChoiFileErrors:
             assert main(["metrics", "--in", str(p)]) == 3
         assert [str(w.message) for w in caught] == []
         detail = (f"{p} is not CPTP (cp_slack=0.000e+00, tp_slack={tp})" if scale < 1e154
-                  else "matrix has a norm beyond the float range")
+                  else f"{p}: matrix has a norm beyond the float range")
         assert json.loads(capsys.readouterr().err) == {"error": "domain", "detail": detail}
+
+    @pytest.mark.parametrize("entries, detail", [
+        ([1e160, 1e160, 1e160, -1e160], "{p}: kraus operator has a norm beyond the float range"),
+        ([1e160, 0.0, 0.0, 0.0], "{p}: kraus operator has a norm beyond the float range"),
+        ([1e10, 0.0, 0.0, 0.0], "{p} is not CPTP (cp_slack=0.000e+00, tp_slack=1.000e+20)"),
+    ], ids=["inf-minus-inf", "norm-overflows", "norm-finite"])
+    def test_huge_kraus_file(self, tmp_path, capsys, entries, detail):
+        """A Kraus file whose operator's norm overflows exits 3 under the float-range
+        rule, before the CPTP check, whose sum of A^dag A would hold inf - inf (a NaN
+        tp_slack) or inf; a finite norm still meets the CPTP check."""
+        p = tmp_path / "n.json"
+        p.write_text(json.dumps({"dim": 2, "kraus": [[[x, 0.0] for x in entries]]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["metrics", "--in", str(p)]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "domain", "detail": detail.format(p=p)}
 
 
 class TestErrorPaths:

@@ -331,8 +331,10 @@ class TestFamilySpec:
         (genlib.spiral, (0.5, 4), (0.5, 3), "spiral is a d = 3 construction"),
         (genlib.coherence_mix, (1e-3, 0.5, 3), (1e-3, 0.5, 2),
          "coherence_mix is a d = 2 construction"),
+        (genlib.extremal_dephaser, (4, 0.1, 1, 0.2, 1), (4, 0.0999, 1, 0.2, 1),
+         r"base_scale must be in \(0, 0.1\)"),
     ], ids=["dephaser-0-outliers", "dephaser-d-outliers", "spiral-d2", "spiral-d4",
-            "coherence_mix-d3"])
+            "coherence_mix-d3", "dephaser-base-scale-0.1"])
     def test_range_check_message(self, fn, args, inside, message):
         """Each range check refuses with its own message, and the values one
         step inside its range build a CPTP channel."""

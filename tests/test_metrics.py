@@ -66,6 +66,20 @@ class TestPhi:
         with pytest.raises(TargetNotUnitary):
             metrics.phi(genlib.identity_channel(2), target=np.diag([1.0, 0.5]))
 
+    def test_target_at_the_unitarity_tolerance(self):
+        """A target whose ||U^dag U - I||_F sits a hair inside 1e-9 sqrt(d) (UNITARY_TOL)
+        is taken and one a hair beyond it refused."""
+        limit = 1e-9 * np.sqrt(2)
+        for scale, ok in ((1 - 2**-21, True), (1 + 2**-21, False)):
+            u = np.array([[1.0, 1e-9 * scale], [0.0, 1.0]])  # dev = sqrt(2 e^2 + e^4)
+            dev = np.linalg.norm(u.conj().T @ u - np.eye(2))
+            assert (dev <= limit) == ok and abs(dev / limit - 1) < 2**-20
+            if ok:
+                metrics.phi(genlib.identity_channel(2), target=u)
+            else:
+                with pytest.raises(TargetNotUnitary, match="^target is not unitary"):
+                    metrics.phi(genlib.identity_channel(2), target=u)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_basis_average_route_agrees(self, d):
         for seed in range(5):
@@ -676,6 +690,53 @@ class TestMonteCarloBits:
             want = _unitarity_whole(ch, n, 20)
             assert (est.estimate.hex(), est.stderr.hex()) == tuple(map(float.hex, want)), n
 
+    @pytest.mark.parametrize("d, k", [(d, k) for d in (2, 3, 5, 8, 12) for k in (1, 3)])
+    def test_fidelity_block_seams_equal_the_whole_array_route(self, d, k):
+        """The fidelity estimator, float.hex for float.hex against the whole-array route,
+        with and without a target, at its own block seams b - 1, b, b + 1 (a one-row tail
+        joins the block before it) and 2 b + 1, b = 2**20 // (16 d) rows whatever k is."""
+        ch = genlib.random_cptp(d, k, 6)
+        b = metrics._block(16 * d)
+        for n in (b - 1, b, b + 1, 2 * b + 1):
+            for target in (None, genlib.random_unitary(d, 9)):
+                est = metrics.haar_fidelity_mc(ch, target, n_samples=n, seed=20)
+                want = _fidelity_whole(ch, target, n, 20)
+                assert (est.estimate.hex(), est.stderr.hex()) == tuple(map(float.hex, want)), n
+
+    @pytest.mark.parametrize("d, k", [(d, k) for d in (2, 3, 5, 8) for k in (1, 3, d * d)])
+    def test_mirror_entries_are_exact_conjugates(self, d, k):
+        """The premise of the unitarity's upper triangle: the (j, i) entry of
+        sum_k A_k psi (A_k psi)^dag, and of A(I), is the conjugate of the (i, j) entry,
+        float.hex for float.hex (adding 0.0 makes a zero's sign +).  A numpy whose einsum
+        fused the complex product would fail here."""
+        ch = genlib.random_cptp(d, k, 6)
+        psi = metrics._haar_states(d, 257, metrics._philox_key(20))
+        cols = np.ascontiguousarray(np.matmul(psi, ch.kraus.swapaxes(1, 2)).transpose(0, 2, 1))
+        gram = np.einsum("kin,kjn->ijn", cols, cols.conj())
+        a_id = np.einsum("kij,klj->il", ch.kraus, ch.kraus.conj())
+
+        def hexes(m):
+            return [(z.real.hex(), z.imag.hex()) for z in (m + 0.0).ravel().tolist()]
+
+        for m in (gram, a_id):
+            assert hexes(m) == hexes(m.swapaxes(0, 1).conj())
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_unitarity_forms_the_upper_triangle_only(self, monkeypatch, d):
+        """Per sample the unitarity estimator forms d (d + 1) / 2 of the d^2 entries of
+        its Hermitian matrix, one einsum per row i over the columns j >= i."""
+        formed, einsum = [], np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            out = einsum(subscripts, *operands, **kwargs)
+            if subscripts == "kn,kjn->jn":
+                formed.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, "einsum", spy)
+        metrics.haar_unitarity_mc(genlib.random_cptp(d, 3, 6), n_samples=1000, seed=20)
+        assert sum(formed) == d * (d + 1) // 2 * 1000
+
     def test_pairwise_sum_has_the_bits_of_add_reduce(self):
         """In order below 8 terms, 8 running sums up to 128, split in halves above."""
         rng = np.random.default_rng(29)
@@ -694,15 +755,14 @@ class TestMonteCarloBits:
             metrics.haar_fidelity_mc(genlib.amplitude_damping(2, 0.19), target, seed=20)
         assert metrics._haar_states.cache_info().misses == 0
 
-    @pytest.mark.parametrize("call, n, extra", [
-        (metrics.haar_unitarity_mc, 100000, 0),
-        (lambda ch, n_samples: metrics.haar_fidelity_mc(ch, n_samples=n_samples), 20000, 2),
+    @pytest.mark.parametrize("call", [
+        metrics.haar_unitarity_mc,
+        lambda ch, n_samples: metrics.haar_fidelity_mc(ch, n_samples=n_samples),
     ], ids=["unitarity", "fidelity"])
-    def test_estimators_peak_within_their_states(self, call, n, extra):
-        """The n x d states plus 8 MiB at d = 8, k = 64: the unitarity estimator takes
-        O(1 MiB) blocks of samples; the fidelity estimator adds two whole n x d arrays
-        (one operator's images and the reference rows), 2.4 MiB each at this n."""
-        ch = genlib.depolarizing(8, 0.9)  # k = 64
+    def test_estimators_peak_within_their_states(self, call):
+        """The n x d states plus 8 MiB at d = 8, k = 64 and n = 100,000: both estimators
+        take O(1 MiB) blocks of samples, with no whole n x d array beyond the states."""
+        ch, n = genlib.depolarizing(8, 0.9), 100000  # k = 64
         metrics._haar_states.cache_clear()  # the states count too
         tracemalloc.start()
         try:
@@ -710,7 +770,7 @@ class TestMonteCarloBits:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (1 + extra) * n * 8 * 16 + 8 * 2**20
+        assert peak <= n * 8 * 16 + 8 * 2**20
 
     def test_unitarity_refuses_d1_before_drawing(self):
         ch = genlib.identity_channel(1)

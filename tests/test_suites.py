@@ -402,6 +402,13 @@ class TestAppendixSuite:
 
 
 class TestRecords:
+    def test_theorem_and_lindblad_cases_at_their_cap(self):
+        """At d = 8, the cap of both (DIM_CAPS), the theorem suite keeps its
+        theorem, Thm 7 and Lindblad cases."""
+        cases = suites.run_suite("theorems", dims=(8,), trials=1, seed=0)
+        assert {c.theorem for c in cases} >= {
+            "thm1", "thm7", "thm9", "lindblad_orthogonality", "lindblad_canonicalize"}
+
     def test_slack_of_every_row(self):
         """Bound rows carry min(observed - lower, upper - observed); the
         Lindblad rows keep their explicit 1e-9 - observed."""
