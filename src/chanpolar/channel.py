@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matcore
-from .errors import DimensionMismatch, NotCP
+from .errors import ChanPolarError, DimensionMismatch, NotCP, ParseError
 
 CP_EIG_TOL = 1e-10          # per-dim floor below which CP is declared broken
 CHOI_DROP_TOL = 1e-12       # per-dim floor below which eigenvalues are noise
@@ -60,12 +60,14 @@ class KrausChannel:
         if k.shape[0] == 0:
             raise DimensionMismatch("channel needs at least one Kraus operator")
         if not np.isfinite(k).all():
-            raise ValueError("Kraus operators contain non-finite entries")
+            raise ChanPolarError("Kraus operators contain non-finite entries")
         self.__dict__.update(kraus=k, _canonical=None, _weights=None, _polar=None, _upsilon=None)
 
     @classmethod
     def from_ops(cls, ops: Sequence[np.ndarray]) -> "KrausChannel":
         ops = [np.asarray(o, dtype=np.complex128) for o in ops]
+        if len({o.shape for o in ops}) != 1:
+            raise DimensionMismatch("channel needs one or more Kraus operators of one shape")
         return cls(dim=ops[0].shape[0], kraus=np.stack(ops))
 
     @property
@@ -154,7 +156,7 @@ def _channels(ops: np.ndarray) -> list:
     """One channel over each (k, d, d) family of the stack ``ops``, refused as by
     the constructor if an entry is not finite (the shapes pass its checks)."""
     if not np.isfinite(ops).all():
-        raise ValueError("Kraus operators contain non-finite entries")
+        raise ChanPolarError("Kraus operators contain non-finite entries")
     return [_unchecked(ops.shape[-1], k) for k in ops]
 
 
@@ -174,7 +176,7 @@ def _canonical_views(ops: np.ndarray, weights: np.ndarray, counts) -> list:
     lead[bounds[:-1]] = ok[bounds[:-1]]
     np.multiply(ops, np.conj(phase)[:, None, None], out=fixed, where=lead[:, None, None])
     if not np.isfinite(fixed).all():
-        raise ValueError("Kraus operators contain non-finite entries")
+        raise ChanPolarError("Kraus operators contain non-finite entries")
     return [_unchecked(ops.shape[-1], fixed[start:stop], weights[start:stop])
             for start, stop in zip(bounds, bounds[1:])]
 
@@ -340,11 +342,9 @@ def _compose_circuits(circuits) -> list:
     accs = [circuit[0] for circuit in circuits]
     for j in range(1, max(map(len, circuits))):
         step = [i for i, circuit in enumerate(circuits) if j < len(circuit)]
-        prods = [np.einsum("aij,bjk->abik", circuits[i][j].kraus, accs[i].kraus) for i in step]
-        if not all(np.isfinite(prod).all() for prod in prods):
-            raise ValueError("Kraus operators contain non-finite entries")
-        for i, prod in zip(step, prods):
-            accs[i] = _unchecked(d, prod.reshape(-1, d, d))
+        for i in step:  # refused as by the constructor if a product is not finite
+            prod = np.einsum("aij,bjk->abik", circuits[i][j].kraus, accs[i].kraus)
+            accs[i] = _channels(prod.reshape(1, -1, d, d))[0]
         big = [i for i in step if accs[i].n_kraus > d * d]
         for i, view in zip(big, _canonicalize([accs[i] for i in big])):
             accs[i] = view
@@ -375,14 +375,12 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
 def _pairs_to_matrix(pairs, rows: int, cols: int, name: str) -> np.ndarray:
     arr = np.asarray(pairs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape != (rows * cols, 2):
-        raise ValueError(
-            f"{name} must be a flat row-major list of {rows * cols} [re, im] pairs"
-        )
+        raise ParseError(f"{name} must be a flat row-major list of {rows * cols} [re, im] pairs")
     # the float64 conversion also reads numeric strings and booleans
     if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
-        raise ValueError(f"{name} entries must be JSON numbers")
+        raise ParseError(f"{name} entries must be JSON numbers")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ParseError(f"{name} contains non-finite entries")
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
 
 
@@ -412,18 +410,18 @@ REQUIRED = object()  # the default of a key that must be present
 def read_fields(obj, table: dict, what: str, kinds=KINDS, unread=()) -> dict:
     """Each key of ``table``, ``{key: (kind name in kinds, default)}``, mapped
     to its value in the JSON object ``obj`` or else its default; keys in
-    ``unread`` are allowed.  ``ValueError``, naming the key in quotes, for a
+    ``unread`` are allowed.  :class:`ParseError`, naming the key in quotes, for a
     non-object, any other key, a missing ``REQUIRED`` key or a wrong kind."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object")
+        raise ParseError(f"{what} must be a JSON object")
     for key in obj:
         if key not in table and key not in unread:
-            raise ValueError(f"{what} has unknown key '{key}'")
+            raise ParseError(f"{what} has unknown key '{key}'")
     for key, (kind, default) in table.items():
         if key not in obj and default is REQUIRED:
-            raise ValueError(f"{what} needs '{key}'")
+            raise ParseError(f"{what} needs '{key}'")
         if key in obj and not kinds[kind](obj[key]):
-            raise ValueError(f"{what} '{key}' must be {kind}")
+            raise ParseError(f"{what} '{key}' must be {kind}")
     return {key: obj.get(key, default) for key, (_, default) in table.items()}
 
 
@@ -442,11 +440,11 @@ def channel_from_json(obj) -> KrausChannel:
     """The channel of a JSON object read against ``_CHANNEL_FIELDS``:
     ``{"dim": d, "kraus": [...]}`` as given, ``{"dim": d, "choi": [...]}``
     as its canonical view (:func:`from_choi` raises :class:`NotCP` for a
-    non-CP matrix).  Raises ``ValueError`` on malformed input, including
-    both ``kraus`` and ``choi`` or neither."""
+    non-CP matrix).  Raises :class:`ParseError` on malformed input, including
+    both ``kraus`` and ``choi`` or neither (numpy's error for a ragged matrix)."""
     d, ops, choi = read_fields(obj, _CHANNEL_FIELDS, "channel JSON").values()
     if (ops is None) == (choi is None):
-        raise ValueError("channel JSON needs exactly one of 'kraus' and 'choi'")
+        raise ParseError("channel JSON needs exactly one of 'kraus' and 'choi'")
     if choi is not None:
         return from_choi(_pairs_to_matrix(choi, d * d, d * d, "choi"))
     return KrausChannel.from_ops(
@@ -456,6 +454,6 @@ def channel_from_json(obj) -> KrausChannel:
 
 def unitary_from_json(obj) -> np.ndarray:
     """The d x d matrix of a JSON object read against ``_UNITARY_FIELDS``,
-    ``{"dim": d, "unitary": [...]}`` (``ValueError`` otherwise)."""
+    ``{"dim": d, "unitary": [...]}`` (:class:`ParseError` otherwise)."""
     d, pairs = read_fields(obj, _UNITARY_FIELDS, "unitary JSON").values()
     return _pairs_to_matrix(pairs, d, d, "unitary")

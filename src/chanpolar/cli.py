@@ -6,14 +6,14 @@ output *file* is accompanied by a ``<file>.manifest.json`` sidecar carrying
 the resolved configuration, seed, wall-clock, and interpretation notes
 (the sidecar contains the wall clock and is therefore not byte-stable).
 
-Exit codes: 0 ok, 1 bound violation, 2 an input file or config that
-cannot be read (including a family parameter out of range), 3 domain
+Exit codes: 0 ok, 1 bound violation, 2 an input file or config that cannot
+be read (a ``ParseError``, such as a family's ``ParamOutOfRange``), 3 domain
 error (any other ``ChanPolarError``: not CPTP, a composition leaving the
 non-catastrophic regime, a dimension out of range), 64 usage error, 70
 internal error (an unexpected exception: a defect, reported with its
-traceback).  Every command runs through
-:func:`main`, which writes the output and its manifest, writes every
-error line and is the one place that maps exceptions to these codes.
+traceback).  Every command runs through :func:`main`, which writes the
+output and its manifest, writes every error line and is the one place that
+maps exceptions to these codes, by class alone.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import fields
 from typing import NamedTuple
 
 from . import __version__, channel as chn, genlib, matcore, metrics, polar, suites
-from .errors import ChanPolarError, DimensionMismatch, ParamOutOfRange
+from .errors import ChanPolarError, DimensionMismatch, ParseError
 from .matcore import BoundReport
 
 EXIT_OK = 0
@@ -55,10 +55,6 @@ class _UsageError(Exception):
     pass
 
 
-class _ParseError(Exception):
-    """An input file or config that cannot be read."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -81,24 +77,20 @@ def _error_json(kind: str, detail: str):
 
 @contextlib.contextmanager
 def _reading(path: str):
-    """Re-raise what reading ``path`` raises as :class:`_ParseError`.
-
-    A ``ParamOutOfRange`` from a family spec counts as unreadable input;
-    every other ``ChanPolarError`` passes through, its message prefixed with ``path``.
-    ``OSError`` is an unreadable file, ``ValueError`` bad JSON or a field
-    its table refuses, ``TypeError`` a matrix entry that is an object,
-    ``OverflowError`` an integer entry beyond the float range or a family
-    ``dim`` beyond the index range and ``RecursionError`` JSON nested too deep.
-    """
+    """Name ``path`` in what reading it raises: a ``ChanPolarError`` passes with
+    ``cannot parse <path>: `` before a :class:`ParseError`'s message and ``<path>: ``
+    before any other's; an ``OSError`` (unreadable file), ``ValueError`` (bad JSON),
+    ``TypeError`` (an object as a matrix entry), ``OverflowError`` (an integer beyond
+    the float or index range) or ``RecursionError`` (JSON nested too deep) becomes a
+    ``ParseError``."""
     try:
         yield
-    except ParamOutOfRange as exc:
-        raise _ParseError(str(exc)) from exc
     except ChanPolarError as exc:
-        exc.args = (f"{path}: {exc}",)
+        prefix = "cannot parse " if isinstance(exc, ParseError) else ""
+        exc.args = (f"{prefix}{path}: {exc}",)
         raise
     except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
-        raise _ParseError(f"cannot parse {path}: {exc}") from exc
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
 
 
 def _read(path: str, parse=lambda obj: obj):
@@ -478,7 +470,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _error_json("usage", str(exc))
         return EXIT_USAGE
-    except _ParseError as exc:
+    except ParseError as exc:
         _error_json("parse", str(exc))
         return EXIT_PARSE
     except ChanPolarError as exc:

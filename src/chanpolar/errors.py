@@ -9,6 +9,10 @@ class ChanPolarError(ValueError):
     """Base class for all chanpolar errors."""
 
 
+class ParseError(ChanPolarError):
+    """Input that cannot be read, such as a malformed JSON field or matrix."""
+
+
 class NotHermitian(ChanPolarError):
     """Input violates the Hermitian-symmetry tolerance."""
 
@@ -53,8 +57,8 @@ class RatioOutOfRange(ChanPolarError):
     """Per-element fidelity/upsilon ratio outside the admissible interval."""
 
 
-class ParamOutOfRange(ChanPolarError):
-    """Channel-family parameter outside its documented range."""
+class ParamOutOfRange(ParseError):
+    """A family, suite or estimator parameter outside its documented range."""
 
 
 class PhaseUndefined(ChanPolarError):

@@ -47,6 +47,7 @@ def _haar_unitaries(d: int, seeds) -> np.ndarray:
 
 def weyl_ops(d: int) -> list[np.ndarray]:
     """The d^2 Heisenberg-Weyl unitaries X^a Z^b (orthogonal basis)."""
+    _require(d >= 1, "dimension must be >= 1")
     omega = np.exp(2j * np.pi / d)
     shift = np.zeros((d, d), dtype=np.complex128)
     for j in range(d):
@@ -305,8 +306,7 @@ def coherence_mix_params(infidelity: float, level: float) -> dict:
     _require(0.0 < infidelity < 1.0 / 3.0, "infidelity must be in (0, 1/3)")
     _require(0.0 <= level <= 1.0, "coherence level must be in [0, 1]")
     cos2 = 1.0 - 1.5 * level * infidelity
-    q = 1.0 - (1.0 - 1.5 * infidelity) / cos2
-    _require(q <= 0.5, "requested infidelity puts dephasing outside [0, 1/2]")
+    q = 1.0 - (1.0 - 1.5 * infidelity) / cos2  # cos2 <= 1, so q <= 1.5 r < 1/2
     theta = float(np.arccos(np.sqrt(cos2)))
     return {"theta": theta, "q": float(q)}
 
@@ -373,7 +373,7 @@ class FamilySpec:
     @classmethod
     def from_dict(cls, obj) -> "FamilySpec":
         """The spec of a JSON object read against ``_SPEC_FIELDS``
-        (``ValueError`` otherwise); :func:`make_channel` reads its params."""
+        (:class:`ParseError` otherwise); :func:`make_channel` reads its params."""
         fields = chn.read_fields(obj, _SPEC_FIELDS, "family spec", _SPEC_KINDS)
         return cls(**dict(fields, params=dict(fields["params"])))
 
@@ -394,7 +394,8 @@ def _params_table(build) -> dict:
 def make_channel(spec: FamilySpec) -> chn.KrausChannel:
     """The family's builder called by keyword: ``d=spec.dim``, the params read
     against its :func:`_params_table` and, if it takes one, ``seed=spec.seed``."""
-    build = BUILDERS[spec.family]
+    build = BUILDERS.get(spec.family)
+    _require(build is not None, f"unknown family '{spec.family}'")
     kwargs = chn.read_fields(
         spec.params, _params_table(build), f"family '{spec.family}' params"
     )

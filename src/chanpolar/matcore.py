@@ -46,18 +46,23 @@ ENTRY_ROUND_DECIMALS = 8
 
 
 def as_complex_matrix(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
-    """A finite complex128 2-d array, or stack if ``stacked``, C-contiguous (one copy if not)."""
+    """A finite complex128 2-d array, or non-empty stack if ``stacked``, C-contiguous."""
     a = np.asarray(m, dtype=np.complex128, order="C")
     if a.ndim != 2 and not (stacked and a.ndim > 2):
         raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {a.shape}")
+    if 0 in a.shape[:-2]:
+        raise DimensionMismatch(f"{name} is an empty stack, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ChanPolarError(f"{name} contains non-finite entries")
     return a
 
 
-def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _require_square(a: np.ndarray, name: str = "matrix", empty: bool = False) -> np.ndarray:
+    """``a`` if its matrices are square and, unless ``empty``, at least 1 x 1."""
     if a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
+    if a.shape[-1] == 0 and not empty:
+        raise DimensionMismatch(f"{name} must be at least 1 x 1, got shape {a.shape}")
     return a
 
 
@@ -182,6 +187,8 @@ def hermitian_eig(m, drop_floor: float = -np.inf) -> HermitianEig:
 
     Raises
     ------
+    DimensionMismatch
+        for a non-square or 0 x 0 matrix or an empty stack.
     ChanPolarError
         when ``||M||_2`` overflows (entries above about 1e154) for a matrix.
     NotHermitian
@@ -241,7 +248,7 @@ def polar_decompose(a) -> MatrixPolar:
     one by one.  A matrix whose ``||A||_2`` overflows raises :class:`ChanPolarError`
     (:func:`_require_in_range`); s_1 <= ||A||_2 keeps s_1 n 1e-12 and P + P^dag finite.
     """
-    a = _require_square(as_complex_matrix(a, "A", stacked=True), "A")
+    a = _require_square(as_complex_matrix(a, "A", stacked=True), "A", empty=True)
     _require_in_range(a, ("A",))
     n = a.shape[-1]
     try:

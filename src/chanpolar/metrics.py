@@ -213,8 +213,11 @@ class McEstimate:
 
 
 def _philox_key(seed) -> tuple:
-    """Philox's two key words for ``seed``: hashable for every seed it takes."""
-    return tuple(np.random.Philox(key=seed).state["state"]["key"].tolist())
+    """Philox's two key words for ``seed``, hashable; :class:`ParamOutOfRange` where it refuses."""
+    try:
+        return tuple(np.random.Philox(key=seed).state["state"]["key"].tolist())
+    except ValueError as exc:
+        raise ParamOutOfRange(str(exc)) from exc
 
 
 def _block(row_bytes: int) -> int:

@@ -87,17 +87,11 @@ def element_for_infidelity(d: int, r_target, draws, decoherent: bool = False, ta
     return [targeted.get(i, chs[j]) for i, j in enumerate(np.argsort(order).tolist())]
 
 
-def sample_noncatastrophic(d: int, rng: np.random.Generator):
-    """(channel, target) pair: a random unitary target followed by
-    near-identity noise, non-catastrophic by construction."""
-    chs, targets = _noncatastrophic(d, [rng])
-    return chs[0], targets[0]
-
-
 def _noncatastrophic(d: int, rngs) -> tuple[list, np.ndarray]:
-    """:func:`sample_noncatastrophic` of each generator (strength, rank, noise seed, target
-    seed in turn): one QR and unitarity test, then per rank one :func:`genlib._gue_eig` and
-    the operators A_k U by one einsum and finiteness check."""
+    """The channels and the stack of their targets, one of each per generator: a Haar target
+    then near-identity noise, non-catastrophic by construction.  Each generator draws a strength,
+    rank, noise seed and target seed; one QR and unitarity test, then per rank one
+    :func:`genlib._gue_eig` and the operators A_k U by one einsum and finiteness check."""
     eps, ks, seeds, target_seeds = zip(*[
         (float(rng.uniform(0.02, 0.3)), min(int(rng.integers(2, 5)), d * d),
          _subseed(rng), _subseed(rng)) for rng in rngs])
@@ -298,8 +292,7 @@ def run_suite(name: str, dims=None, trials: int = 100, seed: int = 0) -> list[Bo
     skip dimensions above ``DIM_CAPS["theorem"]``, which bounds their cost,
     and the Lindblad suite those above ``DIM_CAPS["Lindblad"]``; so
     ``"theorems"`` at dimensions above both selects no case."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite '{name}'")
+    genlib._require(name in SUITES, f"unknown suite '{name}'")
     cases = []
     if name in ("lemmas", "all"):
         cases += lemma_suite(dims or (2, 3, 4, 8), trials, seed)

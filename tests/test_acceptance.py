@@ -121,7 +121,7 @@ def test_criterion_06_thm7_correction():
     for d in (2, 3):
         for t in range(500):
             rng = np.random.default_rng([SEED, 7, d, t])
-            ch, target = suites.sample_noncatastrophic(d, rng)
+            (ch,), (target,) = suites._noncatastrophic(d, [rng])
             rep = bounds.thm7_max_correction(ch, target)
             ok = ok and rep.holds
             ok = ok and rep.terms["optimizer_improvement"] <= (

@@ -492,7 +492,7 @@ class TestThm7Stack:
         """Mixed Kraus counts and targets, one stacked call against one call each."""
         chs, us = [], []
         for t in range(6):
-            ch, u = suites.sample_noncatastrophic(2 + t % 2, np.random.default_rng([2, t]))
+            (ch,), (u,) = suites._noncatastrophic(2 + t % 2, [np.random.default_rng([2, t])])
             if ch.dim == 2:
                 chs.append(ch)
                 us.append(u)
@@ -558,14 +558,14 @@ class TestOptimizer:
     def test_never_below_polar_start(self):
         for t in range(10):
             rng = np.random.default_rng([91, t])
-            ch, target = suites.sample_noncatastrophic(2, rng)
+            (ch,), (target,) = suites._noncatastrophic(2, [rng])
             opt = bounds.optimize_unitary_correction(ch, target)
             assert opt.improvement >= -1e-12
 
     def test_improvement_within_interval_width(self):
         for t in range(10):
             rng = np.random.default_rng([92, t])
-            ch, target = suites.sample_noncatastrophic(2, rng)
+            (ch,), (target,) = suites._noncatastrophic(2, [rng])
             rep = bounds.thm7_max_correction(ch, target)
             assert rep.terms["optimizer_improvement"] <= rep.upper - rep.lower + 1e-9
 
@@ -574,7 +574,7 @@ class TestOptimizer:
         # W G is Hermitian PSD at a fixed point of the polar step
         for t in range(5):
             rng = np.random.default_rng([93, d, t])
-            ch, target = suites.sample_noncatastrophic(d, rng)
+            (ch,), (target,) = suites._noncatastrophic(d, [rng])
             opt = bounds.optimize_unitary_correction(ch, target)
             uc = target.conj().T
             c = np.einsum("ij,kji->k", uc @ opt.unitary, ch.kraus)
@@ -588,7 +588,7 @@ class TestOptimizer:
 
     def test_runs_above_the_theorem_cap(self):
         rng = np.random.default_rng([94, 16])
-        ch, target = suites.sample_noncatastrophic(16, rng)
+        (ch,), (target,) = suites._noncatastrophic(16, [rng])
         opt = bounds.optimize_unitary_correction(ch, target)
         assert opt.improvement >= 0.0
         rep = bounds.thm7_max_correction(ch, target)

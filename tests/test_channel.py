@@ -162,7 +162,7 @@ class TestCanonical:
         writes NaN, which the views' non-finite guard refuses."""
         ch = chn.KrausChannel(2, [np.diag([1.5e308, 1.5e308])])
         with np.errstate(all="ignore"), pytest.raises(
-                ValueError, match="^Kraus operators contain non-finite entries$"):
+                ChanPolarError, match="^Kraus operators contain non-finite entries$"):
             chn.canonical(ch)
 
     def test_equals_from_choi_route(self):
@@ -712,7 +712,7 @@ REFUSALS = {
     ),
     "non-finite kraus": (
         lambda: chn.KrausChannel(dim=2, kraus=np.array([[[1.0, 0.0], [0.0, np.nan]]])),
-        ValueError, "Kraus operators contain non-finite entries",
+        ChanPolarError, "Kraus operators contain non-finite entries",
     ),
     "rho shape": (
         lambda: chn.apply(genlib.identity_channel(2), np.eye(3)),
@@ -724,7 +724,15 @@ REFUSALS = {
     ),
     "overflowing product": (
         lambda: chn.compose([chn.KrausChannel(dim=2, kraus=1e200 * np.stack([I2, X]))] * 2),
-        ValueError, "Kraus operators contain non-finite entries",
+        ChanPolarError, "Kraus operators contain non-finite entries",
+    ),
+    "from no operator": (
+        lambda: chn.KrausChannel.from_ops([]),
+        DimensionMismatch, "channel needs one or more Kraus operators of one shape",
+    ),
+    "from operators of two shapes": (
+        lambda: chn.KrausChannel.from_ops([I2, np.eye(3)]),
+        DimensionMismatch, "channel needs one or more Kraus operators of one shape",
     ),
 }
 

@@ -635,7 +635,8 @@ class TestSweepConfigTypes:
         fam = {"family": "spiral", "dim": 2, "params": {"alpha": 0.5}}
         code, cap, files = self.run(tmp_path, monkeypatch, capsys, json.dumps({"family": fam}))
         assert code == 2
-        assert json.loads(cap.err) == {"error": "parse", "detail": "spiral is a d = 3 construction"}
+        assert json.loads(cap.err) == {
+            "error": "parse", "detail": "cannot parse cfg.json: spiral is a d = 3 construction"}
         assert cap.out == "" and files == ["cfg.json"]
 
     @pytest.mark.parametrize("family", ["random_cptp", "psd_lk_decoherent"])

@@ -281,6 +281,13 @@ class TestCoherenceMix:
         else:
             assert split.coherence_level <= 1e-9
 
+    def test_dephasing_below_one_half_at_the_top_infidelity(self):
+        """At level 0, q = 1.5 r: the largest infidelity below 1/3 gives q one
+        step under 1/2, so q needs no range check of its own."""
+        r = np.nextafter(1.0 / 3.0, 0.0)
+        assert genlib.coherence_mix_params(r, 0.0)["q"] == 0.5 - 2.0**-53
+        assert chn.validate_cptp(genlib.coherence_mix(r, 0.0)).ok
+
     def test_params_recorded(self):
         p = genlib.coherence_mix_params(1e-4, 0.01)
         assert 0 < p["theta"] < 1e-2
@@ -316,6 +323,9 @@ class TestFamilySpec:
             (genlib.spiral, (2.0,)),
             (genlib.coherence_mix, (0.5, 0.5)),
             (genlib.random_unitary, (0, 0)),
+            (genlib.depolarizing, (0, 0.5)),
+            (genlib.weyl_ops, (-1,)),
+            (genlib.make_channel, (genlib.FamilySpec("nope", 2),)),
         ],
     )
     def test_param_out_of_range(self, fn, args):

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from chanpolar import channel as chn
 from chanpolar import matcore
 from chanpolar.errors import ChanPolarError, DimensionMismatch, NotContraction, NotHermitian
 
@@ -562,7 +563,7 @@ class TestStackedChecks:
 REFUSALS = {
     "non-finite entry": (
         lambda: matcore.as_complex_matrix([[1.0, np.inf], [0.0, 1.0]]),
-        ValueError, "matrix contains non-finite entries",
+        ChanPolarError, "matrix contains non-finite entries",
     ),
     "not 2-dimensional": (
         lambda: matcore.as_complex_matrix([1.0, 0.0], "rho"),
@@ -600,6 +601,30 @@ REFUSALS = {
     "polar of a norm beyond the float range": (
         lambda: matcore.polar_decompose(np.diag([1e155, 1.0])),
         ChanPolarError, "A has a norm beyond the float range",
+    ),
+    "eig of a 0 x 0 matrix": (
+        lambda: matcore.hermitian_eig(np.zeros((0, 0))),
+        DimensionMismatch, "M must be at least 1 x 1, got shape (0, 0)",
+    ),
+    "polar of an empty stack": (
+        lambda: matcore.polar_decompose(np.zeros((0, 2, 2))),
+        DimensionMismatch, "A is an empty stack, got shape (0, 2, 2)",
+    ),
+    "choi of an empty stack": (
+        lambda: chn.from_choi(np.zeros((0, 4, 4))),
+        DimensionMismatch, "choi is an empty stack, got shape (0, 4, 4)",
+    ),
+    "trace inequality of a 0 x 0 pair": (
+        lambda: matcore.check_trace_inequality(np.zeros((0, 0)), np.zeros((0, 0))),
+        DimensionMismatch, "A must be at least 1 x 1, got shape (0, 0)",
+    ),
+    "vN inequality of a 0 x 0 pair": (
+        lambda: matcore.check_vn_inequality(np.zeros((0, 0)), np.zeros((0, 0))),
+        DimensionMismatch, "A must be at least 1 x 1, got shape (0, 0)",
+    ),
+    "norm inequality of a 0 x 0 pair": (
+        lambda: matcore.check_norm_inequality(np.zeros((0, 0)), np.zeros((0, 0))),
+        DimensionMismatch, "A must be at least 1 x 1, got shape (0, 0)",
     ),
 }
 

@@ -339,7 +339,7 @@ class TestLkGapBounds:
     def test_random_sandwiches(self, d):
         for t in range(50):
             rng = np.random.default_rng([77, d, t])
-            ch, target = suites.sample_noncatastrophic(d, rng)
+            (ch,), (target,) = suites._noncatastrophic(d, [rng])
             r1, r2 = metrics.lk_gap_bounds(ch, target)
             assert r1.holds and r2.holds
             assert r1.slack >= -1e-10
@@ -366,7 +366,7 @@ class TestLkGapStack:
     def test_stack_equals_single_calls_and_report_route(self, d):
         chs, us = [], []
         for t in range(8):
-            ch, u = suites.sample_noncatastrophic(d, np.random.default_rng([31, d, t]))
+            (ch,), (u,) = suites._noncatastrophic(d, [np.random.default_rng([31, d, t])])
             chs.append(ch)
             us.append(u)
         chs.append(genlib.depolarizing(d, 0.0))  # catastrophic: the Phi upper side is open
@@ -399,7 +399,7 @@ class TestLkGapStack:
 
     def test_identity_target_is_the_no_target_route(self):
         for ch in (genlib.depolarizing(2, 0.9), genlib.amplitude_damping(3, 0.2),
-                   suites.sample_noncatastrophic(3, np.random.default_rng(4))[0]):
+                   suites._noncatastrophic(3, [np.random.default_rng(4)])[0][0]):
             assert repr(metrics.lk_gap_bounds(ch)) == repr(self.reports(ch, None))
 
 
@@ -607,8 +607,9 @@ class TestMonteCarloBits:
 
     @pytest.mark.parametrize("call", [metrics.haar_fidelity_mc, metrics.haar_unitarity_mc])
     def test_negative_seed_refused_by_philox(self, call):
-        with pytest.raises(ValueError, match="key must be positive"):
+        with pytest.raises(ParamOutOfRange, match="^key must be positive") as info:
             call(genlib.identity_channel(2), n_samples=100, seed=-1)
+        assert type(info.value) is ParamOutOfRange
 
     @pytest.mark.parametrize("name, d", [("cptp_rank4", 3), ("amplitude_damping", 8)])
     @pytest.mark.parametrize("order", ["fu", "uf"])

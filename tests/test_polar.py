@@ -60,7 +60,7 @@ class TestChannelPolar:
     def test_reconstruction_both_sides(self, d):
         for t in range(20):
             rng = np.random.default_rng([55, d, t])
-            ch, _ = suites.sample_noncatastrophic(d, rng)
+            (ch,), (_,) = suites._noncatastrophic(d, [rng])
             pol = polar.channel_polar(ch)
             left = chn.compose([pol.decoherent_left, pol.coherent])
             right = chn.compose([pol.coherent, pol.decoherent_right])
@@ -352,7 +352,7 @@ class TestEquability:
     def test_gamma_le_big_gamma(self):
         for t in range(20):
             rng = np.random.default_rng([66, t])
-            ch, _ = suites.sample_noncatastrophic(3, rng)
+            (ch,), (_,) = suites._noncatastrophic(3, [rng])
             eq = polar.equability(ch)
             assert eq.gamma_decoh <= eq.Gamma_decoh + 1e-9
             assert eq.gamma_coh <= eq.Gamma_coh + 1e-9

@@ -273,7 +273,7 @@ class TestSamplers:
         for t in range(20):
             rng = np.random.default_rng([5, t])
             d = 2 + t % 3
-            ch, target = suites.sample_noncatastrophic(d, rng)
+            (ch,), (target,) = suites._noncatastrophic(d, [rng])
             assert metrics.non_catastrophic(ch, target)
 
     def test_per_trial_seeding_is_order_independent(self):
@@ -336,9 +336,9 @@ class TestSingleChannelSuites:
                 assert ch.kraus.shape == want_ch.kraus.shape
                 assert ch.kraus.tobytes() == want_ch.kraus.tobytes()
                 assert target.tobytes() == want_target.tobytes()
-            one = suites.sample_noncatastrophic(d, np.random.default_rng([8, d, 0]))
-            assert one[0].kraus.tobytes() == chs[0].kraus.tobytes()
-            assert one[1].tobytes() == targets[0].tobytes()
+            (one,), (one_target,) = suites._noncatastrophic(d, [np.random.default_rng([8, d, 0])])
+            assert one.kraus.tobytes() == chs[0].kraus.tobytes()
+            assert one_target.tobytes() == targets[0].tobytes()
 
     def test_runs_hold_at_most_2_18_choi_entries(self):
         """A run of trials stacks at most 2^18 Choi entries (4 MiB a copy):
@@ -487,6 +487,13 @@ class TestCompositionSweep:
         assert {float.hex(r.coherent_lower) for r in low} == {float.hex(0.0)}
         dep = suites.composition_sweep(genlib.depolarizing(2, 0.998), 400)
         assert [r.depth for r in dep if not r.non_catastrophic][0] == 275
+
+    def test_envelope_at_a_ratio_just_above_half(self):
+        """Phi/Upsilon = 1/2 + 1e-7 still takes the coherent envelope: its depth-1
+        coherent_lower is 0.5000001, not the 0 written at a ratio of 1/2 or less."""
+        el = genlib.rotation(2, np.arccos(np.sqrt(0.5 + 1e-7)))
+        row = suites.composition_sweep(el, 3)[0]
+        assert row.coherent_lower == pytest.approx(0.5 + 1e-7, rel=1e-9)
 
     def test_superoperator_powers_take_at_most_a_megabyte(self):
         # a (256, 64, 64) stack of S^m would be 16 MB at d = 8 (256 MB at d = 16)
@@ -670,7 +677,7 @@ class TestSigmaProfile:
 REFUSALS = {
     "unknown suite": (
         lambda: suites.run_suite("lemma"),
-        ValueError, "unknown suite 'lemma'",
+        ParamOutOfRange, "unknown suite 'lemma'",
     ),
 }
 
